@@ -8,8 +8,9 @@ Run it from the root of a source checkout; the program is imported from
 
 1. set-up time: ``import isotorus, isotorus.cli`` timed in fresh processes;
 2. references: ``bench/oracle.py`` (mpmath, 30 digits) in its own process;
-3. warm-up, then passes over the workload's calls until S seconds have gone
-   (at least one whole pass), every call checked after its clock stops;
+3. on query and endpoint, a timed cold ``verify --order 8`` (``verify_s``);
+   then passes over the workload's calls until S seconds have gone (at
+   least one whole pass), every call checked after its clock stops;
 4. with ``--trace 1``: one untraced and one traced pass instead, giving the
    per-layer metrics and the tracing overhead.
 
@@ -77,6 +78,14 @@ def setup_seconds(cal_ref: float) -> tuple:
     return statistics.median(scaled), statistics.median(raw)
 
 
+def seconds_by_kind(ops: list) -> dict:
+    """Time as timed per kind of call (and kernel) in one pass."""
+    out = {}
+    for o in ops:
+        out[o.kind] = out.get(o.kind, 0.0) + o.seconds
+    return out
+
+
 def references(request: dict) -> dict:
     done = subprocess.run([sys.executable, str(BENCH / "oracle.py")], input=json.dumps(request),
                           cwd=ROOT, capture_output=True, text=True, timeout=170, check=True)
@@ -104,7 +113,7 @@ def main(argv=None) -> int:
     refs = references(plan.oracle_request())
     problems = workloads.check_expansions(plan, refs)
 
-    workloads.warm_up(plan)
+    warm = workloads.warm_up(plan)
     passes = []
     tracer = None
     start = time.perf_counter()
@@ -123,8 +132,9 @@ def main(argv=None) -> int:
 
     ops = [o for pass_ops in passes for o in pass_ops if o.kind not in workloads.KERNELS]
     failures = Counter(f"{o.kind}: {o.verdict.reason}" for o in ops if o.verdict.failed)
-    problems += sorted({f"{o.kind}: {o.verdict.reason}" for o in ops if o.verdict.wrong})
+    problems += sorted({f"{o.kind}: {o.verdict.reason}" for o in ops + warm if o.verdict.wrong})
     per_pass, per_pass_raw = zip(*(workloads.pass_metrics(o) for o in passes))
+    warm_metrics = workloads.pass_metrics(warm) if warm else ({}, {})
     backend = f"{series.Rational.__module__}.{series.Rational.__name__}"
 
     OUT.mkdir(exist_ok=True)
@@ -136,6 +146,7 @@ def main(argv=None) -> int:
         metrics = {k: {"value": v, "unit": layer_unit(k)} for k, v in layer.items()}
     else:
         values = {k: statistics.median(p[k] for p in per_pass) for k in per_pass[0]}
+        values.update((k, v) for k, v in warm_metrics[0].items() if k != "wall_s")
         values["setup_s"] = setup_s
         values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         metrics = {k: {"value": values[k], "unit": unit} for k, unit in END_TO_END.items()}
@@ -145,7 +156,8 @@ def main(argv=None) -> int:
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "python": platform.python_version(), "backend": backend,
               "setup_s": setup_s, "setup_raw_s": setup_raw_s, "passes": per_pass,
-              "passes_as_timed": per_pass_raw, "failures": dict(failures),
+              "passes_as_timed": per_pass_raw, "warm_up": warm_metrics,
+              "seconds_by_kind": [seconds_by_kind(p) for p in passes], "failures": dict(failures),
               "problems": problems, "result": result}
     (OUT / f"{stem}.json").write_text(json.dumps(record, indent=1))
 

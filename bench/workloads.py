@@ -1,20 +1,24 @@
 """The three workloads: their seeded inputs, one pass over them, and the
 per-pass metrics.
 
-Every workload runs the same kinds of call (verify, iso_direct, iso and
-iso_squared, iso_derivative, invert_iso, scans), so every end-to-end metric
-exists on every workload; the mix and the regime differ:
-
-- proof:    cold ``verify --order 40`` and the order-240 ``iso_direct`` cross
-            path; the float calls after them are a cheap cross-check.
-- query:    interior float calls (z <= 0.39) and the five CLI scans; a warm
-            ``verify --order 8`` is all the exact layer does.
+- proof:    cold ``verify --order 40``, the ODE fault check and the
+            order-240 ``iso_direct`` cross path, then the float calls;
+- query:    interior float calls (z <= 0.39) and the five CLI scans;
 - endpoint: the same float calls near x = 1, where the family series need up
             to 10^6 terms, with the classes that fail there today.
 
+Every end-to-end metric is reported on every workload.  Query and endpoint
+time one cold ``verify --order 8`` before their passes (the first verify of
+the process, as in a fresh ``isotorus verify``) and make two warm
+``iso_direct`` calls per pass; proof's float calls take under 1 % of its
+pass.
+
 Inputs are stratified draws from ``--seed`` (one draw per stratum), so two
 seeds give different inputs with the same cost classes in the same counts.
-Inputs whose calls fail today do not depend on the seed.
+Inputs whose cost class or verdict depends on where exactly they fall are
+fixed, and do not depend on the seed: the calls that fail today, and the
+endpoint inversions, a third or more of which take the solver's 3 s sharp
+retry.
 """
 
 from __future__ import annotations
@@ -40,22 +44,29 @@ DECLARED = (numerics.NumericsError,)
 CACHES = (identities.expand_abar, identities.expand_vbar, identities.expand_f,
           numerics._family_derivative_cap, numerics._direct_series)
 
-# invert_iso bisects [0, Z_MAX - 1e-12] until the bracket is narrower than
-# the tolerance: 32 halvings at 1e-10.  Roots are placed relative to that grid
-# of midpoints (see probe_root and centre_root).
-BRACKET_HI = numerics.Z_MAX - 1e-12
 INVERT_TOL = 1e-10
-PROBE_LEVEL = 20
+# Seeded inversion roots lie in z* in [0.03, 0.30].  Above z ~ 0.31 an
+# ambiguous bisection step sends the solver to a sharp retry that costs ~3 s,
+# and whether a step is ambiguous depends on rho at the 1e-11 level, so the
+# count of such calls would depend on the seed; below z ~ 0.03 an ambiguous
+# step can return z outside the tolerance.  Endpoint covers the retry with
+# fixed roots.
+SEEDED_ROOTS = (0.03, 0.30)
+# Endpoint roots are fixed, evenly over z* in [0.400, 0.411]; 6 of the 7 take
+# the sharp retry today, so both inversion percentiles fall well inside the
+# retry class.
+ENDPOINT_ROOTS = 7
 
-# The host's speed drifts by tens of percent over seconds to minutes, for the
-# program and for any other Python code alike.  Two fixed kernels timed among
-# the calls measure it; times are reported at the speed where each kernel
-# takes its CAL_REF_S, about its median on the host the benchmark was built
-# on (see pass_metrics).
+# The host's speed drifts by tens of percent over seconds to minutes.  Two
+# fixed kernels timed among the calls measure it; times are reported at the
+# speed where each kernel takes its CAL_REF_S, about its median on the host
+# the benchmark was built on (see pass_metrics).
 CAL_PER_ROUND = 100
-SPEED_WINDOW_S = 0.5
-SPEED_MIN_KERNELS = 24
-WARM_VERIFIES = 3  # verify calls per pass where the caches are warm
+SPEED_KERNELS = 24  # the kernels nearest a call that give its host speed
+# A call longer than this is reported as timed: its own length averages the
+# drift, and kernels sampled at its edges do not follow it (proof's verify:
+# rescaling widened its quartile spread from 0.03 to 0.15 over five runs).
+UNSCALED_S = 10.0
 
 VERIFY_NAMES = ("golden_coefficients", "ode_residuals", "f_positivity", "lemma1", "cont1",
                 "cont2", "euler_transform", "id_hyp", "id_war", "remark1_derivative",
@@ -67,6 +78,11 @@ def strata(rng: random.Random, lo: float, hi: float, n: int) -> list:
     return [lo + (hi - lo) * (k + rng.random()) / n for k in range(n)]
 
 
+def grid(lo: float, hi: float, n: int) -> list:
+    """The centres of n equal cells of [lo, hi): fixed inputs."""
+    return [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
+
+
 def z_from_gap(gap: float) -> float:
     """The z whose family argument x = 4z^2/(1-z^2)^2 equals 1 - gap."""
     x = 1.0 - gap
@@ -76,34 +92,6 @@ def z_from_gap(gap: float) -> float:
 def _gap_at(z: float) -> float:
     t = z * z
     return 1.0 - 4.0 * t / (1.0 - t) ** 2
-
-
-def _bisect_towards(u: float, levels: int):
-    lo, hi = 0.0, BRACKET_HI
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        if u > mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def probe_root(u: float, level: int = PROBE_LEVEL) -> float:
-    """The midpoint the bisection evaluates at step ``level`` on its way to u.
-
-    With the root exactly there, that step's certified interval contains the
-    target and the solver takes its sharp retry at target 1e-13."""
-    lo, hi = _bisect_towards(u, level - 1)
-    return 0.5 * (lo + hi)
-
-
-def centre_root(u: float) -> float:
-    """The centre of the final 1e-10 bracket around u: half a bracket from
-    every midpoint the bisection evaluates, so no step is ambiguous wherever
-    dIso/dz > 0.15 (z > 0.03), and none takes the sharp retry."""
-    lo, hi = _bisect_towards(u, 32)
-    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -137,37 +125,37 @@ CLI_SCANS = [
 def make_plan(workload: str, seed: int) -> Plan:
     rng = random.Random(f"{workload}:{seed}")
     if workload == "proof":
-        zs = strata(rng, 0.0, 0.38, 16)
         return Plan(
             verify_order=40, cold=True,
-            direct=zs,
+            direct=strata(rng, 0.0, 0.38, 16),
+            # float calls of each kind, under 1 % of the pass, so every metric
+            # exists here; 400 evals keep bound_ratio_p50 steady across seeds
             evals=[(f, z, t) for z in strata(rng, 0.0, 0.38, 100)
                    for f in ("iso", "iso_squared") for t in (1e-10, 1e-12)],
-            derivs=strata(rng, 0.0, 0.38, 100),
-            inverts=[centre_root(u) for u in strata(rng, 0.03, 0.38, 100)],
-            scans=CLI_SCANS,
+            derivs=strata(rng, 0.0, 0.38, 20),
+            inverts=strata(rng, *SEEDED_ROOTS, 20),
+            scans=[(label, fname, args, {**kwargs, "grid": 200})
+                   for label, fname, args, kwargs in CLI_SCANS],
             taylor=8,
         )
     if workload == "query":
         zs = strata(rng, 0.0, 0.39, 100)
         return Plan(
             verify_order=8, cold=False,
-            direct=strata(rng, 0.0, 0.39, 16),
+            direct=strata(rng, 0.0, 0.39, 2),
             evals=[(f, z, t) for z in zs for f in ("iso", "iso_squared") for t in (1e-10, 1e-12)],
             derivs=strata(rng, 0.0, 0.39, 100),
-            # one fixed root on a probe point in the region where the sharp
-            # retry cannot succeed: the slow-retry class, 1 call in 101
-            inverts=[centre_root(u) for u in strata(rng, 0.03, 0.39, 100)] + [probe_root(0.37)],
+            inverts=strata(rng, *SEEDED_ROOTS, 100),
             scans=CLI_SCANS,
         )
     if workload == "endpoint":
         # 1 - x spread evenly over its decades, from x(0.40) = 0.907 to 1 - 3e-4
-        logs = strata(rng, math.log10(3e-4), math.log10(_gap_at(0.40)), 100)
+        logs = strata(rng, math.log10(3e-4), math.log10(_gap_at(0.40)), 200)
         zs = [z_from_gap(10.0 ** g) for g in logs]
         z_edge = numerics.Z_MAX - 1e-6
         return Plan(
             verify_order=8, cold=False,
-            direct=strata(rng, 0.400, 0.402, 16),
+            direct=strata(rng, 0.400, 0.402, 2),
             evals=[(f, z, 1e-10) for z in zs for f in ("iso", "iso_squared")] * 2,
             # fixed inputs that fail today: target 1e-12 past z = 0.405, and
             # 1e-10 within 1e-5 of Z_MAX (bound floor ~1.7e-9 in _eval_family)
@@ -175,9 +163,8 @@ def make_plan(workload: str, seed: int) -> Plan:
                          for f in ("iso", "iso_squared")],
             # fixed, and failing today: the generic-path series diverge at x = 1
             derivs=[0.402, 0.405, 0.408, 0.41],
-            # every root on a probe point: the sharp retry, which cannot
-            # succeed this close to the endpoint, runs in every inversion
-            inverts=[probe_root(u) for u in strata(rng, 0.400, 0.411, 4)],
+            # fixed: rho from iso(0.40) to 0.9999; some take the sharp retry
+            inverts=grid(0.400, 0.411, ENDPOINT_ROOTS),
             # the scans whose grids run to x = 1, next to the five CLI ones
             scans=CLI_SCANS + [
                 ("mono-w[3/2]", "scan_monotonicity", ("w",), {"grid": 1000, "a": numerics.rat(3, 2)}),
@@ -342,8 +329,6 @@ def _float_round(plan: Plan, refs: dict) -> list:
         "cal.interp": [partial(calibrate, "cal.interp")] * CAL_PER_ROUND,
         "cal.bigint": [partial(calibrate, "cal.bigint")] * CAL_PER_ROUND,
     }
-    if not plan.cold:
-        groups["verify"] = [partial(_verify, plan.verify_order)] * WARM_VERIFIES
     return [call() for call in _interleaved(groups)]
 
 
@@ -363,12 +348,19 @@ def run_pass(plan: Plan, refs: dict) -> list:
     return ops
 
 
-def warm_up(plan: Plan):
-    """Fill the memo caches a long-running caller would already have filled
-    (not on proof, whose passes start cold as every verify process does)."""
-    if not plan.cold:
-        _verify(plan.verify_order)
-        numerics.iso_direct(0.1)
+def warm_up(plan: Plan) -> list:
+    """Query and endpoint: time the process's first ``verify`` command, which
+    starts from empty memo caches as a fresh ``isotorus verify`` does,
+    between two runs of big-integer kernels; then fill the ``iso_direct``
+    cache.  The timed ops; none on proof, whose every pass starts cold."""
+    if plan.cold:
+        return []
+    for cache in CACHES:
+        cache.cache_clear()
+    kernels = [partial(calibrate, "cal.bigint")] * (SPEED_KERNELS // 2)
+    ops = [call() for call in kernels + [partial(_verify, plan.verify_order)] + kernels]
+    numerics.iso_direct(0.1)
+    return ops
 
 
 def check_expansions(plan: Plan, refs: dict) -> list:
@@ -396,55 +388,57 @@ def tail(values) -> float:
 
 
 def _metrics(ops: list, seconds) -> dict:
-    def ms(kind, warm_only=False):
-        return [seconds(o) * 1e3 for o in ops
-                if o.kind == kind and o.returned and not (warm_only and o.cold)]
+    """The metrics of the kinds of call present in ``ops``."""
+    def ms(kind):
+        return [seconds(o) * 1e3 for o in ops if o.kind == kind and o.returned and not o.cold]
 
+    out = {"wall_s": sum(seconds(o) for o in ops)}
+    verify = [seconds(o) for o in ops if o.kind == "verify"]
+    if verify:
+        out["verify_s"] = statistics.median(verify)
+    for name, kind, stat in (("direct_ms_p50", "direct", statistics.median),
+                             ("eval_ms_p50", "eval", statistics.median),
+                             ("eval_ms_tail", "eval", tail),
+                             ("deriv_ms_p50", "deriv", statistics.median),
+                             ("invert_ms_p50", "invert", statistics.median),
+                             ("invert_ms_tail", "invert", tail)):
+        if ms(kind):
+            out[name] = stat(ms(kind))
     scans = [o for o in ops if o.kind == "scan" and o.returned]
-    return {
-        "wall_s": sum(seconds(o) for o in ops),
-        "verify_s": statistics.median(seconds(o) for o in ops if o.kind == "verify"),
-        "direct_ms_p50": statistics.median(ms("direct", warm_only=True)),
-        "eval_ms_p50": statistics.median(ms("eval")),
-        "eval_ms_tail": tail(ms("eval")),
-        "deriv_ms_p50": statistics.median(ms("deriv")),
-        "invert_ms_p50": statistics.median(ms("invert")),
-        "invert_ms_tail": tail(ms("invert")),
-        "scan_pts_per_s": sum(o.points for o in scans) / sum(seconds(o) for o in scans),
-        "bound_ratio_p50": statistics.median(o.ratio for o in ops if o.ratio is not None),
-    }
+    if scans:
+        out["scan_pts_per_s"] = sum(o.points for o in scans) / sum(seconds(o) for o in scans)
+    ratios = [o.ratio for o in ops if o.ratio is not None]
+    if ratios:
+        out["bound_ratio_p50"] = statistics.median(ratios)
+    return out
 
 
 def pass_metrics(ops: list):
     """(metrics at the reference host speed, the same metrics as timed).
 
     Each call's time is multiplied by the host speed around it: CAL_REF_S
-    over the median time of its kind's kernel (KERNEL_OF) within
-    SPEED_WINDOW_S of the call, or within the call's own duration of it if
-    longer, or of the SPEED_MIN_KERNELS such kernels nearest to it where
-    fewer ran that close.  ``wall_s`` is the sum over
-    the pass's calls, so neither the kernels nor the judging of results
-    count in it."""
+    over the median time of the SPEED_KERNELS kernels of its kind
+    (KERNEL_OF) that ran nearest the call's midpoint.  Calls longer than
+    UNSCALED_S keep their time as timed.  ``wall_s`` is the sum
+    over the calls, so neither the kernels nor the judging of results count
+    in it."""
     samples = {k: sorted((o.start, o.seconds) for o in ops if o.kind == k) for k in KERNELS}
     starts = {k: [t for t, _ in cal] for k, cal in samples.items()}
 
     def speed(op):
+        if op.seconds > UNSCALED_S:
+            return 1.0
         kernel = KERNEL_OF.get(op.kind, "cal.interp")
-        cal, at = samples[kernel], starts[kernel]
-        reach = max(SPEED_WINDOW_S, op.seconds)
-        lo = bisect.bisect_left(at, op.start - reach)
-        hi = bisect.bisect_right(at, op.start + op.seconds + reach)
-        if hi - lo < SPEED_MIN_KERNELS:
-            mid = op.start + op.seconds / 2
-            lo = max(0, min(bisect.bisect_left(at, mid) - SPEED_MIN_KERNELS // 2,
-                            len(cal) - SPEED_MIN_KERNELS))
-            hi = lo + SPEED_MIN_KERNELS
-        return CAL_REF_S[kernel] / statistics.median(d for _, d in cal[lo:hi])
+        at = bisect.bisect_left(starts[kernel], op.start + op.seconds / 2)
+        lo = max(0, min(at - SPEED_KERNELS // 2, len(starts[kernel]) - SPEED_KERNELS))
+        near = samples[kernel][lo:lo + SPEED_KERNELS]
+        return CAL_REF_S[kernel] / statistics.median(d for _, d in near)
 
     calls = [o for o in ops if o.kind not in KERNELS]
     speeds = {id(o): speed(o) for o in calls}
     scaled = _metrics(calls, lambda o: o.seconds * speeds[id(o)])
     raw = _metrics(calls, lambda o: o.seconds)
     for kernel, cal in samples.items():
-        raw[f"speed.{kernel}"] = CAL_REF_S[kernel] / statistics.median(d for _, d in cal)
+        if cal:
+            raw[f"speed.{kernel}"] = CAL_REF_S[kernel] / statistics.median(d for _, d in cal)
     return scaled, raw
