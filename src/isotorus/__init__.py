@@ -8,6 +8,8 @@ Four layers:
 - :mod:`isotorus.solver`     monotone inversion of the ratio function
 """
 
+from .identities import verify_all
+from .numerics import CertifiedValue, iso, iso_derivative, iso_direct, iso_squared
 from .series import (
     DifferentialOperator,
     HypergeometricSpec,
@@ -16,14 +18,23 @@ from .series import (
     parse_rational,
     rat,
 )
+from .solver import InverseQuery, invert_iso
 
 __all__ = [
+    "CertifiedValue",
     "DifferentialOperator",
     "HypergeometricSpec",
+    "InverseQuery",
     "PowerSeries",
     "Rational",
+    "invert_iso",
+    "iso",
+    "iso_derivative",
+    "iso_direct",
+    "iso_squared",
     "parse_rational",
     "rat",
+    "verify_all",
 ]
 
 __version__ = "0.1.0"

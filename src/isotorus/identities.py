@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .series import (
     ONE,
-    ZERO,
     DifferentialOperator,
     HypergeometricSpec,
     PowerSeries,
@@ -185,30 +184,26 @@ def _inner_argument(order: int) -> PowerSeries:
 
 
 def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
-    """outer(4z/(1-z)^2) mod z^(order+1), exactly.
+    """outer(4z/(1-z)^2) mod z^(N+1), N = min(order, outer.order), exactly.
 
     Clears denominators: outer(4z/(1-z)^2) = S(z) * (1-z)^(-2N) with
     S = sum_n t_n 4^n z^n (1-z)^(2(N-n)), accumulated Horner-style by
-    repeated multiplication with the quadratic (1-z)^2.  O(N^2) coefficient
-    operations instead of the O(N^3) of generic series composition.
+    repeated multiplication with the quadratic (1-z)^2.  O(N^2) operations on
+    the integer numerators of the t_n over their common denominator, instead
+    of the O(N^3) rational operations of generic series composition.
     """
-    n_top = min(outer.order, order)
-    acc = [ZERO] * (order + 1)
-    four = rat(4)
-    scaled = [outer.coefficients[n] * four ** n for n in range(n_top + 1)]
-    for n in range(n_top + 1):
-        # acc <- acc * (1 - z)^2, truncated at `order`
-        for m in range(order, -1, -1):
-            v = acc[m]
-            if m >= 1:
-                v -= 2 * acc[m - 1]
-            if m >= 2:
-                v += acc[m - 2]
-            acc[m] = v
-        if n <= order:
-            acc[n] = acc[n] + scaled[n]
-    s = PowerSeries(tuple(acc))
-    return s * one_minus_x_power(rat(-2 * n_top), order)
+    order = min(outer.order, order)
+    nums, d = outer.truncate(order)._integer_form
+    acc = [0] * (order + 1)
+    for n in range(order + 1):
+        # acc <- acc * (1 - z)^2 mod z^(order+1); acc has degree at most 2n - 2
+        for m in range(min(2 * n, order), 1, -1):
+            acc[m] += acc[m - 2] - 2 * acc[m - 1]
+        if n >= 1:
+            acc[1] -= 2 * acc[0]
+        acc[n] += nums[n] << (2 * n)
+    s = PowerSeries(tuple(Rational(v, d) for v in acc))
+    return s * one_minus_x_power(rat(-2 * order), order)
 
 
 @lru_cache(maxsize=None)
@@ -440,16 +435,14 @@ def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
     """
     if a_samples is None:
         a_samples = sample_parameters(default_sample_count(order))
-    inner = _inner_argument(order + 1)
-    inner_t = inner.truncate(order)
     q_poly = PowerSeries.from_polynomial(_Q, order)
     one_minus_z = PowerSeries.from_polynomial((1, -1), order)
     one_plus_z = PowerSeries.from_polynomial((1, 1), order)
 
     def pair(a):
         w = _w_series(a, order + 1)
-        lhs = w.compose(inner).derivative()
-        rhs = _hyp(a + 1, a, rat(2), order).compose(inner_t)
+        lhs = _compose_with_inner_argument(w, order + 1).derivative()
+        rhs = _compose_with_inner_argument(_hyp(a + 1, a, rat(2), order), order)
         rhs = rhs * series_pow(q_poly, 2 * a)
         rhs = rhs * series_pow(one_minus_z, -4 * a + 2 * a - 1)
         rhs = rhs * series_pow(one_plus_z, -2 * a - 1)

@@ -185,6 +185,11 @@ def cv_sqrt(u: CertifiedValue) -> CertifiedValue:
 # Certified 2F1 evaluation
 # --------------------------------------------------------------------------
 
+def _check_target(target: float):
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"target {target} is not a positive finite bound")
+
+
 def _in_family(spec: HypergeometricSpec) -> bool:
     return spec.a == spec.b and -spec.a in _FAMILY_A0 and spec.c in _FAMILY_C
 
@@ -212,6 +217,7 @@ def eval_2f1(
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
+    _check_target(target)
     af, bf, cf = float(spec.a), float(spec.b), float(spec.c)
     sigma = cf - af - bf
     if x == 1.0 and sigma <= 0.0:
@@ -368,6 +374,7 @@ def _iso_squared_from_t(t: float, t_abs_err: float, target: float) -> CertifiedV
 def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
     """iso(z)^2 via the hypergeometric closed form."""
     _check_domain(z)
+    _check_target(target)
     t = z * z
     return _iso_squared_from_t(t, EPS * t, target)
 
@@ -388,15 +395,18 @@ def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
 def _direct_series(order: int):
     """Exact expansions plus a geometric tail majorant for the direct path.
 
-    Returns (abar, vbar, ratio_cap): coefficient ratios over the last window
-    are checked positive and decreasing, then capped with a 5% cushion; the
-    cap majorizes all later ratios for a tail bound.
+    Returns (abar, vbar, ratio_cap), each expansion as a pair: its partial-sum
+    polynomial through ``order`` and its next coefficient.  The polynomial is
+    kept, not truncated per call, so its integer form for
+    ``PowerSeries.evaluate`` is computed once.  Coefficient
+    ratios over the last window are checked positive and decreasing, then
+    capped with a 5% cushion; the cap majorizes all later ratios for a tail
+    bound.
     """
     extra = 10
-    ab = expand_abar(order + extra)
-    vb = expand_vbar(order + extra)
+    parts = []
     caps = []
-    for series in (ab, vb):
+    for series in (expand_abar(order + extra), expand_vbar(order + extra)):
         ratios = [
             series.coefficients[n + 1] / series.coefficients[n]
             for n in range(order - 1, order + extra - 1)
@@ -406,7 +416,8 @@ def _direct_series(order: int):
         ):
             raise BoundNotAchieved("coefficient ratios not positive-decreasing")
         caps.append(float(ratios[0]) * 1.05)
-    return ab, vb, max(caps)
+        parts.append((series.truncate(order), series.coefficients[order + 1]))
+    return parts[0], parts[1], max(caps)
 
 
 def iso_direct(z: float, order: int = 240) -> CertifiedValue:
@@ -414,21 +425,19 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     volume expansions; cross-validation path for the closed form."""
     _check_domain(z)
     t_exact = Fraction(z) ** 2
+    t_rat = Rational(t_exact.numerator, t_exact.denominator)
     ab, vb, ratio_cap = _direct_series(order)
     q = float(t_exact) * ratio_cap
     if q >= 1.0:
         raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; raise the order")
 
-    def enclose(series):
-        partial = series.truncate(order).evaluate(
-            Rational(t_exact.numerator, t_exact.denominator)
-        )
+    def enclose(part):
+        partial_sum, next_coefficient = part
         # multiply in exact arithmetic first: the coefficient alone can
         # overflow float while the product is tiny
-        t_rat = Rational(t_exact.numerator, t_exact.denominator)
-        head = float(series.coefficients[order + 1] * t_rat ** (order + 1))
+        head = float(next_coefficient * t_rat ** (order + 1))
         tail = head / (1.0 - q)
-        v = float(partial)
+        v = float(partial_sum.evaluate(t_rat))
         return CertifiedValue(v + tail / 2.0, tail / 2.0 + _pad(v) + _pad(tail))
 
     a_val = enclose(ab)
@@ -440,6 +449,7 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
 def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     """d(iso)/dz, certified; assembled from the warped derivative identity."""
     _check_domain(z)
+    _check_target(target)
     if z == 0.0:
         # even function of z: the derivative vanishes identically at 0
         return CertifiedValue(0.0, 0.0)

@@ -13,7 +13,9 @@ verified.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 try:
@@ -88,6 +90,53 @@ def _as_rational_tuple(coeffs: Sequence) -> tuple:
     return tuple(c if isinstance(c, type(ONE)) else Rational(c) for c in coeffs)
 
 
+# --------------------------------------------------------------------------
+# Integer kernel.  A series is handled as integer numerators over one common
+# denominator; only .numerator, .denominator and Rational(n, d) touch the
+# rational backend, so gmpy2 and fractions give bit-identical results.
+# --------------------------------------------------------------------------
+
+def _common_denominator(coeffs: Sequence) -> tuple:
+    """(numerators, d) with coeffs[k] == numerators[k] / d, d the lcm of the
+    denominators; all plain ints."""
+    dens = [int(c.denominator) for c in coeffs]
+    d = math.lcm(*dens)
+    return [int(c.numerator) * (d // dk) for c, dk in zip(coeffs, dens)], d
+
+
+def _pack(nums: Sequence, width: int) -> int:
+    """Kronecker substitution: sum nums[k] * 2^(8*width*k), each |nums[k]|
+    below 2^(8*width)."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in nums)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _int_mul(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n of the product of two integer polynomials, from one
+    big-integer product (Kronecker substitution, unpacked as signed digits).
+
+    Each product coefficient is a sum of at most n+1 terms, so it is below
+    2^(w-1) in magnitude for the digit width w chosen here, and the low
+    (n+1)*w bits of the product determine coefficients 0..n exactly.
+    """
+    a, b = a[: n + 1], b[: n + 1]
+    bits = (max(abs(v) for v in a).bit_length() + max(abs(v) for v in b).bit_length()
+            + (n + 1).bit_length() + 1)
+    width = (bits + 7) // 8
+    full = 1 << (8 * width)
+    half = full >> 1
+    low = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * width * (n + 1))) - 1)
+    raw = low.to_bytes(width * (n + 1), "little")
+    out = []
+    carry = 0
+    for m in range(0, width * (n + 1), width):
+        v = int.from_bytes(raw[m : m + width], "little") + carry
+        carry = v >= half
+        out.append(v - full if carry else v)
+    return out
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated formal power series: coefficients[n] is the coefficient of z^n.
@@ -146,6 +195,12 @@ class PowerSeries:
     def to_strings(self) -> list:
         return [format_rational(c) for c in self.coefficients]
 
+    @cached_property
+    def _integer_form(self) -> tuple:
+        """(numerators, d): the coefficients over their common denominator,
+        computed once per series."""
+        return _common_denominator(self.coefficients)
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
@@ -165,15 +220,10 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        a, b = self.coefficients, other.coefficients
-        out = []
-        for m in range(n + 1):
-            acc = ZERO
-            for k in range(m + 1):
-                if a[k] and b[m - k]:
-                    acc += a[k] * b[m - k]
-            out.append(acc)
-        return PowerSeries(tuple(out))
+        a, da = self._integer_form
+        b, db = other._integer_form
+        d = da * db
+        return PowerSeries(tuple(Rational(c, d) for c in _int_mul(a, b, n)))
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         if other.coefficients[0] == 0:
@@ -209,12 +259,20 @@ class PowerSeries:
         return result
 
     def evaluate(self, point) -> "Rational":
-        """Exact value of the truncated polynomial at a rational point."""
+        """Exact value of the truncated polynomial at a rational point.
+
+        Homogeneous Horner on integers: with point = u/v and coefficients
+        c_k / d, the value is sum c_k u^k v^(N-k) / (d v^N).
+        """
         p = Rational(point) if not isinstance(point, type(ONE)) else point
-        acc = ZERO
-        for c in reversed(self.coefficients):
-            acc = acc * p + c
-        return acc
+        u, v = int(p.numerator), int(p.denominator)
+        nums, d = self._integer_form
+        acc = nums[-1]
+        v_pow = 1
+        for c in reversed(nums[:-1]):
+            v_pow *= v
+            acc = acc * u + c * v_pow
+        return Rational(acc, d * v_pow)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> tuple:
@@ -363,14 +421,14 @@ def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:
 # Deterministic supply of distinct small rationals, ordered by |p| + q over
 # reduced fractions p/q.  Used by the degree-bound sampling certificates.
 def sample_parameters(count: int, exclude=()) -> list:
-    from math import gcd
-
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     excluded = {Rational(e) for e in exclude}
     out = []
     for height in itertools.count(2):
         for q in range(1, height):
             p = height - q
-            if gcd(p, q) != 1:
+            if math.gcd(p, q) != 1:
                 continue
             for sign in (1, -1):
                 cand = rat(sign * p, q)

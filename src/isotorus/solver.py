@@ -106,4 +106,6 @@ def invert_iso(query: InverseQuery) -> InverseResult:
     z = 0.5 * (lo + hi)
     final = _certified_iso(z, target)
     residual_bound = abs(final.value - rho) + final.abs_error_bound
-    return InverseResult(rho, z, residual_bound, iterations, None)
+    # stopped by max_iterations with the bracket still wider than the tolerance
+    flag = "max_iterations" if hi - lo > query.tolerance else None
+    return InverseResult(rho, z, residual_bound, iterations, flag)

@@ -46,6 +46,18 @@ def test_invert_round_trip():
     assert payload["flag"] is None
 
 
+def test_eval_nonpositive_target_exits_2():
+    for target in ("0", "-1e-10", "nan", "inf"):
+        result = runner.invoke(main, ["eval", "--z", "0.2", "--target", target])
+        assert result.exit_code == 2, target
+
+
+def test_invert_iteration_cap_exits_3():
+    result = runner.invoke(main, ["invert", "--rho", "0.9", "--tol", "1e-15", "--max-iterations", "3"])
+    assert result.exit_code == 3
+    assert json.loads(result.output)["flag"] == "max_iterations"
+
+
 def test_invert_out_of_range_exits_2():
     result = runner.invoke(main, ["invert", "--rho", "1.2"])
     assert result.exit_code == 2
@@ -86,6 +98,14 @@ def test_verify_small_order():
     assert result.exit_code == 0
     assert result.output.count("verified") == 11
     assert "failed" not in result.output
+
+
+def test_verify_samples_below_one_exits_2(time_limit):
+    time_limit(5.0)  # --samples 0 used to hang
+    for count in ("0", "-3"):
+        result = runner.invoke(main, ["verify", "--order", "4", "--samples", count])
+        assert result.exit_code == 2, count
+        assert "--samples" in result.output
 
 
 def test_verify_inject_fault_exits_1():

@@ -42,6 +42,15 @@ def test_fast_composition_matches_generic():
     assert fast.coefficients == slow.coefficients
 
 
+def test_fast_composition_matches_generic_id_war_order():
+    # the compositions verify_id_war builds, at the order it runs them
+    for a in (rat(1, 2), rat(-2, 3), rat(3)):
+        w = ident._w_series(a, 41)
+        fast = ident._compose_with_inner_argument(w, 41)
+        slow = w.compose(ident._inner_argument(41))
+        assert fast.coefficients == slow.coefficients
+
+
 def test_verify_golden_coefficients():
     assert ident.verify_golden_coefficients().verified
 

@@ -211,6 +211,16 @@ def test_iso_domain():
         num._iso_from_t(T_MAX)
 
 
+@pytest.mark.parametrize("target", [0.0, -1e-10, math.nan, math.inf])
+def test_nonpositive_or_nonfinite_target_rejected(target):
+    with pytest.raises(DomainError):
+        eval_2f1(SPEC_AREA, 0.5, target=target)
+    for fn in (iso, iso_squared, iso_derivative):
+        for z in (0.0, 0.2):
+            with pytest.raises(DomainError):
+                fn(z, target=target)
+
+
 def test_iso_squared_consistent_with_iso():
     for z in (0.05, 0.2, 0.35):
         s = iso_squared(z)

@@ -216,6 +216,14 @@ def test_sample_parameters_distinct_and_excluding():
     assert all(s != 0 for s in samples)
 
 
+def test_sample_parameters_rejects_counts_below_one(time_limit):
+    time_limit(2.0)  # a count below 1 used to loop forever
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            sample_parameters(count)
+    assert sample_parameters(1) == [rat(1)]
+
+
 # -- randomized algebraic laws ------------------------------------------------------
 
 small_rat = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -262,3 +270,54 @@ def test_product_rule(a, b):
     rhs = a.derivative() * b.truncate(b.order - 1) + a.truncate(a.order - 1) * b.derivative()
     n = min(lhs.order, rhs.order)
     assert lhs.truncate(n).coefficients == rhs.truncate(n).coefficients
+
+
+# -- integer kernel against plain rational loops --------------------------------------
+
+coefficient = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(rat, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30)),
+)
+kernel_series = st.one_of(
+    st.lists(coefficient, min_size=1, max_size=30).map(
+        lambda cs: PowerSeries(tuple(rat(c.numerator, c.denominator) for c in cs))
+    ),
+    st.integers(0, 30).map(PowerSeries.zero),
+)
+points = st.one_of(
+    st.just(0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+    st.builds(rat, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20)),
+)
+
+
+def rational_convolution(a, b):
+    n = min(a.order, b.order)
+    out = []
+    for m in range(n + 1):
+        acc = Rational(0)
+        for k in range(m + 1):
+            acc += a[k] * b[m - k]
+        out.append(acc)
+    return tuple(out)
+
+
+def rational_horner(s, point):
+    acc = Rational(0)
+    for c in reversed(s.coefficients):
+        acc = acc * point + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series, kernel_series)
+def test_mul_matches_rational_convolution(a, b):
+    assert (a * b).coefficients == rational_convolution(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series, points)
+def test_evaluate_matches_rational_horner(s, point):
+    p = rat(point.numerator, point.denominator)
+    assert s.evaluate(p) == rational_horner(s, p)

@@ -70,3 +70,10 @@ def test_result_serialization():
     parsed = json.loads(result.to_json())
     assert parsed["rho"] == 0.8
     assert isinstance(result, InverseResult)
+
+
+def test_iteration_cap_is_flagged():
+    # three bisection steps cannot reach 1e-15; the result must say so
+    result = invert_iso(InverseQuery(0.9, tolerance=1e-15, max_iterations=3))
+    assert result.iterations == 3
+    assert result.flag == "max_iterations"
