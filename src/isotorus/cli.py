@@ -50,28 +50,21 @@ def eval_cmd(z, as_json, target):
     try:
         val = numerics.iso(z, target=target)
         sq = numerics.iso_squared(z, target=target)
-        try:
-            deriv = numerics.iso_derivative(z, target=target)
-        except numerics.BoundNotAchieved:
-            deriv = None
+        deriv = numerics.iso_derivative(z, target=target)
     except numerics.DomainError as exc:
         raise click.UsageError(str(exc))
     except numerics.BoundNotAchieved as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECISION)
     if as_json:
-        payload = {"z": z, "iso": _fmt_cv(val), "iso_squared": _fmt_cv(sq)}
-        if deriv is not None:
-            payload["derivative"] = _fmt_cv(deriv)
+        payload = {"z": z, "iso": _fmt_cv(val), "iso_squared": _fmt_cv(sq),
+                   "derivative": _fmt_cv(deriv)}
         click.echo(json.dumps(payload))
     else:
         click.echo(f"iso({z})      = {val.value!r} +/- {val.abs_error_bound:.3e}")
         click.echo(f"iso({z})^2    = {sq.value!r} +/- {sq.abs_error_bound:.3e}")
-        if deriv is not None:
-            click.echo(f"d iso/dz      = {deriv.value!r} +/- {deriv.abs_error_bound:.3e}")
-        else:
-            click.echo("d iso/dz      = (not certified this close to the endpoint)")
-    if val.flag or sq.flag or (deriv is not None and deriv.flag):
+        click.echo(f"d iso/dz      = {deriv.value!r} +/- {deriv.abs_error_bound:.3e}")
+    if val.flag or sq.flag or deriv.flag:
         sys.exit(EXIT_PRECISION)
 
 
@@ -158,7 +151,7 @@ def scan_cmd(target, grid, a_param, csv_path):
             report = numerics.scan_convexity("inv_iso_sqrt", grid=grid)
         else:
             report = numerics.scan_convexity("iso", grid=grid)
-    except ValueError as exc:
+    except (ValueError, numerics.DomainError) as exc:
         raise click.UsageError(str(exc))
     except numerics.BoundNotAchieved as exc:
         click.echo(f"error: {exc}", err=True)

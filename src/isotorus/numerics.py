@@ -5,13 +5,15 @@ bound covering series truncation, argument rounding, and accumulated
 floating-point rounding.  The exact-series layer serves as the oracle tier;
 nothing here is trusted without a bound.
 
-Supported hypergeometric family for evaluation up to and including x = 1:
-a = b = -a0 with a0 in {1/2, 3/2} and c in {1, 2, 3, 4}.  For these, all
-series terms are nonnegative (squared Pochhammer symbols) and the term ratio
-satisfies t_{n+1}/t_n <= x * n/(n + sigma) with sigma = c + 2*a0, which gives
-the finite tail majorant t_m * (m + sigma - 1)/(sigma - 1) even at x = 1.
-Other parameter triples are summed with a plain geometric tail bound and
-refuse arguments too close to 1.
+One kernel sums every Gauss series, for the class a = b, c > 0,
+s = c - 2a > 0 and (a-1)(c-a) <= 0 (``HypergeometricSpec.tail_majorant``);
+other triples raise ``DomainError``.  In the class every term is
+nonnegative and t_{k+1}/t_k <= x (k+a)/(k+a+s+1) once k + a > 0, which
+bounds the tail finitely up to and including x = 1 (see ``_eval_family``).
+The class holds every series the ratio needs: 2F1(-a,-a;1;x) in
+w_a = 2F1(-a,-a;1;x)/(1+x)^a for a = 1/2 and 3/2, and 2F1(1-a,1-a;2;x) in
+dw_a/dx (DLMF 15.5.1), so Iso and its derivative are certified on the
+whole domain.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
 
 SPEC_AREA = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
 SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
-
-_FAMILY_A0 = (rat(1, 2), rat(3, 2))
-_FAMILY_C = (rat(1), rat(2), rat(3), rat(4))
+# 2F1(1-a,1-a;2;x) at a = 1/2 and 3/2: the series in dw_a/dx
+_SPEC_AREA_SLOPE = HypergeometricSpec(rat(1, 2), rat(1, 2), rat(2))
+_SPEC_VOLUME_SLOPE = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(2))
 
 
 class NumericsError(Exception):
@@ -191,15 +193,36 @@ def _check_target(target: float):
 
 
 def _in_family(spec: HypergeometricSpec) -> bool:
-    return spec.a == spec.b and -spec.a in _FAMILY_A0 and spec.c in _FAMILY_C
+    return spec.tail_majorant is not None
 
 
 @lru_cache(maxsize=None)
-def _family_derivative_cap(a0: float, c: float) -> float:
-    # F'(x) = (a0^2/c) * 2F1(1-a0, 1-a0; c+1; x), increasing on [0,1]; cap at
-    # its Gauss value times a 1% cushion.
-    g = math.gamma(c + 1.0) * math.gamma(c - 1.0 + 2.0 * a0) / math.gamma(c + a0) ** 2
-    return (a0 * a0 / c) * g * 1.01
+def _family_derivative_cap(a: float, c: float, s: float, m0: int) -> tuple:
+    """(head, coef, limit, f_range) with F'(y) <= head + coef * min(limit,
+    1/(1-y)) for y in [0, 1) and F(1) - F(0) <= f_range.
+
+    With m1 = m0 + 32 >= m0 and R_k = prod_{j=m1}^{k-1} (j+a)/(j+a+s), the
+    ratio majorant gives k t_k(1) <= (k+a+s) t_k(1) <= t_{m1}(1) (m1+a+s) R_k
+    for k >= m1 (k <= k+a+s as c >= a in the class).  R_k decreases, so
+    sum_{k>=m1} R_k y^(k-1) <= 1/(1-y); for s > 1 it also telescopes to at
+    most (m1+a+s-1)/(s-1), finite at y = 1.  The terms below m1 are summed at
+    y = 1.  A 1 % cushion covers the float rounding of these constants.
+    """
+    m1 = m0 + 32
+    t = 1.0
+    head = 0.0
+    total = 1.0
+    for k in range(1, m1 + 1):
+        t *= (a + k - 1) * (a + k - 1) / ((c + k - 1) * k)
+        if k < m1:
+            head += k * t
+            total += t
+    coef = t * (m1 + a + s)
+    limit = (m1 + a + s - 1.0) / (s - 1.0) if s > 1.0 else math.inf
+    if coef == 0.0:  # a terminating series
+        limit = 0.0
+    f_range = total - 1.0 + t * (m1 + a + s) / s
+    return 1.01 * head, 1.01 * coef, limit, 1.01 * f_range
 
 
 def eval_2f1(
@@ -211,123 +234,91 @@ def eval_2f1(
 ) -> CertifiedValue:
     """Certified partial sum of the Gauss series at x in [0, 1].
 
+    ``spec`` must lie in the nonnegative-term class of the module docstring.
     ``x_abs_err`` is an a-priori bound on the rounding error of the argument
     itself; its effect is folded into the returned bound through a bound on
-    the derivative of the series.
+    the derivative of the series.  The result is flagged when truncation
+    plus rounding exceed ``target``.
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
     _check_target(target)
-    af, bf, cf = float(spec.a), float(spec.b), float(spec.c)
-    sigma = cf - af - bf
-    if x == 1.0 and sigma <= 0.0:
-        raise Divergent(f"series diverges at x = 1 for c - a - b = {sigma}")
-    if _in_family(spec):
-        return _eval_family(spec, x, max_terms, target, x_abs_err)
-    return _eval_generic(spec, x, max_terms, target, x_abs_err)
-
-
-def _eval_family(spec, x, max_terms, target, x_abs_err):
-    af = float(spec.a)
-    cf = float(spec.c)
-    sigma = cf - 2.0 * af  # c + 2*a0 >= 2
-    deriv_cap = _family_derivative_cap(-af, cf) if x_abs_err > 0.0 else 0.0
-    s = 1.0
-    s_max = 1.0
-    t = 1.0
-    n = 0
-    flag = None
-    while True:
-        m = n + 1
-        t_next = t * ((af + n) * (af + n)) / ((cf + n) * m) * x
-        # t_next is the first unsummed term, so the geometric branch sums
-        # t_next * (1 + x + x^2 + ...) = t_next / (1 - x)
-        tail = t_next * (m + sigma - 1.0) / (sigma - 1.0)
-        if x < 1.0:
-            tail = min(tail, t_next / (1.0 - x))
-        rounding = 3.0 * EPS * m * s_max
-        if tail + rounding <= target or t_next == 0.0 or m >= max_terms:
-            if tail + rounding > target:
-                flag = "bound_not_achieved"
-            bound = tail + rounding + deriv_cap * x_abs_err + _pad(s)
-            return CertifiedValue(s, bound, flag)
-        s += t_next
-        s_max = max(s_max, s)
-        t = t_next
-        n = m
-
-
-def _eval_generic(spec, x, max_terms, target, x_abs_err):
-    if x >= 1.0 - 1e-3:
-        raise BoundNotAchieved(
-            "generic parameter triples are only certified for x < 0.999"
+    params = spec.tail_majorant
+    if params is None:
+        sigma = spec.c - spec.a - spec.b
+        if x == 1.0 and sigma <= 0:
+            raise Divergent(f"series diverges at x = 1 for c - a - b = {sigma}")
+        raise DomainError(
+            f"{spec} is outside the certified class a = b, c > 0, c - 2a > 0, (a-1)(c-a) <= 0"
         )
-    af, bf, cf = float(spec.a), float(spec.b), float(spec.c)
-    alpha = abs(af + bf - cf - 1.0)
-    beta = abs(af * bf - cf)
-    n_star = int(max(abs(af), abs(bf), abs(cf))) + 1
-    s = 1.0
-    s_max = 1.0
-    abs_t = 1.0
-    dsum = 0.0  # running bound on |d/dx| of the partial sum
+    return _eval_family(params, x, max_terms, target, x_abs_err)
+
+
+def _eval_family(params, x, max_terms, target, x_abs_err):
+    # Tail: with t_m the first unsummed term and m + a > 0, the ratio
+    # majorant gives t_k <= t_m x^(k-m) P_k, P_k = prod_{j=m}^{k-1}
+    # (j+a)/(j+a+s+1) <= 1.  So the tail is at most t_m/(1-x), and since
+    # sum_{k>=m} G(k+a)/G(k+a+s+1) = G(m+a)/(s G(m+a+s)) telescopes (G the
+    # Gamma function), at most t_m (m+a+s)/s, finite at x = 1.  The tail
+    # bound falls strictly and the rounding bound grows, so the loop stops
+    # once their sum rises and returns the previous, best, sum.
+    a, c, s, m0 = params
+    inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
+    total = 1.0
     t = 1.0
-    n = 0
-    flag = None
+    for n in range(m0 - 1):  # terms before the majorant applies
+        t *= (a + n) * (a + n) / ((c + n) * (n + 1)) * x
+        total += t
+    n = m0 - 1
+    a_s = a + s
+    err_prev = math.inf
+    total_prev = total
     while True:
         m = n + 1
-        ratio = (af + n) * (bf + n) / ((cf + n) * m)
-        t_next = t * ratio * x
-        abs_t_next = abs(t_next)
-        tail = math.inf
-        dtail = math.inf
-        if m >= n_star:
-            f_bar = 1.0 + (alpha + beta / m) / (m + cf)
-            q_bar = x * f_bar
-            if q_bar < 1.0:
-                tail = abs_t_next / (1.0 - q_bar)
-                dtail = (abs_t_next / max(x, EPS)) * (
-                    m / (1.0 - q_bar) + q_bar / (1.0 - q_bar) ** 2
-                )
-        rounding = 3.0 * EPS * m * s_max
-        if tail + rounding <= target or t_next == 0.0 or m >= max_terms:
-            if not (tail + rounding <= target) and t_next != 0.0:
-                flag = "bound_not_achieved"
-                if not math.isfinite(tail):
-                    raise BoundNotAchieved(
-                        "geometric tail bound unavailable within max_terms"
-                    )
-            deriv_bound = dsum + (dtail if math.isfinite(dtail) else 0.0)
-            if x == 0.0:
-                deriv_bound = abs(af * bf / cf) * 2.0
-            bound = tail + rounding + deriv_bound * x_abs_err + _pad(s)
-            if not math.isfinite(bound):
-                bound = rounding + deriv_bound * x_abs_err + _pad(s)
-                flag = "bound_not_achieved"
-            return CertifiedValue(s, bound, flag)
-        s += t_next
-        s_max = max(s_max, abs(s))
-        if x > 0.0:
-            dsum += m * abs_t_next / x
-        abs_t = abs_t_next
+        t_next = t * ((a + n) * (a + n)) / ((c + n) * m) * x
+        k = (m + a_s) / s
+        err = t_next * (k if k < inv_gap else inv_gap) + 3.0 * EPS * m * total
+        if err <= target or t_next == 0.0 or m >= max_terms:
+            break
+        if err > err_prev:
+            total, err = total_prev, err_prev
+            break
+        total_prev, err_prev = total, err
+        total += t_next
         t = t_next
         n = m
+    flag = "bound_not_achieved" if err > target else None
+    if x_abs_err > 0.0:
+        # the true argument lies in [x - e, x + e] and in [0, 1], where F is
+        # increasing and convex: |F(true) - F(x)| <= e F'(min(x + e, 1)),
+        # and at most F(1) - F(0) in any case
+        head, coef, limit, f_range = _family_derivative_cap(*params)
+        gap = 1.0 - x - x_abs_err
+        growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
+        err += min(x_abs_err * (head + coef * growth), f_range)
+    return CertifiedValue(total, err + _pad(total), flag)
+
+
+def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
+    """(1+x)^p for x in [0, 1] whose argument is known to within x_abs_err."""
+    v = (1.0 + x) ** p
+    # pow() plus the float(p) conversion: a few ulps of relative slop, plus
+    # sensitivity to the argument rounding through d/dx (1+x)^p.
+    rel = 8.0 * EPS + math.log1p(x) * EPS * abs(p)
+    return CertifiedValue(v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err)
 
 
 def eval_w(a, x: float, target: float = 1e-10, x_abs_err: float = 0.0) -> CertifiedValue:
-    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound."""
+    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
     a = Rational(a) if not hasattr(a, "denominator") else a
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
     if a == 0 or a == 1:
         return CertifiedValue(1.0, 0.0)
+    if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
+        raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
     f = eval_2f1(HypergeometricSpec(-a, -a, rat(1)), x, target=target, x_abs_err=x_abs_err)
-    af = float(a)
-    denom = (1.0 + x) ** af
-    # pow() plus the float(a) conversion: a few ulps of relative slop, plus
-    # sensitivity to the argument rounding through d/dx (1+x)^-a.
-    pow_rel = 8.0 * EPS + abs(math.log1p(x)) * EPS * abs(af)
-    d = CertifiedValue(denom, abs(denom) * pow_rel + abs(af) * denom / (1.0 + x) * x_abs_err)
-    return cv_div(f, d)
+    return cv_div(f, _pow_one_plus_x(float(a), x, x_abs_err))
 
 
 def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
@@ -446,8 +437,25 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     return cv_mul(out, cv_const(_C_DIRECT))
 
 
+def _w_and_slope(a: float, f, g, x: float, x_err: float):
+    """w_a and dw_a/dx from F = 2F1(-a,-a;1;x) and G = 2F1(1-a,1-a;2;x).
+
+    F' = a^2 G (DLMF 15.5.1), so dw_a/dx = (a^2 G (1+x) - a F)/(1+x)^(a+1).
+    """
+    p = _pow_one_plus_x(a, x, x_err)
+    x1 = CertifiedValue(1.0 + x, x_err + _pad(1.0 + x))
+    w = cv_div(f, p)
+    dw = cv_div(cv_sub(cv_scale(cv_mul(g, x1), a * a), cv_scale(f, a)), cv_mul(p, x1))
+    return w, dw
+
+
 def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
-    """d(iso)/dz, certified; assembled from the warped derivative identity."""
+    """d(iso)/dz, certified; flagged whenever its bound exceeds ``target``.
+
+    From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2, t = z^2:
+    d iso/dz = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}) dx/dz.  Four
+    series, each summed once.
+    """
     _check_domain(z)
     _check_target(target)
     if z == 0.0:
@@ -455,37 +463,26 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
         return CertifiedValue(0.0, 0.0)
     t = z * z
     one_minus = 1.0 - t
-    x = 4.0 * t / (one_minus * one_minus)
-    if x >= 1.0 - 1e-3:
-        raise BoundNotAchieved("derivative path needs x < 0.999; z too close to the endpoint")
+    x = min(4.0 * t / (one_minus * one_minus), 1.0)
     dx_dt = 4.0 * (1.0 + t) / one_minus ** 3
     x_err = 8.0 * EPS * x + dx_dt * (EPS * t)
-    w1 = eval_w(rat(1, 2), x, target=target / 8.0, x_abs_err=x_err)
-    w2 = eval_w(rat(3, 2), x, target=target / 8.0, x_abs_err=x_err)
-    g1 = eval_2f1(HypergeometricSpec(rat(3, 2), rat(1, 2), rat(2)), x,
-                  target=target / 8.0, x_abs_err=x_err)
-    g2 = eval_2f1(HypergeometricSpec(rat(5, 2), rat(3, 2), rat(2)), x,
-                  target=target / 8.0, x_abs_err=x_err)
-
-    def prefactor(a: float) -> CertifiedValue:
-        q_poly = 1.0 - 6.0 * t + t * t
-        v = (
-            q_poly ** (2.0 * a)
-            * one_minus ** (2.0 * a - 1.0 - 4.0 * a)
-            * (1.0 + t) ** (-2.0 * a - 1.0)
-        )
-        # crude but generous slop: a handful of pow/mul roundings plus the
-        # sensitivity of the (bounded-exponent) powers to the rounding of t
-        rel = 64.0 * EPS + 50.0 * (EPS * t)
-        return CertifiedValue(v, abs(v) * rel)
-
-    dw1 = cv_scale(cv_mul(g1, prefactor(0.5)), 4.0 * 0.5 * (0.5 - 1.0))
-    dw2 = cv_scale(cv_mul(g2, prefactor(1.5)), 4.0 * 1.5 * (1.5 - 1.0))
-    # iso^2 = K * w2^2 / w1^3; differentiate in t, then chain through t = z^2
-    inner = cv_sub(cv_scale(cv_mul(dw2, w1), 2.0), cv_scale(cv_mul(w2, dw1), 3.0))
-    d_iso2_dt = cv_scale(cv_div(cv_mul(w2, inner), cv_pow(w1, 4.0)), _K_RATIO)
-    iso_val = iso(z, target=target)
-    return cv_div(cv_scale(d_iso2_dt, z), iso_val)
+    # 1/32 of the target per series: the assembled bound then stays within
+    # the target wherever the series reach theirs
+    f1, f2, g1, g2 = (
+        eval_2f1(spec, x, target=target / 32.0, x_abs_err=x_err)
+        for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
+    )
+    w1, dw1 = _w_and_slope(0.5, f1, g1, x, x_err)
+    w2, dw2 = _w_and_slope(1.5, f2, g2, x, x_err)
+    iso_val = cv_sqrt(cv_mul(cv_div(cv_mul(w2, w2), cv_pow(w1, 3.0)), cv_const(_K_RATIO)))
+    log_slope = cv_sub(cv_div(dw2, w2), cv_scale(cv_div(dw1, w1), 1.5))
+    # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
+    # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
+    dx_dz = 2.0 * z * dx_dt
+    dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / one_minus) * EPS * t)
+    out = cv_mul(cv_mul(iso_val, log_slope), CertifiedValue(dx_dz, dx_dz_err))
+    flag = "bound_not_achieved" if out.abs_error_bound > target else None
+    return CertifiedValue(out.value, out.abs_error_bound, flag)
 
 
 # --------------------------------------------------------------------------
@@ -568,9 +565,7 @@ def scan_monotonicity(
         if a is None:
             raise ValueError("w scan needs the parameter a")
         a = Rational(a) if not hasattr(a, "denominator") else a
-        # only the family parameters are certified all the way to x = 1
-        hi = 1.0 if a in (rat(1, 2), rat(3, 2), rat(0), rat(1)) else 0.99
-        pts = _grid(0.0, hi, grid)
+        pts = _grid(0.0, 1.0, grid)
         tgt = eval_target if eval_target is not None else 1e-9
         values = [eval_w(a, x, target=tgt) for x in pts]
         if a == 0 or a == 1:

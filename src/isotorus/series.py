@@ -348,6 +348,25 @@ class HypergeometricSpec:
         """Exact ratio t_{n+1}/t_n of consecutive series coefficients."""
         return (self.a + n) * (self.b + n) / ((self.c + n) * (n + 1))
 
+    @cached_property
+    def tail_majorant(self) -> tuple | None:
+        """(a, c, s, m0), a and c and s = c - 2a as floats, when every
+        coefficient is nonnegative and t_{k+1}/t_k <= (k+a)/(k+a+s+1) for all
+        k >= m0; else None.  m0 is the least k >= 1 with k + a > 0.
+
+        That is exactly the class a = b, c > 0, s > 0, (a-1)(c-a) <= 0.  The
+        coefficients (a)_k^2/((c)_k k!) are nonnegative since c > 0.  For
+        k + a > 0 the ratio bound (k+a)^2/((k+c)(k+1)) <= (k+a)/(k+a+s+1)
+        multiplies out to (k+a)(k+c-a+1) <= (k+c)(k+1); the k^2 and k terms
+        cancel, leaving a(c-a+1) <= c, which is (a-1)(c-a) <= 0, for every k.
+        Computed once per spec, in exact arithmetic.
+        """
+        a, c = self.a, self.c
+        s = c - 2 * a
+        if self.b != a or c <= 0 or s <= 0 or (a - 1) * (c - a) > 0:
+            return None
+        return float(a), float(c), float(s), max(1, math.floor(-a) + 1)
+
     def coefficient(self, n: int) -> "Rational":
         """Direct rising-factorial evaluation (a)_n (b)_n / ((c)_n n!)."""
         num = ONE

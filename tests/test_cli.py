@@ -143,6 +143,28 @@ def test_scan_nonconvex_iso_witnesses():
     assert len(summary["witnesses"]) == 2
 
 
+def test_scan_mono_w_outside_class_exits_2():
+    result = runner.invoke(main, ["scan", "--target", "mono-w", "--grid", "10", "--a", "-1"])
+    assert result.exit_code == 2
+    assert "a > -1/2" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_eval_near_endpoint_reports_derivative():
+    result = runner.invoke(main, ["eval", "--z", "0.41", "--json"])
+    assert result.exit_code == 0
+    assert "flag" not in json.loads(result.output)["derivative"]
+
+
+def test_eval_derivative_over_target_exits_3():
+    result = runner.invoke(main, ["eval", "--z", "0.2", "--target", "1e-13", "--json"])
+    # the derivative's rounding floor at z = 0.2 lies above 1e-13
+    derivative = json.loads(result.output)["derivative"]
+    assert derivative["bound"] > 1e-13
+    assert derivative["flag"] == "bound_not_achieved"
+    assert result.exit_code == 3
+
+
 def test_scan_bad_target_exits_2():
     result = runner.invoke(main, ["scan", "--target", "bogus"])
     assert result.exit_code == 2

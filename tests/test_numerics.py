@@ -48,22 +48,25 @@ FAMILY_SPECS = [
     for a0 in (rat(1, 2), rat(3, 2))
     for c in (rat(1), rat(2), rat(3), rat(4))
 ]
+# 2F1(1-a,1-a;2;x) at a = 1/2 and 3/2, the series of dw_a/dx
+SLOPE_SPECS = [num._SPEC_AREA_SLOPE, num._SPEC_VOLUME_SLOPE]
 
 
 def exact_family_enclosure(spec, x_rat, terms):
     """Rigorous rational enclosure [S, S + tail] of 2F1 at rational x in [0,1].
 
-    Valid for the nonnegative-term family: tail bounded by the same
-    (m + sigma - 1)/(sigma - 1) majorant the evaluator uses, computed exactly.
+    Valid for the nonnegative-term class: the tail after term t_m is bounded
+    by the t_m (m + a + s)/s majorant the evaluator uses, s = c - 2a,
+    computed exactly.
     """
-    sigma = spec.c - 2 * spec.a - 0  # c + 2*a0 since a = b = -a0
+    a, sigma = spec.a, spec.c - 2 * spec.a
     s = rat(1)
     t = rat(1)
     for n in range(terms):
         t = t * spec.term_ratio(n) * x_rat
         s = s + t
     t_next = t * spec.term_ratio(terms) * x_rat
-    tail = t_next * (terms + sigma - 1) / (sigma - 1)
+    tail = t_next * (terms + 1 + a + sigma) / sigma
     if x_rat < 1:
         tail = min(tail, t_next / (1 - x_rat))
     return s, s + tail
@@ -117,8 +120,10 @@ def test_gauss_endpoint_volume():
     assert abs(cv.value - THIRTYTWO_OVER_3PI) <= cv.abs_error_bound + 4 * EPS
 
 
-@pytest.mark.parametrize("spec", FAMILY_SPECS)
-@pytest.mark.parametrize("x_rat", [rat(1, 8), rat(1, 2), rat(7, 8), rat(1)])
+@pytest.mark.parametrize("spec", FAMILY_SPECS + SLOPE_SPECS)
+# at x = 2^-40 the sum stops after a term or two, where the majorant needs
+# k + a > 0
+@pytest.mark.parametrize("x_rat", [rat(1, 8), rat(1, 2), rat(7, 8), rat(1), rat(1, 2 ** 40)])
 def test_family_eval_within_exact_oracle(spec, x_rat):
     lo, hi = exact_family_enclosure(spec, x_rat, 600)
     cv = eval_2f1(spec, float(x_rat), target=1e-11)
@@ -126,26 +131,27 @@ def test_family_eval_within_exact_oracle(spec, x_rat):
     assert float(lo) - slack <= cv.value <= float(hi) + slack
 
 
-@pytest.mark.parametrize("spec", FAMILY_SPECS)
+@pytest.mark.parametrize("spec", FAMILY_SPECS + SLOPE_SPECS)
 def test_family_tail_majorant_exact(spec):
-    # t_{n+1}/t_n <= n/(n + sigma) at x = 1, checked in exact rationals
-    sigma = spec.c - spec.a - spec.b
-    for n in range(1, 501):
-        assert spec.term_ratio(n) <= rat(n) / (n + sigma)
+    # t_{k+1}/t_k <= (k+a)/(k+a+s+1) at x = 1 for k + a > 0, s = c - 2a: the
+    # evaluator's majorant, checked in exact rationals
+    assert spec.tail_majorant is not None
+    a, s = spec.a, spec.c - 2 * spec.a
+    for k in range(1, 2001):
+        if k + a > 0:
+            assert spec.term_ratio(k) <= (k + a) / (k + a + s + 1)
 
 
-def test_generic_eval_against_exact_sum():
-    # alternating-sign generic triple at small x: exact partial sum converges
-    # geometrically, giving a tight rational oracle
-    spec = HypergeometricSpec(rat(1, 3), rat(-2, 5), rat(3, 2))
-    x_rat = rat(1, 4)
-    s = rat(1)
-    t = rat(1)
-    for n in range(120):
-        t = t * spec.term_ratio(n) * x_rat
-        s = s + t
-    cv = eval_2f1(spec, 0.25, target=1e-12)
-    assert abs(cv.value - float(s)) <= cv.abs_error_bound + 1e-13
+def test_eval_2f1_near_one_stops_at_best_bound(time_limit):
+    # the bound's minimum is near 5.9e-12, far from 1e6 terms; past it the
+    # rounding term grows, so the kernel stops there, flagged
+    mpmath = pytest.importorskip("mpmath")
+    time_limit(0.5)
+    cv = eval_2f1(SPEC_AREA, 0.999, target=1e-12)
+    assert cv.flag == "bound_not_achieved"
+    assert cv.abs_error_bound < 1e-11
+    ref = mpmath.hyp2f1(-0.5, -0.5, 1, mpmath.mpf(0.999))
+    assert abs(mpmath.mpf(cv.value) - ref) <= cv.abs_error_bound
 
 
 def test_eval_2f1_domain_and_divergence():
@@ -157,9 +163,17 @@ def test_eval_2f1_domain_and_divergence():
         eval_2f1(HypergeometricSpec(rat(1), rat(1), rat(1)), 1.0)
 
 
-def test_generic_refuses_near_one():
-    with pytest.raises(BoundNotAchieved):
-        eval_2f1(HypergeometricSpec(rat(1, 3), rat(1, 5), rat(2)), 0.9995)
+def test_eval_2f1_outside_class_raises_domain_error():
+    for spec in (
+        HypergeometricSpec(rat(1, 3), rat(-2, 5), rat(3, 2)),    # a != b
+        HypergeometricSpec(rat(1, 2), rat(1, 2), rat(1)),        # c - 2a = 0
+        HypergeometricSpec(rat(3, 2), rat(3, 2), rat(4)),        # (a-1)(c-a) > 0
+        HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(-1, 3)),  # c < 0
+    ):
+        assert not num._in_family(spec)
+        for x in (0.0, 0.25, 0.9995):
+            with pytest.raises(DomainError):
+                eval_2f1(spec, x)
 
 
 def test_eval_x_zero():
@@ -184,6 +198,16 @@ def test_eval_w_half_at_one():
 def test_eval_w_domain():
     with pytest.raises(DomainError):
         eval_w(rat(1, 2), -0.5)
+    # w_a needs 2F1(-a,-a;1) in the class: a > -1/2
+    for a in (rat(-1, 2), rat(-1)):
+        with pytest.raises(DomainError):
+            eval_w(a, 0.5)
+    assert eval_w(rat(-1, 4), 0.5).flag is None
+    # at x = 1 the tail of 2F1(1/4,1/4;1) falls like m^(-1/2): flagged, honest
+    cv = eval_w(rat(-1, 4), 1.0)
+    want = math.sqrt(math.pi) / math.gamma(0.75) ** 2 * 2.0 ** 0.25
+    assert cv.flag == "bound_not_achieved"
+    assert abs(cv.value - want) <= cv.abs_error_bound
 
 
 def test_eval_h_endpoints():
@@ -269,7 +293,7 @@ def test_derivative_zero_at_origin():
 
 def test_derivative_matches_finite_differences():
     h = 1e-5
-    for z in (0.05, 0.15, 0.25, 0.35):
+    for z in (0.05, 0.15, 0.25, 0.35, 0.402, 0.41):
         d = iso_derivative(z, target=1e-11)
         fd = (iso(z + h, target=1e-13).value - iso(z - h, target=1e-13).value) / (2 * h)
         assert abs(d.value - fd) <= 1e-6
@@ -281,9 +305,39 @@ def test_derivative_positive_inside():
         assert d.lo > 0.0
 
 
-def test_derivative_refuses_endpoint():
-    with pytest.raises(BoundNotAchieved):
-        iso_derivative(Z_MAX - 1e-9)
+def test_derivative_flagged_enclosure_at_endpoint(time_limit):
+    # the slope series 2F1(1/2,1/2;2;x) converges at x = 1 only like 1/m, so
+    # the default target is out of reach; the enclosure stays honest
+    time_limit(10.0)
+    d = iso_derivative(Z_MAX - 1e-9)
+    assert d.flag == "bound_not_achieved"
+    assert 0.0 <= d.lo and d.abs_error_bound < 1e-5
+
+
+@pytest.mark.parametrize("target", [1e-12, 1e-13])
+def test_derivative_flagged_over_target(target):
+    mpmath = pytest.importorskip("mpmath")
+
+    def iso_exact(z):
+        t = z * z
+        x = 4 * t / (1 - t) ** 2
+        f1 = mpmath.hyp2f1(-0.5, -0.5, 1, x)
+        f2 = mpmath.hyp2f1(-1.5, -1.5, 1, x)
+        return mpmath.sqrt(9 * mpmath.sqrt(2) / (8 * mpmath.pi) * f2 ** 2 / f1 ** 3
+                           * ((1 - t) / (1 + t)) ** 3)
+
+    for k in range(1, 42):
+        z = 0.01 * k
+        d = iso_derivative(z, target=target)
+        assert (d.flag == "bound_not_achieved") == (d.abs_error_bound > target), z
+        with mpmath.workdps(30):
+            ref = mpmath.diff(iso_exact, mpmath.mpf(z))
+            assert abs(mpmath.mpf(d.value) - ref) <= d.abs_error_bound, z
+
+
+def test_derivative_unflagged_at_default_target():
+    for k in range(1, 42):
+        assert iso_derivative(0.01 * k).flag is None
 
 
 # -- scans --------------------------------------------------------------------------
@@ -300,6 +354,13 @@ def test_scan_monotonicity_w_directions():
     up = scan_monotonicity("w", grid=40, a=rat(3, 2))
     assert down.passed and up.passed
     assert down.name == "mono-w[1/2]"
+
+
+def test_scan_monotonicity_w_whole_interval():
+    # every a > -1/2 is certified up to x = 1
+    report = scan_monotonicity("w", grid=20, a=rat(-1, 4))
+    assert report.passed
+    assert report.rows[-1][0] == 1.0
 
 
 def test_scan_monotonicity_h():
