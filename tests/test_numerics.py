@@ -176,6 +176,32 @@ def test_eval_2f1_outside_class_raises_domain_error():
                 eval_2f1(spec, x)
 
 
+def test_generic_eval_against_exact_sum():
+    # in-class triples outside the area/volume family, one with alternating
+    # signs: the one kernel sums them, within the exact rational enclosure
+    for spec in (
+        HypergeometricSpec(rat(-1, 3), rat(-1, 3), rat(1, 2)),
+        HypergeometricSpec(rat(1, 3), rat(1, 3), rat(3, 2)),
+    ):
+        lo, hi = exact_family_enclosure(spec, rat(1, 4), 120)
+        cv = eval_2f1(spec, 0.25, target=1e-12)
+        assert cv.flag is None
+        slack = cv.abs_error_bound + 8 * EPS * float(hi)
+        assert float(lo) - slack <= cv.value <= float(hi) + slack
+
+
+def test_generic_refuses_near_one():
+    # a != b is outside the class and refused at any x; an in-class triple
+    # near one is not refused but returns a flagged, honest enclosure
+    with pytest.raises(DomainError):
+        eval_2f1(HypergeometricSpec(rat(1, 3), rat(1, 5), rat(2)), 0.9995)
+    mpmath = pytest.importorskip("mpmath")
+    cv = eval_2f1(HypergeometricSpec(rat(1, 3), rat(1, 3), rat(3, 2)), 0.9995, target=1e-12)
+    assert cv.flag == "bound_not_achieved"
+    ref = mpmath.hyp2f1(mpmath.mpf(1) / 3, mpmath.mpf(1) / 3, 1.5, mpmath.mpf(0.9995))
+    assert abs(mpmath.mpf(cv.value) - ref) <= cv.abs_error_bound
+
+
 def test_eval_x_zero():
     cv = eval_2f1(SPEC_AREA, 0.0)
     assert cv.value == 1.0
