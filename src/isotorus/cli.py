@@ -108,7 +108,7 @@ def coeffs_cmd(series_name, order, fmt):
 
 
 @main.command("verify")
-@click.option("--order", type=int, default=40, show_default=True)
+@click.option("--order", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--samples", "sample_count", type=click.IntRange(min=1), default=None,
               help="Parameter samples per identity (default 2*order+3, the degree-bound count).")
 @click.option("--inject-fault", is_flag=True, default=False, hidden=True)

@@ -144,10 +144,14 @@ class IdentityReport:
 
 
 def _first_mismatch(lhs: PowerSeries, rhs: PowerSeries, order: int):
+    """(index, lhs - rhs there) at the first coefficient through order where
+    the two differ, compared on their integer forms; else None."""
+    a, da, b, db = lhs.nums, lhs.den, rhs.nums, rhs.den
+    if da == db and a[: order + 1] == b[: order + 1]:
+        return None
     for n in range(order + 1):
-        d = lhs.coefficients[n] - rhs.coefficients[n]
-        if d != 0:
-            return n, d
+        if a[n] * db != b[n] * da:
+            return n, Rational(a[n], da) - Rational(b[n], db)
     return None
 
 
@@ -193,7 +197,8 @@ def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
     of the O(N^3) rational operations of generic series composition.
     """
     order = min(outer.order, order)
-    nums, d = outer.truncate(order)._integer_form
+    outer = outer.truncate(order)
+    nums = outer.nums
     acc = [0] * (order + 1)
     for n in range(order + 1):
         # acc <- acc * (1 - z)^2 mod z^(order+1); acc has degree at most 2n - 2
@@ -202,7 +207,7 @@ def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
         if n >= 1:
             acc[1] -= 2 * acc[0]
         acc[n] += nums[n] << (2 * n)
-    s = PowerSeries(tuple(Rational(v, d) for v in acc))
+    s = PowerSeries.from_integers(acc, outer.den)
     return s * one_minus_x_power(rat(-2 * order), order)
 
 

@@ -388,8 +388,7 @@ def _direct_series(order: int):
 
     Returns (abar, vbar, ratio_cap), each expansion as a pair: its partial-sum
     polynomial through ``order`` and its next coefficient.  The polynomial is
-    kept, not truncated per call, so its integer form for
-    ``PowerSeries.evaluate`` is computed once.  Coefficient
+    kept, not truncated per call, so its gcd reduction runs once.  Coefficient
     ratios over the last window are checked positive and decreasing, then
     capped with a 5% cushion; the cap majorizes all later ratios for a tail
     bound.
@@ -416,7 +415,6 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     volume expansions; cross-validation path for the closed form."""
     _check_domain(z)
     t_exact = Fraction(z) ** 2
-    t_rat = Rational(t_exact.numerator, t_exact.denominator)
     ab, vb, ratio_cap = _direct_series(order)
     q = float(t_exact) * ratio_cap
     if q >= 1.0:
@@ -426,9 +424,9 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
         partial_sum, next_coefficient = part
         # multiply in exact arithmetic first: the coefficient alone can
         # overflow float while the product is tiny
-        head = float(next_coefficient * t_rat ** (order + 1))
+        head = float(next_coefficient * t_exact ** (order + 1))
         tail = head / (1.0 - q)
-        v = float(partial_sum.evaluate(t_rat))
+        v = float(partial_sum.evaluate(t_exact))
         return CertifiedValue(v + tail / 2.0, tail / 2.0 + _pad(v) + _pad(tail))
 
     a_val = enclose(ab)

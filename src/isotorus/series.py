@@ -1,13 +1,18 @@
-"""Exact truncated power-series arithmetic over arbitrary-precision rationals.
+"""Exact truncated power-series arithmetic, stored as integers.
 
-Everything downstream (identity checks, ODE residuals, golden-coefficient
-regression, the exact oracle tier of the certified evaluator) runs on the
-types in this module.  All arithmetic is exact: no floats, no rounding.
+Everything downstream (identity checks, ODE residuals, golden coefficients,
+the exact oracle tier of the certified evaluator) runs on these types.  A
+series is integer numerators over one positive denominator, ``(nums, den)``
+with ``gcd(den, *nums) == 1``: den is the lcm of the reduced coefficient
+denominators, so equal series have equal ``(nums, den)``.  Each operation
+works on the integers and reduces its result with one gcd; a product is one
+big-integer multiplication (Kronecker substitution), and the hypergeometric,
+binomial and power series come from integer recurrences.  ``coefficients``,
+as ``fractions.Fraction``, is derived on first use, at the API edge.
 
 A series carries an explicit truncation order; every operation propagates
-the minimal order that is actually justified by its inputs, so a claim of
-the form "this residual is zero" always states through which power it was
-verified.
+the minimal order its inputs justify, so a claim that a residual is zero
+always states through which power it was verified.
 """
 
 from __future__ import annotations
@@ -15,32 +20,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction as Rational
 from functools import cached_property
 from typing import Sequence
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a soft dependency
-    from fractions import Fraction as Rational
-
 __all__ = [
-    "Rational",
-    "rat",
-    "parse_rational",
-    "format_rational",
-    "SeriesError",
-    "DivisionByNonUnit",
-    "CompositionRequiresZeroConstant",
-    "InvalidLowerParameter",
-    "OrderTooLow",
-    "PowerSeries",
-    "HypergeometricSpec",
-    "DifferentialOperator",
-    "binomial_series",
-    "one_minus_x_power",
-    "series_pow",
-    "hypergeometric_series",
-    "poly_mul",
+    "Rational", "rat", "parse_rational", "format_rational",
+    "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
+    "InvalidLowerParameter", "OrderTooLow",
+    "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
+    "binomial_series", "one_minus_x_power", "series_pow", "hypergeometric_series", "poly_mul",
 ]
 
 ZERO = Rational(0)
@@ -48,17 +37,23 @@ ONE = Rational(1)
 
 
 def rat(numerator, denominator=1) -> Rational:
-    """Exact rational from integers (or anything the backend accepts)."""
+    """Exact rational from integers (or anything Fraction accepts)."""
     return Rational(numerator) / Rational(denominator)
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p" into an exact rational."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return rat(int(num), int(den))
-    return Rational(int(text))
+    """Parse "p/q" or "p", p and q integers and q nonzero, into an exact
+    rational; ValueError otherwise."""
+    parts = text.strip().split("/")
+    try:
+        if len(parts) > 2:
+            raise ValueError
+        ints = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"not a rational of the form p/q or p: {text!r}") from None
+    if ints[-1] == 0 and len(ints) == 2:
+        raise ValueError(f"zero denominator in {text!r}")
+    return rat(*ints)
 
 
 def format_rational(q) -> str:
@@ -84,24 +79,6 @@ class InvalidLowerParameter(SeriesError):
 
 class OrderTooLow(SeriesError):
     """Series is too short for the requested operation."""
-
-
-def _as_rational_tuple(coeffs: Sequence) -> tuple:
-    return tuple(c if isinstance(c, type(ONE)) else Rational(c) for c in coeffs)
-
-
-# --------------------------------------------------------------------------
-# Integer kernel.  A series is handled as integer numerators over one common
-# denominator; only .numerator, .denominator and Rational(n, d) touch the
-# rational backend, so gmpy2 and fractions give bit-identical results.
-# --------------------------------------------------------------------------
-
-def _common_denominator(coeffs: Sequence) -> tuple:
-    """(numerators, d) with coeffs[k] == numerators[k] / d, d the lcm of the
-    denominators; all plain ints."""
-    dens = [int(c.denominator) for c in coeffs]
-    d = math.lcm(*dens)
-    return [int(c.numerator) * (d // dk) for c, dk in zip(coeffs, dens)], d
 
 
 def _pack(nums: Sequence, width: int) -> int:
@@ -137,125 +114,142 @@ def _int_mul(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
-    """Truncated formal power series: coefficients[n] is the coefficient of z^n.
+    """Truncated formal power series: coefficient k is nums[k] / den, in the
+    canonical form of the module docstring; ``PowerSeries(coefficients)``
+    takes the coefficients as rationals.
 
-    The truncation order is len(coefficients) - 1; coefficients beyond it are
+    The truncation order is len(nums) - 1; coefficients beyond it are
     unknown, not zero.  Instances are immutable.
     """
 
-    coefficients: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: Sequence):
+        coeffs = tuple(Rational(c) for c in coefficients)
+        if not coeffs:
             raise SeriesError("a series needs at least its constant term")
-        object.__setattr__(self, "coefficients", _as_rational_tuple(self.coefficients))
+        d = math.lcm(*(c.denominator for c in coeffs))
+        self.__dict__.update(nums=tuple(c.numerator * (d // c.denominator) for c in coeffs),
+                             den=d, coefficients=coeffs)
+
+    @staticmethod
+    def from_integers(nums: Sequence, den: int) -> "PowerSeries":
+        """The series with coefficients nums[k] / den, in canonical form: one
+        gcd, and the sign moved onto the numerators."""
+        if den == 0:
+            raise ZeroDivisionError("a series needs a nonzero denominator")
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        s = object.__new__(PowerSeries)
+        s.__dict__.update(nums=tuple(nums) if g == 1 else tuple(v // g for v in nums), den=den // g)
+        return s
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_polynomial(coeffs: Sequence, order: int) -> "PowerSeries":
         """Exact polynomial viewed as a series of the given truncation order."""
-        c = list(_as_rational_tuple(coeffs))
-        if len(c) < order + 1:
-            c.extend([ZERO] * (order + 1 - len(c)))
-        return PowerSeries(tuple(c[: order + 1]))
+        c = list(coeffs)[: order + 1]
+        return PowerSeries(c + [0] * (order + 1 - len(c)))
 
     @staticmethod
     def zero(order: int) -> "PowerSeries":
-        return PowerSeries((ZERO,) * (order + 1))
+        return PowerSeries.from_integers((0,) * (order + 1), 1)
 
     @staticmethod
     def one(order: int) -> "PowerSeries":
-        return PowerSeries.from_polynomial((ONE,), order)
+        return PowerSeries.from_polynomial((1,), order)
 
     @staticmethod
     def identity(order: int) -> "PowerSeries":
         """The series z."""
-        return PowerSeries.from_polynomial((ZERO, ONE), order)
+        return PowerSeries.from_polynomial((0, 1), order)
 
     # -- basic views --------------------------------------------------------
 
+    @cached_property
+    def coefficients(self) -> tuple:
+        """coefficients[n] is the coefficient of z^n, as a Fraction."""
+        return tuple(Rational(v, self.den) for v in self.nums)
+
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, n: int):
-        return self.coefficients[n]
+        return Rational(self.nums[n], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not any(self.nums)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise OrderTooLow(f"cannot extend order {self.order} to {order}")
-        return PowerSeries(self.coefficients[: order + 1])
+        return PowerSeries.from_integers(self.nums[: order + 1], self.den)
 
     def to_strings(self) -> list:
         return [format_rational(c) for c in self.coefficients]
 
-    @cached_property
-    def _integer_form(self) -> tuple:
-        """(numerators, d): the coefficients over their common denominator,
-        computed once per series."""
-        return _common_denominator(self.coefficients)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coefficients[k] + other.coefficients[k] for k in range(n + 1)))
+        d = math.lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        return PowerSeries.from_integers([x * fa + y * fb for x, y in zip(self.nums, other.nums)], d)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coefficients[k] - other.coefficients[k] for k in range(n + 1)))
+        return self + -other
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coefficients))
+        return PowerSeries.from_integers([-v for v in self.nums], self.den)
 
     def scale(self, factor) -> "PowerSeries":
-        f = Rational(factor) if not isinstance(factor, type(ONE)) else factor
-        return PowerSeries(tuple(f * c for c in self.coefficients))
+        f = Rational(factor)
+        return PowerSeries.from_integers([f.numerator * v for v in self.nums], f.denominator * self.den)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        a, da = self._integer_form
-        b, db = other._integer_form
-        d = da * db
-        return PowerSeries(tuple(Rational(c, d) for c in _int_mul(a, b, n)))
+        return PowerSeries.from_integers(_int_mul(self.nums, other.nums, n), self.den * other.den)
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        if other.coefficients[0] == 0:
+        """Long division of the numerator polynomials A / B over the common
+        denominator top = B_0^(n+1), which clears every quotient coefficient:
+        R_m = (A_m top - sum_k B_k R_(m-k)) / B_0, an exact division."""
+        a, b = self.nums, other.nums
+        if b[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         n = min(self.order, other.order)
-        a, b = self.coefficients, other.coefficients
-        q = []
+        top = b[0] ** (n + 1)
+        support = [k for k in range(1, n + 1) if b[k]]
+        r = []
         for m in range(n + 1):
-            acc = a[m]
-            for k in range(1, m + 1):
-                if b[k] and q[m - k]:
-                    acc -= b[k] * q[m - k]
-            q.append(acc / b[0])
-        return PowerSeries(tuple(q))
+            acc = a[m] * top
+            for k in support:
+                if k > m:
+                    break
+                acc -= b[k] * r[m - k]
+            r.append(acc // b[0])
+        return PowerSeries.from_integers([v * other.den for v in r], top * self.den)
 
     # -- calculus and composition -------------------------------------------
 
     def derivative(self) -> "PowerSeries":
         if self.order < 1:
             raise OrderTooLow("need order >= 1 to differentiate")
-        return PowerSeries(tuple(Rational(n) * self.coefficients[n] for n in range(1, self.order + 1)))
+        return PowerSeries.from_integers([k * v for k, v in enumerate(self.nums) if k], self.den)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(z)), requiring inner(0) = 0.  Horner in the inner series."""
-        if inner.coefficients[0] != 0:
+        if inner.nums[0] != 0:
             raise CompositionRequiresZeroConstant("inner series has nonzero constant term")
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
-        result = PowerSeries.from_polynomial((self.coefficients[n],), n)
+        result = PowerSeries.from_polynomial((self[n],), n)
         for k in range(n - 1, -1, -1):
             result = result * inner_t
-            result = result + PowerSeries.from_polynomial((self.coefficients[k],), n)
+            result = result + PowerSeries.from_polynomial((self[k],), n)
         return result
 
     def evaluate(self, point) -> "Rational":
@@ -264,67 +258,76 @@ class PowerSeries:
         Homogeneous Horner on integers: with point = u/v and coefficients
         c_k / d, the value is sum c_k u^k v^(N-k) / (d v^N).
         """
-        p = Rational(point) if not isinstance(point, type(ONE)) else point
-        u, v = int(p.numerator), int(p.denominator)
-        nums, d = self._integer_form
+        p = Rational(point)
+        u, v = p.numerator, p.denominator
+        nums = self.nums
         acc = nums[-1]
         v_pow = 1
         for c in reversed(nums[:-1]):
             v_pow *= v
             acc = acc * u + c * v_pow
-        return Rational(acc, d * v_pow)
+        return Rational(acc, self.den * v_pow)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> tuple:
     """Exact full-degree product of two polynomial coefficient lists."""
-    a = _as_rational_tuple(a)
-    b = _as_rational_tuple(b)
     out = [ZERO] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+        for j, bj in enumerate(b):
+            out[i + j] += Rational(ai) * bj
     return tuple(out)
 
 
+def _ratio_series(ratios) -> PowerSeries:
+    """The series t_0 = 1, t_(k+1) = t_k * p_k / q_k for the integer pairs
+    (p_k, q_k), q_k != 0, over the denominator q_0 ... q_(N-1): numerator k is
+    p_0 ... p_(k-1) q_k ... q_(N-1), so each step divides exactly by q_k."""
+    ratios = list(ratios)
+    nums = [math.prod(q for _, q in ratios)]
+    for p, q in ratios:
+        nums.append(nums[-1] * p // q)
+    return PowerSeries.from_integers(nums, nums[0])
+
+
 def binomial_series(alpha, order: int) -> PowerSeries:
-    """(1+x)^alpha with coefficients C(alpha, n), exact for rational alpha."""
-    a = Rational(alpha) if not isinstance(alpha, type(ONE)) else alpha
-    coeffs = [ONE]
-    c = ONE
-    for n in range(1, order + 1):
-        c = c * (a - (n - 1)) / n
-        coeffs.append(c)
-    return PowerSeries(tuple(coeffs))
+    """(1+x)^alpha with coefficients C(alpha, n), exact for rational alpha:
+    t_(k+1)/t_k = (alpha - k)/(k + 1)."""
+    a = Rational(alpha)
+    p, q = a.numerator, a.denominator
+    return _ratio_series((p - k * q, q * (k + 1)) for k in range(order))
 
 
 def one_minus_x_power(alpha, order: int) -> PowerSeries:
     """(1-x)^alpha, i.e. the binomial series with alternating signs."""
-    base = binomial_series(alpha, order)
-    return PowerSeries(tuple(c if n % 2 == 0 else -c for n, c in enumerate(base.coefficients)))
+    a = Rational(alpha)
+    p, q = a.numerator, a.denominator
+    return _ratio_series((k * q - p, q * (k + 1)) for k in range(order))
 
 
 def series_pow(s: PowerSeries, alpha) -> PowerSeries:
     """s(x)^alpha for rational alpha, requiring s(0) = 1.
 
-    Uses the first-order recurrence from s * p' = alpha * s' * p, which costs
-    O(order * sparsity(s)) instead of a full composition.
+    The recurrence n p_n = sum_k ((alpha+1) k - n) s_k p_(n-k), from
+    s p' = alpha s' p, costs O(order * sparsity(s)).  With alpha = u/v and
+    s_k = S_k / d, p_n * N! (v d)^N is an integer P_n, and
+    n v d P_n = sum_k ((u+v) k - n v) S_k P_(n-k) divides exactly.
     """
-    if s.coefficients[0] != 1:
+    sn, d = s.nums, s.den
+    if sn[0] != d:
         raise DivisionByNonUnit("series_pow needs a series with constant term 1")
-    a = Rational(alpha) if not isinstance(alpha, type(ONE)) else alpha
+    a = Rational(alpha)
+    u, v = a.numerator, a.denominator
     n_max = s.order
-    sc = s.coefficients
-    support = [k for k in range(1, n_max + 1) if sc[k] != 0]
-    p = [ONE]
+    support = [k for k in range(1, n_max + 1) if sn[k]]
+    p = [math.factorial(n_max) * (v * d) ** n_max]
     for n in range(1, n_max + 1):
-        acc = ZERO
+        acc = 0
         for k in support:
             if k > n:
                 break
-            acc += ((a + 1) * k - n) * sc[k] * p[n - k]
-        p.append(acc / n)
-    return PowerSeries(tuple(p))
+            acc += ((u + v) * k - n * v) * sn[k] * p[n - k]
+        p.append(acc // (n * v * d))
+    return PowerSeries.from_integers(p, p[0])
 
 
 @dataclass(frozen=True)
@@ -337,9 +340,7 @@ class HypergeometricSpec:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, type(ONE)):
-                object.__setattr__(self, name, Rational(v))
+            object.__setattr__(self, name, Rational(getattr(self, name)))
         c = self.c
         if c <= 0 and c == int(c):
             raise InvalidLowerParameter(f"lower parameter c={c} is zero or a negative integer")
@@ -369,20 +370,21 @@ class HypergeometricSpec:
 
     def coefficient(self, n: int) -> "Rational":
         """Direct rising-factorial evaluation (a)_n (b)_n / ((c)_n n!)."""
-        num = ONE
-        den = ONE
+        num = den = ONE
         for k in range(n):
             num *= (self.a + k) * (self.b + k)
             den *= (self.c + k) * (k + 1)
         return num / den
 
     def series(self, order: int) -> PowerSeries:
-        coeffs = [ONE]
-        t = ONE
-        for n in range(order):
-            t = t * self.term_ratio(n)
-            coeffs.append(t)
-        return PowerSeries(tuple(coeffs))
+        """Coefficients t_0..t_order from the term ratio on integers: with
+        a = pa/qa, b = pb/qb, c = pc/qc, t_(k+1)/t_k is
+        (pa + k qa)(pb + k qb) qc / ((pc + k qc)(k + 1) qa qb)."""
+        pa, qa = self.a.numerator, self.a.denominator
+        pb, qb = self.b.numerator, self.b.denominator
+        pc, qc = self.c.numerator, self.c.denominator
+        return _ratio_series(((pa + k * qa) * (pb + k * qb) * qc, (pc + k * qc) * (k + 1) * qa * qb)
+                             for k in range(order))
 
 
 def hypergeometric_series(spec: HypergeometricSpec, order: int) -> PowerSeries:
@@ -401,9 +403,7 @@ class DifferentialOperator:
     poly_coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "poly_coeffs", tuple(_as_rational_tuple(p) for p in self.poly_coeffs)
-        )
+        object.__setattr__(self, "poly_coeffs", tuple(tuple(Rational(c) for c in p) for p in self.poly_coeffs))
         if not self.poly_coeffs or all(c == 0 for c in self.poly_coeffs[-1]):
             raise SeriesError("leading polynomial of a differential operator must be nonzero")
 
@@ -431,10 +431,9 @@ class DifferentialOperator:
 
 def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:
     """Copy of s with coefficients[index] shifted by delta (fault injection)."""
-    d = Rational(delta) if not isinstance(delta, type(ONE)) else delta
     coeffs = list(s.coefficients)
-    coeffs[index] = coeffs[index] + d
-    return PowerSeries(tuple(coeffs))
+    coeffs[index] = coeffs[index] + Rational(delta)
+    return PowerSeries(coeffs)
 
 
 # Deterministic supply of distinct small rationals, ordered by |p| + q over

@@ -108,6 +108,13 @@ def test_verify_samples_below_one_exits_2(time_limit):
         assert "--samples" in result.output
 
 
+def test_verify_negative_order_exits_2():
+    result = runner.invoke(main, ["verify", "--order", "-1"])
+    assert result.exit_code == 2
+    assert "--order" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_verify_inject_fault_exits_1():
     result = runner.invoke(
         main, ["verify", "--order", "8", "--samples", "5", "--inject-fault"]
@@ -148,6 +155,14 @@ def test_scan_mono_w_outside_class_exits_2():
     assert result.exit_code == 2
     assert "a > -1/2" in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_scan_mono_w_bad_rational_exits_2():
+    for text, message in (("1/0", "zero denominator"), ("1/2/3", "p/q"), ("half", "p/q")):
+        result = runner.invoke(main, ["scan", "--target", "mono-w", "--grid", "10", "--a", text])
+        assert result.exit_code == 2, text
+        assert message in result.output, text
+        assert isinstance(result.exception, SystemExit), text
 
 
 def test_eval_near_endpoint_reports_derivative():

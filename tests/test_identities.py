@@ -1,6 +1,9 @@
 """Identity layer: golden coefficients, ODE residuals, flux positivity, the
 free-parameter identity suite, and mutation sensitivity."""
 
+import hashlib
+import json
+
 import pytest
 
 from isotorus import identities as ident
@@ -19,6 +22,38 @@ def test_expand_abar_golden():
 def test_expand_vbar_golden():
     vb = ident.expand_vbar(5)
     assert vb.coefficients == ident.VBAR_LEADING
+
+
+# sha256 digests of exact results, computed with the Fraction-per-coefficient
+# series layer that preceded integer storage; any change to an exact result
+# changes its digest.
+GOLDEN_DIGESTS = {
+    "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
+    "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
+    "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
+    "verify12": "fd78411151d78f3d2ade9f5fb3432fbb2646d726bd7e5aa9632ec88787d0fa91",
+}
+
+
+def test_exact_results_match_golden_digests():
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {
+        "abar250": digest("\n".join(ident.expand_abar(250).to_strings())),
+        "vbar250": digest("\n".join(ident.expand_vbar(250).to_strings())),
+        "f120": digest("\n".join(ident.expand_f(120).to_strings())),
+        "verify12": digest(json.dumps([r.to_dict() for r in ident.verify_all(12)])),
+    }
+    assert got == GOLDEN_DIGESTS
+
+
+def test_first_mismatch_on_integer_forms():
+    # equal through order 1, different denominators beyond it
+    lhs = PowerSeries((1, rat(1, 2), rat(1, 3)))
+    assert ident._first_mismatch(lhs, PowerSeries((1, rat(1, 2))), 1) is None
+    assert ident._first_mismatch(lhs, PowerSeries((1, rat(1, 2), rat(1, 5))), 2) == (2, rat(2, 15))
+    assert ident._first_mismatch(lhs, PowerSeries((1, rat(3, 2), rat(1, 3))), 2) == (1, rat(-1))
 
 
 def test_expansion_prefactor_constant_terms():

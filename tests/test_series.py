@@ -1,6 +1,9 @@
 """Exact power-series layer: ring operations, calculus, special series,
 error conditions, and randomized algebraic-law checks."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +60,8 @@ def test_constructors_and_order():
     assert PowerSeries.identity(3)[1] == 1
     with pytest.raises(SeriesError):
         PowerSeries(())
+    with pytest.raises(ZeroDivisionError):
+        PowerSeries.from_integers((1, 2), 0)
 
 
 def test_truncate_and_order_too_low():
@@ -321,3 +326,121 @@ def test_mul_matches_rational_convolution(a, b):
 def test_evaluate_matches_rational_horner(s, point):
     p = rat(point.numerator, point.denominator)
     assert s.evaluate(p) == rational_horner(s, p)
+
+
+# -- integer storage against plain Fraction references ------------------------------
+
+def canonical(s):
+    """Assert the stored form invariant and return the series."""
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == len(s.coefficients)
+    return s
+
+
+def ref_div(a, b):
+    n = min(len(a), len(b))
+    q = []
+    for m in range(n):
+        acc = a[m] - sum((b[k] * q[m - k] for k in range(1, m + 1)), Fraction(0))
+        q.append(acc / b[0])
+    return tuple(q)
+
+
+def ref_pow(s, alpha):
+    p = [Fraction(1)]
+    for n in range(1, len(s)):
+        acc = sum((((alpha + 1) * k - n) * s[k] * p[n - k] for k in range(1, n + 1)), Fraction(0))
+        p.append(acc / n)
+    return tuple(p)
+
+
+def ref_binomial(alpha, order, sign=1):
+    out = [Fraction(1)]
+    for n in range(1, order + 1):
+        out.append(out[-1] * (alpha - (n - 1)) / n * sign)
+    return tuple(out)
+
+
+def ref_hyp(a, b, c, order):
+    out = [Fraction(1)]
+    for k in range(order):
+        out.append(out[-1] * (a + k) * (b + k) / ((c + k) * (k + 1)))
+    return tuple(out)
+
+
+huge = st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 45))
+exact_series = st.one_of(
+    st.lists(st.one_of(coefficient, huge), min_size=1, max_size=25).map(PowerSeries),
+    st.integers(0, 25).map(PowerSeries.zero),
+)
+unit_series = st.lists(st.one_of(coefficient, huge), min_size=0, max_size=20).map(
+    lambda cs: PowerSeries([1] + cs)
+)
+parameter = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 12)),
+)
+lower_parameter = parameter.filter(lambda c: not (c <= 0 and c.denominator == 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_series, exact_series, parameter)
+def test_ring_operations_match_fraction_reference(a, b, factor):
+    x, y = a.coefficients, b.coefficients
+    assert canonical(a + b).coefficients == tuple(p + q for p, q in zip(x, y))
+    assert canonical(a - b).coefficients == tuple(p - q for p, q in zip(x, y))
+    assert canonical(-a).coefficients == tuple(-p for p in x)
+    assert canonical(a.scale(factor)).coefficients == tuple(factor * p for p in x)
+    if a.order >= 1:
+        assert canonical(a.derivative()).coefficients == tuple(k * x[k] for k in range(1, len(x)))
+    for order in range(a.order + 1):
+        assert canonical(a.truncate(order)).coefficients == x[: order + 1]
+    if y[0] != 0:
+        assert canonical(a / b).coefficients == ref_div(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_series, parameter.filter(lambda f: abs(f.numerator) < 10 ** 6))
+def test_series_pow_matches_fraction_reference(s, alpha):
+    assert canonical(series_pow(s, alpha)).coefficients == ref_pow(s.coefficients, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parameter, st.integers(0, 40))
+def test_binomial_generators_match_fraction_reference(alpha, order):
+    assert canonical(binomial_series(alpha, order)).coefficients == ref_binomial(alpha, order)
+    assert canonical(one_minus_x_power(alpha, order)).coefficients == ref_binomial(alpha, order, -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parameter, parameter, lower_parameter, st.integers(0, 40))
+def test_hypergeometric_series_matches_fraction_reference(a, b, c, order):
+    s = HypergeometricSpec(a, b, c).series(order)
+    assert canonical(s).coefficients == ref_hyp(a, b, c, order)
+
+
+def test_generators_on_edge_parameters():
+    # terminating series (a a negative integer), negative c numerators, alpha = 0
+    for a, b, c in ((-3, rat(1, 2), rat(-5, 2)), (-1, -1, rat(-7, 3)), (0, 5, 1), (rat(-9, 4), 2, rat(-1, 2))):
+        s = HypergeometricSpec(a, b, c).series(12)
+        assert canonical(s).coefficients == ref_hyp(Fraction(a), Fraction(b), Fraction(c), 12)
+    assert HypergeometricSpec(-3, 1, 1).series(10).nums[4:] == (0,) * 7
+    assert binomial_series(0, 5) == PowerSeries.one(5)
+    assert one_minus_x_power(3, 6).coefficients == (1, -3, 3, -1, 0, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_series, st.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_equal_series_have_equal_integer_forms(s, k):
+    canonical(s)
+    same = PowerSeries.from_integers([k * v for v in s.nums], k * s.den)
+    assert (same.nums, same.den) == (s.nums, s.den)
+    assert same == s and hash(same) == hash(s)
+    assert PowerSeries(s.coefficients) == s
+    assert PowerSeries.from_integers(s.nums, s.den) == s
+    bumped = PowerSeries(s.coefficients[:-1] + (s.coefficients[-1] + 1,))
+    assert bumped != s and (bumped.nums, bumped.den) != (s.nums, s.den)
+    if s.is_zero():
+        assert s.den == 1
