@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .identities import expand_abar, expand_vbar
-from .series import HypergeometricSpec, Rational, rat
+from .identities import ABAR_OPERATOR, VBAR_OPERATOR
+from .series import HypergeometricSpec, Rational, homogeneous_sum, rat
 
 __all__ = [
     "CertifiedValue",
@@ -384,50 +384,59 @@ def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
 
 @lru_cache(maxsize=None)
 def _direct_series(order: int):
-    """Exact expansions plus a geometric tail majorant for the direct path.
+    """Exact area and volume coefficients plus a geometric tail ratio for the
+    direct path.
 
-    Returns (abar, vbar, ratio_cap), each expansion as a pair: its partial-sum
-    polynomial through ``order`` and its next coefficient.  The polynomial is
-    kept, not truncated per call, so its gcd reduction runs once.  Coefficient
-    ratios over the last window are checked positive and decreasing, then
-    capped with a 5% cushion; the cap majorizes all later ratios for a tail
-    bound.
+    Abar and Vbar are the power-series solutions of the printed operators
+    ``ABAR_OPERATOR`` and ``VBAR_OPERATOR`` with constant terms 4 and 2,
+    generated by their coefficient recurrences; no hypergeometric closed form
+    is used, so the direct path checks it.  Returns (abar, vbar, ratio_cap),
+    each series as (numerators through ``order``, next numerator, common
+    denominator).  The coefficient ratios over a window of 10 past ``order``
+    are checked positive and decreasing, and the largest, with a 5% cushion,
+    is the cap.  The cap is checked on that window only; that it bounds every
+    later ratio is not proved.
     """
     extra = 10
     parts = []
     caps = []
-    for series in (expand_abar(order + extra), expand_vbar(order + extra)):
-        ratios = [
-            series.coefficients[n + 1] / series.coefficients[n]
-            for n in range(order - 1, order + extra - 1)
-        ]
+    for op, constant in ((ABAR_OPERATOR, 4), (VBAR_OPERATOR, 2)):
+        series = op.series_solution(constant, order + extra)
+        nums = series.nums
+        ratios = [Fraction(nums[n + 1], nums[n]) for n in range(order - 1, order + extra - 1)]
         if any(r <= 0 for r in ratios) or any(
             ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)
         ):
             raise BoundNotAchieved("coefficient ratios not positive-decreasing")
         caps.append(float(ratios[0]) * 1.05)
-        parts.append((series.truncate(order), series.coefficients[order + 1]))
+        parts.append((nums[: order + 1], nums[order + 1], series.den))
     return parts[0], parts[1], max(caps)
 
 
 def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     """Direct-definition evaluation via exact partial sums of the area and
-    volume expansions; cross-validation path for the closed form."""
+    volume series of the printed operators; cross-validation path for the
+    closed form.  ``order`` is the last power summed, an integer >= 1."""
     _check_domain(z)
-    t_exact = Fraction(z) ** 2
+    if not isinstance(order, int) or order < 1:
+        raise DomainError(f"order {order!r} is not an integer >= 1")
+    # t = z^2 = u/v exactly
+    u, v = (n * n for n in Fraction(z).as_integer_ratio())
     ab, vb, ratio_cap = _direct_series(order)
-    q = float(t_exact) * ratio_cap
+    q = u / v * ratio_cap
     if q >= 1.0:
         raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; raise the order")
+    u_head, v_top = u ** (order + 1), v ** order
 
     def enclose(part):
-        partial_sum, next_coefficient = part
-        # multiply in exact arithmetic first: the coefficient alone can
-        # overflow float while the product is tiny
-        head = float(next_coefficient * t_exact ** (order + 1))
+        nums, next_num, den = part
+        # each exact quotient is rounded once by int true division, as
+        # float(Fraction) does; the next term is formed exactly first, as
+        # its coefficient alone can overflow float while the product is tiny
+        head = next_num * u_head / (den * v_top * v)
         tail = head / (1.0 - q)
-        v = float(partial_sum.evaluate(t_exact))
-        return CertifiedValue(v + tail / 2.0, tail / 2.0 + _pad(v) + _pad(tail))
+        val = homogeneous_sum(nums, u, v) / (den * v_top)
+        return CertifiedValue(val + tail / 2.0, tail / 2.0 + _pad(val) + _pad(tail))
 
     a_val = enclose(ab)
     v_val = enclose(vb)

@@ -29,7 +29,7 @@ __all__ = [
     "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
     "InvalidLowerParameter", "OrderTooLow",
     "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
-    "binomial_series", "one_minus_x_power", "series_pow", "hypergeometric_series", "poly_mul",
+    "homogeneous_sum", "binomial_series", "one_minus_x_power", "series_pow", "hypergeometric_series", "poly_mul",
 ]
 
 ZERO = Rational(0)
@@ -253,20 +253,46 @@ class PowerSeries:
         return result
 
     def evaluate(self, point) -> "Rational":
-        """Exact value of the truncated polynomial at a rational point.
-
-        Homogeneous Horner on integers: with point = u/v and coefficients
-        c_k / d, the value is sum c_k u^k v^(N-k) / (d v^N).
-        """
+        """Exact value of the truncated polynomial at a rational point: with
+        point = u/v and coefficients c_k / d, sum c_k u^k v^(N-k) / (d v^N),
+        the numerator from ``homogeneous_sum``."""
         p = Rational(point)
         u, v = p.numerator, p.denominator
-        nums = self.nums
-        acc = nums[-1]
-        v_pow = 1
-        for c in reversed(nums[:-1]):
-            v_pow *= v
-            acc = acc * u + c * v_pow
-        return Rational(acc, self.den * v_pow)
+        return Rational(homogeneous_sum(self.nums, u, v), self.den * v ** self.order)
+
+
+# Blocks of at most this many coefficients are summed by Horner's rule.
+_LEAF = 8
+
+
+def homogeneous_sum(nums: Sequence, u: int, v: int) -> int:
+    """sum nums[k] u^k v^(N-k) over k = 0..N, N = len(nums) - 1, on integers.
+
+    Balanced splitting (Haible & Papanikolaou, 1998): the block sum
+    H(lo, hi) = sum_{lo <= k < hi} nums[k] u^(k-lo) v^(hi-1-k) splits as
+    H(lo, mid) v^(hi-mid) + H(mid, hi) u^(mid-lo), so the large products
+    pair operands of equal size, where big-integer multiplication is
+    subquadratic; blocks of at most ``_LEAF`` coefficients use Horner.  The
+    split halves differ in length by at most one, so few powers are needed;
+    each is computed once per call.
+    """
+    u_pows, v_pows = {}, {e: v ** e for e in range(_LEAF)}
+
+    def power(pows, base, e):
+        if e not in pows:
+            pows[e] = base ** e
+        return pows[e]
+
+    def block(lo, hi):
+        if hi - lo <= _LEAF:
+            acc = nums[hi - 1]
+            for k in range(hi - 2, lo - 1, -1):
+                acc = acc * u + nums[k] * v_pows[hi - 1 - k]
+            return acc
+        mid = (lo + hi) // 2
+        return block(lo, mid) * power(v_pows, v, hi - mid) + block(mid, hi) * power(u_pows, u, mid - lo)
+
+    return block(0, len(nums))
 
 
 def poly_mul(a: Sequence, b: Sequence) -> tuple:
@@ -410,6 +436,58 @@ class DifferentialOperator:
     @property
     def operator_order(self) -> int:
         return len(self.poly_coeffs) - 1
+
+    def series_solution(self, constant, order: int) -> PowerSeries:
+        """The power series y through z^order with y(0) = constant and L y = 0
+        through every power its coefficients determine, from the coefficient
+        recurrence.
+
+        With p_i = sum_j p_ij z^j and h the largest i - j over the nonzero
+        p_ij, the coefficient of z^(n-h) in L y is sum_k c_k(n) y_(n-k), where
+        c_k(n) sums p_ij (n-k)(n-k-1)...(n-k-i+1) over i - j = h - k.  So
+        y_n = -sum_(k>=1) c_k(n) y_(n-k) / c_0(n) wherever the leading
+        coefficient c_0(n) is not 0.  On integers: with the p_ij cleared of
+        denominators and D = den(constant) c_0(1)...c_0(order), Y_n = y_n D is
+        an integer and c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.
+
+        Raises SeriesError where c_0 vanishes: at some n in 1..order the
+        solution is not unique, and at n = 0 no solution has a nonzero
+        constant term.
+        """
+        if order < 0:
+            raise OrderTooLow(f"order {order} is negative")
+        scale = math.lcm(*(c.denominator for p in self.poly_coeffs for c in p))
+        terms = [(i, j, int(c * scale)) for i, p in enumerate(self.poly_coeffs)
+                 for j, c in enumerate(p) if c]
+        h = max(i - j for i, j, _ in terms)
+        shifts = {}
+        for i, j, c in terms:
+            shifts.setdefault(h - i + j, []).append((i, c))
+
+        def coefficient(k, n):
+            # c_k(n); a falling factorial with a zero factor vanishes
+            return sum(c * math.prod(range(n - k - i + 1, n - k + 1)) for i, c in shifts[k])
+
+        lead = [coefficient(0, n) for n in range(order + 1)]
+        y0 = Rational(constant)
+        if lead[0] != 0 and y0 != 0:
+            raise SeriesError("no power-series solution has a nonzero constant term: "
+                              "0 is not a root of the leading recurrence coefficient")
+        vanishing = [n for n in range(1, order + 1) if lead[n] == 0]
+        if vanishing:
+            raise SeriesError(f"leading recurrence coefficient vanishes at n = {vanishing[0]}: "
+                              "the constant term does not fix the solution")
+        lower = sorted(k for k in shifts if k > 0)
+        top = math.prod(lead[1:])
+        nums = [y0.numerator * top]
+        for n in range(1, order + 1):
+            acc = 0
+            for k in lower:
+                if k > n:
+                    break
+                acc += coefficient(k, n) * nums[n - k]
+            nums.append(-acc // lead[n])
+        return PowerSeries.from_integers(nums, y0.denominator * top)
 
     def apply(self, s: PowerSeries) -> PowerSeries:
         """Exact residual series; result order = order(s) - operator order."""

@@ -5,7 +5,10 @@ onto [iso(0), 1), so a prescribed ratio determines a unique torus parameter.
 The solver brackets it by guaranteed bisection on certified evaluations: a
 step is taken only when the certified interval at the midpoint is disjoint
 from the target, so the bracket provably straddles the true parameter at
-every step.
+every step.  A midpoint whose interval holds the target even at the sharpest
+bound ends the search: it is returned unflagged only when the intervals at
+midpoint -+ tol/2 fall on opposite sides of the target, which places the root
+between those two points, and flagged "precision_exhausted" otherwise.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "PrecisionExhaus
 
 _Z_HI = Z_MAX - 1e-12
 
-# residual level below which a bound-limited stop still counts as a solve
-_RESIDUAL_ACCEPT = 1e-8
+# the sharpest practical bound, tried before a midpoint is given up on
+_SHARP = 1e-13
 
 
 class TargetOutOfRange(NumericsError):
@@ -88,19 +91,23 @@ def invert_iso(query: InverseQuery) -> InverseResult:
         mid = 0.5 * (lo + hi)
         cv = _certified_iso(mid, target)
         if cv.lo <= rho <= cv.hi:
-            # retry at the sharpest practical bound before concluding
-            cv = _certified_iso(mid, target=1e-13)
+            cv = _certified_iso(mid, target=_SHARP)
         if rho > cv.hi:
             lo = mid
         elif rho < cv.lo:
             hi = mid
         else:
-            # the midpoint interval still contains rho: the root is pinned to
-            # within the certified bound, which either satisfies the residual
-            # floor (success) or cannot be improved (flagged)
+            # the midpoint interval still contains rho.  iso increases, so if
+            # rho lies strictly between the intervals at mid -+ tol/2 (both
+            # inside the bracket, which is wider than tol), the root lies
+            # between those points; otherwise the bounds cannot place it
+            half = 0.5 * query.tolerance
+            below = _certified_iso(mid - half, target=_SHARP)
+            above = _certified_iso(mid + half, target=_SHARP)
+            straddled = below.hi < rho < above.lo
             residual = abs(cv.value - rho) + cv.abs_error_bound
-            flag = None if residual <= _RESIDUAL_ACCEPT else "precision_exhausted"
-            return InverseResult(rho, mid, residual, iterations + 1, flag)
+            return InverseResult(rho, mid, residual, iterations + 1,
+                                 None if straddled else "precision_exhausted")
         iterations += 1
 
     z = 0.5 * (lo + hi)

@@ -48,6 +48,19 @@ def test_exact_results_match_golden_digests():
     assert got == GOLDEN_DIGESTS
 
 
+def test_operator_solutions_match_golden_digests():
+    # the recurrences of the printed operators, from a_0 alone, give the
+    # closed-form expansions exactly
+    def digest(series):
+        return hashlib.sha256("\n".join(series.to_strings()).encode()).hexdigest()
+
+    abar = ident.ABAR_OPERATOR.series_solution(4, 250)
+    vbar = ident.VBAR_OPERATOR.series_solution(2, 250)
+    assert digest(abar) == GOLDEN_DIGESTS["abar250"]
+    assert digest(vbar) == GOLDEN_DIGESTS["vbar250"]
+    assert ident.verify_odes(40, abar.truncate(40), vbar.truncate(40)).verified
+
+
 def test_first_mismatch_on_integer_forms():
     # equal through order 1, different denominators beyond it
     lhs = PowerSeries((1, rat(1, 2), rat(1, 3)))

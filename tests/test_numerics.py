@@ -303,6 +303,47 @@ def test_iso_direct_needs_order_near_endpoint():
         iso_direct(0.41, order=60)
 
 
+# (z, order) -> (value, bound) as float.hex, from the direct path that summed
+# the closed-form expansions by integer Horner; the operator recurrences and
+# balanced splitting must reproduce every bit.
+DIRECT_PINNED = {
+    (0.0, 240): ("0x1.6c5bc004ae5b4p-1", "0x1.83217c04f9418p-49"),
+    (2.0 ** -60, 240): ("0x1.6c5bc004ae5b4p-1", "0x1.83217c04f9418p-49"),
+    (0.001, 240): ("0x1.6c5c2b78bdbbcp-1", "0x1.832196e1fba24p-49"),
+    (0.05, 240): ("0x1.706dad1cf60a5p-1", "0x1.84258ba4df75fp-49"),
+    (0.1, 240): ("0x1.7c4aa9bbf46aap-1", "0x1.9a8fb6e949ca9p-49"),
+    (0.2, 240): ("0x1.a69bc670ebe84p-1", "0x1.c98319a465a82p-49"),
+    (0.3, 240): ("0x1.db3b964db4d17p-1", "0x1.0482cd7d20930p-48"),
+    (0.38, 240): ("0x1.fb0e118c6bc86p-1", "0x1.318f81b7781bbp-48"),
+    (0.402, 240): ("0x1.ff6936af85180p-1", "0x1.73000fd966215p-11"),
+    (0.1, 1): ("0x1.7a8ba4822625dp-1", "0x1.4eb4a5ee34878p-6"),
+    (0.25, 100): ("0x1.c1094de5f6cbdp-1", "0x1.ee10fe4160c7cp-49"),
+    (0.39, 460): ("0x1.fd4cac2376185p-1", "0x1.112966e33f534p-48"),
+    (0.402, 460): ("0x1.ff33690fd9799p-1", "0x1.fcde6d8b9ea72p-30"),
+}
+
+
+def test_iso_direct_matches_pinned_bits():
+    for (z, order), (value, bound) in DIRECT_PINNED.items():
+        d = iso_direct(z, order=order)
+        assert (d.value.hex(), d.abs_error_bound.hex(), d.flag) == (value, bound, None), (z, order)
+
+
+def test_iso_direct_rejects_an_order_that_is_not_a_positive_integer():
+    for order in (0, -3, 2.5, 240.0, "240", None):
+        with pytest.raises(DomainError, match="not an integer >= 1"):
+            iso_direct(0.1, order=order)
+
+
+def test_numerics_binds_no_closed_form_expansion():
+    # the direct path is built from the operator recurrences, so it checks
+    # the 2F1 closed form instead of reusing it
+    from isotorus import identities
+
+    expansions = (identities.expand_abar, identities.expand_vbar)
+    assert not any(value in expansions for value in vars(num).values())
+
+
 def test_target_controls_bound():
     loose = iso(0.2, target=1e-6)
     tight = iso(0.2, target=1e-12)

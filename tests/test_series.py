@@ -207,6 +207,32 @@ def test_operator_order_and_errors():
         DifferentialOperator(((1,), (0,)))
 
 
+def test_series_solution_from_the_recurrence():
+    # y' - y = 0: exp, coefficient k is 1/k!
+    exp = DifferentialOperator(((-1,), (1,))).series_solution(rat(3, 2), 12)
+    assert canonical(exp).coefficients == tuple(rat(3, 2) / math.factorial(k) for k in range(13))
+    # (1 - z) y' - y/2 = 0 with rational operator coefficients: (1-z)^(-1/2)
+    op = DifferentialOperator(((rat(-1, 2),), (1, -1)))
+    assert canonical(op.series_solution(1, 20)).coefficients == ref_binomial(rat(-1, 2), 20, -1)
+    # z y' + y = 0: the leading coefficient n + 1 is nonzero at 0, so only
+    # the zero series solves it
+    assert DifferentialOperator(((1,), (0, 1))).series_solution(0, 5) == PowerSeries.zero(5)
+    assert exp.order == 12 and DifferentialOperator(((-1,), (1,))).series_solution(1, 0).order == 0
+
+
+def test_series_solution_refuses_a_vanishing_leading_coefficient():
+    # z y'' - y' = 0: leading coefficient n(n-2), so y = 1 + c z^2 for any c
+    op = DifferentialOperator(((), (-1,), (0, 1)))
+    assert op.series_solution(1, 1) == PowerSeries.one(1)
+    with pytest.raises(SeriesError, match="vanishes at n = 2"):
+        op.series_solution(1, 2)
+    # z y' + y = 0 has no power-series solution with y(0) != 0
+    with pytest.raises(SeriesError, match="nonzero constant term"):
+        DifferentialOperator(((1,), (0, 1))).series_solution(1, 5)
+    with pytest.raises(OrderTooLow):
+        op.series_solution(1, -1)
+
+
 def test_perturbed():
     s = PowerSeries.from_polynomial((1, 2, 3), 2)
     p = perturbed(s, 1, rat(1, 2))
@@ -444,3 +470,34 @@ def test_equal_series_have_equal_integer_forms(s, k):
     assert bumped != s and (bumped.nums, bumped.den) != (s.nums, s.den)
     if s.is_zero():
         assert s.den == 1
+
+
+# -- balanced-splitting evaluation against a plain Fraction Horner ------------------
+
+eval_points = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+)
+
+
+def random_coefficients(rng, n):
+    """n coefficients, each zero, a small fraction or an 80-digit one, in
+    proportions drawn per list."""
+    kinds = (
+        lambda: Fraction(0),
+        lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 12)),
+        lambda: Fraction(rng.randint(-10 ** 80, 10 ** 80), rng.choice((1, 2 ** 70, 3 ** 40))),
+    )
+    weights = [rng.random() for _ in kinds]
+    return [kind() for kind in rng.choices(kinds, weights, k=n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.randoms(use_true_random=False), eval_points)
+def test_evaluate_matches_fraction_horner_across_leaf_size(n, rng, point):
+    cs = random_coefficients(rng, n)
+    expected = Fraction(0)
+    for c in reversed(cs):
+        expected = expected * point + c
+    assert PowerSeries(cs).evaluate(point) == expected

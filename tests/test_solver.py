@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from isotorus import solver
 from isotorus.numerics import Z_MAX, iso
 from isotorus.solver import InverseQuery, InverseResult, TargetOutOfRange, invert_iso
 
@@ -77,3 +78,45 @@ def test_iteration_cap_is_flagged():
     result = invert_iso(InverseQuery(0.9, tolerance=1e-15, max_iterations=3))
     assert result.iterations == 3
     assert result.flag == "max_iterations"
+
+
+def mp_iso(mpmath, z):
+    t = z * z
+    x = 4 * t / (1 - t) ** 2
+    f1 = mpmath.hyp2f1(-0.5, -0.5, 1, x)
+    f2 = mpmath.hyp2f1(-1.5, -1.5, 1, x)
+    w = (1 - t) / (1 + t)
+    return mpmath.sqrt(9 * mpmath.sqrt(2) / (8 * mpmath.pi) * f2 ** 2 / f1 ** 3 * w ** 3)
+
+
+def mp_root(mpmath, rho, lo, hi):
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    while hi - lo > mpmath.mpf("1e-25"):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mp_iso(mpmath, mid) < rho else (lo, mid)
+    return lo
+
+
+def test_root_near_iso_zero_is_flagged_or_within_tolerance():
+    # iso is flat near 0 (slope ~ 6z), so the certified bounds cannot place
+    # this root to 1e-10; the solver must say so rather than return it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        rho = float(mp_iso(mpmath, mpmath.mpf(3e-6)))
+        root = mp_root(mpmath, mpmath.mpf(rho), 0, 1e-5)
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert result.flag == "precision_exhausted" or abs(result.z - root) <= 1e-10
+
+
+def test_ambiguous_midpoint_is_certified_by_the_straddle():
+    # rho is iso's own value at the first midpoint, so that midpoint's
+    # interval holds it; the intervals at mid -+ tol/2 straddle rho there
+    mid = 0.5 * solver._Z_HI
+    rho = iso(mid, target=1e-11).value
+    result = invert_iso(InverseQuery(rho, 1e-10))
+    assert (result.z, result.iterations, result.flag) == (mid, 1, None)
+    assert iso(mid - 5e-11, target=1e-13).hi < rho < iso(mid + 5e-11, target=1e-13).lo
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        root = mp_root(mpmath, mpmath.mpf(rho), mid - 1e-9, mid + 1e-9)
+        assert abs(result.z - root) <= 1e-10
