@@ -72,11 +72,15 @@ def eval_cmd(z, as_json, target):
 @click.option("--rho", type=float, required=True, help="Prescribed isoperimetric ratio.")
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Absolute tolerance on the returned parameter.")
-@click.option("--max-iterations", type=int, default=200, show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1), default=200, show_default=True)
 def invert_cmd(rho, tol, max_iterations):
     """Invert iso: prescribed ratio to torus parameter, as JSON."""
     try:
-        result = solver.invert_iso(solver.InverseQuery(rho, tol, max_iterations))
+        query = solver.InverseQuery(rho, tol, max_iterations)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    try:
+        result = solver.invert_iso(query)
     except solver.TargetOutOfRange as exc:
         raise click.UsageError(str(exc))
     click.echo(result.to_json())
@@ -89,13 +93,11 @@ _SERIES = {"abar": identities.expand_abar, "vbar": identities.expand_vbar, "f": 
 
 @main.command("coeffs")
 @click.option("--series", "series_name", type=click.Choice(sorted(_SERIES)), required=True)
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=0), required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None,
               help="Structured output; default is a plain comma-separated line.")
 def coeffs_cmd(series_name, order, fmt):
     """Exact expansion coefficients as rationals ("p/q" strings)."""
-    if order < 0:
-        raise click.UsageError("order must be nonnegative")
     strings = _SERIES[series_name](order).to_strings()
     if fmt == "json":
         click.echo(json.dumps(strings))

@@ -1,10 +1,12 @@
 """Exact machine checks of the hypergeometric identities behind the torus ratio.
 
 Every check here runs in exact rational arithmetic on truncated power series
-and reports through which order the identity was verified.  Identities with a
-free parameter are checked at enough distinct rational sample values that the
-per-coefficient polynomial degree bound turns the sample run into a proof for
-all parameter values up to the stated order.
+and reports through which order the identity was verified.  The identities
+with one free parameter a are checked at enough distinct rational values of a
+that the per-coefficient polynomial degree bound turns the sample run into a
+proof for all values of a through the stated order.  The three-parameter
+checks (``cont1``, ``cont2``, ``euler_transform``) run on as many (a, b, c)
+triples; for them the run is sampled evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .series import (
     Rational,
     binomial_series,
     format_rational,
-    hypergeometric_series,
     one_minus_x_power,
     poly_mul,
     rat,
@@ -102,7 +103,9 @@ DEFAULT_ORDER = 64
 
 
 def default_sample_count(order: int) -> int:
-    """Samples needed so the degree bound certifies all parameter values."""
+    """Samples needed so the degree bound proves a one-parameter identity for
+    all values of its parameter through the order; the three-parameter checks
+    take as many triples, as sampled evidence."""
     return 2 * order + 3
 
 
@@ -155,25 +158,22 @@ def _first_mismatch(lhs: PowerSeries, rhs: PowerSeries, order: int):
     return None
 
 
-def _sampled_report(name, samples, order, pair_fn) -> IdentityReport:
-    """Run a per-sample LHS/RHS expansion and compare exactly through order."""
+def _failure(name, order, index, difference, samples=(), **detail) -> IdentityReport:
+    """The failed report: the detail entries, then the first failing
+    coefficient index and the difference found there."""
+    detail.update(coefficient_index=index, difference=format_rational(difference))
+    return IdentityReport(name, order, tuple(samples), "failed", detail)
+
+
+def _sampled_report(name, samples, order, pair_fn, default=sample_parameters) -> IdentityReport:
+    """Run a per-sample LHS/RHS expansion and compare exactly through order;
+    samples None means default(default_sample_count(order))."""
+    samples = tuple(default(default_sample_count(order)) if samples is None else samples)
     for s in samples:
-        lhs, rhs = pair_fn(s)
-        mismatch = _first_mismatch(lhs, rhs, order)
+        mismatch = _first_mismatch(*pair_fn(s), order)
         if mismatch is not None:
-            idx, diff = mismatch
-            return IdentityReport(
-                name,
-                order,
-                tuple(samples),
-                "failed",
-                {
-                    "sample": IdentityReport._fmt(s),
-                    "coefficient_index": idx,
-                    "difference": format_rational(diff),
-                },
-            )
-    return IdentityReport(name, order, tuple(samples))
+            return _failure(name, order, *mismatch, samples, sample=IdentityReport._fmt(s))
+    return IdentityReport(name, order, samples)
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
 @lru_cache(maxsize=None)
 def expand_abar(order: int) -> PowerSeries:
     """Closed-form expansion 4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2)."""
-    hyp = hypergeometric_series(HypergeometricSpec(rat(-1, 2), rat(-1, 2), ONE), order)
+    hyp = _hyp(rat(-1, 2), rat(-1, 2), ONE, order)
     comp = _compose_with_inner_argument(hyp, order)
     pref = PowerSeries.from_polynomial((4, 0, -4), order) / PowerSeries.from_polynomial(
         poly_mul(_Q, _Q), order
@@ -225,7 +225,7 @@ def expand_abar(order: int) -> PowerSeries:
 @lru_cache(maxsize=None)
 def expand_vbar(order: int) -> PowerSeries:
     """Closed-form expansion 2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2)."""
-    hyp = hypergeometric_series(HypergeometricSpec(rat(-3, 2), rat(-3, 2), ONE), order)
+    hyp = _hyp(rat(-3, 2), rat(-3, 2), ONE, order)
     comp = _compose_with_inner_argument(hyp, order)
     num = _poly((1, -1), (1, -1), (1, -1))  # (1-z)^3
     den = _poly(_Q, _Q, _Q)
@@ -261,14 +261,7 @@ def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityRep
         residual = op.apply(series)
         mismatch = _first_mismatch(residual, PowerSeries.zero(residual.order), residual.order)
         if mismatch is not None:
-            idx, diff = mismatch
-            return IdentityReport(
-                "ode_residuals",
-                order - 2,
-                (),
-                "failed",
-                {"series": name, "coefficient_index": idx, "difference": format_rational(diff)},
-            )
+            return _failure("ode_residuals", order - 2, *mismatch, series=name)
     return IdentityReport("ode_residuals", order - 2)
 
 
@@ -277,20 +270,9 @@ def verify_golden_coefficients() -> IdentityReport:
     ab = expand_abar(5)
     vb = expand_vbar(5)
     for name, series, golden in (("abar", ab, ABAR_LEADING), ("vbar", vb, VBAR_LEADING)):
-        for n, want in enumerate(golden):
-            got = series.coefficients[n]
-            if got != want:
-                return IdentityReport(
-                    "golden_coefficients",
-                    5,
-                    (),
-                    "failed",
-                    {
-                        "series": name,
-                        "coefficient_index": n,
-                        "difference": format_rational(got - want),
-                    },
-                )
+        mismatch = _first_mismatch(series, PowerSeries(golden), 5)
+        if mismatch is not None:
+            return _failure("golden_coefficients", 5, *mismatch, series=name)
     return IdentityReport("golden_coefficients", 5)
 
 
@@ -299,7 +281,7 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
 
     Also compares the computed coefficient of z^3 against the displayed 31248
     and reports (not fails on) any discrepancy, plus the computed d_2, which
-    the display elides.
+    the display elides; d_2 must still be positive.
     """
     f = expand_f(window)
     detail = {
@@ -308,28 +290,12 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
         "d3_matches_display": f.coefficients[3] == F_DISPLAYED_Z3,
         "display_matches_d2": f.coefficients[2] == F_DISPLAYED_Z3,
     }
-    for n, want in enumerate(F_LEADING):
-        if f.coefficients[n] != want:
-            return IdentityReport(
-                "f_positivity",
-                window,
-                (),
-                "failed",
-                {"coefficient_index": n, "difference": format_rational(f.coefficients[n] - want)},
-            )
+    mismatch = _first_mismatch(f, PowerSeries(F_LEADING), len(F_LEADING) - 1)
+    if mismatch is not None:
+        return _failure("f_positivity", window, *mismatch)
     for n in range(window + 1):
-        if n != 2 and f.coefficients[n] <= 0:
-            return IdentityReport(
-                "f_positivity",
-                window,
-                (),
-                "failed",
-                {"coefficient_index": n, "difference": format_rational(f.coefficients[n])},
-            )
-    # d_2 is reported separately, and still must be positive.
-    if f.coefficients[2] <= 0:
-        return IdentityReport("f_positivity", window, (), "failed",
-                              {"coefficient_index": 2, "difference": detail["d2"]})
+        if f.coefficients[n] <= 0:
+            return _failure("f_positivity", window, n, f.coefficients[n])
     return IdentityReport("f_positivity", window, (), "verified", detail)
 
 
@@ -338,7 +304,7 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
 # --------------------------------------------------------------------------
 
 def _hyp(a, b, c, order):
-    return hypergeometric_series(HypergeometricSpec(a, b, c), order)
+    return HypergeometricSpec(a, b, c).series(order)
 
 
 def _w_series(a, order: int) -> PowerSeries:
@@ -348,8 +314,6 @@ def _w_series(a, order: int) -> PowerSeries:
 
 def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
     """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x)."""
-    if a_samples is None:
-        a_samples = sample_parameters(default_sample_count(order))
 
     def pair(a):
         lhs = _hyp(a + 1, a + 2, rat(2), order) * PowerSeries.from_polynomial((1, -1), order)
@@ -358,7 +322,7 @@ def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
         rhs = rhs + _hyp(a, a, ONE, order)
         return lhs, rhs
 
-    return _sampled_report("lemma1", list(a_samples), order, pair)
+    return _sampled_report("lemma1", a_samples, order, pair)
 
 
 def _default_triples(count: int):
@@ -382,8 +346,6 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> Id
     """
     if which not in ("cont1", "cont2"):
         raise ValueError(f"unknown contiguous relation {which!r}")
-    if samples is None:
-        samples = _default_triples(default_sample_count(order))
 
     def pair_cont1(t):
         a, b, c = t
@@ -400,13 +362,11 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> Id
         return lhs, rhs
 
     pair = pair_cont1 if which == "cont1" else pair_cont2
-    return _sampled_report(which, list(samples), order, pair)
+    return _sampled_report(which, samples, order, pair, _default_triples)
 
 
 def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
     """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x)."""
-    if samples is None:
-        samples = _default_triples(default_sample_count(order))
 
     def pair(t):
         a, b, c = t
@@ -414,13 +374,11 @@ def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
         rhs = one_minus_x_power(c - a - b, order) * _hyp(c - a, c - b, c, order)
         return lhs, rhs
 
-    return _sampled_report("euler_transform", list(samples), order, pair)
+    return _sampled_report("euler_transform", samples, order, pair, _default_triples)
 
 
 def verify_id_hyp(a_samples=None, order: int = 40) -> IdentityReport:
     """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x)."""
-    if a_samples is None:
-        a_samples = sample_parameters(default_sample_count(order))
 
     def pair(a):
         w = _w_series(a, order + 1)
@@ -428,7 +386,7 @@ def verify_id_hyp(a_samples=None, order: int = 40) -> IdentityReport:
         rhs = (one_minus_x_power(2 * a, order) * _hyp(a + 1, a, rat(2), order)).scale(a * (a - 1))
         return lhs, rhs
 
-    return _sampled_report("id_hyp", list(a_samples), order, pair)
+    return _sampled_report("id_hyp", a_samples, order, pair)
 
 
 def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
@@ -438,8 +396,6 @@ def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
                      * (1-6z+z^2)^(2a) / (1-z)^(4a)
                      * (1-z)^(2a-1) / (1+z)^(2a+1).
     """
-    if a_samples is None:
-        a_samples = sample_parameters(default_sample_count(order))
     q_poly = PowerSeries.from_polynomial(_Q, order)
     one_minus_z = PowerSeries.from_polynomial((1, -1), order)
     one_plus_z = PowerSeries.from_polynomial((1, 1), order)
@@ -453,14 +409,12 @@ def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
         rhs = rhs * series_pow(one_plus_z, -2 * a - 1)
         return lhs, rhs.scale(4 * a * (a - 1))
 
-    return _sampled_report("id_war", list(a_samples), order, pair)
+    return _sampled_report("id_war", a_samples, order, pair)
 
 
 def verify_remark1_derivative(a_samples=None, order: int = 30) -> IdentityReport:
     """d/dx [F(a+1,a;2;x)(1-x)^(2a)] =
     -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1)."""
-    if a_samples is None:
-        a_samples = sample_parameters(default_sample_count(order))
 
     def pair(a):
         lhs = (_hyp(a + 1, a, rat(2), order + 1) * one_minus_x_power(2 * a, order + 1)).derivative()
@@ -471,7 +425,7 @@ def verify_remark1_derivative(a_samples=None, order: int = 30) -> IdentityReport
         rhs = ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
         return lhs, rhs
 
-    return _sampled_report("remark1_derivative", list(a_samples), order, pair)
+    return _sampled_report("remark1_derivative", a_samples, order, pair)
 
 
 def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
@@ -485,8 +439,6 @@ def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
     equals a(a-1) at x = 0, matching w_a'(0); a variant with an extra factor
     of x (and squared ratio power) would vanish there and cannot hold.
     """
-    if a_samples is None:
-        a_samples = sample_parameters(default_sample_count(order))
     x_series = PowerSeries.identity(order + 1)
 
     def ratio_power(expo, n):
@@ -498,7 +450,7 @@ def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
         rhs = binomial_series(rat(-2), order) * ratio_power(2 * a, order) * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
 
-    return _sampled_report("adjoint_form", list(a_samples), order, pair)
+    return _sampled_report("adjoint_form", a_samples, order, pair)
 
 
 # --------------------------------------------------------------------------

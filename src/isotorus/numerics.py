@@ -60,6 +60,7 @@ T_MAX = 3.0 - 2.0 * SQRT2           # = Z_MAX**2, domain of the sqrt-substituted
 ISO_AT_ZERO = 1.5 * (2.0 * math.pi ** 2) ** -0.25
 _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso**2
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
+_MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
 
 SPEC_AREA = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
 SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
@@ -228,7 +229,6 @@ def _family_derivative_cap(a: float, c: float, s: float, m0: int) -> tuple:
 def eval_2f1(
     spec: HypergeometricSpec,
     x: float,
-    max_terms: int = 10 ** 6,
     target: float = 1e-10,
     x_abs_err: float = 0.0,
 ) -> CertifiedValue:
@@ -251,10 +251,10 @@ def eval_2f1(
         raise DomainError(
             f"{spec} is outside the certified class a = b, c > 0, c - 2a > 0, (a-1)(c-a) <= 0"
         )
-    return _eval_family(params, x, max_terms, target, x_abs_err)
+    return _eval_family(params, x, target, x_abs_err)
 
 
-def _eval_family(params, x, max_terms, target, x_abs_err):
+def _eval_family(params, x, target, x_abs_err):
     # Tail: with t_m the first unsummed term and m + a > 0, the ratio
     # majorant gives t_k <= t_m x^(k-m) P_k, P_k = prod_{j=m}^{k-1}
     # (j+a)/(j+a+s+1) <= 1.  So the tail is at most t_m/(1-x), and since
@@ -278,7 +278,7 @@ def _eval_family(params, x, max_terms, target, x_abs_err):
         t_next = t * ((a + n) * (a + n)) / ((c + n) * m) * x
         k = (m + a_s) / s
         err = t_next * (k if k < inv_gap else inv_gap) + 3.0 * EPS * m * total
-        if err <= target or t_next == 0.0 or m >= max_terms:
+        if err <= target or t_next == 0.0 or m >= _MAX_TERMS:
             break
         if err > err_prev:
             total, err = total_prev, err_prev

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 from functools import cached_property
 from typing import Sequence
@@ -29,7 +29,7 @@ __all__ = [
     "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
     "InvalidLowerParameter", "OrderTooLow",
     "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
-    "homogeneous_sum", "binomial_series", "one_minus_x_power", "series_pow", "hypergeometric_series", "poly_mul",
+    "homogeneous_sum", "binomial_series", "one_minus_x_power", "series_pow", "poly_mul",
 ]
 
 ZERO = Rational(0)
@@ -413,42 +413,57 @@ class HypergeometricSpec:
                              for k in range(order))
 
 
-def hypergeometric_series(spec: HypergeometricSpec, order: int) -> PowerSeries:
-    """Series of 2F1(a,b;c;x) through the requested order, exact coefficients."""
-    return spec.series(order)
-
-
 @dataclass(frozen=True)
 class DifferentialOperator:
     """Linear differential operator sum_i p_i(z) d^i/dz^i.
 
     poly_coeffs[i] is the coefficient list (ascending powers of z) of the
     polynomial multiplying the i-th derivative.
+
+    Its action on coefficients is one recurrence, built once.  Write
+    p_i = sum_j p_ij z^j with the p_ij made integers by the factor ``scale``,
+    the lcm of their denominators, and let ``h`` be the largest i - j over the
+    nonzero p_ij.  The coefficient of z^(n-h) in scale L y is
+    sum_k c_k(n) y_(n-k), where c_k(n) sums p_ij (n-k)(n-k-1)...(n-k-i+1) over
+    the pairs (i, p_ij) in ``shifts[k]``, those with i - j = h - k.
+    ``series_solution`` solves this recurrence and ``apply`` evaluates it.
     """
 
     poly_coeffs: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    h: int = field(init=False, repr=False, compare=False)
+    shifts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "poly_coeffs", tuple(tuple(Rational(c) for c in p) for p in self.poly_coeffs))
-        if not self.poly_coeffs or all(c == 0 for c in self.poly_coeffs[-1]):
+        polys = tuple(tuple(Rational(c) for c in p) for p in self.poly_coeffs)
+        if not polys or all(c == 0 for c in polys[-1]):
             raise SeriesError("leading polynomial of a differential operator must be nonzero")
+        scale = math.lcm(*(c.denominator for p in polys for c in p))
+        terms = [(i, j, int(c * scale)) for i, p in enumerate(polys) for j, c in enumerate(p) if c]
+        h = max(i - j for i, j, _ in terms)
+        shifts = {}
+        for i, j, c in terms:
+            shifts.setdefault(h - i + j, []).append((i, c))
+        shifts = dict(sorted(shifts.items()))
+        for name, value in (("poly_coeffs", polys), ("scale", scale), ("h", h), ("shifts", shifts)):
+            object.__setattr__(self, name, value)
 
     @property
     def operator_order(self) -> int:
         return len(self.poly_coeffs) - 1
 
+    def _coefficient(self, k: int, n: int) -> int:
+        """c_k(n), for n - k >= 0; a falling factorial with more factors than
+        n - k vanishes."""
+        return sum(c * math.perm(n - k, i) for i, c in self.shifts[k])
+
     def series_solution(self, constant, order: int) -> PowerSeries:
         """The power series y through z^order with y(0) = constant and L y = 0
-        through every power its coefficients determine, from the coefficient
-        recurrence.
-
-        With p_i = sum_j p_ij z^j and h the largest i - j over the nonzero
-        p_ij, the coefficient of z^(n-h) in L y is sum_k c_k(n) y_(n-k), where
-        c_k(n) sums p_ij (n-k)(n-k-1)...(n-k-i+1) over i - j = h - k.  So
+        through every power its coefficients determine, from the recurrence:
         y_n = -sum_(k>=1) c_k(n) y_(n-k) / c_0(n) wherever the leading
-        coefficient c_0(n) is not 0.  On integers: with the p_ij cleared of
-        denominators and D = den(constant) c_0(1)...c_0(order), Y_n = y_n D is
-        an integer and c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.
+        coefficient c_0(n) is not 0.  On integers: with
+        D = den(constant) c_0(1)...c_0(order), Y_n = y_n D is an integer and
+        c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.
 
         Raises SeriesError where c_0 vanishes: at some n in 1..order the
         solution is not unique, and at n = 0 no solution has a nonzero
@@ -456,19 +471,7 @@ class DifferentialOperator:
         """
         if order < 0:
             raise OrderTooLow(f"order {order} is negative")
-        scale = math.lcm(*(c.denominator for p in self.poly_coeffs for c in p))
-        terms = [(i, j, int(c * scale)) for i, p in enumerate(self.poly_coeffs)
-                 for j, c in enumerate(p) if c]
-        h = max(i - j for i, j, _ in terms)
-        shifts = {}
-        for i, j, c in terms:
-            shifts.setdefault(h - i + j, []).append((i, c))
-
-        def coefficient(k, n):
-            # c_k(n); a falling factorial with a zero factor vanishes
-            return sum(c * math.prod(range(n - k - i + 1, n - k + 1)) for i, c in shifts[k])
-
-        lead = [coefficient(0, n) for n in range(order + 1)]
+        lead = [self._coefficient(0, n) for n in range(order + 1)]
         y0 = Rational(constant)
         if lead[0] != 0 and y0 != 0:
             raise SeriesError("no power-series solution has a nonzero constant term: "
@@ -477,34 +480,26 @@ class DifferentialOperator:
         if vanishing:
             raise SeriesError(f"leading recurrence coefficient vanishes at n = {vanishing[0]}: "
                               "the constant term does not fix the solution")
-        lower = sorted(k for k in shifts if k > 0)
+        lower = [k for k in self.shifts if k > 0]
         top = math.prod(lead[1:])
         nums = [y0.numerator * top]
         for n in range(1, order + 1):
-            acc = 0
-            for k in lower:
-                if k > n:
-                    break
-                acc += coefficient(k, n) * nums[n - k]
+            acc = sum(self._coefficient(k, n) * nums[n - k] for k in lower if k <= n)
             nums.append(-acc // lead[n])
         return PowerSeries.from_integers(nums, y0.denominator * top)
 
     def apply(self, s: PowerSeries) -> PowerSeries:
-        """Exact residual series; result order = order(s) - operator order."""
+        """Exact residual L s through z^(order(s) - operator order), from the
+        recurrence: its coefficient at z^p is sum_k c_k(p+h) s_(p+h-k) / scale,
+        over the k <= p + h.  The indices stay within order(s), since
+        p + h - k = p + i - j <= p + operator order."""
         r = self.operator_order
         if s.order < r:
             raise OrderTooLow(f"series order {s.order} below operator order {r}")
-        out_order = s.order - r
-        acc = PowerSeries.zero(out_order)
-        deriv = s
-        for i, poly in enumerate(self.poly_coeffs):
-            if i > 0:
-                deriv = deriv.derivative()
-            if all(c == 0 for c in poly):
-                continue
-            term = PowerSeries.from_polynomial(poly, out_order) * deriv.truncate(out_order)
-            acc = acc + term
-        return acc
+        y, h = s.nums, self.h
+        nums = [sum(self._coefficient(k, n) * y[n - k] for k in self.shifts if k <= n)
+                for n in range(h, s.order - r + h + 1)]
+        return PowerSeries.from_integers(nums, s.den * self.scale)
 
 
 def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:

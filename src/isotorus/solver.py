@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .numerics import Z_MAX, CertifiedValue, NumericsError, iso
+from .numerics import Z_MAX, NumericsError, iso
 
 __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "PrecisionExhausted", "invert_iso"]
 
@@ -42,8 +42,8 @@ class InverseQuery:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -69,17 +69,13 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
-def _certified_iso(z: float, target: float) -> CertifiedValue:
-    return iso(z, target=target)
-
-
 def invert_iso(query: InverseQuery) -> InverseResult:
     """Find z with iso(z) = rho by bisection on certified intervals."""
     rho = query.rho
     if not math.isfinite(rho) or rho >= 1.0:
         raise TargetOutOfRange(f"target ratio {rho} is not below 1")
     target = min(1e-11, query.tolerance)
-    left = _certified_iso(0.0, target)
+    left = iso(0.0, target=target)
     if rho < left.lo:
         raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {left.value}")
     if rho <= left.hi:
@@ -89,9 +85,9 @@ def invert_iso(query: InverseQuery) -> InverseResult:
     iterations = 0
     while hi - lo > query.tolerance and iterations < query.max_iterations:
         mid = 0.5 * (lo + hi)
-        cv = _certified_iso(mid, target)
+        cv = iso(mid, target=target)
         if cv.lo <= rho <= cv.hi:
-            cv = _certified_iso(mid, target=_SHARP)
+            cv = iso(mid, target=_SHARP)
         if rho > cv.hi:
             lo = mid
         elif rho < cv.lo:
@@ -102,8 +98,8 @@ def invert_iso(query: InverseQuery) -> InverseResult:
             # inside the bracket, which is wider than tol), the root lies
             # between those points; otherwise the bounds cannot place it
             half = 0.5 * query.tolerance
-            below = _certified_iso(mid - half, target=_SHARP)
-            above = _certified_iso(mid + half, target=_SHARP)
+            below = iso(mid - half, target=_SHARP)
+            above = iso(mid + half, target=_SHARP)
             straddled = below.hi < rho < above.lo
             residual = abs(cv.value - rho) + cv.abs_error_bound
             return InverseResult(rho, mid, residual, iterations + 1,
@@ -111,7 +107,7 @@ def invert_iso(query: InverseQuery) -> InverseResult:
         iterations += 1
 
     z = 0.5 * (lo + hi)
-    final = _certified_iso(z, target)
+    final = iso(z, target=target)
     residual_bound = abs(final.value - rho) + final.abs_error_bound
     # stopped by max_iterations with the bracket still wider than the tolerance
     flag = "max_iterations" if hi - lo > query.tolerance else None

@@ -63,6 +63,19 @@ def test_invert_out_of_range_exits_2():
     assert result.exit_code == 2
 
 
+def test_invert_bad_tolerance_or_iteration_cap_exits_2():
+    # these used to escape as a ValueError traceback with exit code 1, and
+    # --tol inf returned an unflagged z after 0 iterations
+    for args, option in ((["--tol", "0"], "tolerance"), (["--tol", "nan"], "tolerance"),
+                         (["--tol", "-1"], "tolerance"), (["--tol", "inf"], "tolerance"),
+                         (["--max-iterations", "0"], "--max-iterations"),
+                         (["--max-iterations", "-5"], "--max-iterations")):
+        result = runner.invoke(main, ["invert", "--rho", "0.9", *args])
+        assert result.exit_code == 2, args
+        assert option in result.output, args
+        assert isinstance(result.exception, SystemExit), args
+
+
 def test_coeffs_plain_golden_line():
     result = runner.invoke(main, ["coeffs", "--series", "abar", "--order", "5"])
     assert result.exit_code == 0
@@ -86,6 +99,7 @@ def test_coeffs_csv():
 def test_coeffs_negative_order_exits_2():
     result = runner.invoke(main, ["coeffs", "--series", "f", "--order", "-1"])
     assert result.exit_code == 2
+    assert "--order" in result.output
 
 
 def test_coeffs_deterministic():

@@ -82,9 +82,9 @@ def test_inner_argument_expansion():
 
 
 def test_fast_composition_matches_generic():
-    from isotorus.series import HypergeometricSpec, hypergeometric_series
+    from isotorus.series import HypergeometricSpec
 
-    hyp = hypergeometric_series(HypergeometricSpec(rat(-3, 2), rat(1, 3), rat(2)), 18)
+    hyp = HypergeometricSpec(rat(-3, 2), rat(1, 3), rat(2)).series(18)
     fast = ident._compose_with_inner_argument(hyp, 18)
     slow = hyp.compose(ident._inner_argument(18))
     assert fast.coefficients == slow.coefficients

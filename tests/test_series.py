@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isotorus.series import (
@@ -20,7 +20,6 @@ from isotorus.series import (
     SeriesError,
     binomial_series,
     format_rational,
-    hypergeometric_series,
     one_minus_x_power,
     parse_rational,
     perturbed,
@@ -158,7 +157,7 @@ def test_series_pow_dense_base():
 def test_hypergeometric_series_oracle():
     # 2F1(-1/2,-1/2;1;x): rising-factorial evaluation for n <= 5
     spec = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
-    s = hypergeometric_series(spec, 5)
+    s = spec.series(5)
     assert s.coefficients[0] == 1
     assert s.coefficients[1] == rat(1, 4)
     assert s.coefficients[2] == rat(1, 64)
@@ -182,7 +181,7 @@ def test_invalid_lower_parameter():
 
 def test_geometric_is_2f1_1_1_1():
     spec = HypergeometricSpec(rat(1), rat(1), rat(1))
-    assert hypergeometric_series(spec, 8).coefficients == (1,) * 9
+    assert spec.series(8).coefficients == (1,) * 9
 
 
 # -- differential operators -------------------------------------------------------
@@ -501,3 +500,52 @@ def test_evaluate_matches_fraction_horner_across_leaf_size(n, rng, point):
     for c in reversed(cs):
         expected = expected * point + c
     assert PowerSeries(cs).evaluate(point) == expected
+
+
+# -- operator action from the coefficient recurrence ---------------------------------
+
+def ref_apply(op, s):
+    """sum_i p_i s^(i) through z^(order(s) - operator order), on Fractions by
+    repeated differentiation and polynomial products."""
+    out_order = s.order - op.operator_order
+    out = [Fraction(0)] * (out_order + 1)
+    deriv = list(s.coefficients)
+    for i, poly in enumerate(op.poly_coeffs):
+        if i:
+            deriv = [k * deriv[k] for k in range(1, len(deriv))]
+        for j, c in enumerate(poly):
+            for p in range(j, out_order + 1):
+                out[p] += c * deriv[p - j]
+    return tuple(out)
+
+
+operator_row = st.lists(st.one_of(st.just(0), coefficient), max_size=5)
+operators = st.builds(
+    lambda rows, lead: DifferentialOperator(tuple(rows) + (lead,)),
+    st.lists(operator_row, max_size=3),
+    st.lists(coefficient, min_size=1, max_size=5).filter(any),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators, st.lists(st.one_of(coefficient, huge), min_size=4, max_size=25).map(PowerSeries))
+# rational coefficients, a zero row, and h = -2 below the operator order 2
+@example(DifferentialOperator(((0, 0, rat(1, 3)), (0, 0), (0, 0, 0, 0, rat(-3, 2)))),
+         PowerSeries([rat(k + 1, 7) for k in range(12)]))
+# an empty row, and h = 1 below the operator order 3
+@example(DifferentialOperator(((rat(5, 4),), (), (0, rat(2, 9)), (0, 0, 1, 1))),
+         PowerSeries([(-2) ** k for k in range(10)]))
+def test_apply_matches_the_derivative_chain(op, s):
+    residual = op.apply(s)
+    assert canonical(residual).order == s.order - op.operator_order
+    assert residual.coefficients == ref_apply(op, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameter, parameter, lower_parameter, st.integers(2, 30))
+def test_apply_annihilates_the_operator_solution(a, b, c, order):
+    # z(1-z) y'' + (c - (a+b+1) z) y' - ab y = 0 is solved by 2F1(a, b; c; z)
+    op = DifferentialOperator(((-a * b,), (c, -(a + b + 1)), (0, 1, -1)))
+    y = op.series_solution(1, order)
+    assert y == HypergeometricSpec(a, b, c).series(order)
+    assert op.apply(y) == PowerSeries.zero(order - 2)
