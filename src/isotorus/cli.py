@@ -25,12 +25,10 @@ EXIT_PRECISION = 3
 @click.group()
 @click.option("--timestamp", is_flag=True, default=False,
               help="Prefix output with a timestamp (off by default for deterministic output).")
-@click.pass_context
-def main(ctx, timestamp):
+def main(timestamp):
     """Exact and certified computation for the Clifford-torus isoperimetric ratio."""
     if timestamp:
         click.echo(f"# {datetime.datetime.now().isoformat()}")
-    ctx.ensure_object(dict)
 
 
 def _fmt_cv(cv) -> dict:
@@ -130,7 +128,15 @@ def verify_cmd(order, sample_count, inject_fault):
     sys.exit(EXIT_OK if ok else EXIT_FAILED)
 
 
-_SCAN_TARGETS = ("mono-iso", "mono-w", "convex-iso-sqrt", "convex-inv-iso-sqrt", "nonconvex-iso")
+# scan --target: (scan function, its target)
+_SCANS = {
+    "mono-iso": (numerics.scan_monotonicity, "iso"),
+    "mono-w": (numerics.scan_monotonicity, "w"),
+    "convex-iso-sqrt": (numerics.scan_convexity, "iso_sqrt"),
+    "convex-inv-iso-sqrt": (numerics.scan_convexity, "inv_iso_sqrt"),
+    "nonconvex-iso": (numerics.scan_convexity, "iso"),
+}
+_SCAN_TARGETS = tuple(_SCANS)
 
 
 @main.command("scan")
@@ -142,17 +148,10 @@ _SCAN_TARGETS = ("mono-iso", "mono-w", "convex-iso-sqrt", "convex-inv-iso-sqrt",
               help="Write the per-point CSV here (summary always goes to stdout).")
 def scan_cmd(target, grid, a_param, csv_path):
     """Certified monotonicity / convexity grid scans."""
+    scan, which = _SCANS[target]
     try:
-        if target == "mono-iso":
-            report = numerics.scan_monotonicity("iso", grid=grid)
-        elif target == "mono-w":
-            report = numerics.scan_monotonicity("w", grid=grid, a=parse_rational(a_param))
-        elif target == "convex-iso-sqrt":
-            report = numerics.scan_convexity("iso_sqrt", grid=grid)
-        elif target == "convex-inv-iso-sqrt":
-            report = numerics.scan_convexity("inv_iso_sqrt", grid=grid)
-        else:
-            report = numerics.scan_convexity("iso", grid=grid)
+        extra = {"a": parse_rational(a_param)} if which == "w" else {}
+        report = scan(which, grid=grid, **extra)
     except (ValueError, numerics.DomainError) as exc:
         raise click.UsageError(str(exc))
     except numerics.BoundNotAchieved as exc:

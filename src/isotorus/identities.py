@@ -251,14 +251,17 @@ def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityRep
     """Apply the printed operators to the closed-form expansions.
 
     abar/vbar may be supplied explicitly (the fault-injection suite passes
-    perturbed series); by default the closed-form expansions are used.
+    perturbed series); by default the closed-form expansions are used.  A
+    supplied series must reach ``order`` and is checked only through it.
     """
     if order < 3:
         raise ValueError("order must be at least 3")
     abar = abar if abar is not None else expand_abar(order)
     vbar = vbar if vbar is not None else expand_vbar(order)
     for name, op, series in (("abar", ABAR_OPERATOR, abar), ("vbar", VBAR_OPERATOR, vbar)):
-        residual = op.apply(series)
+        if series.order < order:
+            raise ValueError(f"{name} series has order {series.order}, below the checked order {order}")
+        residual = op.apply(series.truncate(order))
         mismatch = _first_mismatch(residual, PowerSeries.zero(residual.order), residual.order)
         if mismatch is not None:
             return _failure("ode_residuals", order - 2, *mismatch, series=name)
@@ -283,6 +286,8 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
     and reports (not fails on) any discrepancy, plus the computed d_2, which
     the display elides; d_2 must still be positive.
     """
+    if window < 3:
+        raise ValueError(f"window must be at least 3, as the report reads d_2 and d_3, not {window}")
     f = expand_f(window)
     detail = {
         "d2": format_rational(f.coefficients[2]),

@@ -10,10 +10,16 @@ s = c - 2a > 0 and (a-1)(c-a) <= 0 (``HypergeometricSpec.tail_majorant``);
 other triples raise ``DomainError``.  In the class every term is
 nonnegative and t_{k+1}/t_k <= x (k+a)/(k+a+s+1) once k + a > 0, which
 bounds the tail finitely up to and including x = 1 (see ``_eval_family``).
-The class holds every series the ratio needs: 2F1(-a,-a;1;x) in
-w_a = 2F1(-a,-a;1;x)/(1+x)^a for a = 1/2 and 3/2, and 2F1(1-a,1-a;2;x) in
-dw_a/dx (DLMF 15.5.1), so Iso and its derivative are certified on the
-whole domain.
+The class holds every series the ratio needs: F_a = 2F1(-a,-a;1;x) in
+w_a = F_a/(1+x)^a for a = 1/2 and 3/2, and G_a = 2F1(1-a,1-a;2;x) in the
+log slope w_a'/w_a = a^2 G_a/F_a - a/(1+x) (F_a' = a^2 G_a, DLMF 15.5.1),
+so Iso and its derivative are certified on the whole domain.
+
+Iso is assembled from one quotient (``_h``): with t = z^2 and
+x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
+= F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
+Scans enclose the difference they test at each grid point and judge every
+enclosure in one classifier (``_classify``).
 """
 
 from __future__ import annotations
@@ -321,16 +327,21 @@ def eval_w(a, x: float, target: float = 1e-10, x_abs_err: float = 0.0) -> Certif
     return cv_div(f, _pow_one_plus_x(float(a), x, x_abs_err))
 
 
+def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> CertifiedValue:
+    """h = F2^2/F1^3 (1+x)^(-3/2) = w_{3/2}^2/w_{1/2}^3, from F1 = 2F1(-1/2,-1/2;1;x)
+    and F2 = 2F1(-3/2,-3/2;1;x) at an argument known to within x_abs_err."""
+    num = cv_mul(f2, f2)
+    den = cv_mul(cv_mul(f1, f1), f1)
+    return cv_div(cv_div(num, den), _pow_one_plus_x(1.5, x, x_abs_err))
+
+
 def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
     """h(x) = 2F1(-3/2,-3/2;1;x)^2 / 2F1(-1/2,-1/2;1;x)^3 * (1+x)^(-3/2)."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
     f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0)
     f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0)
-    base = CertifiedValue(1.0 + x, _pad(1.0 + x))
-    num = cv_mul(f2, f2)
-    den = cv_mul(cv_mul(f1, f1), f1)
-    return cv_div(cv_div(num, den), cv_pow(base, 1.5))
+    return _h(f1, f2, x, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -342,24 +353,25 @@ def _check_domain(z: float):
         raise DomainError(f"z = {z} outside [0, {Z_MAX})")
 
 
-def _iso_squared_from_t(t: float, t_abs_err: float, target: float) -> CertifiedValue:
-    """Closed form of iso^2 as a function of t = z^2, certified."""
+def _x_of_t(t: float, t_abs_err: float) -> tuple:
+    """(x, x_abs_err, dx/dt) for x = 4t/(1-t)^2, with x clamped to 1.
+
+    x rounds in <= ~5 operations with no cancellation (t <= 0.18), plus the
+    sensitivity to t_abs_err through dx/dt = 4(1+t)/(1-t)^3.
+    """
     one_minus = 1.0 - t
     x = 4.0 * t / (one_minus * one_minus)
-    # x rounds in <= ~5 operations with no cancellation (t <= 0.18), plus the
-    # sensitivity to t_abs_err through dx/dt = 4(1+t)/(1-t)^3.
     dx_dt = 4.0 * (1.0 + t) / one_minus ** 3
     x_err = 8.0 * EPS * x + dx_dt * t_abs_err
-    if x > 1.0:
-        x = 1.0
+    return min(x, 1.0), x_err, dx_dt
+
+
+def _iso_squared_from_t(t: float, t_abs_err: float, target: float) -> CertifiedValue:
+    """Closed form iso^2 = K h(x) as a function of t = z^2, certified."""
+    x, x_err, _ = _x_of_t(t, t_abs_err)
     f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0, x_abs_err=x_err)
     f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0, x_abs_err=x_err)
-    w = CertifiedValue(
-        one_minus / (1.0 + t),
-        4.0 * EPS * abs(one_minus / (1.0 + t)) + 2.0 / (1.0 + t) ** 2 * t_abs_err,
-    )
-    out = cv_mul(cv_div(cv_mul(f2, f2), cv_mul(cv_mul(f1, f1), f1)), cv_pow(w, 3.0))
-    return cv_mul(out, cv_const(_K_RATIO))
+    return cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO))
 
 
 def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
@@ -444,24 +456,14 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     return cv_mul(out, cv_const(_C_DIRECT))
 
 
-def _w_and_slope(a: float, f, g, x: float, x_err: float):
-    """w_a and dw_a/dx from F = 2F1(-a,-a;1;x) and G = 2F1(1-a,1-a;2;x).
-
-    F' = a^2 G (DLMF 15.5.1), so dw_a/dx = (a^2 G (1+x) - a F)/(1+x)^(a+1).
-    """
-    p = _pow_one_plus_x(a, x, x_err)
-    x1 = CertifiedValue(1.0 + x, x_err + _pad(1.0 + x))
-    w = cv_div(f, p)
-    dw = cv_div(cv_sub(cv_scale(cv_mul(g, x1), a * a), cv_scale(f, a)), cv_mul(p, x1))
-    return w, dw
-
-
 def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     """d(iso)/dz, certified; flagged whenever its bound exceeds ``target``.
 
     From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2, t = z^2:
-    d iso/dz = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}) dx/dz.  Four
-    series, each summed once.
+    d iso/dz = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}) dx/dz, where
+    w_a'/w_a = a^2 G/F - a/(1+x) for F = 2F1(-a,-a;1;x) and
+    G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).  Four series, each
+    summed once.
     """
     _check_domain(z)
     _check_target(target)
@@ -469,24 +471,24 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
         # even function of z: the derivative vanishes identically at 0
         return CertifiedValue(0.0, 0.0)
     t = z * z
-    one_minus = 1.0 - t
-    x = min(4.0 * t / (one_minus * one_minus), 1.0)
-    dx_dt = 4.0 * (1.0 + t) / one_minus ** 3
-    x_err = 8.0 * EPS * x + dx_dt * (EPS * t)
+    x, x_err, dx_dt = _x_of_t(t, EPS * t)
     # 1/32 of the target per series: the assembled bound then stays within
     # the target wherever the series reach theirs
     f1, f2, g1, g2 = (
         eval_2f1(spec, x, target=target / 32.0, x_abs_err=x_err)
         for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
     )
-    w1, dw1 = _w_and_slope(0.5, f1, g1, x, x_err)
-    w2, dw2 = _w_and_slope(1.5, f2, g2, x, x_err)
-    iso_val = cv_sqrt(cv_mul(cv_div(cv_mul(w2, w2), cv_pow(w1, 3.0)), cv_const(_K_RATIO)))
-    log_slope = cv_sub(cv_div(dw2, w2), cv_scale(cv_div(dw1, w1), 1.5))
+    iso_val = cv_sqrt(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)))
+    # w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2} = 9/4 G2/F2 - 3/8 G1/F1 - 3/4 /(1+x)
+    x1 = CertifiedValue(1.0 + x, x_err + _pad(1.0 + x))
+    log_slope = cv_sub(
+        cv_sub(cv_scale(cv_div(g2, f2), 2.25), cv_scale(cv_div(g1, f1), 0.375)),
+        cv_div(cv_exact(0.75), x1),
+    )
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
     # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
     dx_dz = 2.0 * z * dx_dt
-    dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / one_minus) * EPS * t)
+    dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
     out = cv_mul(cv_mul(iso_val, log_slope), CertifiedValue(dx_dz, dx_dz_err))
     flag = "bound_not_achieved" if out.abs_error_bound > target else None
     return CertifiedValue(out.value, out.abs_error_bound, flag)
@@ -502,7 +504,8 @@ class ScanReport:
 
     rows: (grid point, value, bound, verdict) per point; the verdict at index
     i describes the pair (i-1, i) for monotonicity scans and the centered
-    second difference at i for convexity scans.
+    second difference at i for convexity scans.  witnesses: the grid points
+    of the violations, or for a sign-change scan the first point of each sign.
     """
 
     name: str
@@ -548,6 +551,36 @@ def _grid(lo: float, hi: float, n: int) -> list:
     return [lo + k * step for k in range(n)]
 
 
+def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> ScanReport:
+    """Judge the difference tested at each grid point by its enclosure (lo, hi).
+
+    ``diffs[j]`` belongs to grid point j + 1; points without one get no
+    verdict.  An enclosure's sign is positive (lo > 0), negative (hi < 0) or
+    zero (it holds 0).  ``expect`` is the sign every difference should have,
+    or "change" when both strict signs must occur.  A matching sign is "ok";
+    a zero sign against any other expectation is "inconclusive", never a
+    violation; a change scan reports the strict signs themselves.
+    """
+    verdicts = [""] * len(pts)
+    for i, (lo, hi) in enumerate(diffs, start=1):
+        sign = "positive" if lo > 0.0 else "negative" if hi < 0.0 else "zero"
+        if sign == expect:
+            verdicts[i] = "ok"
+        elif sign == "zero":
+            verdicts[i] = "inconclusive"
+        else:
+            verdicts[i] = sign if expect == "change" else "violation"
+    rows = [(z, v.value, v.abs_error_bound, verdict) for z, v, verdict in zip(pts, values, verdicts)]
+    witnesses = [z for z, verdict in zip(pts, verdicts) if verdict == "violation"]
+    report = ScanReport(
+        name, len(pts), verdicts.count("violation"), verdicts.count("inconclusive"), witnesses, rows
+    )
+    if expect == "change":
+        report.witnesses = [pts[verdicts.index(s)] for s in ("positive", "negative") if s in verdicts]
+        report.sign_change_detected = len(report.witnesses) == 2
+    return report
+
+
 def scan_monotonicity(
     target: str,
     grid: int = 1000,
@@ -566,7 +599,7 @@ def scan_monotonicity(
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
         tgt = eval_target if eval_target is not None else 1e-10
         values = [iso(z, target=tgt) for z in pts]
-        direction = "nondecreasing"
+        expect = "positive"
         name = "mono-iso"
     elif target == "w":
         if a is None:
@@ -576,44 +609,35 @@ def scan_monotonicity(
         tgt = eval_target if eval_target is not None else 1e-9
         values = [eval_w(a, x, target=tgt) for x in pts]
         if a == 0 or a == 1:
-            direction = "constant"
+            expect = "zero"
         elif 0 < a < 1:
-            direction = "nonincreasing"
+            expect = "negative"
         else:
-            direction = "nondecreasing"
+            expect = "positive"
         name = f"mono-w[{a}]"
     elif target == "h":
         pts = _grid(0.0, 1.0, grid)
         tgt = eval_target if eval_target is not None else 1e-9
         values = [eval_h(x, target=tgt) for x in pts]
-        direction = "nondecreasing"
+        expect = "positive"
         name = "mono-h"
     else:
         raise ValueError(f"unknown monotonicity target {target!r}")
+    # the enclosure of cur - prev: its sign test is the disjointness test
+    diffs = [(cur.lo - prev.hi, cur.hi - prev.lo) for prev, cur in zip(values, values[1:])]
+    return _classify(name, pts, values, diffs, expect)
 
-    violations = 0
-    inconclusive = 0
-    witnesses = []
-    rows = [(pts[0], values[0].value, values[0].abs_error_bound, "")]
-    for i in range(1, grid):
-        prev, cur = values[i - 1], values[i]
-        if direction == "constant":
-            verdict = "violation" if prev.disjoint_from(cur) else "ok"
-        elif not prev.disjoint_from(cur):
-            verdict = "inconclusive"
-        else:
-            increased = cur.lo > prev.hi
-            if direction == "nondecreasing":
-                verdict = "ok" if increased else "violation"
-            else:
-                verdict = "ok" if not increased else "violation"
-        if verdict == "violation":
-            violations += 1
-            witnesses.append(pts[i])
-        elif verdict == "inconclusive":
-            inconclusive += 1
-        rows.append((pts[i], cur.value, cur.abs_error_bound, verdict))
-    return ScanReport(name, grid, violations, inconclusive, witnesses, rows)
+
+def _second_difference(u: CertifiedValue, v: CertifiedValue, w: CertifiedValue) -> tuple:
+    """Enclosure (lo, hi) of the centered second difference w - 2v + u."""
+    d2 = w.value - 2.0 * v.value + u.value
+    b = (
+        w.abs_error_bound
+        + 2.0 * v.abs_error_bound
+        + u.abs_error_bound
+        + 8.0 * EPS * (abs(v.value) + abs(d2))
+    )
+    return d2 - b, d2 + b
 
 
 def scan_convexity(
@@ -624,71 +648,24 @@ def scan_convexity(
     """Certified second-difference scan.
 
     iso_sqrt expects concavity, inv_iso_sqrt convexity (all conclusive second
-    differences of the matching sign); iso and inv_iso expect a detected sign
-    change, with the witness grid points recorded.
+    differences of the matching sign); iso expects a detected sign change,
+    with the witness grid points recorded.
     """
     if grid < 3:
         raise ValueError("grid must have at least 3 points")
     if which in ("iso_sqrt", "inv_iso_sqrt"):
         pts = _grid(0.0, T_MAX - 1e-4, grid)
-        base = [_iso_from_t(t, target=eval_target) for t in pts]
+        values = [_iso_from_t(t, target=eval_target) for t in pts]
         if which == "inv_iso_sqrt":
-            values = [cv_div(cv_exact(1.0), v) for v in base]
-            expect = "convex"
+            values = [cv_div(cv_exact(1.0), v) for v in values]
+            expect = "positive"
         else:
-            values = base
-            expect = "concave"
-        want_sign_change = False
-    elif which in ("iso", "inv_iso"):
+            expect = "negative"
+    elif which == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
-        base = [iso(z, target=eval_target) for z in pts]
-        values = base if which == "iso" else [cv_div(cv_exact(1.0), v) for v in base]
-        expect = None
-        want_sign_change = True
+        values = [iso(z, target=eval_target) for z in pts]
+        expect = "change"
     else:
         raise ValueError(f"unknown convexity target {which!r}")
-
-    violations = 0
-    inconclusive = 0
-    pos_witness = None
-    neg_witness = None
-    rows = [(pts[0], values[0].value, values[0].abs_error_bound, "")]
-    for i in range(1, grid - 1):
-        d2 = values[i + 1].value - 2.0 * values[i].value + values[i - 1].value
-        b = (
-            values[i + 1].abs_error_bound
-            + 2.0 * values[i].abs_error_bound
-            + values[i - 1].abs_error_bound
-            + 8.0 * EPS * (abs(values[i].value) + abs(d2))
-        )
-        if d2 - b > 0.0:
-            sign = "positive"
-        elif d2 + b < 0.0:
-            sign = "negative"
-        else:
-            sign = "inconclusive"
-        if want_sign_change:
-            verdict = sign
-            if sign == "positive" and pos_witness is None:
-                pos_witness = pts[i]
-            if sign == "negative" and neg_witness is None:
-                neg_witness = pts[i]
-            if sign == "inconclusive":
-                inconclusive += 1
-        else:
-            if sign == "inconclusive":
-                verdict = "inconclusive"
-                inconclusive += 1
-            elif (expect == "concave") == (sign == "negative"):
-                verdict = "ok"
-            else:
-                verdict = "violation"
-                violations += 1
-        rows.append((pts[i], values[i].value, values[i].abs_error_bound, verdict))
-    rows.append((pts[-1], values[-1].value, values[-1].abs_error_bound, ""))
-
-    report = ScanReport(f"convex-{which}", grid, violations, inconclusive, rows=rows)
-    if want_sign_change:
-        report.sign_change_detected = pos_witness is not None and neg_witness is not None
-        report.witnesses = [w for w in (pos_witness, neg_witness) if w is not None]
-    return report
+    diffs = [_second_difference(*triple) for triple in zip(values, values[1:], values[2:])]
+    return _classify(f"convex-{which}", pts, values, diffs, expect)

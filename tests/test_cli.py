@@ -186,8 +186,8 @@ def test_eval_near_endpoint_reports_derivative():
 
 
 def test_eval_derivative_over_target_exits_3():
-    result = runner.invoke(main, ["eval", "--z", "0.2", "--target", "1e-13", "--json"])
-    # the derivative's rounding floor at z = 0.2 lies above 1e-13
+    result = runner.invoke(main, ["eval", "--z", "0.3", "--target", "1e-13", "--json"])
+    # the derivative's rounding floor at z = 0.3 lies above 1e-13
     derivative = json.loads(result.output)["derivative"]
     assert derivative["bound"] > 1e-13
     assert derivative["flag"] == "bound_not_achieved"

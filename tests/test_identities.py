@@ -123,6 +123,31 @@ def test_ode_fails_on_perturbed_vbar():
     assert report.failure_detail["series"] == "vbar"
 
 
+def test_verify_odes_refuses_short_series():
+    with pytest.raises(ValueError, match="abar series has order 10"):
+        ident.verify_odes(40, abar=ident.expand_abar(10), vbar=ident.expand_vbar(5))
+    with pytest.raises(ValueError, match="vbar series has order 5"):
+        ident.verify_odes(40, vbar=ident.expand_vbar(5))
+
+
+def test_verify_odes_checks_longer_series_through_order():
+    # a fault past the checked order is not looked at
+    bad = perturbed(ident.expand_abar(20), 15, 1)
+    report = ident.verify_odes(10, abar=bad, vbar=ident.expand_vbar(20))
+    assert report.verified
+    assert report.verified_order == 8
+    assert not ident.verify_odes(20, abar=bad).verified
+
+
+def test_f_positivity_refuses_small_window():
+    for window in (0, 2):
+        with pytest.raises(ValueError, match="at least 3"):
+            ident.verify_f_positivity(window)
+    with pytest.raises(ValueError, match="at least 3"):
+        ident.verify_all(order=8, sample_count=5, ode_order=10, positivity_window=2)
+    assert ident.verify_f_positivity(3).verified
+
+
 def test_f_leading_coefficients():
     f = ident.expand_f(3)
     assert f.coefficients[0] == 72

@@ -467,3 +467,60 @@ def test_scan_report_serialization():
     assert csv_text.splitlines()[0] == "z,value,bound,verdict"
     assert len(csv_text.splitlines()) == 13
     assert "grid_size" in report.to_json()
+
+
+# -- scan verdicts on crafted values -------------------------------------------------
+
+def _feed(monkeypatch, name, values, bound=0.0):
+    """Make ``numerics.<name>`` return ``values`` in call order, each with ``bound``."""
+    fed = iter(CertifiedValue(v, bound) for v in values)
+    monkeypatch.setattr(num, name, lambda *args, **kwargs: next(fed))
+
+
+def test_scan_monotonicity_violation_witness(monkeypatch):
+    _feed(monkeypatch, "iso", [1.0, 2.0, 3.0, 2.5, 4.0], bound=0.1)
+    report = scan_monotonicity("iso", grid=5)
+    assert [row[3] for row in report.rows] == ["", "ok", "ok", "violation", "ok"]
+    assert (report.violations, report.inconclusive) == (1, 0)
+    assert report.witnesses == [report.rows[3][0]]
+    assert not report.passed
+
+
+def test_scan_monotonicity_inconclusive_pair(monkeypatch):
+    _feed(monkeypatch, "iso", [1.0, 1.05, 2.0], bound=0.1)
+    report = scan_monotonicity("iso", grid=3)
+    assert [row[3] for row in report.rows] == ["", "inconclusive", "ok"]
+    assert (report.violations, report.inconclusive) == (0, 1)
+    assert report.witnesses == []
+    assert report.passed
+
+
+def test_scan_monotonicity_constant_w_conclusive_change(monkeypatch):
+    # a = 1 expects a constant w: any conclusive difference is a violation
+    _feed(monkeypatch, "eval_w", [1.0, 1.0, 1.5, 1.5 + 1e-3], bound=1e-3)
+    report = scan_monotonicity("w", grid=4, a=rat(1))
+    assert [row[3] for row in report.rows] == ["", "ok", "violation", "ok"]
+    assert report.witnesses == [report.rows[2][0]]
+    assert not report.passed
+
+
+def test_scan_convexity_wrong_sign_second_difference(monkeypatch):
+    # second differences 0, -0.2 and +0.4: undecided, concave, then convex
+    _feed(monkeypatch, "_iso_from_t", [0.5, 1.0, 1.5, 1.8, 2.5])
+    report = scan_convexity("iso_sqrt", grid=5)
+    assert [row[3] for row in report.rows] == ["", "inconclusive", "ok", "violation", ""]
+    assert (report.violations, report.inconclusive) == (1, 1)
+    assert not report.passed
+    assert report.sign_change_detected is None
+
+
+def test_scan_convexity_one_sign_only(monkeypatch):
+    _feed(monkeypatch, "iso", [1.0, 1.1, 1.3, 1.6, 2.0], bound=1e-3)
+    report = scan_convexity("iso", grid=5)
+    assert [row[3] for row in report.rows] == ["", "positive", "positive", "positive", ""]
+    assert report.sign_change_detected is False
+    assert report.witnesses == [report.rows[1][0]]
+    assert not report.passed
+    summary = report.to_summary()
+    assert summary["sign_change_detected"] is False
+    assert summary["witnesses"] == report.witnesses
