@@ -107,6 +107,12 @@ def coeffs_cmd(series_name, order, fmt):
         click.echo(", ".join(strings))
 
 
+# --inject-fault shifts this coefficient of Abar.  At --order N the ODE
+# residual is checked through z^(N-2), whose coefficients reach Abar through
+# z^(N-1), so the fault is seen from order 4 on
+_FAULT_INDEX = 3
+
+
 @main.command("verify")
 @click.option("--order", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--samples", "sample_count", type=click.IntRange(min=1), default=None,
@@ -114,9 +120,14 @@ def coeffs_cmd(series_name, order, fmt):
 @click.option("--inject-fault", is_flag=True, default=False, hidden=True)
 def verify_cmd(order, sample_count, inject_fault):
     """Run every exact identity, ODE, and coefficient check."""
+    if inject_fault and order <= _FAULT_INDEX:
+        raise click.UsageError(
+            f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "
+            f"the fault at z^{_FAULT_INDEX} lies past the checked residual"
+        )
     reports = identities.verify_all(order=order, sample_count=sample_count)
     if inject_fault:
-        bad = perturbed(identities.expand_abar(order), 3, 1)
+        bad = perturbed(identities.expand_abar(order), _FAULT_INDEX, 1)
         reports.append(identities.verify_odes(order, abar=bad))
     ok = True
     for r in reports:

@@ -18,6 +18,9 @@ so Iso and its derivative are certified on the whole domain.
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
+One helper (``_iso_and_slope``) sums the four series of Iso and its slope;
+``iso_derivative`` and the solver's Newton steps share it.  Each public
+evaluator flags its result exactly when its final bound exceeds the target.
 Scans enclose the difference they test at each grid point and judge every
 enclosure in one classifier (``_classify``).
 """
@@ -129,6 +132,13 @@ def _merge_flags(*cvs):
         if c.flag:
             return c.flag
     return None
+
+
+def _flagged(cv: CertifiedValue, target: float) -> CertifiedValue:
+    """cv flagged exactly when its bound exceeds ``target``: the flag of a
+    public evaluator follows its own final bound, not those of its parts."""
+    flag = "bound_not_achieved" if cv.abs_error_bound > target else None
+    return cv if cv.flag == flag else CertifiedValue(cv.value, cv.abs_error_bound, flag)
 
 
 def cv_exact(v: float) -> CertifiedValue:
@@ -243,8 +253,8 @@ def eval_2f1(
     ``spec`` must lie in the nonnegative-term class of the module docstring.
     ``x_abs_err`` is an a-priori bound on the rounding error of the argument
     itself; its effect is folded into the returned bound through a bound on
-    the derivative of the series.  The result is flagged when truncation
-    plus rounding exceed ``target``.
+    the derivative of the series.  The result is flagged when its bound
+    exceeds ``target``.
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
@@ -293,7 +303,6 @@ def _eval_family(params, x, target, x_abs_err):
         total += t_next
         t = t_next
         n = m
-    flag = "bound_not_achieved" if err > target else None
     if x_abs_err > 0.0:
         # the true argument lies in [x - e, x + e] and in [0, 1], where F is
         # increasing and convex: |F(true) - F(x)| <= e F'(min(x + e, 1)),
@@ -302,7 +311,8 @@ def _eval_family(params, x, target, x_abs_err):
         gap = 1.0 - x - x_abs_err
         growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
         err += min(x_abs_err * (head + coef * growth), f_range)
-    return CertifiedValue(total, err + _pad(total), flag)
+    bound = err + _pad(total)
+    return CertifiedValue(total, bound, "bound_not_achieved" if bound > target else None)
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
@@ -324,7 +334,7 @@ def eval_w(a, x: float, target: float = 1e-10, x_abs_err: float = 0.0) -> Certif
     if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
         raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
     f = eval_2f1(HypergeometricSpec(-a, -a, rat(1)), x, target=target, x_abs_err=x_abs_err)
-    return cv_div(f, _pow_one_plus_x(float(a), x, x_abs_err))
+    return _flagged(cv_div(f, _pow_one_plus_x(float(a), x, x_abs_err)), target)
 
 
 def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> CertifiedValue:
@@ -341,7 +351,7 @@ def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
         raise DomainError(f"argument {x} outside [0, 1]")
     f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0)
     f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0)
-    return _h(f1, f2, x, 0.0)
+    return _flagged(_h(f1, f2, x, 0.0), target)
 
 
 # --------------------------------------------------------------------------
@@ -379,12 +389,12 @@ def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
     _check_domain(z)
     _check_target(target)
     t = z * z
-    return _iso_squared_from_t(t, EPS * t, target)
+    return _flagged(_iso_squared_from_t(t, EPS * t, target), target)
 
 
 def iso(z: float, target: float = 1e-10) -> CertifiedValue:
     """The isoperimetric ratio of the torus with parameter z, certified."""
-    return cv_sqrt(iso_squared(z, target))
+    return _flagged(cv_sqrt(iso_squared(z, target)), target)
 
 
 def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
@@ -456,26 +466,19 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     return cv_mul(out, cv_const(_C_DIRECT))
 
 
-def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
-    """d(iso)/dz, certified; flagged whenever its bound exceeds ``target``.
+def _iso_and_slope(t: float, target: float) -> tuple:
+    """(iso, d iso/dx, dx/dt) at t = z^2 rounded from z; each of the four
+    series is summed to ``target``.
 
-    From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2, t = z^2:
-    d iso/dz = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}) dx/dz, where
+    From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2:
+    d iso/dx = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}), where
     w_a'/w_a = a^2 G/F - a/(1+x) for F = 2F1(-a,-a;1;x) and
-    G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).  Four series, each
-    summed once.
+    G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).  The iso enclosure
+    is the one ``iso`` returns when its two series meet the same target.
     """
-    _check_domain(z)
-    _check_target(target)
-    if z == 0.0:
-        # even function of z: the derivative vanishes identically at 0
-        return CertifiedValue(0.0, 0.0)
-    t = z * z
     x, x_err, dx_dt = _x_of_t(t, EPS * t)
-    # 1/32 of the target per series: the assembled bound then stays within
-    # the target wherever the series reach theirs
     f1, f2, g1, g2 = (
-        eval_2f1(spec, x, target=target / 32.0, x_abs_err=x_err)
+        eval_2f1(spec, x, target=target, x_abs_err=x_err)
         for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
     )
     iso_val = cv_sqrt(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)))
@@ -485,13 +488,27 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
         cv_sub(cv_scale(cv_div(g2, f2), 2.25), cv_scale(cv_div(g1, f1), 0.375)),
         cv_div(cv_exact(0.75), x1),
     )
+    return iso_val, cv_mul(iso_val, log_slope), dx_dt
+
+
+def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
+    """d(iso)/dz = d iso/dx dx/dz, certified; flagged whenever its bound
+    exceeds ``target``.  Four series (``_iso_and_slope``), each summed once.
+    """
+    _check_domain(z)
+    _check_target(target)
+    if z == 0.0:
+        # even function of z: the derivative vanishes identically at 0
+        return CertifiedValue(0.0, 0.0)
+    t = z * z
+    # 1/32 of the target per series: the assembled bound then stays within
+    # the target wherever the series reach theirs
+    _, diso_dx, dx_dt = _iso_and_slope(t, target / 32.0)
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
     # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
     dx_dz = 2.0 * z * dx_dt
     dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
-    out = cv_mul(cv_mul(iso_val, log_slope), CertifiedValue(dx_dz, dx_dz_err))
-    flag = "bound_not_achieved" if out.abs_error_bound > target else None
-    return CertifiedValue(out.value, out.abs_error_bound, flag)
+    return _flagged(cv_mul(diso_dx, CertifiedValue(dx_dz, dx_dz_err)), target)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,25 @@
 """Inversion of the isoperimetric-ratio function.
 
 The ratio function is a monotonic increasing bijection from [0, sqrt(2)-1)
-onto [iso(0), 1), so a prescribed ratio determines a unique torus parameter.
-The solver brackets it by guaranteed bisection on certified evaluations: a
-step is taken only when the certified interval at the midpoint is disjoint
-from the target, so the bracket provably straddles the true parameter at
-every step.  A midpoint whose interval holds the target even at the sharpest
-bound ends the search: it is returned unflagged only when the intervals at
-midpoint -+ tol/2 fall on opposite sides of the target, which places the root
-between those two points, and flagged "precision_exhausted" otherwise.
+onto [iso(0), 1), so a prescribed ratio rho determines a unique torus
+parameter.  The solver takes Newton steps in t = z^2, starting at t = 0,
+where the slope d iso/dt is finite (9/2 iso(0)).  Grid scans find iso
+concave in t, so the steps rise to the root from below and converge in a
+handful of evaluations.  Correctness rests on monotonicity alone:
+
+- a point whose certified interval is disjoint from rho narrows a bracket
+  (lo, hi) that provably holds the root.  A Newton step that leaves the
+  bracket, or is more than half the step before, is replaced by the bracket
+  midpoint, so a wrong slope costs steps, never the result;
+- once a step falls below tol/4, or a point's interval holds rho, that point
+  z is the candidate.  It is returned unflagged only when the intervals at
+  z -+ tol/2, or bracket ends nearer to z, fall on opposite sides of rho (the
+  straddle), which places the root within tol/2 of z.  By monotonicity
+  iso(z) lies between those intervals too, which bounds the residual.  A
+  straddle interval that holds rho at the ordinary target is retried once at
+  the sharpest one; if it still holds rho the result is flagged
+  "precision_exhausted".  One that lies on the far side of rho shows the
+  root beyond it, and the search goes on from the bracket midpoint.
 """
 
 from __future__ import annotations
@@ -17,13 +28,15 @@ import json
 import math
 from dataclasses import dataclass
 
-from .numerics import Z_MAX, NumericsError, iso
+from .numerics import Z_MAX, CertifiedValue, NumericsError, _iso_and_slope, iso
 
 __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "PrecisionExhausted", "invert_iso"]
 
-_Z_HI = Z_MAX - 1e-12
+# iso's limit at the right end of its domain: iso(z) < 1 for every z < Z_MAX
+_AT_Z_MAX = CertifiedValue(1.0, 0.0)
 
-# the sharpest practical bound, tried before a midpoint is given up on
+# the sharpest practical bound, tried once at a straddle point before the
+# candidate is given up on
 _SHARP = 1e-13
 
 
@@ -32,7 +45,7 @@ class TargetOutOfRange(NumericsError):
 
 
 class PrecisionExhausted(NumericsError):
-    """Certified bounds cannot separate the target from the midpoint value."""
+    """Certified bounds cannot separate the target from the candidate's value."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,9 @@ class InverseQuery:
 
 @dataclass(frozen=True)
 class InverseResult:
+    """The parameter z for ``rho``, a certified bound on |iso(z) - rho|, and
+    the certified evaluations made after the one at z = 0."""
+
     rho: float
     z: float
     residual_bound: float
@@ -69,46 +85,70 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
+def _evaluate(z: float, target: float) -> tuple:
+    """The iso enclosure at z, as ``iso(z, target)`` gives it, and the slope
+    d iso/dt at t = z^2 (a float: it only proposes steps)."""
+    value, diso_dx, dx_dt = _iso_and_slope(z * z, target / 4.0)
+    return value, diso_dx.value * dx_dt
+
+
 def invert_iso(query: InverseQuery) -> InverseResult:
-    """Find z with iso(z) = rho by bisection on certified intervals."""
-    rho = query.rho
+    """Find z with iso(z) = rho by bracketed Newton steps in t = z^2."""
+    rho, tol = query.rho, query.tolerance
     if not math.isfinite(rho) or rho >= 1.0:
         raise TargetOutOfRange(f"target ratio {rho} is not below 1")
-    target = min(1e-11, query.tolerance)
-    left = iso(0.0, target=target)
-    if rho < left.lo:
-        raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {left.value}")
-    if rho <= left.hi:
-        return InverseResult(rho, 0.0, abs(left.value - rho) + left.abs_error_bound, 0)
+    target = min(1e-11, tol)
+    z = 0.0  # the last point evaluated, with its interval cv and slope
+    cv, slope = _evaluate(z, target)
+    if rho < cv.lo:
+        raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {cv.value}")
+    if rho <= cv.hi:
+        return InverseResult(rho, 0.0, abs(cv.value - rho) + cv.abs_error_bound, 0)
 
-    lo, hi = 0.0, _Z_HI
+    half = 0.5 * tol
+    # the root lies in (lo, hi): the interval at lo lies below rho and the
+    # one at hi above it
+    lo, hi, below, above = 0.0, Z_MAX, cv, _AT_Z_MAX
+    step = math.inf
+    candidate = None  # the z that the straddle is certifying
     iterations = 0
-    while hi - lo > query.tolerance and iterations < query.max_iterations:
-        mid = 0.5 * (lo + hi)
-        cv = iso(mid, target=target)
-        if cv.lo <= rho <= cv.hi:
-            cv = iso(mid, target=_SHARP)
-        if rho > cv.hi:
-            lo = mid
-        elif rho < cv.lo:
-            hi = mid
-        else:
-            # the midpoint interval still contains rho.  iso increases, so if
-            # rho lies strictly between the intervals at mid -+ tol/2 (both
-            # inside the bracket, which is wider than tol), the root lies
-            # between those points; otherwise the bounds cannot place it
-            half = 0.5 * query.tolerance
-            below = iso(mid - half, target=_SHARP)
-            above = iso(mid + half, target=_SHARP)
-            straddled = below.hi < rho < above.lo
-            residual = abs(cv.value - rho) + cv.abs_error_bound
-            return InverseResult(rho, mid, residual, iterations + 1,
-                                 None if straddled else "precision_exhausted")
+    while True:
+        if candidate is None:
+            # a Newton step in t, kept when it stays inside the bracket and
+            # is at most half the step before; else the bracket midpoint
+            t = z * z + (rho - cv.value) / slope if slope > 0.0 else -1.0
+            nxt = math.sqrt(t) if t >= 0.0 else -1.0
+            if not (lo < nxt < hi and abs(nxt - z) <= 0.5 * step):
+                nxt = 0.5 * (lo + hi)
+            step = abs(nxt - z)
+            if step < 0.25 * tol:
+                candidate = nxt
+        # the straddle: once the bracket ends lie within tol/2 of the
+        # candidate, the root does too
+        if candidate is not None and lo >= candidate - half and hi <= candidate + half:
+            return InverseResult(rho, candidate, max(above.hi - rho, rho - below.lo), iterations)
+        if iterations >= query.max_iterations:
+            return InverseResult(rho, z, abs(cv.value - rho) + cv.abs_error_bound, iterations,
+                                 "max_iterations")
         iterations += 1
-
-    z = 0.5 * (lo + hi)
-    final = iso(z, target=target)
-    residual_bound = abs(final.value - rho) + final.abs_error_bound
-    # stopped by max_iterations with the bracket still wider than the tolerance
-    flag = "max_iterations" if hi - lo > query.tolerance else None
-    return InverseResult(rho, z, residual_bound, iterations, flag)
+        if candidate is None:
+            z = nxt
+            cv, slope = _evaluate(z, target)
+            if cv.lo <= rho <= cv.hi:
+                candidate = z
+        else:
+            # a straddle point, at the ordinary target and once at the sharp one
+            z = candidate - half if lo < candidate - half else candidate + half
+            cv, slope = iso(z, target=target), 0.0
+            if cv.lo <= rho <= cv.hi:
+                cv = iso(z, target=_SHARP)
+            if cv.lo <= rho <= cv.hi:
+                at = iso(candidate, target=_SHARP)
+                return InverseResult(rho, candidate, abs(at.value - rho) + at.abs_error_bound,
+                                     iterations, "precision_exhausted")
+        if rho > cv.hi:
+            lo, below = z, cv
+        elif rho < cv.lo:
+            hi, above = z, cv
+        if candidate is not None and not lo < candidate < hi:
+            candidate = None  # a straddle point found the root beyond it

@@ -137,6 +137,19 @@ def test_verify_inject_fault_exits_1():
     assert "failed" in result.output
 
 
+def test_verify_inject_fault_below_order_4_exits_2():
+    # the fault sits at z^3, which the ODE residual reaches only from order 4:
+    # below that --inject-fault is refused instead of passing with the fault
+    # in place (order 3) or failing on an index (order 2)
+    for order in range(4):
+        result = runner.invoke(main, ["verify", "--order", str(order), "--inject-fault"])
+        assert result.exit_code == 2, order
+        assert "--inject-fault needs --order 4" in result.output, order
+    result = runner.invoke(main, ["verify", "--order", "4", "--samples", "3", "--inject-fault"])
+    assert result.exit_code == 1
+    assert "ode_residuals            failed" in result.output
+
+
 def test_scan_mono_iso(tmp_path):
     csv_file = tmp_path / "scan.csv"
     result = runner.invoke(

@@ -407,6 +407,64 @@ def test_derivative_unflagged_at_default_target():
         assert iso_derivative(0.01 * k).flag is None
 
 
+# z -> (value, bound, flag) of iso_derivative at the default target, as
+# float.hex, from before the four-series body moved into _iso_and_slope,
+# which the solver shares: the move must not change a bit
+DERIVATIVE_PINNED = [
+    (0.01, "0x1.06307c54f554cp-4", "0x1.0f935d52a64e1p-43", None),
+    (0.05, "0x1.43488e2b9e863p-2", "0x1.b0a7364750cf7p-43", None),
+    (0.1, "0x1.3570b6ab9b187p-1", "0x1.d24e28c5eb2e1p-39", None),
+    (0.2, "0x1.fe04b771f8704p-1", "0x1.da2d68c801d8fp-37", None),
+    (0.3, "0x1.f272530bee02ep-1", "0x1.3e6d200e39784p-36", None),
+    (0.38, "0x1.f645292764678p-2", "0x1.f632cb00b27d0p-36", None),
+    (0.41, "0x1.92f758195376fp-4", "0x1.10ab63912a6c9p-35", None),
+    (Z_MAX - 1e-9, "0x1.7b3f59b2109a0p-21", "0x1.59941ed25f136p-21", "bound_not_achieved"),
+]
+
+
+def test_derivative_matches_pinned_bits(time_limit):
+    time_limit(10.0)
+    for z, value, bound, flag in DERIVATIVE_PINNED:
+        d = iso_derivative(z)
+        assert (d.value.hex(), d.abs_error_bound.hex(), d.flag) == (value, bound, flag), z
+
+
+def test_iso_and_slope_shares_iso_and_derivative():
+    # the solver's enclosure is iso's at the same series target, and its
+    # d iso/dx times dx/dz is the derivative's value
+    for z in (0.05, 0.2, 0.35):
+        t = z * z
+        value, diso_dx, dx_dt = num._iso_and_slope(t, 1e-12 / 4.0)
+        assert value == iso(z, target=1e-12)
+        assert diso_dx.value * (2.0 * z * dx_dt) == iso_derivative(z, target=32 * 1e-12 / 4.0).value
+
+
+# public evaluator -> the (argument, target) grid its flag rule is checked on
+FLAG_RULE_GRID = {
+    "eval_2f1": [(spec, k / 40) for spec in (SPEC_AREA, SPEC_VOLUME) for k in range(41)],
+    "eval_w": [(a, k / 40) for a in (rat(-1, 4), rat(-1, 3), rat(1, 2), rat(3, 2))
+               for k in range(41)],
+    "eval_h": [(k / 40,) for k in range(41)],
+    "iso": [(0.01 * k,) for k in range(42)] + [(Z_MAX - 1e-6,)],
+    "iso_squared": [(0.01 * k,) for k in range(42)] + [(Z_MAX - 1e-6,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_RULE_GRID))
+def test_flag_follows_the_final_bound(name):
+    # a public evaluator is flagged exactly when its own bound exceeds the
+    # target, whatever its sub-series met
+    fn = getattr(num, name)
+    flags = 0
+    for args in FLAG_RULE_GRID[name]:
+        for target in (1e-10, 1e-12, 1e-13):
+            cv = fn(*args, target=target)
+            assert cv.flag == ("bound_not_achieved" if cv.abs_error_bound > target else None), (
+                args, target, cv)
+            flags += cv.flag is not None
+    assert flags  # the grid reaches the flagged side of the rule
+
+
 # -- scans --------------------------------------------------------------------------
 
 def test_scan_monotonicity_iso_smoke():

@@ -74,7 +74,7 @@ def test_result_serialization():
 
 
 def test_iteration_cap_is_flagged():
-    # three bisection steps cannot reach 1e-15; the result must say so
+    # three Newton steps cannot reach 1e-15; the result must say so
     result = invert_iso(InverseQuery(0.9, tolerance=1e-15, max_iterations=3))
     assert result.iterations == 3
     assert result.flag == "max_iterations"
@@ -108,15 +108,97 @@ def test_root_near_iso_zero_is_flagged_or_within_tolerance():
         assert result.flag == "precision_exhausted" or abs(result.z - root) <= 1e-10
 
 
-def test_ambiguous_midpoint_is_certified_by_the_straddle():
-    # rho is iso's own value at the first midpoint, so that midpoint's
-    # interval holds it; the intervals at mid -+ tol/2 straddle rho there
-    mid = 0.5 * solver._Z_HI
-    rho = iso(mid, target=1e-11).value
+def _recording_iso(monkeypatch):
+    """Record every (z, target, interval) the solver's straddle asks iso for."""
+    calls = []
+
+    def recorded(z, target):
+        cv = iso(z, target=target)
+        calls.append((z, target, cv))
+        return cv
+
+    monkeypatch.setattr(solver, "iso", recorded)
+    return calls
+
+
+def test_ambiguous_midpoint_is_certified_by_the_straddle(monkeypatch):
+    # rho is iso's own value at z0 (bisection's first midpoint), so the Newton
+    # point that lands next to z0 has an interval holding rho; the intervals
+    # at z -+ tol/2 then straddle rho and certify z
+    z0 = 0.5 * (Z_MAX - 1e-12)
+    rho = iso(z0, target=1e-11).value
+    calls = _recording_iso(monkeypatch)
     result = invert_iso(InverseQuery(rho, 1e-10))
-    assert (result.z, result.iterations, result.flag) == (mid, 1, None)
-    assert iso(mid - 5e-11, target=1e-13).hi < rho < iso(mid + 5e-11, target=1e-13).lo
+    assert result.flag is None
+    below = [cv for z, _, cv in calls if z == result.z - 5e-11]
+    above = [cv for z, _, cv in calls if z == result.z + 5e-11]
+    assert below and above
+    assert below[-1].hi < rho < above[-1].lo
+    # by monotonicity the straddle bounds the residual with no further call
+    assert result.residual_bound == max(above[-1].hi - rho, rho - below[-1].lo)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        root = mp_root(mpmath, mpmath.mpf(rho), mid - 1e-9, mid + 1e-9)
+        root = mp_root(mpmath, mpmath.mpf(rho), z0 - 1e-9, z0 + 1e-9)
         assert abs(result.z - root) <= 1e-10
+
+
+def _mp_roots(mpmath, zs):
+    """(rho, root) pairs: rho = float(Iso(z*)) and the root of Iso = rho."""
+    pairs = []
+    with mpmath.workdps(40):
+        for z in zs:
+            rho = float(mp_iso(mpmath, mpmath.mpf(z)))
+            pairs.append((rho, mp_root(mpmath, mpmath.mpf(rho), z - 1e-9, z + 1e-9)))
+    return pairs
+
+
+def test_round_trip_against_mpmath_roots():
+    mpmath = pytest.importorskip("mpmath")
+    zs = [0.03 + (0.411 - 0.03) * k / 15 for k in range(16)]
+    zs_out = []
+    for rho, root in _mp_roots(mpmath, zs):
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert result.flag is None, rho
+        assert abs(result.z - root) <= 1e-10, (rho, result.z)
+        zs_out.append(result.z)
+    assert zs_out == sorted(zs_out) and len(set(zs_out)) == len(zs_out)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, 1e6])
+def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
+    # the slope only proposes steps: zero, of the wrong sign or a million
+    # times too large, the bracket and the straddle still certify the root
+    mpmath = pytest.importorskip("mpmath")
+    evaluate = solver._evaluate
+
+    def bad_slope(z, target):
+        cv, slope = evaluate(z, target)
+        return cv, scale * slope
+
+    monkeypatch.setattr(solver, "_evaluate", bad_slope)
+    for rho, root in _mp_roots(mpmath, (0.05, 0.2, 0.3)):
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert result.flag is None, (scale, rho)
+        assert abs(result.z - root) <= 1e-10, (scale, rho, result.z)
+
+
+def test_few_evaluations_per_root(monkeypatch):
+    # each Newton point costs one _evaluate, each straddle point one or two
+    # iso calls (the sharp retry); bisection took about 33
+    counts = []
+    evaluate = solver._evaluate
+
+    def counted(z, target):
+        counts[-1] += 1
+        return evaluate(z, target)
+
+    monkeypatch.setattr(solver, "_evaluate", counted)
+    calls = _recording_iso(monkeypatch)
+    for k in range(20):
+        z = 0.03 + (0.30 - 0.03) * (k + 0.5) / 20
+        rho = iso(z, target=1e-13).value
+        counts.append(0)
+        before = len(calls)
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert result.flag is None
+        assert counts[-1] + len(calls) - before <= 12, (z, counts[-1], len(calls) - before)
