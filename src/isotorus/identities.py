@@ -180,13 +180,6 @@ def _sampled_report(name, samples, order, pair_fn, default=sample_parameters) ->
 # Expansions of the area/volume series and their flux combination
 # --------------------------------------------------------------------------
 
-def _inner_argument(order: int) -> PowerSeries:
-    """4z/(1-z)^2 as an exact series (zero constant term)."""
-    num = PowerSeries.from_polynomial((0, 4), order)
-    den = PowerSeries.from_polynomial((1, -2, 1), order)
-    return num / den
-
-
 def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
     """outer(4z/(1-z)^2) mod z^(N+1), N = min(order, outer.order), exactly.
 

@@ -20,7 +20,8 @@ x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
 One helper (``_iso_and_slope``) sums the four series of Iso and its slope;
 ``iso_derivative`` and the solver's Newton steps share it.  Each public
-evaluator flags its result exactly when its final bound exceeds the target.
+evaluator flags its result exactly when its final bound exceeds the target,
+and only there (``_flagged``): the interval helpers carry no flag.
 Scans enclose the difference they test at each grid point and judge every
 enclosure in one classifier (``_classify``).
 """
@@ -70,6 +71,7 @@ ISO_AT_ZERO = 1.5 * (2.0 * math.pi ** 2) ** -0.25
 _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso**2
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
+_CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
 
 SPEC_AREA = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
 SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
@@ -100,7 +102,9 @@ class CertifiedValue:
 
     The true mathematical value lies in [value - abs_error_bound,
     value + abs_error_bound].  ``flag`` marks degraded results ("bound_not_
-    achieved") whose bound is still honest but larger than requested.
+    achieved") whose bound is still honest but larger than requested.  Only
+    a public evaluator sets it, from its own final bound and target
+    (``_flagged``); the interval helpers below return unflagged values.
     """
 
     value: float
@@ -115,9 +119,6 @@ class CertifiedValue:
     def hi(self) -> float:
         return self.value + self.abs_error_bound
 
-    def disjoint_from(self, other: "CertifiedValue") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
-
 
 # --------------------------------------------------------------------------
 # Conservative interval helpers on CertifiedValue
@@ -127,22 +128,11 @@ def _pad(v: float) -> float:
     return 2.0 * EPS * abs(v)
 
 
-def _merge_flags(*cvs):
-    for c in cvs:
-        if c.flag:
-            return c.flag
-    return None
-
-
 def _flagged(cv: CertifiedValue, target: float) -> CertifiedValue:
-    """cv flagged exactly when its bound exceeds ``target``: the flag of a
-    public evaluator follows its own final bound, not those of its parts."""
+    """cv, flagged when its bound exceeds ``target``: the one place a flag
+    is set, so a public evaluator's flag follows its own final bound."""
     flag = "bound_not_achieved" if cv.abs_error_bound > target else None
-    return cv if cv.flag == flag else CertifiedValue(cv.value, cv.abs_error_bound, flag)
-
-
-def cv_exact(v: float) -> CertifiedValue:
-    return CertifiedValue(v, 0.0)
+    return CertifiedValue(cv.value, cv.abs_error_bound, flag) if flag else cv
 
 
 def cv_const(v: float) -> CertifiedValue:
@@ -150,19 +140,14 @@ def cv_const(v: float) -> CertifiedValue:
     return CertifiedValue(v, 4.0 * EPS * abs(v))
 
 
-def cv_add(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
-    w = u.value + v.value
-    return CertifiedValue(w, u.abs_error_bound + v.abs_error_bound + _pad(w), _merge_flags(u, v))
-
-
 def cv_sub(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
     w = u.value - v.value
-    return CertifiedValue(w, u.abs_error_bound + v.abs_error_bound + _pad(w), _merge_flags(u, v))
+    return CertifiedValue(w, u.abs_error_bound + v.abs_error_bound + _pad(w))
 
 
 def cv_scale(u: CertifiedValue, k: float) -> CertifiedValue:
     w = u.value * k
-    return CertifiedValue(w, abs(k) * u.abs_error_bound + _pad(w), u.flag)
+    return CertifiedValue(w, abs(k) * u.abs_error_bound + _pad(w))
 
 
 def cv_mul(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
@@ -173,7 +158,7 @@ def cv_mul(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
         + u.abs_error_bound * v.abs_error_bound
         + _pad(w)
     )
-    return CertifiedValue(w, b, _merge_flags(u, v))
+    return CertifiedValue(w, b)
 
 
 def cv_div(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
@@ -182,7 +167,7 @@ def cv_div(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
         raise BoundNotAchieved("division by an interval containing zero")
     w = u.value / v.value
     b = (u.abs_error_bound + abs(w) * v.abs_error_bound) / denom_lo + _pad(w)
-    return CertifiedValue(w, b, _merge_flags(u, v))
+    return CertifiedValue(w, b)
 
 
 def cv_pow(u: CertifiedValue, p: float) -> CertifiedValue:
@@ -193,11 +178,7 @@ def cv_pow(u: CertifiedValue, p: float) -> CertifiedValue:
     w = u.value ** p
     ends = (lo ** p, u.hi ** p)
     b = max(abs(ends[0] - w), abs(ends[1] - w)) + 4.0 * EPS * abs(w)
-    return CertifiedValue(w, b, u.flag)
-
-
-def cv_sqrt(u: CertifiedValue) -> CertifiedValue:
-    return cv_pow(u, 0.5)
+    return CertifiedValue(w, b)
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +292,7 @@ def _eval_family(params, x, target, x_abs_err):
         gap = 1.0 - x - x_abs_err
         growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
         err += min(x_abs_err * (head + coef * growth), f_range)
-    bound = err + _pad(total)
-    return CertifiedValue(total, bound, "bound_not_achieved" if bound > target else None)
+    return _flagged(CertifiedValue(total, err + _pad(total)), target)
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
@@ -324,17 +304,17 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
     return CertifiedValue(v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err)
 
 
-def eval_w(a, x: float, target: float = 1e-10, x_abs_err: float = 0.0) -> CertifiedValue:
+def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
     """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
-    a = Rational(a) if not hasattr(a, "denominator") else a
+    a = Rational(a)
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
     if a == 0 or a == 1:
         return CertifiedValue(1.0, 0.0)
     if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
         raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
-    f = eval_2f1(HypergeometricSpec(-a, -a, rat(1)), x, target=target, x_abs_err=x_abs_err)
-    return _flagged(cv_div(f, _pow_one_plus_x(float(a), x, x_abs_err)), target)
+    f = eval_2f1(HypergeometricSpec(-a, -a, rat(1)), x, target=target)
+    return _flagged(cv_div(f, _pow_one_plus_x(float(a), x, 0.0)), target)
 
 
 def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> CertifiedValue:
@@ -363,22 +343,22 @@ def _check_domain(z: float):
         raise DomainError(f"z = {z} outside [0, {Z_MAX})")
 
 
-def _x_of_t(t: float, t_abs_err: float) -> tuple:
+def _x_of_t(t: float) -> tuple:
     """(x, x_abs_err, dx/dt) for x = 4t/(1-t)^2, with x clamped to 1.
 
     x rounds in <= ~5 operations with no cancellation (t <= 0.18), plus the
-    sensitivity to t_abs_err through dx/dt = 4(1+t)/(1-t)^3.
+    sensitivity to the rounding of t = z^2, EPS t, through dx/dt = 4(1+t)/(1-t)^3.
     """
     one_minus = 1.0 - t
     x = 4.0 * t / (one_minus * one_minus)
     dx_dt = 4.0 * (1.0 + t) / one_minus ** 3
-    x_err = 8.0 * EPS * x + dx_dt * t_abs_err
+    x_err = 8.0 * EPS * x + dx_dt * (EPS * t)
     return min(x, 1.0), x_err, dx_dt
 
 
-def _iso_squared_from_t(t: float, t_abs_err: float, target: float) -> CertifiedValue:
+def _iso_squared_from_t(t: float, target: float) -> CertifiedValue:
     """Closed form iso^2 = K h(x) as a function of t = z^2, certified."""
-    x, x_err, _ = _x_of_t(t, t_abs_err)
+    x, x_err, _ = _x_of_t(t)
     f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0, x_abs_err=x_err)
     f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0, x_abs_err=x_err)
     return cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO))
@@ -388,20 +368,19 @@ def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
     """iso(z)^2 via the hypergeometric closed form."""
     _check_domain(z)
     _check_target(target)
-    t = z * z
-    return _flagged(_iso_squared_from_t(t, EPS * t, target), target)
+    return _flagged(_iso_squared_from_t(z * z, target), target)
 
 
 def iso(z: float, target: float = 1e-10) -> CertifiedValue:
     """The isoperimetric ratio of the torus with parameter z, certified."""
-    return _flagged(cv_sqrt(iso_squared(z, target)), target)
+    return _flagged(cv_pow(iso_squared(z, target), 0.5), target)
 
 
 def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
     """iso evaluated as a function of t = z^2 (for the sqrt-substituted scans)."""
     if not (0.0 <= t < T_MAX):
         raise DomainError(f"t = {t} outside [0, {T_MAX})")
-    return cv_sqrt(_iso_squared_from_t(t, EPS * t, target))
+    return cv_pow(_iso_squared_from_t(t, target), 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +409,7 @@ def _direct_series(order: int):
             ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)
         ):
             raise BoundNotAchieved("coefficient ratios not positive-decreasing")
-        caps.append(float(ratios[0]) * 1.05)
+        caps.append(float(ratios[0]) * _CAP_CUSHION)
         parts.append((nums[: order + 1], nums[order + 1], series.den))
     return parts[0], parts[1], max(caps)
 
@@ -445,9 +424,15 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     # t = z^2 = u/v exactly
     u, v = (n * n for n in Fraction(z).as_integer_ratio())
     ab, vb, ratio_cap = _direct_series(order)
-    q = u / v * ratio_cap
+    t = u / v
+    q = t * ratio_cap
     if q >= 1.0:
-        raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; raise the order")
+        # the ratios fall towards 1/T_MAX, the inverse radius of both series
+        # in t, so no order brings the cap below 1 once 1.05 t >= T_MAX
+        reach = math.sqrt(T_MAX / _CAP_CUSHION)
+        advice = "raise the order" if _CAP_CUSHION * t < T_MAX else (
+            f"no order helps: the direct path's tail cap reaches only z < {reach:.4f}")
+        raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; {advice}")
     u_head, v_top = u ** (order + 1), v ** order
 
     def enclose(part):
@@ -476,17 +461,17 @@ def _iso_and_slope(t: float, target: float) -> tuple:
     G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).  The iso enclosure
     is the one ``iso`` returns when its two series meet the same target.
     """
-    x, x_err, dx_dt = _x_of_t(t, EPS * t)
+    x, x_err, dx_dt = _x_of_t(t)
     f1, f2, g1, g2 = (
         eval_2f1(spec, x, target=target, x_abs_err=x_err)
         for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
     )
-    iso_val = cv_sqrt(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)))
+    iso_val = cv_pow(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)), 0.5)
     # w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2} = 9/4 G2/F2 - 3/8 G1/F1 - 3/4 /(1+x)
     x1 = CertifiedValue(1.0 + x, x_err + _pad(1.0 + x))
     log_slope = cv_sub(
         cv_sub(cv_scale(cv_div(g2, f2), 2.25), cv_scale(cv_div(g1, f1), 0.375)),
-        cv_div(cv_exact(0.75), x1),
+        cv_div(CertifiedValue(0.75, 0.0), x1),
     )
     return iso_val, cv_mul(iso_val, log_slope), dx_dt
 
@@ -598,12 +583,7 @@ def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> S
     return report
 
 
-def scan_monotonicity(
-    target: str,
-    grid: int = 1000,
-    a=None,
-    eval_target: float | None = None,
-) -> ScanReport:
+def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
     """Certified monotonicity scan of iso, w_a, or h over their domains.
 
     A consecutive pair counts as conclusive only when the certified intervals
@@ -614,17 +594,15 @@ def scan_monotonicity(
         raise ValueError("grid must have at least 2 points")
     if target == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
-        tgt = eval_target if eval_target is not None else 1e-10
-        values = [iso(z, target=tgt) for z in pts]
+        values = [iso(z, target=1e-10) for z in pts]
         expect = "positive"
         name = "mono-iso"
     elif target == "w":
         if a is None:
             raise ValueError("w scan needs the parameter a")
-        a = Rational(a) if not hasattr(a, "denominator") else a
+        a = Rational(a)
         pts = _grid(0.0, 1.0, grid)
-        tgt = eval_target if eval_target is not None else 1e-9
-        values = [eval_w(a, x, target=tgt) for x in pts]
+        values = [eval_w(a, x, target=1e-9) for x in pts]
         if a == 0 or a == 1:
             expect = "zero"
         elif 0 < a < 1:
@@ -634,8 +612,7 @@ def scan_monotonicity(
         name = f"mono-w[{a}]"
     elif target == "h":
         pts = _grid(0.0, 1.0, grid)
-        tgt = eval_target if eval_target is not None else 1e-9
-        values = [eval_h(x, target=tgt) for x in pts]
+        values = [eval_h(x, target=1e-9) for x in pts]
         expect = "positive"
         name = "mono-h"
     else:
@@ -657,12 +634,8 @@ def _second_difference(u: CertifiedValue, v: CertifiedValue, w: CertifiedValue) 
     return d2 - b, d2 + b
 
 
-def scan_convexity(
-    which: str,
-    grid: int = 300,
-    eval_target: float = 1e-10,
-) -> ScanReport:
-    """Certified second-difference scan.
+def scan_convexity(which: str, grid: int = 300) -> ScanReport:
+    """Certified second-difference scan, its report named by the CLI target.
 
     iso_sqrt expects concavity, inv_iso_sqrt convexity (all conclusive second
     differences of the matching sign); iso expects a detected sign change,
@@ -672,17 +645,19 @@ def scan_convexity(
         raise ValueError("grid must have at least 3 points")
     if which in ("iso_sqrt", "inv_iso_sqrt"):
         pts = _grid(0.0, T_MAX - 1e-4, grid)
-        values = [_iso_from_t(t, target=eval_target) for t in pts]
+        values = [_iso_from_t(t, target=1e-10) for t in pts]
         if which == "inv_iso_sqrt":
-            values = [cv_div(cv_exact(1.0), v) for v in values]
+            values = [cv_div(CertifiedValue(1.0, 0.0), v) for v in values]
             expect = "positive"
         else:
             expect = "negative"
+        name = "convex-" + which.replace("_", "-")
     elif which == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
-        values = [iso(z, target=eval_target) for z in pts]
+        values = [iso(z, target=1e-10) for z in pts]
         expect = "change"
+        name = "nonconvex-iso"
     else:
         raise ValueError(f"unknown convexity target {which!r}")
     diffs = [_second_difference(*triple) for triple in zip(values, values[1:], values[2:])]
-    return _classify(f"convex-{which}", pts, values, diffs, expect)
+    return _classify(name, pts, values, diffs, expect)

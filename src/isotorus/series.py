@@ -371,10 +371,6 @@ class HypergeometricSpec:
         if c <= 0 and c == int(c):
             raise InvalidLowerParameter(f"lower parameter c={c} is zero or a negative integer")
 
-    def term_ratio(self, n: int) -> "Rational":
-        """Exact ratio t_{n+1}/t_n of consecutive series coefficients."""
-        return (self.a + n) * (self.b + n) / ((self.c + n) * (n + 1))
-
     @cached_property
     def tail_majorant(self) -> tuple | None:
         """(a, c, s, m0), a and c and s = c - 2a as floats, when every
@@ -393,14 +389,6 @@ class HypergeometricSpec:
         if self.b != a or c <= 0 or s <= 0 or (a - 1) * (c - a) > 0:
             return None
         return float(a), float(c), float(s), max(1, math.floor(-a) + 1)
-
-    def coefficient(self, n: int) -> "Rational":
-        """Direct rising-factorial evaluation (a)_n (b)_n / ((c)_n n!)."""
-        num = den = ONE
-        for k in range(n):
-            num *= (self.a + k) * (self.b + k)
-            den *= (self.c + k) * (k + 1)
-        return num / den
 
     def series(self, order: int) -> PowerSeries:
         """Coefficients t_0..t_order from the term ratio on integers: with

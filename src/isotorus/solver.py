@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .numerics import Z_MAX, CertifiedValue, NumericsError, _iso_and_slope, iso
 
-__all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "PrecisionExhausted", "invert_iso"]
+__all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "invert_iso"]
 
 # iso's limit at the right end of its domain: iso(z) < 1 for every z < Z_MAX
 _AT_Z_MAX = CertifiedValue(1.0, 0.0)
@@ -42,10 +42,6 @@ _SHARP = 1e-13
 
 class TargetOutOfRange(NumericsError):
     """Requested ratio below iso(0) or at/above the limit value 1."""
-
-
-class PrecisionExhausted(NumericsError):
-    """Certified bounds cannot separate the target from the candidate's value."""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ FOUR_OVER_PI = 4.0 / math.pi
 THIRTYTWO_OVER_3PI = 32.0 / (3.0 * math.pi)
 
 
+def term_ratio(spec, n):
+    """Exact ratio t_{n+1}/t_n of consecutive Gauss-series coefficients."""
+    return (spec.a + n) * (spec.b + n) / ((spec.c + n) * (n + 1))
+
+
 class _Timer:
     def __init__(self, label, limit):
         self.label = label
@@ -44,9 +49,9 @@ def exact_family_enclosure(spec, x_rat, terms):
     t = rat(1)
     x = rat(x_rat.numerator, x_rat.denominator) if isinstance(x_rat, Fraction) else rat(x_rat)
     for n in range(terms):
-        t = t * spec.term_ratio(n) * x
+        t = t * term_ratio(spec, n) * x
         s = s + t
-    t_next = t * spec.term_ratio(terms) * x
+    t_next = t * term_ratio(spec, terms) * x
     tail = t_next * (terms + sigma - 1) / (sigma - 1)
     if x < 1:
         tail = min(tail, t_next / (1 - x))

@@ -2,9 +2,10 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from isotorus.cli import main
+from isotorus.cli import _SCAN_TARGETS, main
 
 runner = CliRunner()
 
@@ -175,6 +176,12 @@ def test_scan_nonconvex_iso_witnesses():
     summary = json.loads(result.output)
     assert summary["sign_change_detected"] is True
     assert len(summary["witnesses"]) == 2
+
+
+@pytest.mark.parametrize("target", _SCAN_TARGETS)
+def test_scan_report_named_by_its_target(target):
+    result = runner.invoke(main, ["scan", "--target", target, "--grid", "12"])
+    assert json.loads(result.output)["name"].startswith(target)
 
 
 def test_scan_mono_w_outside_class_exits_2():

@@ -22,12 +22,10 @@ from isotorus.numerics import (
     CertifiedValue,
     Divergent,
     DomainError,
-    cv_add,
     cv_div,
-    cv_exact,
     cv_mul,
     cv_pow,
-    cv_sqrt,
+    cv_sub,
     eval_2f1,
     eval_h,
     eval_w,
@@ -52,6 +50,11 @@ FAMILY_SPECS = [
 SLOPE_SPECS = [num._SPEC_AREA_SLOPE, num._SPEC_VOLUME_SLOPE]
 
 
+def term_ratio(spec, n):
+    """Exact ratio t_{n+1}/t_n of consecutive Gauss-series coefficients."""
+    return (spec.a + n) * (spec.b + n) / ((spec.c + n) * (n + 1))
+
+
 def exact_family_enclosure(spec, x_rat, terms):
     """Rigorous rational enclosure [S, S + tail] of 2F1 at rational x in [0,1].
 
@@ -63,9 +66,9 @@ def exact_family_enclosure(spec, x_rat, terms):
     s = rat(1)
     t = rat(1)
     for n in range(terms):
-        t = t * spec.term_ratio(n) * x_rat
+        t = t * term_ratio(spec, n) * x_rat
         s = s + t
-    t_next = t * spec.term_ratio(terms) * x_rat
+    t_next = t * term_ratio(spec, terms) * x_rat
     tail = t_next * (terms + 1 + a + sigma) / sigma
     if x_rat < 1:
         tail = min(tail, t_next / (1 - x_rat))
@@ -77,31 +80,35 @@ def exact_family_enclosure(spec, x_rat, terms):
 def test_certified_value_endpoints():
     cv = CertifiedValue(1.0, 0.25)
     assert cv.lo == 0.75 and cv.hi == 1.25
-    assert cv.disjoint_from(CertifiedValue(2.0, 0.5))
-    assert not cv.disjoint_from(CertifiedValue(1.3, 0.1))
 
 
 def test_interval_ops_contain_truth():
     u = CertifiedValue(2.0, 1e-12)
     v = CertifiedValue(3.0, 1e-12)
-    assert abs(cv_add(u, v).value - 5.0) <= cv_add(u, v).abs_error_bound
+    assert abs(cv_sub(u, v).value + 1.0) <= cv_sub(u, v).abs_error_bound
     assert abs(cv_mul(u, v).value - 6.0) <= cv_mul(u, v).abs_error_bound
     assert abs(cv_div(u, v).value - 2.0 / 3.0) <= cv_div(u, v).abs_error_bound
-    assert abs(cv_sqrt(u).value - math.sqrt(2.0)) <= cv_sqrt(u).abs_error_bound
+    assert abs(cv_pow(u, 0.5).value - math.sqrt(2.0)) <= cv_pow(u, 0.5).abs_error_bound
 
 
 def test_interval_ops_guard_zero():
     wide = CertifiedValue(0.5, 1.0)
     with pytest.raises(BoundNotAchieved):
-        cv_div(cv_exact(1.0), wide)
+        cv_div(CertifiedValue(1.0, 0.0), wide)
     with pytest.raises(BoundNotAchieved):
         cv_pow(wide, 0.5)
 
 
-def test_flags_propagate():
+def test_only_public_evaluators_flag():
+    # a helper returns no flag, whatever its inputs carry; an evaluator flags
+    # by its own final bound against its own target
     flagged = CertifiedValue(1.0, 1e-3, "bound_not_achieved")
-    assert cv_add(flagged, cv_exact(1.0)).flag == "bound_not_achieved"
-    assert cv_mul(cv_exact(2.0), flagged).flag == "bound_not_achieved"
+    assert cv_mul(CertifiedValue(2.0, 0.0), flagged).flag is None
+    assert cv_pow(flagged, 0.5).flag is None
+    # iso^2 at z = 0.41 misses 1e-12; its square root, with half the bound,
+    # meets it
+    assert iso_squared(0.41, target=1e-12).flag == "bound_not_achieved"
+    assert iso(0.41, target=1e-12).flag is None
 
 
 # -- certified 2F1 ---------------------------------------------------------------
@@ -139,7 +146,7 @@ def test_family_tail_majorant_exact(spec):
     a, s = spec.a, spec.c - 2 * spec.a
     for k in range(1, 2001):
         if k + a > 0:
-            assert spec.term_ratio(k) <= (k + a) / (k + a + s + 1)
+            assert term_ratio(spec, k) <= (k + a) / (k + a + s + 1)
 
 
 def test_eval_2f1_near_one_stops_at_best_bound(time_limit):
@@ -303,6 +310,16 @@ def test_iso_direct_needs_order_near_endpoint():
         iso_direct(0.41, order=60)
 
 
+def test_iso_direct_advice_near_its_reach():
+    # the tail cap is 1.05 times a coefficient ratio that falls towards
+    # 1/T_MAX: a higher order helps below z = sqrt(T_MAX/1.05) ~ 0.4042 only
+    with pytest.raises(BoundNotAchieved, match="raise the order"):
+        iso_direct(0.40, order=5)
+    with pytest.raises(BoundNotAchieved, match="no order helps") as info:
+        iso_direct(0.405)
+    assert "raise the order" not in str(info.value)
+
+
 # (z, order) -> (value, bound) as float.hex, from the direct path that summed
 # the closed-form expansions by integer Horner; the operator recurrences and
 # balanced splitting must reproduce every bit.
@@ -427,6 +444,62 @@ def test_derivative_matches_pinned_bits(time_limit):
     for z, value, bound, flag in DERIVATIVE_PINNED:
         d = iso_derivative(z)
         assert (d.value.hex(), d.abs_error_bound.hex(), d.flag) == (value, bound, flag), z
+
+
+# (point, value, bound, flag) as float.hex at the default target, from before
+# the interval helpers stopped carrying flags and only the public evaluators
+# set one: the change must not move a bit
+EVALUATOR_PINNED = {
+    "iso": (iso, [
+        (0.0, "0x1.6c5bc004ae5b3p-1", "0x1.6d8b780095cb6p-48", None),
+        (0.01, "0x1.6c85b6571d382p-1", "0x1.fd1642db2b8eap-42", None),
+        (0.1, "0x1.7c4aa9bbe1aadp-1", "0x1.d2edf12aa6ef8p-37", None),
+        (0.2, "0x1.a69bc6711403dp-1", "0x1.06e6a69bc6711p-35", None),
+        (0.3, "0x1.db3b964dd63a1p-1", "0x1.471adb3b964ddp-35", None),
+        (0.38, "0x1.fb0e118c9212bp-1", "0x1.2f00fb0e118c9p-35", None),
+        (0.41, "0x1.ffe25183c1b6ap-1", "0x1.3bbd3fe25183cp-35", None),
+        (Z_MAX - 1e-9, "0x1.000000001130ap+0", "0x1.4b76c00000001p-34", None),
+    ]),
+    "iso_squared": (iso_squared, [
+        (0.0, "0x1.034a8577b1973p-1", "0x1.bda81565b93ebp-48", None),
+        (0.01, "0x1.0386422f59bdfp-1", "0x1.69e6e8e413998p-41", None),
+        (0.1, "0x1.1a76ded62b8dap-1", "0x1.5acbdea443a96p-36", None),
+        (0.2, "0x1.5cd2f8835a5f0p-1", "0x1.b1fd8783c4e14p-35", None),
+        (0.3, "0x1.b91b16d1bc8ddp-1", "0x1.2f9ba0aba364bp-34", None),
+        (0.38, "0x1.f6285d245b94fp-1", "0x1.2c11c1253b3e9p-34", None),
+        (0.41, "0x1.ffc4a4c002f6ep-1", "0x1.3ba9043bbb177p-34", None),
+        (Z_MAX - 1e-9, "0x1.0000000022615p+0", "0x1.4b75b524eaa28p-33", "bound_not_achieved"),
+    ]),
+    "eval_w(1/2)": (lambda x: eval_w(rat(1, 2), x), [
+        (0.0, "0x1.0000000000000p+0", "0x1.e00000000000dp-49", None),
+        (0.001, "0x1.ffdf444c1be3ep-1", "0x1.1357f89f7049ap-38", None),
+        (0.1, "0x1.f474970099c97p-1", "0x1.e404cb588895dp-36", None),
+        (0.25, "0x1.e70bf2f5a637ep-1", "0x1.410348dc634b4p-36", None),
+        (0.5, "0x1.d8315c251aaeep-1", "0x1.4b03be18b52ccp-35", None),
+        (0.75, "0x1.cff4ed2950518p-1", "0x1.e806eecc0cbb7p-35", None),
+        (0.99, "0x1.ccf8729dc8211p-1", "0x1.34f52767e5b5cp-34", None),
+        (1.0, "0x1.ccf6429b6812ap-1", "0x1.36fd7a1547051p-34", None),
+    ]),
+    "eval_h": (eval_h, [
+        (0.0, "0x1.0000000000000p+0", "0x1.8800000000027p-47", None),
+        (0.001, "0x1.00935c58af4c0p+0", "0x1.58a3a4c1cac3fp-36", None),
+        (0.1, "0x1.35c68877aeea7p+0", "0x1.839ab83fd34a4p-37", None),
+        (0.25, "0x1.77f8c6091e3f1p+0", "0x1.1d6dc9b02c508p-33", "bound_not_achieved"),
+        (0.5, "0x1.c370c3720f658p+0", "0x1.0e62130fb0805p-33", "bound_not_achieved"),
+        (0.75, "0x1.ec0500df2eb23p+0", "0x1.50a75a419ede4p-33", "bound_not_achieved"),
+        (0.99, "0x1.f977ec595819ep+0", "0x1.3f70cc97275efp-33", "bound_not_achieved"),
+        (1.0, "0x1.f9805851c0c1dp+0", "0x1.4744465244554p-32", "bound_not_achieved"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATOR_PINNED))
+def test_evaluator_matches_pinned_bits(name, time_limit):
+    time_limit(10.0)
+    fn, rows = EVALUATOR_PINNED[name]
+    for point, value, bound, flag in rows:
+        cv = fn(point)
+        assert (cv.value.hex(), cv.abs_error_bound.hex(), cv.flag) == (value, bound, flag), point
 
 
 def test_iso_and_slope_shares_iso_and_derivative():

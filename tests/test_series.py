@@ -154,6 +154,20 @@ def test_series_pow_dense_base():
 
 # -- hypergeometric specs --------------------------------------------------------
 
+def term_ratio(spec, n):
+    """Exact ratio t_{n+1}/t_n of consecutive Gauss-series coefficients."""
+    return (spec.a + n) * (spec.b + n) / ((spec.c + n) * (n + 1))
+
+
+def rising_factorial_coefficient(spec, n):
+    """Direct rising-factorial evaluation (a)_n (b)_n / ((c)_n n!)."""
+    num = den = Fraction(1)
+    for k in range(n):
+        num *= (spec.a + k) * (spec.b + k)
+        den *= (spec.c + k) * (k + 1)
+    return num / den
+
+
 def test_hypergeometric_series_oracle():
     # 2F1(-1/2,-1/2;1;x): rising-factorial evaluation for n <= 5
     spec = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
@@ -162,13 +176,16 @@ def test_hypergeometric_series_oracle():
     assert s.coefficients[1] == rat(1, 4)
     assert s.coefficients[2] == rat(1, 64)
     for n in range(6):
-        assert s.coefficients[n] == spec.coefficient(n)
+        assert s.coefficients[n] == rising_factorial_coefficient(spec, n)
 
 
 def test_term_ratio_consistent_with_coefficient():
+    # the two references agree, and series() with them, at a triple with a != b
     spec = HypergeometricSpec(rat(1, 3), rat(-2, 5), rat(7, 2))
+    coeffs = [rising_factorial_coefficient(spec, n) for n in range(11)]
+    assert spec.series(10).coefficients == tuple(coeffs)
     for n in range(10):
-        assert spec.coefficient(n + 1) == spec.coefficient(n) * spec.term_ratio(n)
+        assert coeffs[n + 1] == coeffs[n] * term_ratio(spec, n)
 
 
 def test_invalid_lower_parameter():
