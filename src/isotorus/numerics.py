@@ -18,8 +18,7 @@ so Iso and its derivative are certified on the whole domain.
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
-One helper (``_iso_and_slope``) sums the four series of Iso and its slope;
-``iso_derivative`` and the solver's Newton steps share it.  Each public
+``iso_derivative`` also sums the two slope series G_a.  Each public
 evaluator flags its result exactly when its final bound exceeds the target,
 and only there (``_flagged``): the interval helpers carry no flag.
 Scans enclose the difference they test at each grid point and judge every
@@ -329,8 +328,10 @@ def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
     """h(x) = 2F1(-3/2,-3/2;1;x)^2 / 2F1(-1/2,-1/2;1;x)^3 * (1+x)^(-3/2)."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
-    f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0)
-    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0)
+    # h moves with F1, F2 by 3h/F1 < 5.93, 2h/F2 < 3.95 (F >= 1, and h = iso^2/K
+    # <= 1/K by the isoperimetric inequality): the bound stays under 0.99 target
+    f1 = eval_2f1(SPEC_AREA, x, target=target / 8.0)
+    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 16.0)
     return _flagged(_h(f1, f2, x, 0.0), target)
 
 
@@ -451,19 +452,26 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     return cv_mul(out, cv_const(_C_DIRECT))
 
 
-def _iso_and_slope(t: float, target: float) -> tuple:
-    """(iso, d iso/dx, dx/dt) at t = z^2 rounded from z; each of the four
-    series is summed to ``target``.
+def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
+    """d(iso)/dz = d iso/dx dx/dz, certified; flagged whenever its bound
+    exceeds ``target``.
 
-    From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2:
+    From iso^2 = K w_{3/2}^2 / w_{1/2}^3 with x = 4t/(1-t)^2, t = z^2:
     d iso/dx = iso (w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2}), where
     w_a'/w_a = a^2 G/F - a/(1+x) for F = 2F1(-a,-a;1;x) and
-    G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).  The iso enclosure
-    is the one ``iso`` returns when its two series meet the same target.
+    G = 2F1(1-a,1-a;2;x), as F' = a^2 G (DLMF 15.5.1).
     """
+    _check_domain(z)
+    _check_target(target)
+    if z == 0.0:
+        # even function of z: the derivative vanishes identically at 0
+        return CertifiedValue(0.0, 0.0)
+    t = z * z
     x, x_err, dx_dt = _x_of_t(t)
+    # 1/32 of the target per series: the assembled bound then stays within
+    # the target wherever the series reach theirs
     f1, f2, g1, g2 = (
-        eval_2f1(spec, x, target=target, x_abs_err=x_err)
+        eval_2f1(spec, x, target=target / 32.0, x_abs_err=x_err)
         for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
     )
     iso_val = cv_pow(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)), 0.5)
@@ -473,27 +481,11 @@ def _iso_and_slope(t: float, target: float) -> tuple:
         cv_sub(cv_scale(cv_div(g2, f2), 2.25), cv_scale(cv_div(g1, f1), 0.375)),
         cv_div(CertifiedValue(0.75, 0.0), x1),
     )
-    return iso_val, cv_mul(iso_val, log_slope), dx_dt
-
-
-def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
-    """d(iso)/dz = d iso/dx dx/dz, certified; flagged whenever its bound
-    exceeds ``target``.  Four series (``_iso_and_slope``), each summed once.
-    """
-    _check_domain(z)
-    _check_target(target)
-    if z == 0.0:
-        # even function of z: the derivative vanishes identically at 0
-        return CertifiedValue(0.0, 0.0)
-    t = z * z
-    # 1/32 of the target per series: the assembled bound then stays within
-    # the target wherever the series reach theirs
-    _, diso_dx, dx_dt = _iso_and_slope(t, target / 32.0)
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
     # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
     dx_dz = 2.0 * z * dx_dt
     dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
-    return _flagged(cv_mul(diso_dx, CertifiedValue(dx_dz, dx_dz_err)), target)
+    return _flagged(cv_mul(cv_mul(iso_val, log_slope), CertifiedValue(dx_dz, dx_dz_err)), target)
 
 
 # --------------------------------------------------------------------------

@@ -2,33 +2,34 @@
 
 The ratio function is a monotonic increasing bijection from [0, sqrt(2)-1)
 onto [iso(0), 1), so a prescribed ratio rho determines a unique torus
-parameter.  The solver takes Newton steps in t = z^2, starting at t = 0,
-where the slope d iso/dt is finite (9/2 iso(0)).  Grid scans find iso
-concave in t, so the steps rise to the root from below and converge in a
-handful of evaluations.  Correctness rests on monotonicity alone:
+parameter.  The solver takes bracketed secant steps (Anderson-Bjorck
+regula falsi) on g = sqrt(1 - iso) - sqrt(1 - rho) in t = z^2, from the
+chord to the right end, where iso -> 1.  There 1 - iso ~ eps^2 log(1/eps),
+eps = 1 - x, so iso's slope vanishes while g stays nearly linear.  Each
+point costs one ``iso`` call.  Correctness rests on monotonicity alone:
 
 - a point whose certified interval is disjoint from rho narrows a bracket
-  (lo, hi) that provably holds the root.  A Newton step that leaves the
-  bracket, or is more than half the step before, is replaced by the bracket
-  midpoint, so a wrong slope costs steps, never the result;
-- once a step falls below tol/4, or a point's interval holds rho, that point
-  z is the candidate.  It is returned unflagged only when the intervals at
-  z -+ tol/2, or bracket ends nearer to z, fall on opposite sides of rho (the
-  straddle), which places the root within tol/2 of z.  By monotonicity
-  iso(z) lies between those intervals too, which bounds the residual.  A
-  straddle interval that holds rho at the ordinary target is retried once at
-  the sharpest one; if it still holds rho the result is flagged
-  "precision_exhausted".  One that lies on the far side of rho shows the
-  root beyond it, and the search goes on from the bracket midpoint.
+  (lo, hi) that provably holds the root.  A step that leaves the bracket,
+  or is more than half the step before, is replaced by the bracket
+  midpoint, so a poor step costs steps, never the result;
+- once the steps predict an error below tol/4, or a point's interval holds
+  rho, that point z is the candidate.  It is returned unflagged only when
+  the intervals at z -+ tol/2, or bracket ends nearer to z, fall on
+  opposite sides of rho (the straddle), which places the root within tol/2
+  of z.  By monotonicity iso(z) lies between those intervals too, which
+  bounds the residual.  A straddle interval that holds rho at the ordinary
+  target is retried once at the sharpest one; if it still holds rho the
+  result is flagged "precision_exhausted".  One that lies on the far side
+  of rho shows the root beyond it, and the search goes on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .numerics import Z_MAX, CertifiedValue, NumericsError, _iso_and_slope, iso
+from .numerics import Z_MAX, CertifiedValue, NumericsError, iso
 
 __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "invert_iso"]
 
@@ -69,58 +70,59 @@ class InverseResult:
     flag: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "z": self.z,
-            "residual_bound": self.residual_bound,
-            "iterations": self.iterations,
-            "flag": self.flag,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
-def _evaluate(z: float, target: float) -> tuple:
-    """The iso enclosure at z, as ``iso(z, target)`` gives it, and the slope
-    d iso/dt at t = z^2 (a float: it only proposes steps)."""
-    value, diso_dx, dx_dt = _iso_and_slope(z * z, target / 4.0)
-    return value, diso_dx.value * dx_dt
+def _chord(t_lo: float, g_lo: float, t_hi: float, g_hi: float) -> float:
+    """The step rule, which only proposes points: the t at which the chord
+    through the bracket ends (t_lo, g_lo), (t_hi, g_hi), g_lo > 0 > g_hi, crosses 0."""
+    return t_lo + g_lo * (t_hi - t_lo) / (g_lo - g_hi)
 
 
 def invert_iso(query: InverseQuery) -> InverseResult:
-    """Find z with iso(z) = rho by bracketed Newton steps in t = z^2."""
+    """Find z with iso(z) = rho by bracketed secant steps on sqrt(1 - iso) in t = z^2."""
     rho, tol = query.rho, query.tolerance
     if not math.isfinite(rho) or rho >= 1.0:
         raise TargetOutOfRange(f"target ratio {rho} is not below 1")
     target = min(1e-11, tol)
-    z = 0.0  # the last point evaluated, with its interval cv and slope
-    cv, slope = _evaluate(z, target)
+    z = 0.0  # the last point evaluated, with its interval cv
+    cv = iso(z, target)
     if rho < cv.lo:
         raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {cv.value}")
     if rho <= cv.hi:
         return InverseResult(rho, 0.0, abs(cv.value - rho) + cv.abs_error_bound, 0)
 
     half = 0.5 * tol
+    gap = math.sqrt(1.0 - rho)
+
+    def g(cv):  # > 0 below rho, < 0 above; iso's float value can pass 1 near Z_MAX
+        return math.sqrt(max(0.0, 1.0 - cv.value)) - gap
+
     # the root lies in (lo, hi): the interval at lo lies below rho and the
-    # one at hi above it
+    # one at hi above it.  When the same end moves twice running, the g of
+    # the other is scaled down (Anderson and Bjorck), so both ends close in
     lo, hi, below, above = 0.0, Z_MAX, cv, _AT_Z_MAX
-    step = math.inf
+    g_lo, g_hi, moved = g(cv), -gap, None
+    step = 2.0 * Z_MAX  # so that the rule below admits any first step
     candidate = None  # the z that the straddle is certifying
     iterations = 0
     while True:
         if candidate is None:
-            # a Newton step in t, kept when it stays inside the bracket and
-            # is at most half the step before; else the bracket midpoint
-            t = z * z + (rho - cv.value) / slope if slope > 0.0 else -1.0
+            # a chord step, kept when it stays inside the bracket and is at
+            # most half the step before; else the bracket midpoint
+            t = _chord(lo * lo, g_lo, hi * hi, g_hi)
             nxt = math.sqrt(t) if t >= 0.0 else -1.0
             if not (lo < nxt < hi and abs(nxt - z) <= 0.5 * step):
                 nxt = 0.5 * (lo + hi)
-            step = abs(nxt - z)
-            if step < 0.25 * tol:
+            last, step = step, abs(nxt - z)
+            # a converging secant's error is about the product of its last
+            # two steps: once that is below tol/4, the straddle takes over
+            if step * step < 0.25 * tol * last:
                 candidate = nxt
-        # the straddle: once the bracket ends lie within tol/2 of the
-        # candidate, the root does too
+        # the straddle: bracket ends within tol/2 of the candidate hold the root
         if candidate is not None and lo >= candidate - half and hi <= candidate + half:
             return InverseResult(rho, candidate, max(above.hi - rho, rho - below.lo), iterations)
         if iterations >= query.max_iterations:
@@ -129,13 +131,13 @@ def invert_iso(query: InverseQuery) -> InverseResult:
         iterations += 1
         if candidate is None:
             z = nxt
-            cv, slope = _evaluate(z, target)
+            cv = iso(z, target)
             if cv.lo <= rho <= cv.hi:
                 candidate = z
         else:
             # a straddle point, at the ordinary target and once at the sharp one
             z = candidate - half if lo < candidate - half else candidate + half
-            cv, slope = iso(z, target=target), 0.0
+            cv = iso(z, target)
             if cv.lo <= rho <= cv.hi:
                 cv = iso(z, target=_SHARP)
             if cv.lo <= rho <= cv.hi:
@@ -143,8 +145,14 @@ def invert_iso(query: InverseQuery) -> InverseResult:
                 return InverseResult(rho, candidate, abs(at.value - rho) + at.abs_error_bound,
                                      iterations, "precision_exhausted")
         if rho > cv.hi:
-            lo, below = z, cv
+            if moved == "lo":
+                m = 1.0 - g(cv) / g_lo
+                g_hi *= m if m > 0.0 else 0.5
+            lo, below, g_lo, moved = z, cv, g(cv), "lo"
         elif rho < cv.lo:
-            hi, above = z, cv
+            if moved == "hi":
+                m = 1.0 - g(cv) / g_hi
+                g_lo *= m if m > 0.0 else 0.5
+            hi, above, g_hi, moved = z, cv, g(cv), "hi"
         if candidate is not None and not lo < candidate < hi:
             candidate = None  # a straddle point found the root beyond it

@@ -1,10 +1,11 @@
 """Certified inversion of the ratio function."""
 
 import json
+import math
 
 import pytest
 
-from isotorus import solver
+from isotorus import numerics, solver
 from isotorus.numerics import Z_MAX, iso
 from isotorus.solver import InverseQuery, InverseResult, TargetOutOfRange, invert_iso
 
@@ -74,7 +75,7 @@ def test_result_serialization():
 
 
 def test_iteration_cap_is_flagged():
-    # three Newton steps cannot reach 1e-15; the result must say so
+    # three steps cannot reach 1e-15; the result must say so
     result = invert_iso(InverseQuery(0.9, tolerance=1e-15, max_iterations=3))
     assert result.iterations == 3
     assert result.flag == "max_iterations"
@@ -122,9 +123,9 @@ def _recording_iso(monkeypatch):
 
 
 def test_ambiguous_midpoint_is_certified_by_the_straddle(monkeypatch):
-    # rho is iso's own value at z0 (bisection's first midpoint), so the Newton
-    # point that lands next to z0 has an interval holding rho; the intervals
-    # at z -+ tol/2 then straddle rho and certify z
+    # rho is iso's own value at z0 (bisection's first midpoint), so points
+    # next to z0 have intervals holding rho; the intervals at z -+ tol/2
+    # then straddle rho and certify z
     z0 = 0.5 * (Z_MAX - 1e-12)
     rho = iso(z0, target=1e-11).value
     calls = _recording_iso(monkeypatch)
@@ -166,39 +167,70 @@ def test_round_trip_against_mpmath_roots():
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, 1e6])
 def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
-    # the slope only proposes steps: zero, of the wrong sign or a million
-    # times too large, the bracket and the straddle still certify the root
+    # the chord's slope only proposes steps: zero, of the wrong sign or a
+    # million times too large, the bracket and the straddle still certify
+    # the root.  The step from t_lo then runs to infinity, backwards out of
+    # the bracket, or a millionth of the way inside it
     mpmath = pytest.importorskip("mpmath")
-    evaluate = solver._evaluate
+    chord = solver._chord
 
-    def bad_slope(z, target):
-        cv, slope = evaluate(z, target)
-        return cv, scale * slope
+    def bad_slope(t_lo, g_lo, t_hi, g_hi):
+        step = chord(t_lo, g_lo, t_hi, g_hi) - t_lo
+        return t_lo + step / scale if scale else math.inf
 
-    monkeypatch.setattr(solver, "_evaluate", bad_slope)
-    for rho, root in _mp_roots(mpmath, (0.05, 0.2, 0.3)):
+    monkeypatch.setattr(solver, "_chord", bad_slope)
+    for rho, root in _mp_roots(mpmath, (0.05, 0.2, 0.3, 0.405)):
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, (scale, rho)
         assert abs(result.z - root) <= 1e-10, (scale, rho, result.z)
 
 
+def _counting_eval_2f1(monkeypatch):
+    """Count the series sums the solver makes, through every iso call."""
+    calls = [0]
+    evaluate = numerics.eval_2f1
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eval_2f1", counted)
+    return calls
+
+
 def test_few_evaluations_per_root(monkeypatch):
-    # each Newton point costs one _evaluate, each straddle point one or two
-    # iso calls (the sharp retry); bisection took about 33
-    counts = []
-    evaluate = solver._evaluate
-
-    def counted(z, target):
-        counts[-1] += 1
-        return evaluate(z, target)
-
-    monkeypatch.setattr(solver, "_evaluate", counted)
-    calls = _recording_iso(monkeypatch)
+    # each point costs one iso call, two series; a straddle point one more
+    # iso call when it takes the sharp retry.  Bisection took about 33 points
+    calls = _counting_eval_2f1(monkeypatch)
     for k in range(20):
         z = 0.03 + (0.30 - 0.03) * (k + 0.5) / 20
         rho = iso(z, target=1e-13).value
-        counts.append(0)
-        before = len(calls)
+        before = calls[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None
-        assert counts[-1] + len(calls) - before <= 12, (z, counts[-1], len(calls) - before)
+        assert calls[0] - before <= 18, (z, calls[0] - before)
+
+
+def test_few_evaluations_per_root_near_z_max(monkeypatch):
+    # iso's slope in t vanishes at Z_MAX, but sqrt(1 - iso) stays nearly
+    # linear, so roots there cost no more than interior ones
+    mpmath = pytest.importorskip("mpmath")
+    pairs = _mp_roots(mpmath, [0.400 + 0.011 * (k + 0.5) / 7 for k in range(7)])
+    calls = _counting_eval_2f1(monkeypatch)
+    for rho, root in pairs:
+        before = calls[0]
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert result.flag is None, rho
+        assert abs(result.z - root) <= 1e-10, (rho, result.z)
+        assert calls[0] - before <= 20, (rho, calls[0] - before)
+
+
+@pytest.mark.parametrize("rho, budget", [(0.9999999, 62), (1.0 - 2.0 ** -53, 74)])
+def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
+    # the root lies so near Z_MAX that even the sharpest bound cannot tell
+    # z -+ tol/2 apart from rho: flagged, never raised, in few series sums
+    calls = _counting_eval_2f1(monkeypatch)
+    result = invert_iso(InverseQuery(rho, 1e-10))
+    assert result.flag == "precision_exhausted"
+    assert 0.414 < result.z < Z_MAX
+    assert calls[0] < budget, calls[0]
