@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .identities import ABAR_OPERATOR, VBAR_OPERATOR
-from .series import HypergeometricSpec, Rational, homogeneous_sum, rat
+from .series import HypergeometricSpec, Rational, rat
 
 __all__ = [
     "CertifiedValue",
@@ -71,6 +71,7 @@ _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso*
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
 _CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
+_P = 128                            # bits after the point in iso_direct's fixed-point partial sums
 
 SPEC_AREA = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(1))
 SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
@@ -303,17 +304,27 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
     return CertifiedValue(v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err)
 
 
-def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
-    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
+def _w_spec(a) -> HypergeometricSpec | None:
+    """The spec of 2F1(-a,-a;1;x) in w_a, or None where w_a = 1 (a = 0, 1)."""
     a = Rational(a)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"argument {x} outside [0, 1]")
-    if a == 0 or a == 1:
-        return CertifiedValue(1.0, 0.0)
     if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
         raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
-    f = eval_2f1(HypergeometricSpec(-a, -a, rat(1)), x, target=target)
-    return _flagged(cv_div(f, _pow_one_plus_x(float(a), x, 0.0)), target)
+    return None if a == 0 or a == 1 else HypergeometricSpec(-a, -a, rat(1))
+
+
+def _w(spec: HypergeometricSpec | None, x: float, target: float) -> CertifiedValue:
+    """w_a(x) from the spec ``_w_spec(a)``, built once per a."""
+    if not (0.0 <= x <= 1.0):
+        raise DomainError(f"argument {x} outside [0, 1]")
+    if spec is None:
+        return CertifiedValue(1.0, 0.0)
+    f = eval_2f1(spec, x, target=target)
+    return _flagged(cv_div(f, _pow_one_plus_x(-float(spec.a), x, 0.0)), target)
+
+
+def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
+    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
+    return _w(_w_spec(a), x, target)
 
 
 def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> CertifiedValue:
@@ -386,44 +397,66 @@ def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
 
 @lru_cache(maxsize=None)
 def _direct_series(order: int):
-    """Exact area and volume coefficients plus a geometric tail ratio for the
-    direct path.
+    """Area and volume coefficients in fixed point plus a geometric tail
+    ratio for the direct path.
 
     Abar and Vbar are the power-series solutions of the printed operators
     ``ABAR_OPERATOR`` and ``VBAR_OPERATOR`` with constant terms 4 and 2,
     generated by their coefficient recurrences; no hypergeometric closed form
     is used, so the direct path checks it.  Returns (abar, vbar, ratio_cap),
-    each series as (numerators through ``order``, next numerator, common
-    denominator).  The coefficient ratios over a window of 10 past ``order``
-    are checked positive and decreasing, and the largest, with a 5% cushion,
-    is the cap.  The cap is checked on that window only; that it bounds every
-    later ratio is not proved.
+    each series as (coeffs, next numerator, common denominator), coeffs the
+    (floor, ceil) of c_n 2^P for n = ``order`` down to 0, each c_n checked
+    positive as ``_horner_enclosure`` needs.  The cap is the largest
+    coefficient ratio over a window of 10 past ``order``, checked positive
+    and decreasing there, with a 5% cushion; that it bounds every later
+    ratio is not proved.
     """
     extra = 10
     parts = []
     caps = []
     for op, constant in ((ABAR_OPERATOR, 4), (VBAR_OPERATOR, 2)):
         series = op.series_solution(constant, order + extra)
-        nums = series.nums
+        nums, den = series.nums, series.den
+        if any(c <= 0 for c in nums[: order + 1]):
+            raise BoundNotAchieved("a coefficient through the order is not positive")
         ratios = [Fraction(nums[n + 1], nums[n]) for n in range(order - 1, order + extra - 1)]
         if any(r <= 0 for r in ratios) or any(
             ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)
         ):
             raise BoundNotAchieved("coefficient ratios not positive-decreasing")
         caps.append(float(ratios[0]) * _CAP_CUSHION)
-        parts.append((nums[: order + 1], nums[order + 1], series.den))
+        coeffs = tuple(((c << _P) // den, -((-c << _P) // den)) for c in nums[order::-1])
+        parts.append((coeffs, nums[order + 1], den))
     return parts[0], parts[1], max(caps)
 
 
+def _horner_enclosure(coeffs, u: int, v: int) -> tuple:
+    """(lo, hi) with lo <= 2^P S <= hi for S = sum_n c_n t^n at t = u/v, from
+    the (floor, ceil) pairs of c_n 2^P >= 0, highest power first: Horner's
+    rule on integers, rounding down with floor(2^P t) and up with
+    ceil(2^P t).  Every term is nonnegative, so each rounding moves lo down
+    and hi up."""
+    scaled = u << _P
+    t_lo, t_hi = scaled // v, -(-scaled // v)
+    round_up = (1 << _P) - 1
+    lo = hi = 0
+    for c_lo, c_hi in coeffs:
+        lo = ((lo * t_lo) >> _P) + c_lo
+        hi = ((hi * t_hi + round_up) >> _P) + c_hi
+    return lo, hi
+
+
 def iso_direct(z: float, order: int = 240) -> CertifiedValue:
-    """Direct-definition evaluation via exact partial sums of the area and
-    volume series of the printed operators; cross-validation path for the
-    closed form.  ``order`` is the last power summed, an integer >= 1."""
+    """Direct-definition evaluation from the area and volume series of the
+    printed operators; cross-validation path for the closed form.  ``order``
+    is the last power summed, an integer >= 1.  Each partial sum is enclosed
+    at 2^-P (``_horner_enclosure``): the midpoint is rounded once, and the
+    width joins the bound."""
     _check_domain(z)
     if not isinstance(order, int) or order < 1:
         raise DomainError(f"order {order!r} is not an integer >= 1")
-    # t = z^2 = u/v exactly
-    u, v = (n * n for n in Fraction(z).as_integer_ratio())
+    # t = z^2 = u/v exactly, with v = 4^e as z is a float
+    u, v = (n * n for n in float(z).as_integer_ratio())
     ab, vb, ratio_cap = _direct_series(order)
     t = u / v
     q = t * ratio_cap
@@ -434,17 +467,17 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
         advice = "raise the order" if _CAP_CUSHION * t < T_MAX else (
             f"no order helps: the direct path's tail cap reaches only z < {reach:.4f}")
         raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; {advice}")
-    u_head, v_top = u ** (order + 1), v ** order
+    u_head, v_head_bits = u ** (order + 1), (v.bit_length() - 1) * (order + 1)
 
     def enclose(part):
-        nums, next_num, den = part
-        # each exact quotient is rounded once by int true division, as
-        # float(Fraction) does; the next term is formed exactly first, as
-        # its coefficient alone can overflow float while the product is tiny
-        head = next_num * u_head / (den * v_top * v)
-        tail = head / (1.0 - q)
-        val = homogeneous_sum(nums, u, v) / (den * v_top)
-        return CertifiedValue(val + tail / 2.0, tail / 2.0 + _pad(val) + _pad(tail))
+        coeffs, next_num, den = part
+        # the next term is formed exactly and rounded once, as its
+        # coefficient alone can overflow float while the product is tiny
+        tail = next_num * u_head / (den << v_head_bits) / (1.0 - q)
+        lo, hi = _horner_enclosure(coeffs, u, v)
+        val = (lo + hi) / (2 << _P)
+        width = (hi - lo) / (1 << _P)
+        return CertifiedValue(val + tail / 2.0, tail / 2.0 + _pad(val) + _pad(tail) + width)
 
     a_val = enclose(ab)
     v_val = enclose(vb)
@@ -593,14 +626,10 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
         if a is None:
             raise ValueError("w scan needs the parameter a")
         a = Rational(a)
+        spec = _w_spec(a)  # None where w_a is constant
         pts = _grid(0.0, 1.0, grid)
-        values = [eval_w(a, x, target=1e-9) for x in pts]
-        if a == 0 or a == 1:
-            expect = "zero"
-        elif 0 < a < 1:
-            expect = "negative"
-        else:
-            expect = "positive"
+        values = [_w(spec, x, 1e-9) for x in pts]
+        expect = "zero" if spec is None else "negative" if 0 < a < 1 else "positive"
         name = f"mono-w[{a}]"
     elif target == "h":
         pts = _grid(0.0, 1.0, grid)

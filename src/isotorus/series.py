@@ -29,7 +29,7 @@ __all__ = [
     "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
     "InvalidLowerParameter", "OrderTooLow",
     "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
-    "homogeneous_sum", "binomial_series", "one_minus_x_power", "series_pow", "poly_mul",
+    "binomial_series", "one_minus_x_power", "series_pow", "poly_mul",
 ]
 
 ZERO = Rational(0)
@@ -255,44 +255,14 @@ class PowerSeries:
     def evaluate(self, point) -> "Rational":
         """Exact value of the truncated polynomial at a rational point: with
         point = u/v and coefficients c_k / d, sum c_k u^k v^(N-k) / (d v^N),
-        the numerator from ``homogeneous_sum``."""
+        the numerator by Horner's rule on integers."""
         p = Rational(point)
         u, v = p.numerator, p.denominator
-        return Rational(homogeneous_sum(self.nums, u, v), self.den * v ** self.order)
-
-
-# Blocks of at most this many coefficients are summed by Horner's rule.
-_LEAF = 8
-
-
-def homogeneous_sum(nums: Sequence, u: int, v: int) -> int:
-    """sum nums[k] u^k v^(N-k) over k = 0..N, N = len(nums) - 1, on integers.
-
-    Balanced splitting (Haible & Papanikolaou, 1998): the block sum
-    H(lo, hi) = sum_{lo <= k < hi} nums[k] u^(k-lo) v^(hi-1-k) splits as
-    H(lo, mid) v^(hi-mid) + H(mid, hi) u^(mid-lo), so the large products
-    pair operands of equal size, where big-integer multiplication is
-    subquadratic; blocks of at most ``_LEAF`` coefficients use Horner.  The
-    split halves differ in length by at most one, so few powers are needed;
-    each is computed once per call.
-    """
-    u_pows, v_pows = {}, {e: v ** e for e in range(_LEAF)}
-
-    def power(pows, base, e):
-        if e not in pows:
-            pows[e] = base ** e
-        return pows[e]
-
-    def block(lo, hi):
-        if hi - lo <= _LEAF:
-            acc = nums[hi - 1]
-            for k in range(hi - 2, lo - 1, -1):
-                acc = acc * u + nums[k] * v_pows[hi - 1 - k]
-            return acc
-        mid = (lo + hi) // 2
-        return block(lo, mid) * power(v_pows, v, hi - mid) + block(mid, hi) * power(u_pows, u, mid - lo)
-
-    return block(0, len(nums))
+        acc, v_pow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * u + c * v_pow
+            v_pow *= v
+        return Rational(acc, self.den * v ** self.order)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> tuple:

@@ -36,7 +36,7 @@ from isotorus.numerics import (
     scan_convexity,
     scan_monotonicity,
 )
-from isotorus.series import HypergeometricSpec, Rational, rat
+from isotorus.series import HypergeometricSpec, Rational, perturbed, rat
 
 FOUR_OVER_PI = 4.0 / math.pi
 THIRTYTWO_OVER_3PI = 32.0 / (3.0 * math.pi)
@@ -346,6 +346,45 @@ def test_iso_direct_matches_pinned_bits():
         assert (d.value.hex(), d.abs_error_bound.hex(), d.flag) == (value, bound, None), (z, order)
 
 
+@pytest.mark.parametrize("order", [1, 5, 240, 460])
+def test_direct_enclosure_holds_the_exact_partial_sum(order):
+    from isotorus.identities import ABAR_OPERATOR, VBAR_OPERATOR
+
+    abar, vbar, _ = num._direct_series(order)
+    for op, constant, (coeffs, _, _) in ((ABAR_OPERATOR, 4, abar), (VBAR_OPERATOR, 2, vbar)):
+        s = op.series_solution(constant, order)
+        for z in (0.0, 5e-324, 1e-20, 2.0 ** -60, 0.1, 0.38, 0.402):
+            u, v = (n * n for n in Rational(z).as_integer_ratio())
+            if z in (5e-324, 1e-20):
+                # v > 2^P: floor and ceil of 2^P t differ
+                assert (u << num._P) % v
+            lo, hi = num._horner_enclosure(coeffs, u, v)
+            # the exact partial sum is h / (den v^order), h = sum c_n u^n v^(order-n)
+            h, v_pow = 0, 1
+            for c in reversed(s.nums):
+                h, v_pow = h * u + c * v_pow, v_pow * v
+            scale = s.den * v ** order
+            assert lo * scale <= h << num._P <= hi * scale, (order, z)
+
+
+def test_direct_path_refuses_a_nonpositive_coefficient(monkeypatch):
+    # the fixed-point enclosure holds only for nonnegative terms
+    from isotorus.identities import ABAR_OPERATOR
+
+    class ZeroedCoefficient:
+        def series_solution(self, constant, order):
+            s = ABAR_OPERATOR.series_solution(constant, order)
+            return perturbed(s, 3, -s[3])
+
+    monkeypatch.setattr(num, "ABAR_OPERATOR", ZeroedCoefficient())
+    num._direct_series.cache_clear()
+    try:
+        with pytest.raises(BoundNotAchieved, match="coefficient through the order is not positive"):
+            iso_direct(0.1, order=20)
+    finally:
+        num._direct_series.cache_clear()
+
+
 def test_iso_direct_rejects_an_order_that_is_not_a_positive_integer():
     for order in (0, -3, 2.5, 240.0, "240", None):
         with pytest.raises(DomainError, match="not an integer >= 1"):
@@ -553,6 +592,19 @@ def test_scan_monotonicity_w_directions():
     assert down.name == "mono-w[1/2]"
 
 
+def test_scan_monotonicity_w_builds_its_spec_once(monkeypatch):
+    built = []
+
+    class CountedSpec(HypergeometricSpec):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(num, "HypergeometricSpec", CountedSpec)
+    assert scan_monotonicity("w", grid=50, a=rat(1, 2)).passed
+    assert len(built) == 1
+
+
 def test_scan_monotonicity_w_whole_interval():
     # every a > -1/2 is certified up to x = 1
     report = scan_monotonicity("w", grid=20, a=rat(-1, 4))
@@ -627,7 +679,7 @@ def test_scan_monotonicity_inconclusive_pair(monkeypatch):
 
 def test_scan_monotonicity_constant_w_conclusive_change(monkeypatch):
     # a = 1 expects a constant w: any conclusive difference is a violation
-    _feed(monkeypatch, "eval_w", [1.0, 1.0, 1.5, 1.5 + 1e-3], bound=1e-3)
+    _feed(monkeypatch, "_w", [1.0, 1.0, 1.5, 1.5 + 1e-3], bound=1e-3)
     report = scan_monotonicity("w", grid=4, a=rat(1))
     assert [row[3] for row in report.rows] == ["", "ok", "violation", "ok"]
     assert report.witnesses == [report.rows[2][0]]
