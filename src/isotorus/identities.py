@@ -11,6 +11,7 @@ triples; for them the run is sampled evidence, not a proof.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -183,47 +184,38 @@ def _sampled_report(name, samples, order, pair_fn, default=sample_parameters) ->
 def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
     """outer(4z/(1-z)^2) mod z^(N+1), N = min(order, outer.order), exactly.
 
-    Clears denominators: outer(4z/(1-z)^2) = S(z) * (1-z)^(-2N) with
-    S = sum_n t_n 4^n z^n (1-z)^(2(N-n)), accumulated Horner-style by
-    repeated multiplication with the quadratic (1-z)^2.  O(N^2) operations on
-    the integer numerators of the t_n over their common denominator, instead
-    of the O(N^3) rational operations of generic series composition.
+    Horner's rule in u = z/(1-z)^2 on the integer numerators 4^n t_n of the
+    outer coefficients over their common denominator, with no series product:
+    multiplying by u is a shift by one power and two prefix sums (dividing by
+    1 - z twice).  The accumulator at step n is multiplied by u n more times,
+    so only its terms through z^(N-n) are kept.
     """
     order = min(outer.order, order)
-    outer = outer.truncate(order)
     nums = outer.nums
-    acc = [0] * (order + 1)
-    for n in range(order + 1):
-        # acc <- acc * (1 - z)^2 mod z^(order+1); acc has degree at most 2n - 2
-        for m in range(min(2 * n, order), 1, -1):
-            acc[m] += acc[m - 2] - 2 * acc[m - 1]
-        if n >= 1:
-            acc[1] -= 2 * acc[0]
-        acc[n] += nums[n] << (2 * n)
-    s = PowerSeries.from_integers(acc, outer.den)
-    return s * one_minus_x_power(rat(-2 * order), order)
+    acc = [nums[order] << (2 * order)]
+    for n in range(order - 1, -1, -1):
+        acc = [nums[n] << (2 * n), *itertools.accumulate(itertools.accumulate(acc))]
+    return PowerSeries.from_integers(acc, outer.den)
+
+
+def _closed_form(a, prefactor: tuple, q_power: int, order: int) -> PowerSeries:
+    """prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2) through z^order, Q = z^2-6z+1: one
+    product with the short prefactor, one long division by Q^q_power (constant term 1)."""
+    comp = _compose_with_inner_argument(_hyp(a, a, ONE, order), order)
+    num = PowerSeries.from_polynomial(prefactor, order) * comp
+    return num / PowerSeries.from_polynomial(_poly(*[_Q] * q_power), order)
 
 
 @lru_cache(maxsize=None)
 def expand_abar(order: int) -> PowerSeries:
     """Closed-form expansion 4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2)."""
-    hyp = _hyp(rat(-1, 2), rat(-1, 2), ONE, order)
-    comp = _compose_with_inner_argument(hyp, order)
-    pref = PowerSeries.from_polynomial((4, 0, -4), order) / PowerSeries.from_polynomial(
-        poly_mul(_Q, _Q), order
-    )
-    return pref * comp
+    return _closed_form(rat(-1, 2), (4, 0, -4), 2, order)
 
 
 @lru_cache(maxsize=None)
 def expand_vbar(order: int) -> PowerSeries:
     """Closed-form expansion 2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2)."""
-    hyp = _hyp(rat(-3, 2), rat(-3, 2), ONE, order)
-    comp = _compose_with_inner_argument(hyp, order)
-    num = _poly((1, -1), (1, -1), (1, -1))  # (1-z)^3
-    den = _poly(_Q, _Q, _Q)
-    pref = PowerSeries.from_polynomial(tuple(2 * c for c in num), order) / PowerSeries.from_polynomial(den, order)
-    return pref * comp
+    return _closed_form(rat(-3, 2), (2, -6, 6, -2), 3, order)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +223,7 @@ def expand_f(order: int) -> PowerSeries:
     """Coefficients d_n of the flux series, via F = 2*Vbar'*Abar - 3*Vbar*Abar'."""
     ab = expand_abar(order + 1)
     vb = expand_vbar(order + 1)
-    return vb.derivative() * ab.truncate(order) * PowerSeries.from_polynomial((2,), order) - (
-        vb.truncate(order) * ab.derivative()
-    ).scale(3)
+    return (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
 
 
 # --------------------------------------------------------------------------
@@ -444,8 +434,9 @@ def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
 
     def pair(a):
         w = _w_series(a, order + 2)
-        lhs = (x_series * ratio_power(2 * a, order + 1) * w.derivative()).derivative()
-        rhs = binomial_series(rat(-2), order) * ratio_power(2 * a, order) * w.truncate(order)
+        ratio = ratio_power(2 * a, order + 1)
+        lhs = (x_series * ratio * w.derivative()).derivative()
+        rhs = binomial_series(rat(-2), order) * ratio * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
 
     return _sampled_report("adjoint_form", a_samples, order, pair)

@@ -6,9 +6,14 @@ series is integer numerators over one positive denominator, ``(nums, den)``
 with ``gcd(den, *nums) == 1``: den is the lcm of the reduced coefficient
 denominators, so equal series have equal ``(nums, den)``.  Each operation
 works on the integers and reduces its result with one gcd; a product is one
-big-integer multiplication (Kronecker substitution), and the hypergeometric,
-binomial and power series come from integer recurrences.  ``coefficients``,
-as ``fractions.Fraction``, is derived on first use, at the API edge.
+big-integer multiplication (Kronecker substitution) with each digit as wide
+as the coefficients it keeps need, max_i (bits(a_i) + max_(j <= n-i) bits(b_j))
+plus bits(n+1) + 1, and the hypergeometric, binomial and power series come
+from integer recurrences.  A known factor needs no product: dividing by 1 - z
+is a prefix sum, and dividing by a short polynomial with constant term 1 is a
+sparse long division; the closed-form expansions in ``identities`` compose and
+apply their prefactors this way.  ``coefficients``, as ``fractions.Fraction``,
+is derived on first use, at the API edge.
 
 A series carries an explicit truncation order; every operation propagates
 the minimal order its inputs justify, so a claim that a residual is zero
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction as Rational
 from functools import cached_property
@@ -93,13 +99,16 @@ def _int_mul(a: Sequence, b: Sequence, n: int) -> list:
     """Coefficients 0..n of the product of two integer polynomials, from one
     big-integer product (Kronecker substitution, unpacked as signed digits).
 
-    Each product coefficient is a sum of at most n+1 terms, so it is below
-    2^(w-1) in magnitude for the digit width w chosen here, and the low
-    (n+1)*w bits of the product determine coefficients 0..n exactly.
+    Coefficient m <= n sums at most n+1 products a_i b_j, i + j = m, each
+    below 2^(bits(a_i) + max_(j <= n-i) bits(b_j)); with w the largest such
+    exponent plus bits(n+1) + 1 it is below 2^(w-1) in magnitude.  Digits
+    above n add only multiples of 2^((n+1)w), so the low (n+1)*w bits of the
+    product determine coefficients 0..n exactly.
     """
     a, b = a[: n + 1], b[: n + 1]
-    bits = (max(abs(v) for v in a).bit_length() + max(abs(v) for v in b).bit_length()
-            + (n + 1).bit_length() + 1)
+    # reach[k] = max_(j <= k) bits(b_j), paired with a_i at k = n - i (bit_length ignores sign)
+    reach = list(itertools.accumulate([*map(int.bit_length, b), *[0] * (n + 1 - len(b))], max))
+    bits = max(map(operator.add, map(int.bit_length, a), reversed(reach))) + (n + 1).bit_length() + 1
     width = (bits + 7) // 8
     full = 1 << (8 * width)
     half = full >> 1

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from isotorus import identities as ident
-from isotorus.series import PowerSeries, perturbed, rat, sample_parameters
+from isotorus.series import HypergeometricSpec, PowerSeries, perturbed, rat, sample_parameters
 
 ORDER = 24  # fast unit-test order; the acceptance suite runs the pinned orders
 SAMPLES = sample_parameters(8, exclude=(rat(0), rat(1)))
@@ -30,12 +30,14 @@ def test_expand_vbar_golden():
 
 
 # sha256 digests of exact results, computed with the Fraction-per-coefficient
-# series layer that preceded integer storage; any change to an exact result
-# changes its digest.
+# series layer that preceded integer storage; f200, the input of the default
+# positivity window, with the integer layer that preceded composition by
+# prefix sums.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
+    "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
     "verify12": "fd78411151d78f3d2ade9f5fb3432fbb2646d726bd7e5aa9632ec88787d0fa91",
 }
 
@@ -48,6 +50,7 @@ def test_exact_results_match_golden_digests():
         "abar250": digest("\n".join(ident.expand_abar(250).to_strings())),
         "vbar250": digest("\n".join(ident.expand_vbar(250).to_strings())),
         "f120": digest("\n".join(ident.expand_f(120).to_strings())),
+        "f200": digest("\n".join(ident.expand_f(200).to_strings())),
         "verify12": digest(json.dumps([r.to_dict() for r in ident.verify_all(12)])),
     }
     assert got == GOLDEN_DIGESTS
@@ -88,8 +91,6 @@ def test_inner_argument_expansion():
 
 
 def test_fast_composition_matches_generic():
-    from isotorus.series import HypergeometricSpec
-
     hyp = HypergeometricSpec(rat(-3, 2), rat(1, 3), rat(2)).series(18)
     fast = ident._compose_with_inner_argument(hyp, 18)
     slow = hyp.compose(inner_argument(18))
@@ -103,6 +104,19 @@ def test_fast_composition_matches_generic_id_war_order():
         fast = ident._compose_with_inner_argument(w, 41)
         slow = w.compose(inner_argument(41))
         assert fast.coefficients == slow.coefficients
+
+
+def test_fast_composition_matches_generic_at_low_and_truncated_orders():
+    # orders 0-2, outer series exactly that long and longer (outer.order > order)
+    hyp = HypergeometricSpec(rat(-3, 2), rat(1, 3), rat(2)).series(9)
+    for order in (0, 1, 2):
+        slow = hyp.truncate(order).compose(inner_argument(order))
+        for outer in (hyp.truncate(order), hyp):
+            fast = ident._compose_with_inner_argument(outer, order)
+            assert (fast.nums, fast.den) == (slow.nums, slow.den)
+    # an order past the outer series stops at the outer's order
+    fast = ident._compose_with_inner_argument(hyp.truncate(2), 6)
+    assert fast.order == 2 and fast.coefficients == hyp.truncate(2).compose(inner_argument(2)).coefficients
 
 
 def test_verify_golden_coefficients():

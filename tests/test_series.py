@@ -1,7 +1,9 @@
 """Exact power-series layer: ring operations, calculus, special series,
 error conditions, and randomized algebraic-law checks."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from isotorus.series import (
     PowerSeries,
     Rational,
     SeriesError,
+    _int_mul,
     binomial_series,
     format_rational,
     one_minus_x_power,
@@ -361,6 +364,46 @@ def rational_horner(s, point):
 @given(kernel_series, kernel_series)
 def test_mul_matches_rational_convolution(a, b):
     assert (a * b).coefficients == rational_convolution(a, b)
+
+
+BIT_SHAPES = {
+    "rising": lambda k, n: k,
+    "falling": lambda k, n: n - 1 - k,
+    "v": lambda k, n: abs(2 * k - (n - 1)),
+}
+
+
+def extremal_operand(length, shape, base, step, signs, rng):
+    """Coefficients +-(2^(b_k) - 1), the largest magnitudes of their bit
+    lengths b_k = base + step * shape(k), with signs all +, alternating or
+    random."""
+    out = []
+    for k in range(length):
+        v = (1 << (base + step * BIT_SHAPES[shape](k, length))) - 1
+        sign = {"+": 1, "alt": (-1) ** k, "random": rng.choice((1, -1))}[signs]
+        out.append(sign * v)
+    return out
+
+
+@pytest.mark.parametrize("shape_a", BIT_SHAPES)
+@pytest.mark.parametrize("shape_b", BIT_SHAPES)
+def test_int_mul_matches_fraction_convolution_on_extremal_operands(shape_a, shape_b):
+    # the digit width follows the kept coefficients, so operands whose
+    # coefficient sizes rise, fall or dip are the ones that could overflow it.
+    # Rising times rising with all signs + puts n+1 equal-size terms in
+    # coefficient n, which meets the width bound; a's eight consecutive bases
+    # meet it at every bit residue of the whole-byte digit.
+    rng = random.Random(f"{shape_a}-{shape_b}")
+    lengths = ((1, 1), (1, 60), (60, 1), (2, 3), (7, 13), (31, 32), (45, 17), (24, 60))
+    cases = [(base, 1, "+") for base in range(1, 9)] + [(5, 3, "alt"), (33, 1, "random")]
+    for (la, lb), (base, step, signs) in itertools.product(lengths, cases):
+        a = extremal_operand(la, shape_a, base, step, signs, rng)
+        b = extremal_operand(lb, shape_b, 3, step, signs, rng)
+        full = la + lb - 2
+        expected = [sum((Fraction(a[i]) * b[m - i] for i in range(max(0, m - lb + 1), min(m, la - 1) + 1)),
+                        Fraction(0)) for m in range(full + 2)]
+        for n in sorted({0, min(la, lb) - 1, max(la, lb) - 1, full, full + 1}):
+            assert _int_mul(a, b, n) == expected[: n + 1], (la, lb, base, step, signs, n)
 
 
 @settings(max_examples=150, deadline=None)
