@@ -21,14 +21,11 @@ from .series import (
     DifferentialOperator,
     HypergeometricSpec,
     PowerSeries,
-    Rational,
     binomial_series,
-    format_rational,
     one_minus_x_power,
-    poly_mul,
+    power_product,
     rat,
     sample_parameters,
-    series_pow,
 )
 
 __all__ = [
@@ -64,9 +61,14 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 def _poly(*factors):
-    out = (ONE,)
+    """The product of the factors, each a coefficient list (ascending)."""
+    out = (1,)
     for f in factors:
-        out = poly_mul(out, f)
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = tuple(prod)
     return out
 
 
@@ -143,26 +145,28 @@ class IdentityReport:
     @staticmethod
     def _fmt(sample) -> str:
         if isinstance(sample, tuple):
-            return "(" + ",".join(format_rational(v) for v in sample) + ")"
-        return format_rational(sample)
+            return "(" + ",".join(str(v) for v in sample) + ")"
+        return str(sample)
 
 
 def _first_mismatch(lhs: PowerSeries, rhs: PowerSeries, order: int):
     """(index, lhs - rhs there) at the first coefficient through order where
-    the two differ, compared on their integer forms; else None."""
-    a, da, b, db = lhs.nums, lhs.den, rhs.nums, rhs.den
-    if da == db and a[: order + 1] == b[: order + 1]:
+    the two differ, else None: compared on their stored integers, by
+    cross-multiplying, so that neither needs reducing."""
+    a, da, b, db = lhs._nums[: order + 1], lhs._den, rhs._nums[: order + 1], rhs._den
+    same = a == b if da == db else [v * db for v in a] == [v * da for v in b]
+    if same:
         return None
     for n in range(order + 1):
         if a[n] * db != b[n] * da:
-            return n, Rational(a[n], da) - Rational(b[n], db)
+            return n, lhs[n] - rhs[n]
     return None
 
 
 def _failure(name, order, index, difference, samples=(), **detail) -> IdentityReport:
     """The failed report: the detail entries, then the first failing
     coefficient index and the difference found there."""
-    detail.update(coefficient_index=index, difference=format_rational(difference))
+    detail.update(coefficient_index=index, difference=str(difference))
     return IdentityReport(name, order, tuple(samples), "failed", detail)
 
 
@@ -191,19 +195,20 @@ def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
     so only its terms through z^(N-n) are kept.
     """
     order = min(outer.order, order)
-    nums = outer.nums
+    nums = outer._nums
     acc = [nums[order] << (2 * order)]
     for n in range(order - 1, -1, -1):
         acc = [nums[n] << (2 * n), *itertools.accumulate(itertools.accumulate(acc))]
-    return PowerSeries.from_integers(acc, outer.den)
+    return PowerSeries._of(acc, outer._den)
 
 
 def _closed_form(a, prefactor: tuple, q_power: int, order: int) -> PowerSeries:
     """prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2) through z^order, Q = z^2-6z+1: one
-    product with the short prefactor, one long division by Q^q_power (constant term 1)."""
+    product with the short prefactor, one long division by Q^q_power (constant term 1).
+    Reduced, like ``expand_f``, as the cached expansions are factors of later products."""
     comp = _compose_with_inner_argument(_hyp(a, a, ONE, order), order)
     num = PowerSeries.from_polynomial(prefactor, order) * comp
-    return num / PowerSeries.from_polynomial(_poly(*[_Q] * q_power), order)
+    return (num / PowerSeries.from_polynomial(_poly(*[_Q] * q_power), order)).reduced()
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +228,8 @@ def expand_f(order: int) -> PowerSeries:
     """Coefficients d_n of the flux series, via F = 2*Vbar'*Abar - 3*Vbar*Abar'."""
     ab = expand_abar(order + 1)
     vb = expand_vbar(order + 1)
-    return (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
+    f = (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
+    return f.reduced()
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +279,8 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
         raise ValueError(f"window must be at least 3, as the report reads d_2 and d_3, not {window}")
     f = expand_f(window)
     detail = {
-        "d2": format_rational(f.coefficients[2]),
-        "d3": format_rational(f.coefficients[3]),
+        "d2": str(f.coefficients[2]),
+        "d3": str(f.coefficients[3]),
         "d3_matches_display": f.coefficients[3] == F_DISPLAYED_Z3,
         "display_matches_d2": f.coefficients[2] == F_DISPLAYED_Z3,
     }
@@ -343,9 +349,8 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> Id
 
     def pair_cont2(t):
         a, b, c = t
-        diff = _hyp(a + 1, b, c, order) - _hyp(a, b, c, order)
-        lhs = (diff * PowerSeries.from_polynomial((1, -1), order)).scale(a)
         f = _hyp(a, b, c, order)
+        lhs = ((_hyp(a + 1, b, c, order) - f) * PowerSeries.from_polynomial((1, -1), order)).scale(a)
         rhs = _hyp(a, b - 1, c, order).scale(c - b) + f * PowerSeries.from_polynomial((b - c, a), order)
         return lhs, rhs
 
@@ -365,37 +370,59 @@ def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
     return _sampled_report("euler_transform", samples, order, pair, _default_triples)
 
 
-def verify_id_hyp(a_samples=None, order: int = 40) -> IdentityReport:
-    """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x)."""
+class _SharedW:
+    """w_a through order + 2, the highest order the checks at ``order`` that
+    use it need, built once per sample and reduced, as each is a factor of
+    several products.  ``verify_all`` makes one table and hands it to
+    ``id_hyp``, ``id_war`` and ``adjoint_form``, so it lasts as long as the
+    call.  Only w_a is kept: the other series the checks share cost more
+    memory to hold than time to rebuild."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self._built = {}
+
+    @staticmethod
+    def serving(shared, order: int) -> "_SharedW":
+        """``shared`` if it serves this order, else a table for one check."""
+        return shared if shared is not None and shared.order == order else _SharedW(order)
+
+    def __call__(self, a) -> PowerSeries:
+        if a not in self._built:
+            self._built[a] = _w_series(a, self.order + 2).reduced()
+        return self._built[a]
+
+
+def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityReport:
+    """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
+
+    ``shared``, here and in the other checks that take it, is the table of
+    w_a that ``verify_all`` hands to its checks (``_SharedW``)."""
+    w_of = _SharedW.serving(shared, order)
 
     def pair(a):
-        w = _w_series(a, order + 1)
-        lhs = w.derivative() * binomial_series(a + 1, order)
+        lhs = w_of(a).derivative() * binomial_series(a + 1, order)
         rhs = (one_minus_x_power(2 * a, order) * _hyp(a + 1, a, rat(2), order)).scale(a * (a - 1))
         return lhs, rhs
 
     return _sampled_report("id_hyp", a_samples, order, pair)
 
 
-def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
+def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
     """Warped derivative identity: with r(z) = 4z/(1-z)^2,
 
     d/dz w_a(r(z)) = 4a(a-1) F(a+1,a;2;r(z))
                      * (1-6z+z^2)^(2a) / (1-z)^(4a)
-                     * (1-z)^(2a-1) / (1+z)^(2a+1).
-    """
-    q_poly = PowerSeries.from_polynomial(_Q, order)
-    one_minus_z = PowerSeries.from_polynomial((1, -1), order)
-    one_plus_z = PowerSeries.from_polynomial((1, 1), order)
+                     * (1-z)^(2a-1) / (1+z)^(2a+1),
+
+    the three powers taken as one series (``power_product``)."""
+    w_of = _SharedW.serving(shared, order)
 
     def pair(a):
-        w = _w_series(a, order + 1)
-        lhs = _compose_with_inner_argument(w, order + 1).derivative()
+        lhs = _compose_with_inner_argument(w_of(a), order + 1).derivative()
         rhs = _compose_with_inner_argument(_hyp(a + 1, a, rat(2), order), order)
-        rhs = rhs * series_pow(q_poly, 2 * a)
-        rhs = rhs * series_pow(one_minus_z, -4 * a + 2 * a - 1)
-        rhs = rhs * series_pow(one_plus_z, -2 * a - 1)
-        return lhs, rhs.scale(4 * a * (a - 1))
+        powers = power_product(((_Q, 2 * a), ((1, -1), -4 * a + 2 * a - 1), ((1, 1), -2 * a - 1)), order)
+        return lhs, (rhs * powers).scale(4 * a * (a - 1))
 
     return _sampled_report("id_war", a_samples, order, pair)
 
@@ -416,7 +443,7 @@ def verify_remark1_derivative(a_samples=None, order: int = 30) -> IdentityReport
     return _sampled_report("remark1_derivative", a_samples, order, pair)
 
 
-def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
+def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
     """Self-adjoint (Sturm-Liouville) form of the ODE satisfied by w_a:
 
     d/dx [ x ((1+x)/(1-x))^(2a) w_a'(x) ] =
@@ -425,18 +452,17 @@ def verify_adjoint_form(a_samples=None, order: int = 30) -> IdentityReport:
     Derived directly from the hypergeometric equation for 2F1(-a,-a;1;x)
     under the substitution w = 2F1 * (1+x)^(-a).  Note the right-hand side
     equals a(a-1) at x = 0, matching w_a'(0); a variant with an extra factor
-    of x (and squared ratio power) would vanish there and cannot hold.
+    of x (and squared ratio power) would vanish there and cannot hold.  Each
+    side's powers of 1 + x and 1 - x are one series (``power_product``).
     """
     x_series = PowerSeries.identity(order + 1)
-
-    def ratio_power(expo, n):
-        return binomial_series(expo, n) * one_minus_x_power(-expo, n)
+    w_of = _SharedW.serving(shared, order)
 
     def pair(a):
-        w = _w_series(a, order + 2)
-        ratio = ratio_power(2 * a, order + 1)
+        w = w_of(a)
+        ratio = power_product((((1, 1), 2 * a), ((1, -1), -2 * a)), order + 1)
         lhs = (x_series * ratio * w.derivative()).derivative()
-        rhs = binomial_series(rat(-2), order) * ratio * w.truncate(order)
+        rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
 
     return _sampled_report("adjoint_form", a_samples, order, pair)
@@ -452,6 +478,7 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
     count = sample_count if sample_count is not None else default_sample_count(order)
     a_samples = sample_parameters(count)
     triples = _default_triples(count)
+    shared = _SharedW(order)
     return [
         verify_golden_coefficients(),
         verify_odes(ode_order),
@@ -460,8 +487,8 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
         verify_contiguous("cont1", triples, order),
         verify_contiguous("cont2", triples, order),
         verify_euler_transform(triples, order),
-        verify_id_hyp(a_samples, order),
-        verify_id_war(a_samples, order),
+        verify_id_hyp(a_samples, order, shared),
+        verify_id_war(a_samples, order, shared),
         verify_remark1_derivative(a_samples, order),
-        verify_adjoint_form(a_samples, order),
+        verify_adjoint_form(a_samples, order, shared),
     ]

@@ -2,17 +2,29 @@
 
 Everything downstream (identity checks, ODE residuals, golden coefficients,
 the exact oracle tier of the certified evaluator) runs on these types.  A
-series is integer numerators over one positive denominator, ``(nums, den)``
-with ``gcd(den, *nums) == 1``: den is the lcm of the reduced coefficient
-denominators, so equal series have equal ``(nums, den)``.  Each operation
-works on the integers and reduces its result with one gcd; a product is one
-big-integer multiplication (Kronecker substitution) with each digit as wide
-as the coefficients it keeps need, max_i (bits(a_i) + max_(j <= n-i) bits(b_j))
-plus bits(n+1) + 1, and the hypergeometric, binomial and power series come
-from integer recurrences.  A known factor needs no product: dividing by 1 - z
-is a prefix sum, and dividing by a short polynomial with constant term 1 is a
-sparse long division; the closed-form expansions in ``identities`` compose and
-apply their prefactors this way.  ``coefficients``, as ``fractions.Fraction``,
+series is integer numerators over one positive denominator.  Its public form
+``(nums, den)`` is canonical, ``gcd(den, *nums) == 1``: den is the lcm of the
+reduced coefficient denominators, so equal series have equal ``(nums, den)``,
+and ``==`` and ``hash`` compare that form.  Operations work on the stored
+integers and do not reduce them: a sum, product, quotient or derivative
+keeps whatever factor its numerators and denominator share, and is reduced
+once, when its public form, ``==`` or ``hash`` is first asked for.  The generated
+series (hypergeometric, binomial, power) are reduced as they are built, since
+each is a factor of later products.
+
+A factor with at most four nonzero coefficients (1 - z, z, a short
+prefactor) is applied by shift and add.  Any other product is Harvey's
+two-point Kronecker substitution (KS2): the operands are packed at 2^w and at
+-2^w, and two big-integer products of half the size of one Kronecker product
+give the even and the odd coefficients, each digit 2w bits wide, enough for
+the coefficients that are kept (``_int_mul``).  A hypergeometric series comes
+from the integer recurrence of its term ratio.  A power s^alpha, the binomial
+series (1 +- x)^alpha among them, and a product of rational powers of
+polynomials come from one first-order recurrence, S p' = T p
+(``series_pow``, ``power_product``).  A known factor needs no product:
+dividing by a short polynomial with constant term 1 is a sparse long
+division, and the closed-form expansions in ``identities`` compose with
+4z/(1-z)^2 by prefix sums and apply their prefactors this way.  ``coefficients``, as ``fractions.Fraction``,
 is derived on first use, at the API edge.
 
 A series carries an explicit truncation order; every operation propagates
@@ -31,14 +43,13 @@ from functools import cached_property
 from typing import Sequence
 
 __all__ = [
-    "Rational", "rat", "parse_rational", "format_rational",
+    "Rational", "rat", "parse_rational",
     "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
     "InvalidLowerParameter", "OrderTooLow",
     "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
-    "binomial_series", "one_minus_x_power", "series_pow", "poly_mul",
+    "binomial_series", "one_minus_x_power", "series_pow", "power_product",
 ]
 
-ZERO = Rational(0)
 ONE = Rational(1)
 
 
@@ -62,11 +73,6 @@ def parse_rational(text: str) -> Rational:
     return rat(*ints)
 
 
-def format_rational(q) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(q)
-
-
 class SeriesError(Exception):
     """Base class for exact-series errors."""
 
@@ -87,62 +93,139 @@ class OrderTooLow(SeriesError):
     """Series is too short for the requested operation."""
 
 
+_SHORT = 4  # a factor with at most this many nonzero coefficients is applied by shift and add
+
+
+def _offset(width: int, count: int) -> int:
+    """sum_k 2^(8*width - 1) 2^(8*width*k), k < count: added to a packed
+    number, it makes every signed digit below 2^(8*width - 1) in magnitude
+    a nonnegative byte string."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+
 def _pack(nums: Sequence, width: int) -> int:
     """Kronecker substitution: sum nums[k] * 2^(8*width*k), each |nums[k]|
-    below 2^(8*width)."""
-    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in nums)
-    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in nums)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    below 2^(8*width - 1), packed as the digits nums[k] + 2^(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    packed = b"".join((v + half).to_bytes(width, "little") for v in nums)
+    return int.from_bytes(packed, "little") - _offset(width, len(nums))
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """The signed digits 0..count-1 of value in base 2^(8*width), each known
+    to be below 2^(8*width - 1) in magnitude; higher digits are ignored."""
+    size = width * count
+    raw = ((value + _offset(width, count)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[m : m + width], "little") - half for m in range(0, size, width)]
+
+
+def _product_bits(a: Sequence, b: Sequence, n: int) -> int:
+    """A bound B with |c_m| < 2^(B-1) for the coefficients m <= n of a*b.
+
+    Coefficient m sums at most n+1 products a_i b_j, i + j = m, each below
+    2^(bits(a_i) + max_(j <= n-i) bits(b_j)); B is the largest such exponent
+    plus bits(n+1) + 1.  When a longest a_i and a longest b_j meet within
+    i + j <= n, that exponent is max bits(a) + max bits(b), with no prefix
+    maximum to take."""
+    la, lb = list(map(int.bit_length, a)), list(map(int.bit_length, b))
+    top_a, top_b = max(la), max(lb)
+    if la.index(top_a) + lb.index(top_b) <= n:
+        top = top_a + top_b
+    else:
+        # reach[k] = max_(j <= k) bits(b_j), paired with a_i at k = n - i
+        reach = list(itertools.accumulate([*lb, *[0] * (n + 1 - len(lb))], max))
+        top = max(map(operator.add, la, reversed(reach)))
+    return top + (n + 1).bit_length() + 1
 
 
 def _int_mul(a: Sequence, b: Sequence, n: int) -> list:
-    """Coefficients 0..n of the product of two integer polynomials, from one
-    big-integer product (Kronecker substitution, unpacked as signed digits).
+    """Coefficients 0..n of the product c of two integer polynomials, by
+    two-point Kronecker substitution (KS2, Harvey, arXiv:0712.4046).
 
-    Coefficient m <= n sums at most n+1 products a_i b_j, i + j = m, each
-    below 2^(bits(a_i) + max_(j <= n-i) bits(b_j)); with w the largest such
-    exponent plus bits(n+1) + 1 it is below 2^(w-1) in magnitude.  Digits
-    above n add only multiples of 2^((n+1)w), so the low (n+1)*w bits of the
-    product determine coefficients 0..n exactly.
+    With |c_m| < 2^(B-1) for m <= n (``_product_bits``) and w = 8*ceil(B/16),
+    the operands are packed at 2^w and at -2^w, their even and odd halves
+    each with digits 2w wide.  The two products give c(2^w) and c(-2^w), of
+    half the size of one product at 2^(2w); their half sum is the even
+    coefficients, and their half difference over 2^w the odd ones, each a
+    signed digit 2w >= B bits wide.  Digits above n add only multiples of
+    the powers of 2 past the kept ones, so the low digits determine
+    coefficients 0..n exactly.
     """
-    a, b = a[: n + 1], b[: n + 1]
-    # reach[k] = max_(j <= k) bits(b_j), paired with a_i at k = n - i (bit_length ignores sign)
-    reach = list(itertools.accumulate([*map(int.bit_length, b), *[0] * (n + 1 - len(b))], max))
-    bits = max(map(operator.add, map(int.bit_length, a), reversed(reach))) + (n + 1).bit_length() + 1
-    width = (bits + 7) // 8
-    full = 1 << (8 * width)
-    half = full >> 1
-    low = (_pack(a, width) * _pack(b, width)) & ((1 << (8 * width * (n + 1))) - 1)
-    raw = low.to_bytes(width * (n + 1), "little")
-    out = []
-    carry = 0
-    for m in range(0, width * (n + 1), width):
-        v = int.from_bytes(raw[m : m + width], "little") + carry
-        carry = v >= half
-        out.append(v - full if carry else v)
+    # as lists, so that the halves are lists too: CPython keeps freed tuples
+    # of up to 20 items on free lists, which held 170 KB after verify_all(40)
+    a, b = list(a[: n + 1]), list(b[: n + 1])
+    width = (_product_bits(a, b, n) + 15) // 16
+    shift = 8 * width
+    a_even, a_odd = _pack(a[0::2], 2 * width), _pack(a[1::2], 2 * width) << shift
+    b_even, b_odd = _pack(b[0::2], 2 * width), _pack(b[1::2], 2 * width) << shift
+    plus = (a_even + a_odd) * (b_even + b_odd)
+    minus = (a_even - a_odd) * (b_even - b_odd)
+    out = [0] * (n + 1)
+    out[0::2] = _unpack((plus + minus) >> 1, 2 * width, n // 2 + 1)
+    out[1::2] = _unpack((plus - minus) >> (shift + 1), 2 * width, (n + 1) // 2)
     return out
 
 
-@dataclass(frozen=True, init=False)
+def _is_short(nums: Sequence) -> bool:
+    return len(nums) - nums.count(0) <= _SHORT
+
+
+def _shift_add(short: Sequence, dense: Sequence) -> list:
+    """The product, through the common length of both, of a polynomial with
+    few nonzero coefficients and another: one scaled shifted copy of
+    ``dense`` per nonzero coefficient of ``short``."""
+    size = len(dense)
+    out = [0] * size
+    for k, c in enumerate(short):
+        if c:
+            part = dense[: size - k] if c == 1 else [c * v for v in dense[: size - k]]
+            out[k:] = map(operator.add, out[k:], part)
+    return out
+
+
 class PowerSeries:
     """Truncated formal power series: coefficient k is nums[k] / den, in the
     canonical form of the module docstring; ``PowerSeries(coefficients)``
     takes the coefficients as rationals.
 
     The truncation order is len(nums) - 1; coefficients beyond it are
-    unknown, not zero.  Instances are immutable.
+    unknown, not zero.  Instances are immutable.  The stored numerators
+    ``_nums`` over the positive ``_den`` need not be reduced; ``nums`` and
+    ``den`` reduce them on first use.
     """
-
-    nums: tuple
-    den: int
 
     def __init__(self, coefficients: Sequence):
         coeffs = tuple(Rational(c) for c in coefficients)
         if not coeffs:
             raise SeriesError("a series needs at least its constant term")
         d = math.lcm(*(c.denominator for c in coeffs))
-        self.__dict__.update(nums=tuple(c.numerator * (d // c.denominator) for c in coeffs),
-                             den=d, coefficients=coeffs)
+        nums = tuple(c.numerator * (d // c.denominator) for c in coeffs)
+        self.__dict__.update(_nums=nums, _den=d, nums=nums, den=d, coefficients=coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PowerSeries is immutable: cannot set {name!r}")
+
+    def __getattr__(self, name):
+        """``nums`` and ``den``: the stored integers reduced by their gcd on
+        first use, and kept."""
+        if name not in ("nums", "den"):
+            raise AttributeError(f"'PowerSeries' object has no attribute {name!r}")
+        nums, den = self._nums, self._den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(v // g for v in nums), den // g
+        self.__dict__.update(nums=nums, den=den)
+        return self.__dict__[name]
+
+    @staticmethod
+    def _of(nums: Sequence, den: int) -> "PowerSeries":
+        """The series nums[k] / den, den nonzero, stored without reducing."""
+        s = object.__new__(PowerSeries)
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        s.__dict__.update(_nums=tuple(nums), _den=den)
+        return s
 
     @staticmethod
     def from_integers(nums: Sequence, den: int) -> "PowerSeries":
@@ -150,18 +233,30 @@ class PowerSeries:
         gcd, and the sign moved onto the numerators."""
         if den == 0:
             raise ZeroDivisionError("a series needs a nonzero denominator")
-        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-        s = object.__new__(PowerSeries)
-        s.__dict__.update(nums=tuple(nums) if g == 1 else tuple(v // g for v in nums), den=den // g)
+        s = PowerSeries._of(nums, den)
+        s.__dict__.update(_nums=s.nums, _den=s.den)
         return s
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(nums={self.nums!r}, den={self.den!r})"
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_polynomial(coeffs: Sequence, order: int) -> "PowerSeries":
         """Exact polynomial viewed as a series of the given truncation order."""
-        c = list(coeffs)[: order + 1]
-        return PowerSeries(c + [0] * (order + 1 - len(c)))
+        c = [Rational(v) for v in list(coeffs)[: order + 1]]
+        d = math.lcm(*(v.denominator for v in c))
+        nums = [v.numerator * (d // v.denominator) for v in c] + [0] * (order + 1 - len(c))
+        return PowerSeries.from_integers(nums, d)
 
     @staticmethod
     def zero(order: int) -> "PowerSeries":
@@ -181,52 +276,73 @@ class PowerSeries:
     @cached_property
     def coefficients(self) -> tuple:
         """coefficients[n] is the coefficient of z^n, as a Fraction."""
-        return tuple(Rational(v, self.den) for v in self.nums)
+        return tuple(Rational(v, self._den) for v in self._nums)
 
     @property
     def order(self) -> int:
-        return len(self.nums) - 1
+        return len(self._nums) - 1
 
     def __getitem__(self, n: int):
-        return Rational(self.nums[n], self.den)
+        return Rational(self._nums[n], self._den)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not any(self._nums)
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise OrderTooLow(f"cannot extend order {self.order} to {order}")
-        return PowerSeries.from_integers(self.nums[: order + 1], self.den)
+        return PowerSeries._of(self._nums[: order + 1], self._den)
+
+    def reduced(self) -> "PowerSeries":
+        """The same series, stored in canonical form: worth it for a series
+        that is a factor of several products."""
+        return PowerSeries.from_integers(self._nums, self._den)
 
     def to_strings(self) -> list:
-        return [format_rational(c) for c in self.coefficients]
+        return [str(c) for c in self.coefficients]
 
     # -- ring operations ----------------------------------------------------
 
+    def _over_common_den(self, other: "PowerSeries") -> tuple:
+        d = math.lcm(self._den, other._den)
+        fa, fb = d // self._den, d // other._den
+        a = self._nums if fa == 1 else [v * fa for v in self._nums]
+        b = other._nums if fb == 1 else [v * fb for v in other._nums]
+        return a, b, d
+
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        d = math.lcm(self.den, other.den)
-        fa, fb = d // self.den, d // other.den
-        return PowerSeries.from_integers([x * fa + y * fb for x, y in zip(self.nums, other.nums)], d)
+        a, b, d = self._over_common_den(other)
+        return PowerSeries._of(list(map(operator.add, a, b)), d)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + -other
+        a, b, d = self._over_common_den(other)
+        return PowerSeries._of(list(map(operator.sub, a, b)), d)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries.from_integers([-v for v in self.nums], self.den)
+        return PowerSeries._of([-v for v in self._nums], self._den)
 
     def scale(self, factor) -> "PowerSeries":
         f = Rational(factor)
-        return PowerSeries.from_integers([f.numerator * v for v in self.nums], f.denominator * self.den)
+        return PowerSeries._of([f.numerator * v for v in self._nums], f.denominator * self._den)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        """A factor with at most four nonzero coefficients is applied by
+        shift and add; any other product is one KS2 product (``_int_mul``)."""
         n = min(self.order, other.order)
-        return PowerSeries.from_integers(_int_mul(self.nums, other.nums, n), self.den * other.den)
+        a, b = self._nums[: n + 1], other._nums[: n + 1]
+        if _is_short(b):
+            nums = _shift_add(b, a)
+        elif _is_short(a):
+            nums = _shift_add(a, b)
+        else:
+            nums = _int_mul(a, b, n)
+        return PowerSeries._of(nums, self._den * other._den)
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         """Long division of the numerator polynomials A / B over the common
         denominator top = B_0^(n+1), which clears every quotient coefficient:
         R_m = (A_m top - sum_k B_k R_(m-k)) / B_0, an exact division."""
-        a, b = self.nums, other.nums
+        a, b = self._nums, other._nums
         if b[0] == 0:
             raise DivisionByNonUnit("divisor has zero constant term")
         n = min(self.order, other.order)
@@ -240,18 +356,18 @@ class PowerSeries:
                     break
                 acc -= b[k] * r[m - k]
             r.append(acc // b[0])
-        return PowerSeries.from_integers([v * other.den for v in r], top * self.den)
+        return PowerSeries._of([v * other._den for v in r], top * self._den)
 
     # -- calculus and composition -------------------------------------------
 
     def derivative(self) -> "PowerSeries":
         if self.order < 1:
             raise OrderTooLow("need order >= 1 to differentiate")
-        return PowerSeries.from_integers([k * v for k, v in enumerate(self.nums) if k], self.den)
+        return PowerSeries._of([k * v for k, v in enumerate(self._nums) if k], self._den)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """self(inner(z)), requiring inner(0) = 0.  Horner in the inner series."""
-        if inner.nums[0] != 0:
+        if inner._nums[0] != 0:
             raise CompositionRequiresZeroConstant("inner series has nonzero constant term")
         n = min(self.order, inner.order)
         inner_t = inner.truncate(n)
@@ -268,19 +384,10 @@ class PowerSeries:
         p = Rational(point)
         u, v = p.numerator, p.denominator
         acc, v_pow = 0, 1
-        for c in reversed(self.nums):
+        for c in reversed(self._nums):
             acc = acc * u + c * v_pow
             v_pow *= v
-        return Rational(acc, self.den * v ** self.order)
-
-
-def poly_mul(a: Sequence, b: Sequence) -> tuple:
-    """Exact full-degree product of two polynomial coefficient lists."""
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += Rational(ai) * bj
-    return tuple(out)
+        return Rational(acc, self._den * v ** self.order)
 
 
 def _ratio_series(ratios) -> PowerSeries:
@@ -295,44 +402,78 @@ def _ratio_series(ratios) -> PowerSeries:
 
 
 def binomial_series(alpha, order: int) -> PowerSeries:
-    """(1+x)^alpha with coefficients C(alpha, n), exact for rational alpha:
-    t_(k+1)/t_k = (alpha - k)/(k + 1)."""
-    a = Rational(alpha)
-    p, q = a.numerator, a.denominator
-    return _ratio_series((p - k * q, q * (k + 1)) for k in range(order))
+    """(1+x)^alpha with coefficients C(alpha, n), exact for rational alpha."""
+    return series_pow(PowerSeries.from_polynomial((1, 1), order), alpha)
 
 
 def one_minus_x_power(alpha, order: int) -> PowerSeries:
     """(1-x)^alpha, i.e. the binomial series with alternating signs."""
-    a = Rational(alpha)
-    p, q = a.numerator, a.denominator
-    return _ratio_series((k * q - p, q * (k + 1)) for k in range(order))
+    return series_pow(PowerSeries.from_polynomial((1, -1), order), alpha)
+
+
+def _first_order_series(terms: Sequence, v: int, s0: int, order: int) -> PowerSeries:
+    """The series p with p(0) = 1 and s p' = (t / v) p through z^order, for
+    integer coefficients s (s_0 != 0) and t and an integer v > 0, given as
+    ``terms``: the triples (k, s_k, t_(k-1)), k >= 1, where either is
+    nonzero, in increasing k.
+
+    At z^(n-1) the equation reads n v s_0 p_n = sum_(k>=1) (t_(k-1) -
+    v (n-k) s_k) p_(n-k), which costs O(order * len(terms)).  With
+    d = v s_0, p_n n! d^n is an integer, so P_n = p_n order! d^order is one
+    too, and n d P_n = sum_(k>=1) (t_(k-1) - v (n-k) s_k) P_(n-k) divides
+    exactly.
+    """
+    d = v * s0
+    # t_(k-1) - v (n-k) s_k = (t_(k-1) + v k s_k) - n (v s_k); with P_0..P_(n-1)
+    # in p, P_(n-k) is p[-k]
+    terms = [(-k, tk + v * k * sk, v * sk) for k, sk, tk in terms]
+    p = [math.factorial(order) * d ** order]
+    for n in range(1, order + 1):
+        acc = 0
+        for back, fixed, per_n in terms:
+            if back < -n:
+                break
+            acc += (fixed - n * per_n) * p[back]
+        p.append(acc // (n * d))
+    return PowerSeries.from_integers(p, p[0])
 
 
 def series_pow(s: PowerSeries, alpha) -> PowerSeries:
-    """s(x)^alpha for rational alpha, requiring s(0) = 1.
-
-    The recurrence n p_n = sum_k ((alpha+1) k - n) s_k p_(n-k), from
-    s p' = alpha s' p, costs O(order * sparsity(s)).  With alpha = u/v and
-    s_k = S_k / d, p_n * N! (v d)^N is an integer P_n, and
-    n v d P_n = sum_k ((u+v) k - n v) S_k P_(n-k) divides exactly.
-    """
-    sn, d = s.nums, s.den
-    if sn[0] != d:
+    """s(x)^alpha for rational alpha, requiring s(0) = 1: the solution of
+    s p' = alpha s' p.  With alpha = u/v and s = S / d, that is
+    S p' = (u S' / v) p on integers (``_first_order_series``)."""
+    sn = s.nums
+    if sn[0] != s.den:
         raise DivisionByNonUnit("series_pow needs a series with constant term 1")
     a = Rational(alpha)
-    u, v = a.numerator, a.denominator
-    n_max = s.order
-    support = [k for k in range(1, n_max + 1) if sn[k]]
-    p = [math.factorial(n_max) * (v * d) ** n_max]
-    for n in range(1, n_max + 1):
-        acc = 0
-        for k in support:
-            if k > n:
-                break
-            acc += ((u + v) * k - n * v) * sn[k] * p[n - k]
-        p.append(acc // (n * v * d))
-    return PowerSeries.from_integers(p, p[0])
+    u = a.numerator
+    return _first_order_series([(k, c, u * k * c) for k, c in enumerate(sn) if k and c],
+                               a.denominator, sn[0], s.order)
+
+
+def power_product(factors: Sequence, order: int) -> PowerSeries:
+    """prod_i f_i(x)^alpha_i through x^order, for integer polynomials f_i
+    (coefficient lists, ascending) with constant term 1 and rational
+    exponents alpha_i, as one series: p = prod f_i^alpha_i solves S p' = T p
+    with S = prod f_i and T = sum_i alpha_i f_i' prod_(j != i) f_j.  S and
+    T / v, T over the denominator v, are built one factor at a time by the
+    product rule, as polynomials of full degree: with alpha = u/w,
+    T <- w T f + u v f' S, v <- v w, S <- S f."""
+    degree = sum(len(poly) - 1 for poly, _ in factors)
+    s, t, v = [1] + [0] * degree, [0] * degree, 1
+    for poly, alpha in factors:
+        if poly[0] != 1:
+            raise DivisionByNonUnit("power_product needs polynomials with constant term 1")
+        a = Rational(alpha)
+        f = [*poly, *[0] * (degree + 1 - len(poly))]
+        slope = [k * c for k, c in enumerate(f) if k]
+        t = [a.denominator * x + a.numerator * v * y
+             for x, y in zip(_shift_add(f, t), _shift_add(slope, s))]
+        v *= a.denominator
+        s = _shift_add(f, s)
+    g = math.gcd(v, *t)
+    terms = [(k, s[k], t[k - 1] // g) for k in range(1, degree + 1) if s[k] or t[k - 1]]
+    return _first_order_series(terms, v // g, 1, order)
 
 
 @dataclass(frozen=True)
@@ -380,6 +521,14 @@ class HypergeometricSpec:
                              for k in range(order))
 
 
+def _at(poly: Sequence, n: int) -> int:
+    """An integer polynomial in n, highest power first, at n (Horner)."""
+    acc = 0
+    for c in poly:
+        acc = acc * n + c
+    return acc
+
+
 @dataclass(frozen=True)
 class DifferentialOperator:
     """Linear differential operator sum_i p_i(z) d^i/dz^i.
@@ -392,14 +541,17 @@ class DifferentialOperator:
     the lcm of their denominators, and let ``h`` be the largest i - j over the
     nonzero p_ij.  The coefficient of z^(n-h) in scale L y is
     sum_k c_k(n) y_(n-k), where c_k(n) sums p_ij (n-k)(n-k-1)...(n-k-i+1) over
-    the pairs (i, p_ij) in ``shifts[k]``, those with i - j = h - k.
-    ``series_solution`` solves this recurrence and ``apply`` evaluates it.
+    the pairs with i - j = h - k.  ``recurrence[k]`` holds c_k as its integer
+    coefficients in n, highest power first; for n - k >= 0 a falling
+    factorial with more factors than n - k has the factor 0, so the
+    polynomial vanishes there as the sum does.  ``series_solution`` solves
+    this recurrence and ``apply`` evaluates it.
     """
 
     poly_coeffs: tuple
     scale: int = field(init=False, repr=False, compare=False)
     h: int = field(init=False, repr=False, compare=False)
-    shifts: dict = field(init=False, repr=False, compare=False)
+    recurrence: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         polys = tuple(tuple(Rational(c) for c in p) for p in self.poly_coeffs)
@@ -408,21 +560,26 @@ class DifferentialOperator:
         scale = math.lcm(*(c.denominator for p in polys for c in p))
         terms = [(i, j, int(c * scale)) for i, p in enumerate(polys) for j, c in enumerate(p) if c]
         h = max(i - j for i, j, _ in terms)
-        shifts = {}
+        recurrence = {}
         for i, j, c in terms:
-            shifts.setdefault(h - i + j, []).append((i, c))
-        shifts = dict(sorted(shifts.items()))
-        for name, value in (("poly_coeffs", polys), ("scale", scale), ("h", h), ("shifts", shifts)):
+            k = h - i + j
+            # c (n-k)(n-k-1)...(n-k-i+1), ascending powers of n
+            falling = [c]
+            for r in range(i):
+                root = k + r
+                falling = [-root * falling[0],
+                           *(falling[m - 1] - root * falling[m] for m in range(1, len(falling))),
+                           falling[-1]]
+            total = recurrence.setdefault(k, [0] * (len(polys)))
+            for m, v in enumerate(falling):
+                total[m] += v
+        recurrence = {k: tuple(reversed(v)) for k, v in sorted(recurrence.items())}
+        for name, value in (("poly_coeffs", polys), ("scale", scale), ("h", h), ("recurrence", recurrence)):
             object.__setattr__(self, name, value)
 
     @property
     def operator_order(self) -> int:
         return len(self.poly_coeffs) - 1
-
-    def _coefficient(self, k: int, n: int) -> int:
-        """c_k(n), for n - k >= 0; a falling factorial with more factors than
-        n - k vanishes."""
-        return sum(c * math.perm(n - k, i) for i, c in self.shifts[k])
 
     def series_solution(self, constant, order: int) -> PowerSeries:
         """The power series y through z^order with y(0) = constant and L y = 0
@@ -438,7 +595,7 @@ class DifferentialOperator:
         """
         if order < 0:
             raise OrderTooLow(f"order {order} is negative")
-        lead = [self._coefficient(0, n) for n in range(order + 1)]
+        lead = [_at(self.recurrence[0], n) for n in range(order + 1)]
         y0 = Rational(constant)
         if lead[0] != 0 and y0 != 0:
             raise SeriesError("no power-series solution has a nonzero constant term: "
@@ -447,11 +604,11 @@ class DifferentialOperator:
         if vanishing:
             raise SeriesError(f"leading recurrence coefficient vanishes at n = {vanishing[0]}: "
                               "the constant term does not fix the solution")
-        lower = [k for k in self.shifts if k > 0]
+        lower = [(k, poly) for k, poly in self.recurrence.items() if k > 0]
         top = math.prod(lead[1:])
         nums = [y0.numerator * top]
         for n in range(1, order + 1):
-            acc = sum(self._coefficient(k, n) * nums[n - k] for k in lower if k <= n)
+            acc = sum(_at(poly, n) * nums[n - k] for k, poly in lower if k <= n)
             nums.append(-acc // lead[n])
         return PowerSeries.from_integers(nums, y0.denominator * top)
 
@@ -463,10 +620,10 @@ class DifferentialOperator:
         r = self.operator_order
         if s.order < r:
             raise OrderTooLow(f"series order {s.order} below operator order {r}")
-        y, h = s.nums, self.h
-        nums = [sum(self._coefficient(k, n) * y[n - k] for k in self.shifts if k <= n)
+        y, h = s._nums, self.h
+        nums = [sum(_at(poly, n) * y[n - k] for k, poly in self.recurrence.items() if k <= n)
                 for n in range(h, s.order - r + h + 1)]
-        return PowerSeries.from_integers(nums, s.den * self.scale)
+        return PowerSeries._of(nums, s._den * self.scale)
 
 
 def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:

@@ -1,13 +1,15 @@
 """Identity layer: golden coefficients, ODE residuals, flux positivity, the
 free-parameter identity suite, and mutation sensitivity."""
 
+import copy
 import hashlib
 import json
 
 import pytest
 
 from isotorus import identities as ident
-from isotorus.series import HypergeometricSpec, PowerSeries, perturbed, rat, sample_parameters
+from isotorus import series as series_module
+from isotorus.series import HypergeometricSpec, PowerSeries, parse_rational, perturbed, rat, sample_parameters
 
 ORDER = 24  # fast unit-test order; the acceptance suite runs the pinned orders
 SAMPLES = sample_parameters(8, exclude=(rat(0), rat(1)))
@@ -32,13 +34,16 @@ def test_expand_vbar_golden():
 # sha256 digests of exact results, computed with the Fraction-per-coefficient
 # series layer that preceded integer storage; f200, the input of the default
 # positivity window, with the integer layer that preceded composition by
-# prefix sums.  Any change to an exact result changes its digest.
+# prefix sums; verify40, the reports of the order ``isotorus verify --order 40``
+# runs, with the layer that preceded KS2 products, shift-and-add short factors
+# and power products.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
     "verify12": "fd78411151d78f3d2ade9f5fb3432fbb2646d726bd7e5aa9632ec88787d0fa91",
+    "verify40": "65d5e44d90d4546ae27f747d49e2fb8d03aac0c3a132bae91ed9c1d192f4b4d4",
 }
 
 
@@ -52,6 +57,7 @@ def test_exact_results_match_golden_digests():
         "f120": digest("\n".join(ident.expand_f(120).to_strings())),
         "f200": digest("\n".join(ident.expand_f(200).to_strings())),
         "verify12": digest(json.dumps([r.to_dict() for r in ident.verify_all(12)])),
+        "verify40": digest(json.dumps([r.to_dict() for r in ident.verify_all(40)])),
     }
     assert got == GOLDEN_DIGESTS
 
@@ -67,6 +73,20 @@ def test_operator_solutions_match_golden_digests():
     assert digest(abar) == GOLDEN_DIGESTS["abar250"]
     assert digest(vbar) == GOLDEN_DIGESTS["vbar250"]
     assert ident.verify_odes(40, abar.truncate(40), vbar.truncate(40)).verified
+
+
+def test_poly_expands_factored_products():
+    assert ident._poly((1, 1), (1, -1)) == (1, 0, -1)
+    assert ident._poly((2,), (3, 4)) == (6, 8)
+    assert ident._poly() == (1,)
+
+
+def test_report_formats_rationals_as_parse_rational_reads_them():
+    fmt = ident.IdentityReport._fmt
+    assert fmt(rat(4, 2)) == "2"
+    assert fmt(rat(-5, 10)) == "-1/2"
+    assert fmt((rat(1, 3), rat(-2), rat(5, 2))) == "(1/3,-2,5/2)"
+    assert parse_rational(fmt(rat(451625, 16))) == rat(451625, 16)
 
 
 def test_first_mismatch_on_integer_forms():
@@ -235,6 +255,73 @@ def test_id_war():
 
 def test_id_war_integer_sample():
     assert ident.verify_id_war([rat(3)], 30).verified
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_id_war_fails_with_a_perturbed_exponent(monkeypatch, which):
+    # id_war takes Q^(2a) (1-z)^(-2a-1) (1+z)^(-2a-1) as one power product;
+    # shifting any one of its exponents must break the identity
+    real = ident.power_product
+
+    def perturbed_product(factors, order):
+        factors = list(factors)
+        poly, alpha = factors[which]
+        factors[which] = (poly, alpha + rat(1, 7))
+        return real(factors, order)
+
+    monkeypatch.setattr(ident, "power_product", perturbed_product)
+    report = ident.verify_id_war(SAMPLES, 12)
+    assert not report.verified
+    assert report.failure_detail["coefficient_index"] == 1
+
+
+def test_shared_series_last_one_call(monkeypatch):
+    # verify_all shares w_a among its checks through a table that lives as
+    # long as the call: two cold calls build the same series, and leave no
+    # module-level state behind
+    calls = []
+    real = HypergeometricSpec.series
+
+    def counted(spec, order):
+        calls.append((spec.a, spec.b, spec.c, order))
+        return real(spec, order)
+
+    monkeypatch.setattr(HypergeometricSpec, "series", counted)
+
+    def module_state():
+        state = {}
+        for module in (ident, series_module):
+            for name, value in vars(module).items():
+                if isinstance(value, (dict, list, set)):
+                    value = copy.copy(value)
+                elif hasattr(value, "cache_info"):
+                    value = (value, value.cache_info())
+                state[module.__name__, name] = value
+        return state
+
+    counts, states = [], []
+    for _ in range(2):
+        for cache in (ident.expand_abar, ident.expand_vbar, ident.expand_f):
+            cache.cache_clear()
+        start = len(calls)
+        ident.verify_all(12)
+        counts.append(len(calls) - start)
+        states.append(module_state())
+    assert counts[0] == counts[1]
+    assert states[0] == states[1]
+
+    # within the call, the checks that use w_a built it once per sample
+    samples = sample_parameters(ident.default_sample_count(12))
+    checks = (ident.verify_id_hyp, ident.verify_id_war, ident.verify_adjoint_form)
+    start = len(calls)
+    for check in checks:
+        check(samples, 12)
+    alone = len(calls) - start
+    start = len(calls)
+    shared = ident._SharedW(12)
+    for check in checks:
+        check(samples, 12, shared)
+    assert len(calls) - start == alone - 2 * len(samples)
 
 
 def test_remark1_derivative():

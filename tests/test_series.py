@@ -22,11 +22,10 @@ from isotorus.series import (
     SeriesError,
     _int_mul,
     binomial_series,
-    format_rational,
     one_minus_x_power,
     parse_rational,
     perturbed,
-    poly_mul,
+    power_product,
     rat,
     sample_parameters,
     series_pow,
@@ -46,9 +45,6 @@ def test_rat_and_parse():
     assert rat(3, 6) == rat(1, 2)
     assert parse_rational("7") == 7
     assert parse_rational(" -3/9 ") == rat(-1, 3)
-    assert format_rational(rat(4, 2)) == "2"
-    assert format_rational(rat(-5, 10)) == "-1/2"
-    assert parse_rational(format_rational(rat(451625, 16))) == rat(451625, 16)
 
 
 # -- construction and views ---------------------------------------------------
@@ -117,11 +113,6 @@ def test_evaluate_horner():
     assert s.evaluate(rat(1, 2)) == rat(1) + 1 + rat(3, 4)
 
 
-def test_poly_mul():
-    assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
-    assert poly_mul((2,), (3, 4)) == (6, 8)
-
-
 # -- special series ------------------------------------------------------------
 
 def test_binomial_square_root_squares_back():
@@ -141,15 +132,17 @@ def test_one_minus_x_power_geometric():
 
 
 def test_series_pow_matches_binomial():
+    # binomial_series is series_pow of 1 + x, so compare with the Fraction
+    # recurrence C(alpha, n+1) = C(alpha, n) (alpha - n) / (n + 1)
     base = PowerSeries.from_polynomial((1, 1), ORDER)
     for alpha in (rat(1, 2), rat(-3, 2), rat(5), rat(-2, 7)):
-        assert series_pow(base, alpha).coefficients == binomial_series(alpha, ORDER).coefficients
+        assert series_pow(base, alpha).coefficients == ref_binomial(alpha, ORDER)
 
 
 def test_series_pow_dense_base():
     base = geometric()  # 1/(1-x), constant term 1
     got = series_pow(base, rat(-2))
-    want = PowerSeries.from_polynomial(poly_mul((1, -1), (1, -1)), ORDER)
+    want = PowerSeries.from_polynomial((1, -2, 1), ORDER)
     assert got.coefficients == want.coefficients
     with pytest.raises(DivisionByNonUnit):
         series_pow(PowerSeries.from_polynomial((2, 1), 4), rat(1, 2))
@@ -406,6 +399,51 @@ def test_int_mul_matches_fraction_convolution_on_extremal_operands(shape_a, shap
             assert _int_mul(a, b, n) == expected[: n + 1], (la, lb, base, step, signs, n)
 
 
+def test_int_mul_ks2_recombines_even_and_odd_coefficients():
+    # KS2 takes the even coefficients from the half sum of the products at
+    # +2^w and -2^w and the odd ones from the half difference: check n = 0,
+    # n = 1 and odd and even n, on operands of odd and even length whose
+    # coefficients are the largest of their bit lengths, with signs all +,
+    # alternating, random and all -
+    rng = random.Random(7)
+    for la, lb in ((1, 1), (2, 2), (3, 2), (2, 5), (8, 8), (9, 9), (16, 17), (41, 41)):
+        for base, step, signs in ((1, 1, "+"), (6, 3, "alt"), (90, 1, "random"), (200, 0, "+")):
+            for sign in (1, -1):
+                a = [sign * v for v in extremal_operand(la, "rising", base, step, signs, rng)]
+                b = [sign * v for v in extremal_operand(lb, "falling", base, step, signs, rng)]
+                ns = sorted({0, 1, 2, 3, la - 1, lb - 1, la + lb - 2, la + lb - 1})
+                expected = [sum((Fraction(a[i]) * b[m - i] for i in range(la) if 0 <= m - i < lb),
+                                Fraction(0)) for m in range(ns[-1] + 1)]
+                for n in ns:
+                    assert _int_mul(a, b, n) == expected[: n + 1], (la, lb, base, signs, sign, n)
+
+
+def test_short_factors_match_rational_convolution():
+    # a factor with at most four nonzero coefficients is applied by shift and
+    # add, on either side of the product and whatever the other's length
+    dense = PowerSeries([rat(3 * k - 7, k + 2) for k in range(14)])
+    shorts = ((1, -1), (0, 1), (rat(-5, 3), rat(2, 7)), (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9),
+              (1, 0, -6, 0, 1), (2, -6, 6, -2), (0,), (-1, 0, 0, 4))
+    for coeffs in shorts:
+        for order in (0, 3, 13, 20):
+            short = PowerSeries.from_polynomial(coeffs, order)
+            assert canonical(short * dense).coefficients == rational_convolution(short, dense)
+            assert canonical(dense * short).coefficients == rational_convolution(dense, short)
+
+
+def test_results_are_reduced_only_at_the_edge():
+    # an operation keeps the common factor of its integers; the public form,
+    # == and hash reduce it
+    s = PowerSeries.from_integers((2, 4), 6)
+    assert (s.nums, s.den) == ((1, 2), 3)
+    tripled = s.scale(3)
+    assert tripled._den == 3 and (tripled.nums, tripled.den) == ((1, 2), 1)
+    assert tripled == PowerSeries((1, 2)) and hash(tripled) == hash(PowerSeries((1, 2)))
+    assert tripled != s and s.scale(1) == s
+    with pytest.raises(AttributeError):
+        s.den = 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_series, points)
 def test_evaluate_matches_rational_horner(s, point):
@@ -490,6 +528,35 @@ def test_ring_operations_match_fraction_reference(a, b, factor):
 @given(unit_series, parameter.filter(lambda f: abs(f.numerator) < 10 ** 6))
 def test_series_pow_matches_fraction_reference(s, alpha):
     assert canonical(series_pow(s, alpha)).coefficients == ref_pow(s.coefficients, alpha)
+
+
+def ref_product(x, y):
+    return tuple(sum((x[k] * y[m - k] for k in range(m + 1)), Fraction(0)) for m in range(min(len(x), len(y))))
+
+
+@pytest.mark.parametrize("exponents", [
+    (rat(-1, 2), rat(1, 2), rat(-3, 2)),
+    (rat(-2), rat(5, 2), rat(0)),
+    (rat(7, 3), rat(-9, 4), rat(-1)),
+    (rat(1), rat(1), rat(1)),
+])
+def test_power_product_matches_fraction_reference(exponents):
+    # prod f_i^alpha_i, each power from the Fraction recurrence of ref_pow and
+    # the powers multiplied as Fractions, at negative and half-integer exponents
+    polys = ((1, -6, 1), (1, -1), (1, 3, 0, -2))
+    for order in (0, 1, 2, 17):
+        want = (Fraction(1),) + (Fraction(0),) * order
+        for poly, alpha in zip(polys, exponents):
+            base = tuple(Fraction(c) for c in poly[: order + 1]) + (Fraction(0),) * (order + 1 - len(poly))
+            want = ref_product(want, ref_pow(base, alpha))
+        got = power_product(tuple(zip(polys, exponents)), order)
+        assert canonical(got).coefficients == want, (exponents, order)
+        # and one factor alone is series_pow
+        alone = series_pow(PowerSeries.from_polynomial(polys[0], order), exponents[0])
+        assert power_product(((polys[0], exponents[0]),), order) == alone
+    assert power_product((), 3) == PowerSeries.one(3)
+    with pytest.raises(DivisionByNonUnit):
+        power_product((((2, 1), rat(1, 2)),), 4)
 
 
 @settings(max_examples=100, deadline=None)
