@@ -33,7 +33,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .identities import ABAR_OPERATOR, VBAR_OPERATOR
@@ -397,61 +396,139 @@ def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
 
 @lru_cache(maxsize=None)
 def _direct_series(order: int):
-    """Area and volume coefficients in fixed point plus a geometric tail
-    ratio for the direct path.
+    """Area and volume tables for the direct path, plus a geometric tail
+    ratio for the powers past the order.
 
     Abar and Vbar are the power-series solutions of the printed operators
     ``ABAR_OPERATOR`` and ``VBAR_OPERATOR`` with constant terms 4 and 2,
-    generated by their coefficient recurrences; no hypergeometric closed form
-    is used, so the direct path checks it.  Returns (abar, vbar, ratio_cap),
-    each series as (coeffs, next numerator, common denominator), coeffs the
-    (floor, ceil) of c_n 2^P for n = ``order`` down to 0, each c_n checked
-    positive as ``_horner_enclosure`` needs.  The cap is the largest
-    coefficient ratio over a window of 10 past ``order``, checked positive
-    and decreasing there, with a 5% cushion; that it bounds every later
-    ratio is not proved.
+    generated by their coefficient recurrences through ``order`` + 10; no
+    hypergeometric closed form is used, so the direct path checks it.  The
+    recurrence's integers are read unreduced, as every table is a function
+    of the rational coefficients c_n alone.
+
+    Returns (abar, vbar, ratio_cap), each series as (floors, ratios): floors
+    the floor(c_n 2^P) for n = ``order`` + 1 down to 0, ratios the
+    r_n = c_(n+1)/c_n for n = 0..``order`` + 1, each as the float above its
+    correctly rounded value, so at least r_n.  Every c_n through the order is
+    checked positive, and the r_n positive and strictly falling over the
+    whole range 0..``order`` + 9 (``_falling_ratios``).  The cap is 1.05
+    times r_(order-1); that it bounds the ratios past ``order`` + 9 is not
+    proved.
     """
     extra = 10
     parts = []
     caps = []
     for op, constant in ((ABAR_OPERATOR, 4), (VBAR_OPERATOR, 2)):
         series = op.series_solution(constant, order + extra)
-        nums, den = series.nums, series.den
+        nums, den = series._nums, series._den
         if any(c <= 0 for c in nums[: order + 1]):
             raise BoundNotAchieved("a coefficient through the order is not positive")
-        ratios = [Fraction(nums[n + 1], nums[n]) for n in range(order - 1, order + extra - 1)]
-        if any(r <= 0 for r in ratios) or any(
-            ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)
-        ):
-            raise BoundNotAchieved("coefficient ratios not positive-decreasing")
-        caps.append(float(ratios[0]) * _CAP_CUSHION)
-        coeffs = tuple(((c << _P) // den, -((-c << _P) // den)) for c in nums[order::-1])
-        parts.append((coeffs, nums[order + 1], den))
+        ratios = _falling_ratios(nums)
+        caps.append(ratios[order - 1] * _CAP_CUSHION)
+        floors = tuple((c << _P) // den for c in nums[order + 1::-1])
+        parts.append((floors, tuple(math.nextafter(r, math.inf) for r in ratios[: order + 2])))
     return parts[0], parts[1], max(caps)
 
 
-def _horner_enclosure(coeffs, u: int, v: int) -> tuple:
-    """(lo, hi) with lo <= 2^P S <= hi for S = sum_n c_n t^n at t = u/v, from
-    the (floor, ceil) pairs of c_n 2^P >= 0, highest power first: Horner's
-    rule on integers, rounding down with floor(2^P t) and up with
-    ceil(2^P t).  Every term is nonnegative, so each rounding moves lo down
-    and hi up."""
-    scaled = u << _P
-    t_lo, t_hi = scaled // v, -(-scaled // v)
-    round_up = (1 << _P) - 1
-    lo = hi = 0
-    for c_lo, c_hi in coeffs:
-        lo = ((lo * t_lo) >> _P) + c_lo
-        hi = ((hi * t_hi + round_up) >> _P) + c_hi
-    return lo, hi
+def _falling_ratios(nums) -> list:
+    """The ratios nums[n+1]/nums[n], each correctly rounded to a float, once
+    they are checked positive and strictly falling; BoundNotAchieved if not.
+
+    Int-by-int division rounds correctly, so a rounded ratio lies within half
+    an ulp of the exact one: when the float above the next rounded ratio is
+    at or below the float below this one, the exact ratios fall.  Where the
+    two are closer the test is exact, nums[n+2] nums[n] < nums[n+1]^2.  The
+    numerators run to thousands of bits, so the exact products are left to
+    the pairs that need them."""
+    if any(c <= 0 for c in nums):
+        raise BoundNotAchieved("coefficient ratios not positive-decreasing")
+    ratios = [b / a for a, b in zip(nums, nums[1:])]
+    for n in range(len(ratios) - 1):
+        if not (math.nextafter(ratios[n + 1], math.inf) <= math.nextafter(ratios[n], -math.inf)
+                or nums[n + 2] * nums[n] < nums[n + 1] ** 2):
+            raise BoundNotAchieved("coefficient ratios not positive-decreasing")
+    return ratios
+
+
+def _horner_enclosure(floors, u: int, v: int) -> tuple:
+    """(lo, hi) with lo <= 2^P S < hi for S = sum_n c_n t^n at t = u/v, v a
+    power of two as for every float z, 0 <= t < 1/3, from the floor(c_n 2^P),
+    highest power first: Horner's rule on integers, rounding down.
+
+    As v = 2^s, lo_k t is formed exactly and floored, so each step
+    lo_(k+1) = floor(lo_k t) + floor(c 2^P) rounds down twice, by less than a
+    unit each.  With e_k = 2^P S_k - lo_k for the exact partial Horner values
+    S_k, e_1 < 1 (its product is 0) and e_(k+1) < e_k t + 2, so every e_k
+    lies in [0, 2/(1 - t)), below 3 for t < 1/3 (T_MAX < 0.172).  The bound
+    needs no sign of the coefficients."""
+    s = v.bit_length() - 1
+    lo = 0
+    for c in floors:
+        lo = ((lo * u) >> s) + c
+    return lo, lo + 3
+
+
+def _partial_sums(parts, u: int, v: int, ratio_cap: float) -> tuple:
+    """(m, sums): the ``_direct_series`` parts at t = u/v, t ratio_cap < 1,
+    summed through the power m, each as (lo, hi, rest) with
+    lo <= 2^P sum_(n<=m) c_n t^n < hi (``_horner_enclosure``) and
+    sum_(n>m) c_n t^n <= rest.
+
+    With q = t max(r_(m+1), ratio_cap), the rest is at most
+    c_(m+1) t^(m+1)/(1 - q): through ``order`` + 9 the ratios are proved to
+    fall from r_(m+1), and past it they are capped, unproved.  The next term
+    is formed exactly from floor(c_(m+1) 2^P) + 1 and rounded once to
+    nearest, as its coefficient alone can overflow float while the product
+    is tiny; ``iso_direct`` pads the half ulp it can lose and the underflow
+    to 0 below 2^-1074.
+
+    m is the least power in 0..order past which both rests fall below
+    2^-(P+8), or the order.  The terms c_n t^n rise, then fall, as the ratios
+    fall, and q falls as m grows, so those powers are all the powers past
+    some m, which bisection finds in O(log order) steps.  The float logs it
+    compares only choose m.
+    """
+    order = len(parts[0][0]) - 2
+    s = v.bit_length() - 1
+    t = u / v
+    log_t = math.log2(u) - s if u else -math.inf
+
+    def rest_ratio(ratios, m):
+        return t * max(ratios[m + 1], ratio_cap)
+
+    def negligible(m):
+        # log2 of c_(m+1) 2^P t^(m+1)/(1 - q) below -8, for both series
+        for floors, ratios in parts:
+            q = rest_ratio(ratios, m)
+            if not (q < 1.0 and math.log2(floors[-2 - m] + 1) + (m + 1) * log_t
+                    - math.log2(1.0 - q) < -8):
+                return False
+        return True
+
+    low, m = 0, order
+    while low < m:
+        mid = (low + m) // 2
+        if negligible(mid):
+            m = mid
+        else:
+            low = mid + 1
+    head, scale = u ** (m + 1), 1 << _P + s * (m + 1)
+    return m, tuple(
+        (*_horner_enclosure(floors[-1 - m:], u, v),
+         (floors[-2 - m] + 1) * head / scale / (1.0 - rest_ratio(ratios, m)))
+        for floors, ratios in parts)
 
 
 def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     """Direct-definition evaluation from the area and volume series of the
     printed operators; cross-validation path for the closed form.  ``order``
-    is the last power summed, an integer >= 1.  Each partial sum is enclosed
-    at 2^-P (``_horner_enclosure``): the midpoint is rounded once, and the
-    width joins the bound."""
+    is the last power the data reach, an integer >= 1.  Both series are
+    summed through the least power past which their rests fall below
+    2^-(P+8), or through ``order``, and each rest joins the bound
+    (``_partial_sums``).  The rest is proved up to the power ``order`` + 10;
+    past it, it rests on an unproved ratio cap (``_direct_series``).  Each
+    partial sum is enclosed at 2^-P (``_horner_enclosure``): the midpoint is
+    rounded once, and the width joins the bound."""
     _check_domain(z)
     if not isinstance(order, int) or order < 1:
         raise DomainError(f"order {order!r} is not an integer >= 1")
@@ -467,21 +544,14 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
         advice = "raise the order" if _CAP_CUSHION * t < T_MAX else (
             f"no order helps: the direct path's tail cap reaches only z < {reach:.4f}")
         raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; {advice}")
-    u_head, v_head_bits = u ** (order + 1), (v.bit_length() - 1) * (order + 1)
 
-    def enclose(part):
-        coeffs, next_num, den = part
-        # the next term is formed exactly and rounded once, as its
-        # coefficient alone can overflow float while the product is tiny
-        tail = next_num * u_head / (den << v_head_bits) / (1.0 - q)
-        lo, hi = _horner_enclosure(coeffs, u, v)
+    def enclose(lo, hi, rest):
         val = (lo + hi) / (2 << _P)
         width = (hi - lo) / (1 << _P)
-        return CertifiedValue(val + tail / 2.0, tail / 2.0 + _pad(val) + _pad(tail) + width)
+        return CertifiedValue(val + rest / 2.0, rest / 2.0 + _pad(val) + _pad(rest) + width)
 
-    a_val = enclose(ab)
-    v_val = enclose(vb)
-    out = cv_div(v_val, cv_pow(a_val, 1.5))
+    _, (a_sum, v_sum) = _partial_sums((ab, vb), u, v, ratio_cap)
+    out = cv_div(enclose(*v_sum), cv_pow(enclose(*a_sum), 1.5))
     return cv_mul(out, cv_const(_C_DIRECT))
 
 

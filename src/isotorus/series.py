@@ -587,7 +587,9 @@ class DifferentialOperator:
         y_n = -sum_(k>=1) c_k(n) y_(n-k) / c_0(n) wherever the leading
         coefficient c_0(n) is not 0.  On integers: with
         D = den(constant) c_0(1)...c_0(order), Y_n = y_n D is an integer and
-        c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.
+        c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.  The Y_n over
+        D are returned unreduced; ``nums`` and ``den`` reduce them on first
+        use.
 
         Raises SeriesError where c_0 vanishes: at some n in 1..order the
         solution is not unique, and at n = 0 no solution has a nonzero
@@ -610,7 +612,7 @@ class DifferentialOperator:
         for n in range(1, order + 1):
             acc = sum(_at(poly, n) * nums[n - k] for k, poly in lower if k <= n)
             nums.append(-acc // lead[n])
-        return PowerSeries.from_integers(nums, y0.denominator * top)
+        return PowerSeries._of(nums, y0.denominator * top)
 
     def apply(self, s: PowerSeries) -> PowerSeries:
         """Exact residual L s through z^(order(s) - operator order), from the

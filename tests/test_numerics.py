@@ -6,6 +6,7 @@ same tail majorant evaluated in exact arithmetic, so the oracle interval is
 rigorous by construction.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -346,29 +347,97 @@ def test_iso_direct_matches_pinned_bits():
         assert (d.value.hex(), d.abs_error_bound.hex(), d.flag) == (value, bound, None), (z, order)
 
 
+# sha256 over "value.hex bound.hex flag" lines of iso_direct(0.4 k / 4000,
+# order=240) for k = 0..4000, from the direct path that summed all 241 terms
+# in two Horner loops, one rounding down and one up.
+DIRECT_GRID = "2d676debb6ea8e5b57145f5900c1f9dc3dd1c6ebddca10970b3a81c2819a4a9e"
+
+
+def test_iso_direct_matches_the_grid_digest():
+    rows = []
+    for k in range(4001):
+        d = iso_direct(0.4 * k / 4000, order=240)
+        rows.append(f"{d.value.hex()} {d.abs_error_bound.hex()} {d.flag}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DIRECT_GRID
+
+
+def _homogeneous(nums, u, v) -> tuple:
+    """(sum_n nums[n] u^n v^(k-n), v^(k+1)), k = len(nums) - 1: the sum of
+    the nums[n] t^n at t = u/v is the first over v^k."""
+    h, v_pow = 0, 1
+    for c in reversed(nums):
+        h, v_pow = h * u + c * v_pow, v_pow * v
+    return h, v_pow
+
+
 @pytest.mark.parametrize("order", [1, 5, 240, 460])
 def test_direct_enclosure_holds_the_exact_partial_sum(order):
+    # the one-loop enclosure through the cut-off m holds the exact sum
+    # through m, the rest bound holds the exact terms from m + 1 through the
+    # order, and the two together hold the exact partial sum through the order
     from isotorus.identities import ABAR_OPERATOR, VBAR_OPERATOR
 
-    abar, vbar, _ = num._direct_series(order)
-    for op, constant, (coeffs, _, _) in ((ABAR_OPERATOR, 4, abar), (VBAR_OPERATOR, 2, vbar)):
-        s = op.series_solution(constant, order)
-        for z in (0.0, 5e-324, 1e-20, 2.0 ** -60, 0.1, 0.38, 0.402):
-            u, v = (n * n for n in Rational(z).as_integer_ratio())
-            if z in (5e-324, 1e-20):
-                # v > 2^P: floor and ceil of 2^P t differ
-                assert (u << num._P) % v
-            lo, hi = num._horner_enclosure(coeffs, u, v)
-            # the exact partial sum is h / (den v^order), h = sum c_n u^n v^(order-n)
-            h, v_pow = 0, 1
-            for c in reversed(s.nums):
-                h, v_pow = h * u + c * v_pow, v_pow * v
-            scale = s.den * v ** order
-            assert lo * scale <= h << num._P <= hi * scale, (order, z)
+    abar, vbar, cap = num._direct_series(order)
+    series = [op.series_solution(constant, order) for op, constant in
+              ((ABAR_OPERATOR, 4), (VBAR_OPERATOR, 2))]
+    for z in (0.0, 5e-324, 1e-20, 2.0 ** -60, 0.05, 0.2, 0.3, 0.38, 0.402):
+        u, v = (n * n for n in Rational(z).as_integer_ratio())
+        if u / v * cap >= 1.0:
+            with pytest.raises(BoundNotAchieved, match="raise the order"):
+                iso_direct(z, order=order)
+            continue
+        m, sums = num._partial_sums((abar, vbar), u, v, cap)
+        assert 0 <= m <= order
+        for s, (lo, hi, rest) in zip(series, sums):
+            # over den v^order: head is the sum through m, middle the terms
+            # from m + 1 through the order
+            h_m, v_head = _homogeneous(s.nums[: m + 1], u, v)
+            h_r, v_middle = _homogeneous(s.nums[m + 1:], u, v)
+            whole = s.den * v_head * v_middle // v
+            head, middle = h_m * v_middle, h_r * u ** (m + 1)
+            assert lo * whole <= head << num._P < hi * whole, (order, z)
+            # rest is rounded to nearest once and can underflow to 0:
+            # iso_direct's padding covers both
+            a, b = (Rational(rest) + Rational(num._pad(rest)) + Rational(5e-324)).as_integer_ratio()
+            assert middle * b <= a * whole, (order, z)
+            assert (head + middle) * b << num._P <= (hi * b + (a << num._P)) * whole, (order, z)
+
+
+def test_cut_off_is_pinned():
+    # the terms fall like (5.83 z^2)^n, so the sum stops well before the
+    # order inside the domain and reaches it near z = 0.40
+    abar, vbar, cap = num._direct_series(240)
+    got = {}
+    for z in (0.05, 0.2, 0.40):
+        u, v = (n * n for n in Rational(z).as_integer_ratio())
+        got[z] = num._partial_sums((abar, vbar), u, v, cap)[0]
+    assert got == {0.05: 23, 0.2: 71, 0.40: 240}
+
+
+def test_horner_width_is_needed_to_the_unit():
+    # both floors of a step can lose almost a unit, and the first step's
+    # loss carries over times t: the error passes 2, so hi = lo + 3 is needed
+    P, s, u = num._P, 8, 43  # t = 43/256 < T_MAX
+    f1 = 5 << P
+    f1 += (255 * pow(u, -1, 1 << s) - f1) % (1 << s)  # f1 u = 255 mod 2^s
+    almost_a_unit = Rational(2 ** 20 - 1, 2 ** 20 << P)
+    coeffs = [Rational(f1, 1 << P) + almost_a_unit, 4 + almost_a_unit]
+    floors = [math.floor(c * (1 << P)) for c in coeffs]
+    lo, hi = num._horner_enclosure(floors, u, 1 << s)
+    exact = (coeffs[1] + coeffs[0] * Rational(u, 1 << s)) * (1 << P)
+    assert lo + 2 < exact < hi
+
+
+def test_falling_ratios_are_checked_exactly_where_floats_tie():
+    # ratios 3 and 3 - 2^-300: one float, told apart by the integers
+    a = 1 << 300
+    assert num._falling_ratios([a, 3 * a, 9 * a - 1]) == [3.0, 3.0]
+    with pytest.raises(BoundNotAchieved, match="not positive-decreasing"):
+        num._falling_ratios([a, 3 * a, 9 * a])
 
 
 def test_direct_path_refuses_a_nonpositive_coefficient(monkeypatch):
-    # the fixed-point enclosure holds only for nonnegative terms
+    # the rest bound holds only for positive coefficients
     from isotorus.identities import ABAR_OPERATOR
 
     class ZeroedCoefficient:
@@ -380,6 +449,25 @@ def test_direct_path_refuses_a_nonpositive_coefficient(monkeypatch):
     num._direct_series.cache_clear()
     try:
         with pytest.raises(BoundNotAchieved, match="coefficient through the order is not positive"):
+            iso_direct(0.1, order=20)
+    finally:
+        num._direct_series.cache_clear()
+
+
+def test_direct_path_refuses_a_ratio_that_rises_below_the_order(monkeypatch):
+    # doubling c_3 makes r_2 exceed r_1, so a rest past m = 0 bounded with
+    # r_1 would not hold, though every ratio near the order falls
+    from isotorus.identities import ABAR_OPERATOR
+
+    class RaisedCoefficient:
+        def series_solution(self, constant, order):
+            s = ABAR_OPERATOR.series_solution(constant, order)
+            return perturbed(s, 3, s[3])
+
+    monkeypatch.setattr(num, "ABAR_OPERATOR", RaisedCoefficient())
+    num._direct_series.cache_clear()
+    try:
+        with pytest.raises(BoundNotAchieved, match="coefficient ratios not positive-decreasing"):
             iso_direct(0.1, order=20)
     finally:
         num._direct_series.cache_clear()

@@ -621,7 +621,7 @@ def random_coefficients(rng, n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 400), st.randoms(use_true_random=False), eval_points)
-def test_evaluate_matches_fraction_horner_across_leaf_size(n, rng, point):
+def test_evaluate_matches_fraction_horner_across_orders(n, rng, point):
     cs = random_coefficients(rng, n)
     expected = Fraction(0)
     for c in reversed(cs):
