@@ -10,6 +10,13 @@ s = c - 2a > 0 and (a-1)(c-a) <= 0 (``HypergeometricSpec.tail_majorant``);
 other triples raise ``DomainError``.  In the class every term is
 nonnegative and t_{k+1}/t_k <= x (k+a)/(k+a+s+1) once k + a > 0, which
 bounds the tail finitely up to and including x = 1 (see ``_eval_family``).
+Near x = 1 a sum runs to thousands of terms, so past its first terms the
+kernel sums blocks of terms without testing its stop rule, by the same float
+operations in the same order as the term-by-term loop.  One test per block
+proves that no term of it could have stopped that loop: the tail bound falls
+and the rounding bound grows from term to term, so the block's end and start
+bound both.  A block that fails the test is summed again term by term, so
+every result equals the term-by-term one to the bit.
 The class holds every series the ratio needs: F_a = 2F1(-a,-a;1;x) in
 w_a = F_a/(1+x)^a for a = 1/2 and 3/2, and G_a = 2F1(1-a,1-a;2;x) in the
 log slope w_a'/w_a = a^2 G_a/F_a - a/(1+x) (F_a' = a^2 G_a, DLMF 15.5.1),
@@ -69,6 +76,8 @@ ISO_AT_ZERO = 1.5 * (2.0 * math.pi ** 2) ** -0.25
 _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso**2
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
+_HEAD = 96                          # checked steps before eval_2f1 first tries unchecked blocks
+_BLOCK = 64                         # terms in each unchecked block (``_eval_family``)
 _CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
 _P = 128                            # bits after the point in iso_direct's fixed-point partial sums
 
@@ -257,7 +266,10 @@ def _eval_family(params, x, target, x_abs_err):
     # sum_{k>=m} G(k+a)/G(k+a+s+1) = G(m+a)/(s G(m+a+s)) telescopes (G the
     # Gamma function), at most t_m (m+a+s)/s, finite at x = 1.  The tail
     # bound falls strictly and the rounding bound grows, so the loop stops
-    # once their sum rises and returns the previous, best, sum.
+    # once their sum rises and returns the previous, best, sum.  At step
+    # ``stop``, first after _HEAD checked steps and then every _BLOCK, the
+    # loop lets ``_sum_blocks`` take the whole blocks of steps that it proves
+    # stop nowhere, bit for bit as the loop would; the rest the loop takes.
     a, c, s, m0 = params
     inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
     total = 1.0
@@ -269,13 +281,22 @@ def _eval_family(params, x, target, x_abs_err):
     a_s = a + s
     err_prev = math.inf
     total_prev = total
+    stop = m0 + _HEAD if m0 < _MAX_TERMS - _HEAD else _MAX_TERMS
     while True:
         m = n + 1
         t_next = t * ((a + n) * (a + n)) / ((c + n) * m) * x
         k = (m + a_s) / s
         err = t_next * (k if k < inv_gap else inv_gap) + 3.0 * EPS * m * total
-        if err <= target or t_next == 0.0 or m >= _MAX_TERMS:
-            break
+        if err <= target or t_next == 0.0 or m >= stop:
+            if err <= target or t_next == 0.0 or m >= _MAX_TERMS:
+                break
+            blocks = _sum_blocks(params, x, target, inv_gap, n, t, total)
+            if blocks:  # go on from their end
+                n, t, total, total_prev, err_prev = blocks
+                m = n + 1
+                stop = m + _BLOCK if m < _MAX_TERMS - _BLOCK else _MAX_TERMS
+                continue
+            stop = m + _BLOCK if m < _MAX_TERMS - _BLOCK else _MAX_TERMS
         if err > err_prev:
             total, err = total_prev, err_prev
             break
@@ -292,6 +313,64 @@ def _eval_family(params, x, target, x_abs_err):
         growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
         err += min(x_abs_err * (head + coef * growth), f_range)
     return _flagged(CertifiedValue(total, err + _pad(total)), target)
+
+
+def _sum_blocks(params, x, target, inv_gap, n, t, total):
+    """The state (n, t, total, total_prev, err_prev) of ``_eval_family``'s
+    loop after the whole blocks of _BLOCK steps from n + 1 that provably
+    stop nowhere, the first block that fails its test excluded; None when
+    there is no such block.
+
+    A block runs steps m1 = n + 1 through m2 = n + _BLOCK, forming only the
+    terms and the running sum S, by the loop's float operations in its order:
+    a + n and c + n from the integer-valued float n, exact like the int n,
+    and n + 1 exact too.  Then one test at m2 shows that no step m1..m2
+    would have stopped the loop:
+    - tail(m+1) <= q_m tail(m) for q_m = x (m+a)/(m+a+s), rising in m: the
+      majorant, as k grows by (m+a+s+1)/(m+a+s), within 10 EPS of rounding.
+      The rounding bound 3 EPS m S_(m-1) grows by 3 EPS (S_m + m t_m) a
+      step, at most 3 EPS (S_m2 + m2 t) for t the term before the block, as
+      the terms fall.  So where tail(m2) (1 - q_m2 - 32 EPS) exceeds that by
+      a factor 1 + 2^-20, which covers the roundings of both sides, the
+      error falls at every step from m1 - 1 to m2: no best-bound stop, and
+      every tail(m) in the block is at least tail(m2).
+    - The rounding bound never falls, so where also tail(m2) + 3 EPS m1
+      S_(m1-1) > target, no step meets the target.
+    - Once a term is 0 so is every later one, so t_m2 != 0 rules out a 0
+      term, and m2 < _MAX_TERMS keeps the cap out of the block.
+    So the state after an accepted block is the loop's own, bit for bit; a
+    block that fails is left to the loop.  A block is not tried where, with
+    every term ratio at the one in its middle, its end would meet the
+    target: the stop is then most likely inside it.
+    """
+    a, c, s, _ = params
+    a_s = a + s
+    state = None
+    while n + _BLOCK < _MAX_TERMS:
+        m2 = n + _BLOCK
+        k = (m2 + a_s) / s
+        k = k if k < inv_gap else inv_gap
+        rounding = 3.0 * EPS * (n + 1) * total
+        mid = m2 - _BLOCK // 2
+        if t * ((mid + a) * (mid + a) / ((mid + c) * (mid + 1)) * x) ** _BLOCK * k + rounding <= target:
+            break
+        u, sum_u, f = t, total, float(n)
+        for _ in range(_BLOCK - 1):
+            af = a + f
+            f1 = f + 1.0
+            u = u * (af * af) / ((c + f) * f1) * x
+            sum_u += u
+            f = f1
+        af = a + f
+        u = u * (af * af) / ((c + f) * (f + 1.0)) * x
+        tail = u * k
+        decay = ((m2 + a) * (1.0 - x) + s) / (m2 + a_s) - 32.0 * EPS  # 1 - q_m2 - 32 EPS
+        if not (u != 0.0 and tail + rounding > target
+                and tail * decay > 3.0 * EPS * (sum_u + u + m2 * t) * (1.0 + 2.0 ** -20)):
+            break
+        n, t, total = m2, u, sum_u + u
+        state = n, t, total, sum_u, tail + 3.0 * EPS * m2 * sum_u
+    return state
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
@@ -468,6 +547,24 @@ def _horner_enclosure(floors, u: int, v: int) -> tuple:
     return lo, lo + 3
 
 
+def _power_above(u: int, e: int) -> tuple:
+    """(w, shift) with u^e <= w 2^shift and w below 2^(2P + 1): u^e by
+    squaring, cut back to 2P bits and rounded up after each product.
+
+    A cut by j bits replaces w by floor(w/2^j) + 1 >= w/2^j and adds j to
+    the shift, so w 2^shift never falls below the exact partial power, and
+    squaring and multiplying by u keep that order."""
+    w, shift = 1, 0
+    for bit in bin(e)[2:]:
+        w, shift = w * w, 2 * shift
+        if bit == "1":
+            w *= u
+        cut = w.bit_length() - 2 * _P
+        if cut > 0:
+            w, shift = (w >> cut) + 1, shift + cut
+    return w, shift
+
+
 def _partial_sums(parts, u: int, v: int, ratio_cap: float) -> tuple:
     """(m, sums): the ``_direct_series`` parts at t = u/v, t ratio_cap < 1,
     summed through the power m, each as (lo, hi, rest) with
@@ -477,10 +574,12 @@ def _partial_sums(parts, u: int, v: int, ratio_cap: float) -> tuple:
     With q = t max(r_(m+1), ratio_cap), the rest is at most
     c_(m+1) t^(m+1)/(1 - q): through ``order`` + 9 the ratios are proved to
     fall from r_(m+1), and past it they are capped, unproved.  The next term
-    is formed exactly from floor(c_(m+1) 2^P) + 1 and rounded once to
-    nearest, as its coefficient alone can overflow float while the product
-    is tiny; ``iso_direct`` pads the half ulp it can lose and the underflow
-    to 0 below 2^-1074.
+    is formed from floor(c_(m+1) 2^P) + 1 and w 2^shift >= u^(m+1)
+    (``_power_above``, 2P bits rounded up, where the exact power runs to
+    thousands of bits), so the integer quotient is at least the exact term;
+    it is rounded once to nearest, as its coefficient alone can overflow
+    float while the product is tiny, and ``iso_direct`` pads the half ulp it
+    can lose and the underflow to 0 below 2^-1074.
 
     m is the least power in 0..order past which both rests fall below
     2^-(P+8), or the order.  The terms c_n t^n rise, then fall, as the ratios
@@ -512,7 +611,8 @@ def _partial_sums(parts, u: int, v: int, ratio_cap: float) -> tuple:
             m = mid
         else:
             low = mid + 1
-    head, scale = u ** (m + 1), 1 << _P + s * (m + 1)
+    head, shift = _power_above(u, m + 1)
+    scale = 1 << _P + s * (m + 1) - shift
     return m, tuple(
         (*_horner_enclosure(floors[-1 - m:], u, v),
          (floors[-2 - m] + 1) * head / scale / (1.0 - rest_ratio(ratios, m)))

@@ -10,6 +10,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isotorus import numerics as num
 from isotorus.numerics import (
@@ -160,6 +162,99 @@ def test_eval_2f1_near_one_stops_at_best_bound(time_limit):
     assert cv.abs_error_bound < 1e-11
     ref = mpmath.hyp2f1(-0.5, -0.5, 1, mpmath.mpf(0.999))
     assert abs(mpmath.mpf(cv.value) - ref) <= cv.abs_error_bound
+
+
+def reference_eval_family(params, x, target):
+    """The family kernel as one checked loop, every term testing the stop
+    rule, at an exact argument: ``num._eval_family`` must match it bit for
+    bit."""
+    a, c, s, m0 = params
+    inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
+    total = 1.0
+    t = 1.0
+    for n in range(m0 - 1):  # terms before the majorant applies
+        t *= (a + n) * (a + n) / ((c + n) * (n + 1)) * x
+        total += t
+    n = m0 - 1
+    a_s = a + s
+    err_prev = math.inf
+    total_prev = total
+    while True:
+        m = n + 1
+        t_next = t * ((a + n) * (a + n)) / ((c + n) * m) * x
+        k = (m + a_s) / s
+        err = t_next * (k if k < inv_gap else inv_gap) + 3.0 * EPS * m * total
+        if err <= target or t_next == 0.0 or m >= num._MAX_TERMS:
+            break
+        if err > err_prev:
+            total, err = total_prev, err_prev
+            break
+        total_prev, err_prev = total, err
+        total += t_next
+        t = t_next
+        n = m
+    return num._flagged(CertifiedValue(total, err + num._pad(total)), target)
+
+
+KERNEL_SPECS = [SPEC_AREA, SPEC_VOLUME] + SLOPE_SPECS + [
+    num._w_spec(a) for a in (rat(-1, 3), rat(1, 3), rat(2, 7), rat(5, 11), rat(-2, 5), rat(7, 3))]
+# x = 1 - 10^-u, where the sums run long and in blocks, in three draws of four
+KERNEL_X = st.integers(0, 3).flatmap(
+    lambda i: st.floats(0.0, 5.0).map(lambda u: 1.0 - 10.0 ** -u) if i
+    else st.sampled_from([0.0, 1.0, 5e-324]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_SPECS), KERNEL_X,
+       st.sampled_from([1e-9, 1e-10, 2.5e-11, 1e-12, 1e-13, 3e-14]))
+@example(SPEC_AREA, 0.999, 1e-13)           # the rising-error stop
+@example(num._w_spec(rat(1, 3)), 1.0, 3e-14)
+@example(num._w_spec(rat(2, 7)), 1.0 - 1e-4, 1e-12)
+def test_blocks_match_the_checked_loop_bit_for_bit(spec, x, target):
+    got = num._eval_family(spec.tail_majorant, x, target, 0.0)
+    want = reference_eval_family(spec.tail_majorant, x, target)
+    assert (got.value.hex(), got.abs_error_bound.hex(), got.flag) == (
+        want.value.hex(), want.abs_error_bound.hex(), want.flag)
+
+
+def test_block_refuses_where_a_step_could_meet_the_target():
+    # from step 33 to 96 at x = 0.85 the rounding bound triples, so the
+    # block's test must add the rounding bound of its first step to the tail
+    # bound of its last: at exactly that sum as the target the block is
+    # refused, and just below it taken
+    a, c, s, _ = params = SPEC_AREA.tail_majorant
+    x, n, inv_gap = 0.85, 32, 1.0 / (1.0 - 0.85)
+    t = total = 1.0
+    for j in range(n):
+        t = t * ((a + j) * (a + j)) / ((c + j) * (j + 1)) * x
+        total += t
+    u = t
+    for j in range(n, n + num._BLOCK):
+        u = u * ((a + j) * (a + j)) / ((c + j) * (j + 1)) * x
+    k = (n + num._BLOCK + (a + s)) / s
+    boundary = u * min(k, inv_gap) + 3.0 * EPS * (n + 1) * total
+    assert num._sum_blocks(params, x, boundary, inv_gap, n, t, total) is None
+    taken = num._sum_blocks(params, x, boundary * (1.0 - 1e-9), inv_gap, n, t, total)
+    assert taken is not None and taken[0] == n + num._BLOCK
+
+
+# (call, value, bound, flag) as float.hex from the checked loop before it
+# summed in blocks: two calls stop at the 10^6-term cap, one at its best bound
+KERNEL_PINNED = [
+    (lambda: eval_w(rat(-1, 4), 1.0),
+     "0x1.674b05c1a8cb2p+0", "0x1.7b73e98ce5bafp-13", "bound_not_achieved"),
+    (lambda: eval_w(rat(-1, 3), 1.0),
+     "0x1.d5e1c1fbf807fp+0", "0x1.5928b9f92ddaep-8", "bound_not_achieved"),
+    (lambda: eval_2f1(SPEC_AREA, 0.999, 1e-12),
+     "0x1.45de2f4e09bd4p+0", "0x1.a0f1cab6f6098p-38", "bound_not_achieved"),
+]
+
+
+def test_cap_and_best_bound_stops_are_pinned(time_limit):
+    time_limit(5.0)
+    for call, value, bound, flag in KERNEL_PINNED:
+        cv = call()
+        assert (cv.value.hex(), cv.abs_error_bound.hex(), cv.flag) == (value, bound, flag)
 
 
 def test_eval_2f1_domain_and_divergence():
