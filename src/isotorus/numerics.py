@@ -25,9 +25,12 @@ so Iso and its derivative are certified on the whole domain.
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
-``iso_derivative`` also sums the two slope series G_a.  Each public
-evaluator flags its result exactly when its final bound exceeds the target,
-and only there (``_flagged``): the interval helpers carry no flag.
+``iso_derivative`` also sums the two slope series G_a.  The bound rules act
+on (value, bound) float pairs (``_mul``, ``_div``, ``_pow``, ``_sub``,
+``_scale``, ``_pow_one_plus_x``, ``_h``) and carry no flag.  Each public call
+checks the caller's target, gives each series a share of it, and returns one
+CertifiedValue, built from its final pair and flagged exactly when that
+bound exceeds the target, and only there (``_flagged``).
 Scans enclose the difference they test at each grid point and judge every
 enclosure in one classifier (``_classify``).
 """
@@ -75,6 +78,12 @@ T_MAX = 3.0 - 2.0 * SQRT2           # = Z_MAX**2, domain of the sqrt-substituted
 ISO_AT_ZERO = 1.5 * (2.0 * math.pi ** 2) ** -0.25
 _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso**2
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
+# a constant computed in floats (with pi, sqrt) is known to a few ulps
+_K_RATIO_BOUND = 4.0 * EPS * _K_RATIO
+_C_DIRECT_BOUND = 4.0 * EPS * _C_DIRECT
+# the least positive float: an evaluator floors the share target/k of its
+# target that it gives a series here, where the division underflows to 0
+_TINY = math.ulp(0.0)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
 _HEAD = 96                          # checked steps before eval_2f1 first tries unchecked blocks
 _BLOCK = 64                         # terms in each unchecked block (``_eval_family``)
@@ -112,7 +121,7 @@ class CertifiedValue:
     value + abs_error_bound].  ``flag`` marks degraded results ("bound_not_
     achieved") whose bound is still honest but larger than requested.  Only
     a public evaluator sets it, from its own final bound and target
-    (``_flagged``); the interval helpers below return unflagged values.
+    (``_flagged``); the pair rules below carry no flag.
     """
 
     value: float
@@ -129,64 +138,53 @@ class CertifiedValue:
 
 
 # --------------------------------------------------------------------------
-# Conservative interval helpers on CertifiedValue
+# Interval rules on (value, bound) float pairs
 # --------------------------------------------------------------------------
+#
+# Each rule takes its operands as floats u, ub (and v, vb), the value and
+# the bound of its absolute error, and returns the pair (w, b) of the
+# result: the exact result of the operation on any points within the bounds
+# lies within b of w.  The 2 EPS |w| term in each bound (4 EPS |w| for a
+# power) covers the rounding of w itself.  The rules carry no flag; a public
+# evaluator turns its final pair into its one CertifiedValue (``_flagged``).
 
-def _pad(v: float) -> float:
-    return 2.0 * EPS * abs(v)
-
-
-def _flagged(cv: CertifiedValue, target: float) -> CertifiedValue:
-    """cv, flagged when its bound exceeds ``target``: the one place a flag
-    is set, so a public evaluator's flag follows its own final bound."""
-    flag = "bound_not_achieved" if cv.abs_error_bound > target else None
-    return CertifiedValue(cv.value, cv.abs_error_bound, flag) if flag else cv
-
-
-def cv_const(v: float) -> CertifiedValue:
-    """A constant computed in floats (e.g. with pi, sqrt): a few ulps of slop."""
-    return CertifiedValue(v, 4.0 * EPS * abs(v))
+def _flagged(value: float, bound: float, target: float) -> CertifiedValue:
+    """The CertifiedValue of a public evaluator's final (value, bound) pair,
+    flagged when the bound exceeds ``target``: the one place a flag is set,
+    so the flag follows the evaluator's own final bound."""
+    return CertifiedValue(value, bound, "bound_not_achieved" if bound > target else None)
 
 
-def cv_sub(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
-    w = u.value - v.value
-    return CertifiedValue(w, u.abs_error_bound + v.abs_error_bound + _pad(w))
+def _sub(u: float, ub: float, v: float, vb: float) -> tuple:
+    w = u - v
+    return w, ub + vb + 2.0 * EPS * abs(w)
 
 
-def cv_scale(u: CertifiedValue, k: float) -> CertifiedValue:
-    w = u.value * k
-    return CertifiedValue(w, abs(k) * u.abs_error_bound + _pad(w))
+def _scale(u: float, ub: float, k: float) -> tuple:
+    w = u * k
+    return w, abs(k) * ub + 2.0 * EPS * abs(w)
 
 
-def cv_mul(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
-    w = u.value * v.value
-    b = (
-        abs(u.value) * v.abs_error_bound
-        + abs(v.value) * u.abs_error_bound
-        + u.abs_error_bound * v.abs_error_bound
-        + _pad(w)
-    )
-    return CertifiedValue(w, b)
+def _mul(u: float, ub: float, v: float, vb: float) -> tuple:
+    w = u * v
+    return w, abs(u) * vb + abs(v) * ub + ub * vb + 2.0 * EPS * abs(w)
 
 
-def cv_div(u: CertifiedValue, v: CertifiedValue) -> CertifiedValue:
-    denom_lo = abs(v.value) - v.abs_error_bound
+def _div(u: float, ub: float, v: float, vb: float) -> tuple:
+    denom_lo = abs(v) - vb
     if denom_lo <= 0.0:
         raise BoundNotAchieved("division by an interval containing zero")
-    w = u.value / v.value
-    b = (u.abs_error_bound + abs(w) * v.abs_error_bound) / denom_lo + _pad(w)
-    return CertifiedValue(w, b)
+    w = u / v
+    return w, (ub + abs(w) * vb) / denom_lo + 2.0 * EPS * abs(w)
 
 
-def cv_pow(u: CertifiedValue, p: float) -> CertifiedValue:
+def _pow(u: float, ub: float, p: float) -> tuple:
     """u**p for an interval with positive lower end; monotone in the base."""
-    lo = u.lo
+    lo = u - ub
     if lo <= 0.0:
         raise BoundNotAchieved("power base interval not strictly positive")
-    w = u.value ** p
-    ends = (lo ** p, u.hi ** p)
-    b = max(abs(ends[0] - w), abs(ends[1] - w)) + 4.0 * EPS * abs(w)
-    return CertifiedValue(w, b)
+    w = u ** p
+    return w, max(abs(lo ** p - w), abs((u + ub) ** p - w)) + 4.0 * EPS * abs(w)
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +254,7 @@ def eval_2f1(
         raise DomainError(
             f"{spec} is outside the certified class a = b, c > 0, c - 2a > 0, (a-1)(c-a) <= 0"
         )
-    return _eval_family(params, x, target, x_abs_err)
+    return _flagged(*_eval_family(params, x, target, x_abs_err), target)
 
 
 def _eval_family(params, x, target, x_abs_err):
@@ -312,7 +310,7 @@ def _eval_family(params, x, target, x_abs_err):
         gap = 1.0 - x - x_abs_err
         growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
         err += min(x_abs_err * (head + coef * growth), f_range)
-    return _flagged(CertifiedValue(total, err + _pad(total)), target)
+    return total, err + 2.0 * EPS * abs(total)
 
 
 def _sum_blocks(params, x, target, inv_gap, n, t, total):
@@ -373,13 +371,13 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
     return state
 
 
-def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> CertifiedValue:
-    """(1+x)^p for x in [0, 1] whose argument is known to within x_abs_err."""
+def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
+    """(1+x)^p as a pair, for x in [0, 1] known to within x_abs_err."""
     v = (1.0 + x) ** p
     # pow() plus the float(p) conversion: a few ulps of relative slop, plus
     # sensitivity to the argument rounding through d/dx (1+x)^p.
     rel = 8.0 * EPS + math.log1p(x) * EPS * abs(p)
-    return CertifiedValue(v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err)
+    return v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err
 
 
 def _w_spec(a) -> HypergeometricSpec | None:
@@ -394,10 +392,12 @@ def _w(spec: HypergeometricSpec | None, x: float, target: float) -> CertifiedVal
     """w_a(x) from the spec ``_w_spec(a)``, built once per a."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
+    _check_target(target)
     if spec is None:
         return CertifiedValue(1.0, 0.0)
     f = eval_2f1(spec, x, target=target)
-    return _flagged(cv_div(f, _pow_one_plus_x(-float(spec.a), x, 0.0)), target)
+    p, pb = _pow_one_plus_x(-float(spec.a), x, 0.0)
+    return _flagged(*_div(f.value, f.abs_error_bound, p, pb), target)
 
 
 def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
@@ -405,23 +405,30 @@ def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
     return _w(_w_spec(a), x, target)
 
 
-def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> CertifiedValue:
-    """h = F2^2/F1^3 (1+x)^(-3/2) = w_{3/2}^2/w_{1/2}^3, from F1 = 2F1(-1/2,-1/2;1;x)
-    and F2 = 2F1(-3/2,-3/2;1;x) at an argument known to within x_abs_err."""
-    num = cv_mul(f2, f2)
-    den = cv_mul(cv_mul(f1, f1), f1)
-    return cv_div(cv_div(num, den), _pow_one_plus_x(1.5, x, x_abs_err))
+def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> tuple:
+    """h = F2^2/F1^3 (1+x)^(-3/2) = w_{3/2}^2/w_{1/2}^3 as a pair, from
+    F1 = 2F1(-1/2,-1/2;1;x) and F2 = 2F1(-3/2,-3/2;1;x) at an argument known
+    to within x_abs_err."""
+    f1v, f1b = f1.value, f1.abs_error_bound
+    f2v, f2b = f2.value, f2.abs_error_bound
+    num, num_b = _mul(f2v, f2b, f2v, f2b)
+    den, den_b = _mul(f1v, f1b, f1v, f1b)
+    den, den_b = _mul(den, den_b, f1v, f1b)
+    q, qb = _div(num, num_b, den, den_b)
+    p, pb = _pow_one_plus_x(1.5, x, x_abs_err)
+    return _div(q, qb, p, pb)
 
 
 def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
     """h(x) = 2F1(-3/2,-3/2;1;x)^2 / 2F1(-1/2,-1/2;1;x)^3 * (1+x)^(-3/2)."""
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
+    _check_target(target)
     # h moves with F1, F2 by 3h/F1 < 5.93, 2h/F2 < 3.95 (F >= 1, and h = iso^2/K
     # <= 1/K by the isoperimetric inequality): the bound stays under 0.99 target
-    f1 = eval_2f1(SPEC_AREA, x, target=target / 8.0)
-    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 16.0)
-    return _flagged(_h(f1, f2, x, 0.0), target)
+    f1 = eval_2f1(SPEC_AREA, x, target=target / 8.0 or _TINY)
+    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 16.0 or _TINY)
+    return _flagged(*_h(f1, f2, x, 0.0), target)
 
 
 # --------------------------------------------------------------------------
@@ -446,31 +453,38 @@ def _x_of_t(t: float) -> tuple:
     return min(x, 1.0), x_err, dx_dt
 
 
-def _iso_squared_from_t(t: float, target: float) -> CertifiedValue:
-    """Closed form iso^2 = K h(x) as a function of t = z^2, certified."""
+def _iso_squared_from_t(t: float, target: float) -> tuple:
+    """Closed form iso^2 = K h(x) as a function of t = z^2: its pair."""
     x, x_err, _ = _x_of_t(t)
-    f1 = eval_2f1(SPEC_AREA, x, target=target / 4.0, x_abs_err=x_err)
-    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 4.0, x_abs_err=x_err)
-    return cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO))
+    share = target / 4.0 or _TINY
+    f1 = eval_2f1(SPEC_AREA, x, target=share, x_abs_err=x_err)
+    f2 = eval_2f1(SPEC_VOLUME, x, target=share, x_abs_err=x_err)
+    h, hb = _h(f1, f2, x, x_err)
+    return _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
 
 
 def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
     """iso(z)^2 via the hypergeometric closed form."""
     _check_domain(z)
     _check_target(target)
-    return _flagged(_iso_squared_from_t(z * z, target), target)
+    return _flagged(*_iso_squared_from_t(z * z, target), target)
 
 
 def iso(z: float, target: float = 1e-10) -> CertifiedValue:
     """The isoperimetric ratio of the torus with parameter z, certified."""
-    return _flagged(cv_pow(iso_squared(z, target), 0.5), target)
+    _check_domain(z)
+    _check_target(target)
+    sq, sq_b = _iso_squared_from_t(z * z, target)
+    return _flagged(*_pow(sq, sq_b, 0.5), target)
 
 
 def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
-    """iso evaluated as a function of t = z^2 (for the sqrt-substituted scans)."""
+    """iso evaluated as a function of t = z^2 (for the sqrt-substituted
+    scans), unflagged."""
     if not (0.0 <= t < T_MAX):
         raise DomainError(f"t = {t} outside [0, {T_MAX})")
-    return cv_pow(_iso_squared_from_t(t, target), 0.5)
+    sq, sq_b = _iso_squared_from_t(t, target)
+    return CertifiedValue(*_pow(sq, sq_b, 0.5))
 
 
 @lru_cache(maxsize=None)
@@ -645,14 +659,15 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
             f"no order helps: the direct path's tail cap reaches only z < {reach:.4f}")
         raise BoundNotAchieved(f"tail ratio {q:.3f} >= 1 at z = {z}; {advice}")
 
-    def enclose(lo, hi, rest):
+    def enclose(lo, hi, rest):  # the pair of a partial sum and its rest
         val = (lo + hi) / (2 << _P)
         width = (hi - lo) / (1 << _P)
-        return CertifiedValue(val + rest / 2.0, rest / 2.0 + _pad(val) + _pad(rest) + width)
+        return val + rest / 2.0, rest / 2.0 + 2.0 * EPS * abs(val) + 2.0 * EPS * abs(rest) + width
 
     _, (a_sum, v_sum) = _partial_sums((ab, vb), u, v, ratio_cap)
-    out = cv_div(enclose(*v_sum), cv_pow(enclose(*a_sum), 1.5))
-    return cv_mul(out, cv_const(_C_DIRECT))
+    area, area_b = _pow(*enclose(*a_sum), 1.5)
+    out, out_b = _div(*enclose(*v_sum), area, area_b)
+    return CertifiedValue(*_mul(out, out_b, _C_DIRECT, _C_DIRECT_BOUND))
 
 
 def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
@@ -673,22 +688,26 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     x, x_err, dx_dt = _x_of_t(t)
     # 1/32 of the target per series: the assembled bound then stays within
     # the target wherever the series reach theirs
+    share = target / 32.0 or _TINY
     f1, f2, g1, g2 = (
-        eval_2f1(spec, x, target=target / 32.0, x_abs_err=x_err)
+        eval_2f1(spec, x, target=share, x_abs_err=x_err)
         for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
     )
-    iso_val = cv_pow(cv_mul(_h(f1, f2, x, x_err), cv_const(_K_RATIO)), 0.5)
+    h, hb = _h(f1, f2, x, x_err)
+    sq, sq_b = _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
+    iso_v, iso_b = _pow(sq, sq_b, 0.5)
     # w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2} = 9/4 G2/F2 - 3/8 G1/F1 - 3/4 /(1+x)
-    x1 = CertifiedValue(1.0 + x, x_err + _pad(1.0 + x))
-    log_slope = cv_sub(
-        cv_sub(cv_scale(cv_div(g2, f2), 2.25), cv_scale(cv_div(g1, f1), 0.375)),
-        cv_div(CertifiedValue(0.75, 0.0), x1),
-    )
+    x1 = 1.0 + x
+    r2, r2_b = _scale(*_div(g2.value, g2.abs_error_bound, f2.value, f2.abs_error_bound), 2.25)
+    r1, r1_b = _scale(*_div(g1.value, g1.abs_error_bound, f1.value, f1.abs_error_bound), 0.375)
+    slope, slope_b = _sub(r2, r2_b, r1, r1_b)
+    slope, slope_b = _sub(slope, slope_b, *_div(0.75, 0.0, x1, x_err + 2.0 * EPS * abs(x1)))
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
     # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
     dx_dz = 2.0 * z * dx_dt
     dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
-    return _flagged(cv_mul(cv_mul(iso_val, log_slope), CertifiedValue(dx_dz, dx_dz_err)), target)
+    d, db = _mul(iso_v, iso_b, slope, slope_b)
+    return _flagged(*_mul(d, db, dx_dz, dx_dz_err), target)
 
 
 # --------------------------------------------------------------------------
@@ -838,7 +857,7 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
         pts = _grid(0.0, T_MAX - 1e-4, grid)
         values = [_iso_from_t(t, target=1e-10) for t in pts]
         if which == "inv_iso_sqrt":
-            values = [cv_div(CertifiedValue(1.0, 0.0), v) for v in values]
+            values = [CertifiedValue(*_div(1.0, 0.0, v.value, v.abs_error_bound)) for v in values]
             expect = "positive"
         else:
             expect = "negative"

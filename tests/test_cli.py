@@ -39,6 +39,16 @@ def test_eval_unachievable_target_exits_3():
     assert result.exit_code == 3
 
 
+def test_eval_tiny_positive_target_exits_3():
+    # a target whose share per series rounds to 0 is still the caller's
+    # valid target: every result is flagged, none refused
+    result = runner.invoke(main, ["eval", "--z", "0.1", "--target", "5e-324", "--json"])
+    assert result.exit_code == 3
+    payload = json.loads(result.output)
+    for name in ("iso", "iso_squared", "derivative"):
+        assert payload[name]["flag"] == "bound_not_achieved", name
+
+
 def test_invert_round_trip():
     result = runner.invoke(main, ["invert", "--rho", "0.9"])
     assert result.exit_code == 0

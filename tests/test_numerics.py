@@ -25,10 +25,6 @@ from isotorus.numerics import (
     CertifiedValue,
     Divergent,
     DomainError,
-    cv_div,
-    cv_mul,
-    cv_pow,
-    cv_sub,
     eval_2f1,
     eval_h,
     eval_w,
@@ -78,7 +74,7 @@ def exact_family_enclosure(spec, x_rat, terms):
     return s, s + tail
 
 
-# -- CertifiedValue and interval helpers ---------------------------------------
+# -- CertifiedValue and the interval rules on (value, bound) pairs ------------
 
 def test_certified_value_endpoints():
     cv = CertifiedValue(1.0, 0.25)
@@ -86,28 +82,37 @@ def test_certified_value_endpoints():
 
 
 def test_interval_ops_contain_truth():
-    u = CertifiedValue(2.0, 1e-12)
-    v = CertifiedValue(3.0, 1e-12)
-    assert abs(cv_sub(u, v).value + 1.0) <= cv_sub(u, v).abs_error_bound
-    assert abs(cv_mul(u, v).value - 6.0) <= cv_mul(u, v).abs_error_bound
-    assert abs(cv_div(u, v).value - 2.0 / 3.0) <= cv_div(u, v).abs_error_bound
-    assert abs(cv_pow(u, 0.5).value - math.sqrt(2.0)) <= cv_pow(u, 0.5).abs_error_bound
+    u = (2.0, 1e-12)
+    v = (3.0, 1e-12)
+    w, b = num._sub(*u, *v)
+    assert abs(w + 1.0) <= b
+    w, b = num._mul(*u, *v)
+    assert abs(w - 6.0) <= b
+    w, b = num._div(*u, *v)
+    assert abs(w - 2.0 / 3.0) <= b
+    w, b = num._pow(*u, 0.5)
+    assert abs(w - math.sqrt(2.0)) <= b
+    w, b = num._scale(*u, -0.375)
+    assert abs(w + 0.75) <= b
 
 
 def test_interval_ops_guard_zero():
-    wide = CertifiedValue(0.5, 1.0)
+    wide = (0.5, 1.0)
     with pytest.raises(BoundNotAchieved):
-        cv_div(CertifiedValue(1.0, 0.0), wide)
+        num._div(1.0, 0.0, *wide)
     with pytest.raises(BoundNotAchieved):
-        cv_pow(wide, 0.5)
+        num._pow(*wide, 0.5)
 
 
 def test_only_public_evaluators_flag():
-    # a helper returns no flag, whatever its inputs carry; an evaluator flags
-    # by its own final bound against its own target
+    # a rule returns the pair (value, bound) alone, whatever the result its
+    # input came from carries; an evaluator flags by its own final bound
+    # against its own target, only where the bound exceeds it
     flagged = CertifiedValue(1.0, 1e-3, "bound_not_achieved")
-    assert cv_mul(CertifiedValue(2.0, 0.0), flagged).flag is None
-    assert cv_pow(flagged, 0.5).flag is None
+    assert len(num._mul(2.0, 0.0, flagged.value, flagged.abs_error_bound)) == 2
+    assert len(num._pow(flagged.value, flagged.abs_error_bound, 0.5)) == 2
+    assert num._flagged(1.0, 1e-3, 1e-3) == CertifiedValue(1.0, 1e-3)
+    assert num._flagged(1.0, 1e-3, 1e-4) == flagged
     # iso^2 at z = 0.41 misses 1e-12; its square root, with half the bound,
     # meets it
     assert iso_squared(0.41, target=1e-12).flag == "bound_not_achieved"
@@ -193,7 +198,7 @@ def reference_eval_family(params, x, target):
         total += t_next
         t = t_next
         n = m
-    return num._flagged(CertifiedValue(total, err + num._pad(total)), target)
+    return num._flagged(total, err + 2.0 * EPS * abs(total), target)
 
 
 KERNEL_SPECS = [SPEC_AREA, SPEC_VOLUME] + SLOPE_SPECS + [
@@ -211,7 +216,7 @@ KERNEL_X = st.integers(0, 3).flatmap(
 @example(num._w_spec(rat(1, 3)), 1.0, 3e-14)
 @example(num._w_spec(rat(2, 7)), 1.0 - 1e-4, 1e-12)
 def test_blocks_match_the_checked_loop_bit_for_bit(spec, x, target):
-    got = num._eval_family(spec.tail_majorant, x, target, 0.0)
+    got = num._flagged(*num._eval_family(spec.tail_majorant, x, target, 0.0), target)
     want = reference_eval_family(spec.tail_majorant, x, target)
     assert (got.value.hex(), got.abs_error_bound.hex(), got.flag) == (
         want.value.hex(), want.abs_error_bound.hex(), want.flag)
@@ -372,6 +377,37 @@ def test_nonpositive_or_nonfinite_target_rejected(target):
         for z in (0.0, 0.2):
             with pytest.raises(DomainError):
                 fn(z, target=target)
+    with pytest.raises(DomainError):
+        eval_h(0.5, target=target)
+    # w_0 = w_1 = 1 needs no series, but the target is checked all the same
+    for a in (rat(0), rat(1), rat(1, 2)):
+        with pytest.raises(DomainError):
+            eval_w(a, 0.5, target=target)
+
+
+def test_invalid_target_is_named_as_passed():
+    # each evaluator checks the caller's target, not the share of it that a
+    # series gets
+    with pytest.raises(DomainError, match=r"^target -1 is not"):
+        eval_h(0.5, target=-1)
+    with pytest.raises(DomainError, match=r"^target -1e-10 is not"):
+        iso_derivative(0.2, target=-1e-10)
+
+
+TINY_TARGET_CALLS = [
+    (iso, 0.1), (iso_squared, 0.1), (iso_derivative, 0.1), (eval_h, 0.5),
+    (lambda x, target: eval_w(rat(1, 2), x, target=target), 0.5),
+]
+
+
+@pytest.mark.parametrize("target", [5e-324, 31 * 5e-324, 1e-320])
+def test_tiny_positive_target_is_flagged_not_refused(target):
+    # a share target/k below 2^-1074 rounds to 0: it is floored at the least
+    # positive float, so the call returns an honest bound, flagged
+    for fn, arg in TINY_TARGET_CALLS:
+        cv = fn(arg, target=target)
+        assert cv.flag == "bound_not_achieved"
+        assert 0.0 < cv.abs_error_bound < 1e-9
 
 
 def test_iso_squared_consistent_with_iso():
@@ -456,6 +492,43 @@ def test_iso_direct_matches_the_grid_digest():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == DIRECT_GRID
 
 
+# sha256 over "value.hex bound.hex flag" lines, or exception names, of the
+# float evaluators on FLOAT_GRID_Z and FLOAT_GRID_X at three targets each,
+# then the CSVs of the six scans at grid 200, from before the evaluators
+# assembled their bounds on (value, bound) float pairs.
+FLOAT_GRID = "96c054d9e78c637d36149112e93490caa410f0d8427cd5e1eace426af7ecd67b"
+FLOAT_GRID_Z = [0.41 * k / 40 for k in range(41)] + [5e-324, 1e-8, Z_MAX - 1e-6]
+FLOAT_GRID_X = [k / 40 for k in range(41)] + [5e-324, 0.999]
+
+
+def float_grid_lines():
+    calls = [(fn, (z,)) for fn in (iso, iso_squared, iso_derivative) for z in FLOAT_GRID_Z]
+    calls += [(eval_h, (x,)) for x in FLOAT_GRID_X]
+    # w_{-1/4} at x = 1 sums 10^6 terms: left to KERNEL_PINNED
+    calls += [(eval_w, (a, x)) for a in (rat(1, 2), rat(3, 2), rat(-1, 4)) for x in FLOAT_GRID_X
+              if not (a < 0 and x == 1.0)]
+    for fn, args in calls:
+        for target in (1e-10, 1e-12, 1e-13):
+            try:
+                cv = fn(*args, target=target)
+            except num.NumericsError as exc:
+                yield type(exc).__name__
+            else:
+                yield f"{cv.value.hex()} {cv.abs_error_bound.hex()} {cv.flag}"
+    for scan, which, kwargs in (
+        (scan_monotonicity, "iso", {}), (scan_monotonicity, "w", {"a": rat(1, 2)}),
+        (scan_monotonicity, "h", {}), (scan_convexity, "iso_sqrt", {}),
+        (scan_convexity, "inv_iso_sqrt", {}), (scan_convexity, "iso", {}),
+    ):
+        yield scan(which, grid=200, **kwargs).to_csv()
+
+
+def test_float_evaluators_match_the_grid_digest(time_limit):
+    time_limit(5.0)
+    digest = hashlib.sha256("\n".join(float_grid_lines()).encode()).hexdigest()
+    assert digest == FLOAT_GRID
+
+
 def _homogeneous(nums, u, v) -> tuple:
     """(sum_n nums[n] u^n v^(k-n), v^(k+1)), k = len(nums) - 1: the sum of
     the nums[n] t^n at t = u/v is the first over v^k."""
@@ -493,7 +566,7 @@ def test_direct_enclosure_holds_the_exact_partial_sum(order):
             assert lo * whole <= head << num._P < hi * whole, (order, z)
             # rest is rounded to nearest once and can underflow to 0:
             # iso_direct's padding covers both
-            a, b = (Rational(rest) + Rational(num._pad(rest)) + Rational(5e-324)).as_integer_ratio()
+            a, b = (Rational(rest) + Rational(2.0 * EPS * abs(rest)) + Rational(5e-324)).as_integer_ratio()
             assert middle * b <= a * whole, (order, z)
             assert (head + middle) * b << num._P <= (hi * b + (a << num._P)) * whole, (order, z)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -153,14 +154,66 @@ def _mp_roots(mpmath, zs):
     return pairs
 
 
-def test_round_trip_against_mpmath_roots():
+ROUND_TRIP_ZS = [0.03 + (0.411 - 0.03) * k / 15 for k in range(16)]
+WRONG_SLOPE_ZS = [0.05, 0.2, 0.3, 0.405]
+NEAR_Z_MAX_ZS = [0.400 + 0.011 * (k + 0.5) / 7 for k in range(7)]
+
+# (z*, rho, root) for the points above: rho = float(Iso(z*)) and the root of
+# Iso(z) = rho to 40 digits, both by _mp_roots at 40 digits.  Regenerate with
+#   PYTHONPATH=src python tests/test_solver.py
+MP_ROOTS = [
+    (0.03, 0.7145122823798469, "0.02999999999999984552098799851729293527367"),
+    (0.0554, 0.7213807075342565, "0.05539999999999988386542032930242535783480"),
+    (0.0808, 0.73215879787089, "0.08079999999999995238599711629799200713084"),
+    (0.1062, 0.7466057563454651, "0.1061999999999999756925688907604688307717"),
+    (0.1316, 0.7643932282000275, "0.1316000000000000360574272444633725259036"),
+    (0.157, 0.7851071142107003, "0.1569999999999999383663757729759529883719"),
+    (0.1824, 0.8082494457100865, "0.1824000000000000409100521611367491479433"),
+    (0.20779999999999998, 0.8332399897533488, "0.2077999999999999691136857797874264452628"),
+    (0.2332, 0.8594171234514891, "0.2332000000000000097567154810150942663691"),
+    (0.25860000000000005, 0.8860372826746511, "0.2586000000000000036574426411875970979253"),
+    (0.28400000000000003, 0.9122718059382485, "0.2840000000000000197994889316771901381443"),
+    (0.3094, 0.9371988822047314, "0.3093999999999999989573210786449151425670"),
+    (0.3348, 0.9597854673321833, "0.3347999999999999475582634854992201671362"),
+    (0.36019999999999996, 0.9788455629750709, "0.3601999999999999439898111167380033329327"),
+    (0.38559999999999994, 0.9929286057595089, "0.3855999999999998151492830658283909607052"),
+    (0.41100000000000003, 0.9998622271317203, "0.4109999999999997504352673371994322669162"),
+    (0.05, 0.7195867631771943, "0.04999999999999999775601400562292829287003"),
+    (0.2, 0.8254072201579709, "0.2000000000000000055450071230585818308368"),
+    (0.3, 0.9281889886719081, "0.3000000000000000136519907124816331875690"),
+    (0.405, 0.9990603634168935, "0.4049999999999998272297509029381192837039"),
+    (0.4007857142857143, 0.9981499551808241, "0.4007857142857144062105814042714051225081"),
+    (0.40235714285714286, 0.9985201056529984, "0.4023571428571428018494921879186889230451"),
+    (0.40392857142857147, 0.9988541144319597, "0.4039285714285715310988606423800889666533"),
+    (0.4055, 0.9991504757307881, "0.4055000000000003055813852850981432573760"),
+    (0.4070714285714286, 0.9994074354442296, "0.4070714285714283587639299717121618914797"),
+    (0.40864285714285714, 0.9996228876842717, "0.4086428571428571922435819056768944207043"),
+    (0.41021428571428575, 0.9997941901369302, "0.4102142857142860831149568204709285439335"),
+]
+_ROOT_OF = {z: (rho, Fraction(root)) for z, rho, root in MP_ROOTS}
+
+
+def _stored_roots(zs):
+    """(rho, root) pairs from MP_ROOTS, the root as an exact Fraction."""
+    return [_ROOT_OF[z] for z in zs]
+
+
+def test_stored_roots_match_mpmath():
+    # recompute an interior row and the row nearest Z_MAX live
     mpmath = pytest.importorskip("mpmath")
-    zs = [0.03 + (0.411 - 0.03) * k / 15 for k in range(16)]
+    zs = [0.2, NEAR_Z_MAX_ZS[-1]]
+    for z, (rho, root) in zip(zs, _mp_roots(mpmath, zs)):
+        stored_rho, stored_root = _ROOT_OF[z]
+        assert rho == stored_rho, z
+        assert abs(Fraction(mpmath.nstr(root, 40)) - stored_root) <= Fraction(1, 10 ** 30), z
+
+
+def test_round_trip_against_mpmath_roots():
     zs_out = []
-    for rho, root in _mp_roots(mpmath, zs):
+    for rho, root in _stored_roots(ROUND_TRIP_ZS):
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, rho
-        assert abs(result.z - root) <= 1e-10, (rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 1e-10, (rho, result.z)
         zs_out.append(result.z)
     assert zs_out == sorted(zs_out) and len(set(zs_out)) == len(zs_out)
 
@@ -171,7 +224,6 @@ def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
     # million times too large, the bracket and the straddle still certify
     # the root.  The step from t_lo then runs to infinity, backwards out of
     # the bracket, or a millionth of the way inside it
-    mpmath = pytest.importorskip("mpmath")
     chord = solver._chord
 
     def bad_slope(t_lo, g_lo, t_hi, g_hi):
@@ -179,10 +231,10 @@ def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
         return t_lo + step / scale if scale else math.inf
 
     monkeypatch.setattr(solver, "_chord", bad_slope)
-    for rho, root in _mp_roots(mpmath, (0.05, 0.2, 0.3, 0.405)):
+    for rho, root in _stored_roots(WRONG_SLOPE_ZS):
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, (scale, rho)
-        assert abs(result.z - root) <= 1e-10, (scale, rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 1e-10, (scale, rho, result.z)
 
 
 def _counting_eval_2f1(monkeypatch):
@@ -214,14 +266,12 @@ def test_few_evaluations_per_root(monkeypatch):
 def test_few_evaluations_per_root_near_z_max(monkeypatch):
     # iso's slope in t vanishes at Z_MAX, but sqrt(1 - iso) stays nearly
     # linear, so roots there cost no more than interior ones
-    mpmath = pytest.importorskip("mpmath")
-    pairs = _mp_roots(mpmath, [0.400 + 0.011 * (k + 0.5) / 7 for k in range(7)])
     calls = _counting_eval_2f1(monkeypatch)
-    for rho, root in pairs:
+    for rho, root in _stored_roots(NEAR_Z_MAX_ZS):
         before = calls[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, rho
-        assert abs(result.z - root) <= 1e-10, (rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 1e-10, (rho, result.z)
         assert calls[0] - before <= 20, (rho, calls[0] - before)
 
 
@@ -234,3 +284,12 @@ def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
     assert result.flag == "precision_exhausted"
     assert 0.414 < result.z < Z_MAX
     assert calls[0] < budget, calls[0]
+
+
+if __name__ == "__main__":
+    # print the rows of MP_ROOTS afresh
+    import mpmath
+
+    zs = list(dict.fromkeys(ROUND_TRIP_ZS + WRONG_SLOPE_ZS + NEAR_Z_MAX_ZS))
+    for z, (rho, root) in zip(zs, _mp_roots(mpmath, zs)):
+        print(f'    ({z!r}, {rho!r}, "{mpmath.nstr(root, 40, strip_zeros=False)}"),')
