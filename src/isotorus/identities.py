@@ -7,12 +7,19 @@ that the per-coefficient polynomial degree bound turns the sample run into a
 proof for all values of a through the stated order.  The three-parameter
 checks (``cont1``, ``cont2``, ``euler_transform``) run on as many (a, b, c)
 triples; for them the run is sampled evidence, not a proof.
+
+Every sample of a sampled check is an independent run, so ``verify_all``
+shares them between two processes where it may use a second CPU: a forked
+worker runs the odd-indexed samples of the eight sampled checks while the
+caller runs the other three checks and the even-indexed samples, and the
+reports are the ones a single process gives (``_Worker``).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,6 +112,16 @@ F_DISPLAYED_Z3 = rat(31248)
 DEFAULT_ORDER = 64
 
 
+def _checked_order(order, name: str = "order", least: int = 0) -> int:
+    """order, where it is an int of at least ``least``; else a ValueError
+    naming it, before any series is built."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"{name} must be an int, not {order!r}")
+    if order < least:
+        raise ValueError(f"{name} must be at least {least}, not {order}")
+    return order
+
+
 def default_sample_count(order: int) -> int:
     """Samples needed so the degree bound proves a one-parameter identity for
     all values of its parameter through the order; the three-parameter checks
@@ -170,15 +187,37 @@ def _failure(name, order, index, difference, samples=(), **detail) -> IdentityRe
     return IdentityReport(name, order, tuple(samples), "failed", detail)
 
 
-def _sampled_report(name, samples, order, pair_fn, default=sample_parameters) -> IdentityReport:
+def _sampled_report(name, samples, order, pair_fn, default=sample_parameters,
+                    worker=None) -> IdentityReport:
     """Run a per-sample LHS/RHS expansion and compare exactly through order;
-    samples None means default(default_sample_count(order))."""
+    samples None means default(default_sample_count(order)).  The report
+    names the first sample that fails; an exception at a sample propagates
+    where no earlier sample fails.  ``worker`` (``_Worker``) shares the
+    samples with a second process; None runs them all here."""
     samples = tuple(default(default_sample_count(order)) if samples is None else samples)
-    for s in samples:
-        mismatch = _first_mismatch(*pair_fn(s), order)
-        if mismatch is not None:
-            return _failure(name, order, *mismatch, samples, sample=IdentityReport._fmt(s))
-    return IdentityReport(name, order, samples)
+
+    def first_failure(indices):
+        """(i, the mismatch or the exception) at the first i of indices whose
+        sample mismatches or raises, else None."""
+        for i in indices:
+            try:
+                mismatch = _first_mismatch(*pair_fn(samples[i]), order)
+            except Exception as exc:
+                return i, exc
+            if mismatch is not None:
+                return i, mismatch
+        return None
+
+    if worker is None:
+        found = first_failure(range(len(samples)))
+    else:
+        found = worker.first_failure(len(samples), first_failure)
+    if found is None:
+        return IdentityReport(name, order, samples)
+    i, outcome = found
+    if isinstance(outcome, Exception):
+        raise outcome
+    return _failure(name, order, *outcome, samples, sample=IdentityReport._fmt(samples[i]))
 
 
 # --------------------------------------------------------------------------
@@ -243,8 +282,7 @@ def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityRep
     perturbed series); by default the closed-form expansions are used.  A
     supplied series must reach ``order`` and is checked only through it.
     """
-    if order < 3:
-        raise ValueError("order must be at least 3")
+    _checked_order(order, least=3)
     abar = abar if abar is not None else expand_abar(order)
     vbar = vbar if vbar is not None else expand_vbar(order)
     for name, op, series in (("abar", ABAR_OPERATOR, abar), ("vbar", VBAR_OPERATOR, vbar)):
@@ -279,17 +317,18 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
         raise ValueError(f"window must be at least 3, as the report reads d_2 and d_3, not {window}")
     f = expand_f(window)
     detail = {
-        "d2": str(f.coefficients[2]),
-        "d3": str(f.coefficients[3]),
-        "d3_matches_display": f.coefficients[3] == F_DISPLAYED_Z3,
-        "display_matches_d2": f.coefficients[2] == F_DISPLAYED_Z3,
+        "d2": str(f[2]),
+        "d3": str(f[3]),
+        "d3_matches_display": f[3] == F_DISPLAYED_Z3,
+        "display_matches_d2": f[2] == F_DISPLAYED_Z3,
     }
     mismatch = _first_mismatch(f, PowerSeries(F_LEADING), len(F_LEADING) - 1)
     if mismatch is not None:
         return _failure("f_positivity", window, *mismatch)
-    for n in range(window + 1):
-        if f.coefficients[n] <= 0:
-            return _failure("f_positivity", window, n, f.coefficients[n])
+    # expand_f is reduced, so its denominator is positive: each sign is its numerator's
+    for n, num in enumerate(f.nums):
+        if num <= 0:
+            return _failure("f_positivity", window, n, f[n])
     return IdentityReport("f_positivity", window, (), "verified", detail)
 
 
@@ -306,8 +345,12 @@ def _w_series(a, order: int) -> PowerSeries:
     return _hyp(-a, -a, ONE, order) * binomial_series(-a, order)
 
 
-def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
-    """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x)."""
+def verify_lemma1(a_samples=None, order: int = 40, worker=None) -> IdentityReport:
+    """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x).
+
+    ``worker``, here and in the other sampled checks, is the second process
+    ``verify_all`` shares the samples with (``_Worker``)."""
+    _checked_order(order)
 
     def pair(a):
         lhs = _hyp(a + 1, a + 2, rat(2), order) * PowerSeries.from_polynomial((1, -1), order)
@@ -316,7 +359,7 @@ def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
         rhs = rhs + _hyp(a, a, ONE, order)
         return lhs, rhs
 
-    return _sampled_report("lemma1", a_samples, order, pair)
+    return _sampled_report("lemma1", a_samples, order, pair, worker=worker)
 
 
 def _default_triples(count: int):
@@ -331,7 +374,7 @@ def _default_triples(count: int):
     return triples
 
 
-def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> IdentityReport:
+def verify_contiguous(which: str = "cont1", samples=None, order: int = 40, worker=None) -> IdentityReport:
     """Gauss contiguous relations, checked in multiplied-through form.
 
     cont1: b*x*F(a+1,b+1;c+1;x) = c*(F(a+1,b;c;x) - F(a,b;c;x))
@@ -340,6 +383,7 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> Id
     """
     if which not in ("cont1", "cont2"):
         raise ValueError(f"unknown contiguous relation {which!r}")
+    _checked_order(order)
 
     def pair_cont1(t):
         a, b, c = t
@@ -355,11 +399,12 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> Id
         return lhs, rhs
 
     pair = pair_cont1 if which == "cont1" else pair_cont2
-    return _sampled_report(which, samples, order, pair, _default_triples)
+    return _sampled_report(which, samples, order, pair, _default_triples, worker)
 
 
-def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
+def verify_euler_transform(samples=None, order: int = 40, worker=None) -> IdentityReport:
     """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x)."""
+    _checked_order(order)
 
     def pair(t):
         a, b, c = t
@@ -367,16 +412,19 @@ def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
         rhs = one_minus_x_power(c - a - b, order) * _hyp(c - a, c - b, c, order)
         return lhs, rhs
 
-    return _sampled_report("euler_transform", samples, order, pair, _default_triples)
+    return _sampled_report("euler_transform", samples, order, pair, _default_triples, worker)
 
 
 class _SharedW:
     """w_a through order + 2, the highest order the checks at ``order`` that
     use it need, built once per sample and reduced, as each is a factor of
-    several products.  ``verify_all`` makes one table and hands it to
-    ``id_hyp``, ``id_war`` and ``adjoint_form``, so it lasts as long as the
-    call.  Only w_a is kept: the other series the checks share cost more
-    memory to hold than time to rebuild."""
+    several products.  ``verify_all`` makes one table in each of its
+    processes and hands it to ``id_hyp``, ``id_war`` and ``adjoint_form``,
+    so it lasts as long as the call, and each process builds w_a only at the
+    samples it runs: the caller at the even-indexed ones and at any it runs
+    again, the worker at the odd-indexed ones (``_Worker``).  Only w_a is
+    kept: the other series the checks share cost more memory to hold than
+    time to rebuild."""
 
     def __init__(self, order: int):
         self.order = order
@@ -393,11 +441,12 @@ class _SharedW:
         return self._built[a]
 
 
-def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityReport:
+def verify_id_hyp(a_samples=None, order: int = 40, shared=None, worker=None) -> IdentityReport:
     """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
 
     ``shared``, here and in the other checks that take it, is the table of
     w_a that ``verify_all`` hands to its checks (``_SharedW``)."""
+    _checked_order(order)
     w_of = _SharedW.serving(shared, order)
 
     def pair(a):
@@ -405,10 +454,10 @@ def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityRepor
         rhs = (one_minus_x_power(2 * a, order) * _hyp(a + 1, a, rat(2), order)).scale(a * (a - 1))
         return lhs, rhs
 
-    return _sampled_report("id_hyp", a_samples, order, pair)
+    return _sampled_report("id_hyp", a_samples, order, pair, worker=worker)
 
 
-def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
+def verify_id_war(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
     """Warped derivative identity: with r(z) = 4z/(1-z)^2,
 
     d/dz w_a(r(z)) = 4a(a-1) F(a+1,a;2;r(z))
@@ -416,6 +465,7 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityRepor
                      * (1-z)^(2a-1) / (1+z)^(2a+1),
 
     the three powers taken as one series (``power_product``)."""
+    _checked_order(order)
     w_of = _SharedW.serving(shared, order)
 
     def pair(a):
@@ -424,12 +474,13 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityRepor
         powers = power_product(((_Q, 2 * a), ((1, -1), -4 * a + 2 * a - 1), ((1, 1), -2 * a - 1)), order)
         return lhs, (rhs * powers).scale(4 * a * (a - 1))
 
-    return _sampled_report("id_war", a_samples, order, pair)
+    return _sampled_report("id_war", a_samples, order, pair, worker=worker)
 
 
-def verify_remark1_derivative(a_samples=None, order: int = 30) -> IdentityReport:
+def verify_remark1_derivative(a_samples=None, order: int = 30, worker=None) -> IdentityReport:
     """d/dx [F(a+1,a;2;x)(1-x)^(2a)] =
     -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1)."""
+    _checked_order(order)
 
     def pair(a):
         lhs = (_hyp(a + 1, a, rat(2), order + 1) * one_minus_x_power(2 * a, order + 1)).derivative()
@@ -440,10 +491,10 @@ def verify_remark1_derivative(a_samples=None, order: int = 30) -> IdentityReport
         rhs = ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
         return lhs, rhs
 
-    return _sampled_report("remark1_derivative", a_samples, order, pair)
+    return _sampled_report("remark1_derivative", a_samples, order, pair, worker=worker)
 
 
-def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
+def verify_adjoint_form(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
     """Self-adjoint (Sturm-Liouville) form of the ODE satisfied by w_a:
 
     d/dx [ x ((1+x)/(1-x))^(2a) w_a'(x) ] =
@@ -455,6 +506,7 @@ def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> Identit
     of x (and squared ratio power) would vanish there and cannot hold.  Each
     side's powers of 1 + x and 1 - x are one series (``power_product``).
     """
+    _checked_order(order)
     x_series = PowerSeries.identity(order + 1)
     w_of = _SharedW.serving(shared, order)
 
@@ -465,30 +517,169 @@ def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> Identit
         rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
 
-    return _sampled_report("adjoint_form", a_samples, order, pair)
+    return _sampled_report("adjoint_form", a_samples, order, pair, worker=worker)
 
 
 # --------------------------------------------------------------------------
 # Whole-suite driver
 # --------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threads_and_cpu():
+    """This process's thread count and the CPU it runs on now, where Linux
+    tells both (``/proc/self/stat``), else None."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            fields = stat.read().rsplit(b")", 1)[1].split()
+        return int(fields[17]), int(fields[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+class _Worker:
+    """The forked second process of one ``verify_all`` call, as either
+    process holds it.
+
+    Both processes call the eight sampled checks in the same order, with
+    their handle as ``worker``.  In the worker (``pid`` 0) each check runs
+    the odd-indexed samples and writes one line to the pipe: the index of
+    the first that mismatches or raises, or -1; its reports are thrown away.
+    In the caller each check runs the even-indexed samples, reads that line
+    and keeps the lower index; where the worker's is lower, the caller runs
+    that one sample again itself, so every report, failure detail and
+    exception is the one a single process gives.  Where no worker runs
+    (``pid`` None) or its pipe has ended early, the caller runs the
+    odd-indexed samples itself.  Leaving the ``with`` block, the caller kills
+    the worker if an exception cut the call short, and reaps it.
+    """
+
+    def __init__(self, pid=None, fd=None):
+        self.pid = pid
+        self._fd = fd
+        self._lines = open(fd, "rb") if pid else None
+
+    @classmethod
+    def start(cls, count: int, run) -> "_Worker":
+        """Fork a worker that calls ``run`` with its handle and leaves by
+        ``os._exit``, when some sample has an odd index and this process may
+        run on two or more CPUs; the caller's handle, with pid None where no
+        worker runs: one CPU, no ``os.fork``, other threads running where
+        Linux reports the count (a forked child can deadlock on a lock one
+        of them held), or a fork that failed."""
+        if count < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+            return cls()
+        stat = _threads_and_cpu()
+        if stat is not None and stat[0] > 1:
+            return cls()
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return cls()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                if stat is not None:
+                    cls._leave_cpu(stat[1])
+                run(cls(0, write_end))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        return cls(pid, read_end)
+
+    @staticmethod
+    def _leave_cpu(cpu: int):
+        """Run the worker on the CPUs it may use other than the caller's:
+        left to itself, the kernel kept it on the caller's CPU for most of
+        the call in most runs on a two-vCPU host."""
+        try:
+            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+        except OSError:
+            pass  # no other CPU after all: run beside the caller
+
+    def first_failure(self, count: int, find):
+        """What ``find`` gives over all of the samples 0..count-1, where
+        ``find(indices)`` is (index, mismatch or exception) at the first of
+        indices whose sample fails, else None; None in the worker."""
+        if self.pid == 0:
+            found = find(range(1, count, 2))
+            os.write(self._fd, b"%d\n" % (-1 if found is None else found[0]))
+            return None
+        found = find(range(0, count, 2))
+        line = self._lines.readline() if self._lines else b""
+        if not line:  # no worker, or its pipe ended early
+            theirs = find(range(1, count, 2))
+        else:
+            index = int(line)
+            theirs = find((index,)) if index >= 0 and (found is None or index < found[0]) else None
+        if theirs is not None and (found is None or theirs[0] < found[0]):
+            return theirs
+        return found
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is None:
+            return
+        self._lines.close()
+        try:
+            if exc_type is not None:
+                import signal  # loaded only on this path, not on every call
+
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # already reaped: the host ignores SIGCHLD
+
+
 def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int = DEFAULT_ORDER,
                positivity_window: int = 200) -> list:
-    """Run every exact check; returns the list of IdentityReports."""
-    count = sample_count if sample_count is not None else default_sample_count(order)
+    """Run every exact check; returns the list of IdentityReports.
+
+    Where this process may run on two or more CPUs, a forked worker runs the
+    odd-indexed samples of the eight sampled checks while this process runs
+    the other three checks and the even-indexed samples (``_Worker``).  For
+    each check the lower failing index of the two decides, and this process
+    runs that sample itself, so the reports, failure details and exceptions
+    are the ones one process gives.  Where no worker runs, or it stops
+    early, this process runs the odd-indexed samples too.  The arguments
+    are checked before any series is built or any process forked."""
+    _checked_order(order)
+    _checked_order(ode_order, "ode_order", 3)
+    _checked_order(positivity_window, "positivity_window", 3)
+    if sample_count is None:
+        count = default_sample_count(order)
+    else:
+        count = _checked_order(sample_count, "sample_count", 1)
     a_samples = sample_parameters(count)
     triples = _default_triples(count)
-    shared = _SharedW(order)
-    return [
-        verify_golden_coefficients(),
-        verify_odes(ode_order),
-        verify_f_positivity(positivity_window),
-        verify_lemma1(a_samples, order),
-        verify_contiguous("cont1", triples, order),
-        verify_contiguous("cont2", triples, order),
-        verify_euler_transform(triples, order),
-        verify_id_hyp(a_samples, order, shared),
-        verify_id_war(a_samples, order, shared),
-        verify_remark1_derivative(a_samples, order),
-        verify_adjoint_form(a_samples, order, shared),
-    ]
+
+    def sampled(worker):
+        shared = _SharedW(order)
+        return [
+            verify_lemma1(a_samples, order, worker),
+            verify_contiguous("cont1", triples, order, worker),
+            verify_contiguous("cont2", triples, order, worker),
+            verify_euler_transform(triples, order, worker),
+            verify_id_hyp(a_samples, order, shared, worker),
+            verify_id_war(a_samples, order, shared, worker),
+            verify_remark1_derivative(a_samples, order, worker),
+            verify_adjoint_form(a_samples, order, shared, worker),
+        ]
+
+    with _Worker.start(count, sampled) as worker:
+        return [
+            verify_golden_coefficients(),
+            verify_odes(ode_order),
+            verify_f_positivity(positivity_window),
+            *sampled(worker),
+        ]

@@ -4,6 +4,8 @@ free-parameter identity suite, and mutation sensitivity."""
 import copy
 import hashlib
 import json
+import os
+from functools import partial
 
 import pytest
 
@@ -278,7 +280,8 @@ def test_id_war_fails_with_a_perturbed_exponent(monkeypatch, which):
 def test_shared_series_last_one_call(monkeypatch):
     # verify_all shares w_a among its checks through a table that lives as
     # long as the call: two cold calls build the same series, and leave no
-    # module-level state behind
+    # module-level state behind.  The count is of this process's builds; a
+    # worker, where one runs, counts its own in its own copy of the list
     calls = []
     real = HypergeometricSpec.series
 
@@ -383,3 +386,234 @@ def test_verify_all_shape():
         "remark1_derivative", "adjoint_form",
     ]
     assert all(r.verified for r in reports)
+
+
+# -- boundary checks and the two-process verify_all ---------------------------
+
+ORDER_CHECKS = {
+    "verify_all": ident.verify_all,
+    "odes": ident.verify_odes,
+    "lemma1": ident.verify_lemma1,
+    "cont1": partial(ident.verify_contiguous, "cont1"),
+    "cont2": partial(ident.verify_contiguous, "cont2"),
+    "euler_transform": ident.verify_euler_transform,
+    "id_hyp": ident.verify_id_hyp,
+    "id_war": ident.verify_id_war,
+    "remark1_derivative": ident.verify_remark1_derivative,
+    "adjoint_form": ident.verify_adjoint_form,
+}
+
+
+@pytest.mark.parametrize("order", [-1, -5, 2.5, "8", None, True])
+@pytest.mark.parametrize("check", sorted(ORDER_CHECKS))
+def test_order_is_refused_before_any_work(monkeypatch, check, order):
+    # a negative or non-int order is named, before any series is built or
+    # any worker forked
+    def refuse(*args):
+        raise AssertionError("work started before the order was checked")
+
+    monkeypatch.setattr(HypergeometricSpec, "series", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    with pytest.raises(ValueError, match=r"^order must be"):
+        ORDER_CHECKS[check](order=order)
+
+
+def test_sample_count_is_refused_before_any_work(time_limit):
+    # sample_parameters counts whole samples: a fractional count would
+    # never be reached
+    time_limit(5)
+    for count in (0, 2.5):
+        with pytest.raises(ValueError, match=r"^sample_count must be"):
+            ident.verify_all(8, sample_count=count)
+
+
+WORKER_ORDER = 8
+WORKER_SAMPLES = sample_parameters(ident.default_sample_count(WORKER_ORDER))
+
+
+def serial_reports():
+    """verify_all's reports, each check called alone in this process."""
+    order = WORKER_ORDER
+    count = ident.default_sample_count(order)
+    a_samples, triples = sample_parameters(count), ident._default_triples(count)
+    return [
+        ident.verify_golden_coefficients(),
+        ident.verify_odes(ident.DEFAULT_ORDER),
+        ident.verify_f_positivity(200),
+        ident.verify_lemma1(a_samples, order),
+        ident.verify_contiguous("cont1", triples, order),
+        ident.verify_contiguous("cont2", triples, order),
+        ident.verify_euler_transform(triples, order),
+        ident.verify_id_hyp(a_samples, order),
+        ident.verify_id_war(a_samples, order),
+        ident.verify_remark1_derivative(a_samples, order),
+        ident.verify_adjoint_form(a_samples, order),
+    ]
+
+
+def outcome(run):
+    """The reports run returns, or the repr of the ZeroDivisionError it raises."""
+    try:
+        return run()
+    except ZeroDivisionError as exc:
+        return repr(exc)
+
+
+def same_outcome():
+    """verify_all's outcome, checked against the checks called alone."""
+    got = outcome(partial(ident.verify_all, WORKER_ORDER))
+    assert got == outcome(serial_reports)
+    return got
+
+
+def open_fds():
+    """This process's open file descriptors, where Linux lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """verify_all takes the worker path on any host; the list of its forks.
+    After the test no child is left and no pipe end is open."""
+    monkeypatch.setattr(ident, "_usable_cpus", lambda: 2)
+    calls = []
+    real = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    fds = open_fds()
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+REAL_HYP = ident._hyp
+
+
+def built_for(a, b, c):
+    """The (pair, sample s) that builds F(a, b; c; x): lemma1's
+    F(s+1, s+2; 2), remark1_derivative's F(s, s+1; 3), or the F(s+1, s; 2)
+    of id_hyp, id_war and remark1_derivative; else None."""
+    if (b, c) == (a + 1, 2):
+        return "lemma1", a - 1
+    if (b, c) == (a + 1, 3):
+        return "remark1", a
+    if (b, c) == (a - 1, 2):
+        return "F(s+1,s;2)", a - 1
+    return None
+
+
+def at(pair, *indices):
+    return [(pair, WORKER_SAMPLES[i]) for i in indices]
+
+
+def mutate_hyp(monkeypatch, fail=(), raising=(), exit_in_worker=()):
+    """Make ident._hyp wrong for the (pair, sample) entries given: perturbed
+    at fail, raising at raising, and ending the worker process at
+    exit_in_worker.  Each call replaces the mutation before."""
+    caller = os.getpid()
+
+    def hyp(a, b, c, order):
+        built = built_for(a, b, c)
+        if built in exit_in_worker and os.getpid() != caller:
+            os._exit(1)
+        if built in raising:
+            raise ZeroDivisionError(f"at {built[1]}")
+        out = REAL_HYP(a, b, c, order)
+        return perturbed(out, 1, 1) if built in fail else out
+
+    monkeypatch.setattr(ident, "_hyp", hyp)
+
+
+def failed_sample(reports, name):
+    (report,) = [r for r in reports if r.identity_name == name]
+    assert not report.verified
+    return report.failure_detail["sample"]
+
+
+@pytest.mark.parametrize("fail, first", [((6,), 6), ((3,), 3), ((3, 8), 3), ((2, 7), 2)],
+                         ids=["even", "odd", "odd-first", "even-first"])
+def test_lower_failing_sample_wins(monkeypatch, forks, fail, first):
+    # lemma1 fails at even samples only, odd only, or both: the report names
+    # the lower index, whichever process ran it
+    mutate_hyp(monkeypatch, fail=at("lemma1", *fail))
+    reports = same_outcome()
+    assert failed_sample(reports, "lemma1") == str(WORKER_SAMPLES[first])
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fail, raising", [(2, 3), (6, 3), (3, 4), (5, 4)])
+def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, forks, fail, raising):
+    # lemma1 raises at one sample and fails at another, of the other parity:
+    # the earlier of the two decides, as in the serial loop
+    mutate_hyp(monkeypatch, fail=at("lemma1", fail), raising=at("lemma1", raising))
+    got = same_outcome()
+    if fail < raising:
+        assert failed_sample(got, "lemma1") == str(WORKER_SAMPLES[fail])
+    else:
+        assert got == repr(ZeroDivisionError(f"at {WORKER_SAMPLES[raising]}"))
+    assert len(forks) == 1
+
+
+def test_no_fork_or_one_cpu_gives_the_same_reports(monkeypatch, forks):
+    mutate_hyp(monkeypatch, fail=at("lemma1", 3, 6))
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    monkeypatch.setattr(ident, "_usable_cpus", lambda: 1)
+    assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+    assert len(forks) == 0
+
+
+@pytest.mark.skipif(ident._threads_and_cpu() is None, reason="thread count read from Linux's /proc")
+def test_no_fork_while_other_threads_run(monkeypatch, forks):
+    # a forked child can deadlock on a lock another thread held at the fork
+    import threading
+
+    mutate_hyp(monkeypatch, fail=at("lemma1", 3))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+    finally:
+        release.set()
+        thread.join(5)
+    assert not thread.is_alive()
+    assert len(forks) == 0
+
+
+def test_worker_that_exits_partway_leaves_its_samples_to_the_caller(monkeypatch, forks):
+    # the worker ends in id_hyp, the fifth of the eight sampled checks; the
+    # caller runs the odd samples of the rest itself, and so finds
+    # remark1_derivative's fault at an odd sample
+    mutate_hyp(monkeypatch, fail=at("remark1", 5), exit_in_worker=at("F(s+1,s;2)", 1))
+    reports = same_outcome()
+    assert failed_sample(reports, "remark1_derivative") == str(WORKER_SAMPLES[5])
+    assert [r.identity_name for r in reports if not r.verified] == ["remark1_derivative"]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("case", ["verified", "failed", "raised"])
+def test_one_fork_per_call_and_no_child_left(monkeypatch, forks, case):
+    # the forks fixture checks, after the test, that no child is left
+    if case == "failed":
+        mutate_hyp(monkeypatch, fail=at("lemma1", 5))
+    elif case == "raised":
+        mutate_hyp(monkeypatch, raising=at("lemma1", 4))
+    got = outcome(partial(ident.verify_all, WORKER_ORDER))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if case == "raised":
+        assert got == repr(ZeroDivisionError(f"at {WORKER_SAMPLES[4]}"))
+    else:
+        assert all(r.verified for r in got) == (case == "verified")
