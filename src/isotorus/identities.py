@@ -250,22 +250,24 @@ def _closed_form(a, prefactor: tuple, q_power: int, order: int) -> PowerSeries:
     return (num / PowerSeries.from_polynomial(_poly(*[_Q] * q_power), order)).reduced()
 
 
-@lru_cache(maxsize=None)
+# typed, so that True or 3.0 reaches the order check and is not served the
+# cached expansion of 1 or 3
+@lru_cache(maxsize=None, typed=True)
 def expand_abar(order: int) -> PowerSeries:
     """Closed-form expansion 4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2)."""
-    return _closed_form(rat(-1, 2), (4, 0, -4), 2, order)
+    return _closed_form(rat(-1, 2), (4, 0, -4), 2, _checked_order(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def expand_vbar(order: int) -> PowerSeries:
     """Closed-form expansion 2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2)."""
-    return _closed_form(rat(-3, 2), (2, -6, 6, -2), 3, order)
+    return _closed_form(rat(-3, 2), (2, -6, 6, -2), 3, _checked_order(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def expand_f(order: int) -> PowerSeries:
     """Coefficients d_n of the flux series, via F = 2*Vbar'*Abar - 3*Vbar*Abar'."""
-    ab = expand_abar(order + 1)
+    ab = expand_abar(_checked_order(order) + 1)
     vb = expand_vbar(order + 1)
     f = (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
     return f.reduced()
@@ -313,9 +315,7 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
     and reports (not fails on) any discrepancy, plus the computed d_2, which
     the display elides; d_2 must still be positive.
     """
-    if window < 3:
-        raise ValueError(f"window must be at least 3, as the report reads d_2 and d_3, not {window}")
-    f = expand_f(window)
+    f = expand_f(_checked_order(window, "window", 3))  # the report reads d_2 and d_3
     detail = {
         "d2": str(f[2]),
         "d3": str(f[3]),

@@ -17,15 +17,17 @@ prefactor) is applied by shift and add.  Any other product is Harvey's
 two-point Kronecker substitution (KS2): the operands are packed at 2^w and at
 -2^w, and two big-integer products of half the size of one Kronecker product
 give the even and the odd coefficients, each digit 2w bits wide, enough for
-the coefficients that are kept (``_int_mul``).  A hypergeometric series comes
-from the integer recurrence of its term ratio.  A power s^alpha, the binomial
-series (1 +- x)^alpha among them, and a product of rational powers of
-polynomials come from one first-order recurrence, S p' = T p
-(``series_pow``, ``power_product``).  A known factor needs no product:
-dividing by a short polynomial with constant term 1 is a sparse long
+the coefficients that are kept (``_int_mul``).  A known factor needs no
+product: dividing by a short polynomial with constant term 1 is a sparse long
 division, and the closed-form expansions in ``identities`` compose with
-4z/(1-z)^2 by prefix sums and apply their prefactors this way.  ``coefficients``, as ``fractions.Fraction``,
-is derived on first use, at the API edge.
+4z/(1-z)^2 by prefix sums and apply their prefactors this way.  Every
+generated series solves an integer recurrence c_0(n) y_n = sum_(k>=1)
+d_k(n) y_(n-k), by one kernel (``_recurrence``), once its order is checked: a
+hypergeometric series from its term ratio; a power s^alpha, the binomial
+series among them, and a product of rational powers of polynomials from their
+first-order equation S p' = T p (``series_pow``, ``power_product``); an
+operator's power-series solution from its coefficient recurrence.
+``coefficients``, as ``fractions.Fraction``, is derived on first use, at the API edge.
 
 A series carries an explicit truncation order; every operation propagates
 the minimal order its inputs justify, so a claim that a residual is zero
@@ -91,6 +93,16 @@ class InvalidLowerParameter(SeriesError):
 
 class OrderTooLow(SeriesError):
     """Series is too short for the requested operation."""
+
+
+def _checked_order(order) -> int:
+    """order, where it is an int of at least 0: TypeError for any other type,
+    bool among them, and OrderTooLow for a negative int."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise TypeError(f"order must be an int, not {order!r}")
+    if order < 0:
+        raise OrderTooLow(f"order must be at least 0, not {order}")
+    return order
 
 
 _SHORT = 4  # a factor with at most this many nonzero coefficients is applied by shift and add
@@ -233,6 +245,8 @@ class PowerSeries:
         gcd, and the sign moved onto the numerators."""
         if den == 0:
             raise ZeroDivisionError("a series needs a nonzero denominator")
+        if not nums:
+            raise SeriesError("a series needs at least its constant term")
         s = PowerSeries._of(nums, den)
         s.__dict__.update(_nums=s.nums, _den=s.den)
         return s
@@ -253,14 +267,14 @@ class PowerSeries:
     @staticmethod
     def from_polynomial(coeffs: Sequence, order: int) -> "PowerSeries":
         """Exact polynomial viewed as a series of the given truncation order."""
-        c = [Rational(v) for v in list(coeffs)[: order + 1]]
+        c = [Rational(v) for v in list(coeffs)[: _checked_order(order) + 1]]
         d = math.lcm(*(v.denominator for v in c))
         nums = [v.numerator * (d // v.denominator) for v in c] + [0] * (order + 1 - len(c))
         return PowerSeries.from_integers(nums, d)
 
     @staticmethod
     def zero(order: int) -> "PowerSeries":
-        return PowerSeries.from_integers((0,) * (order + 1), 1)
+        return PowerSeries.from_polynomial((), order)
 
     @staticmethod
     def one(order: int) -> "PowerSeries":
@@ -390,15 +404,35 @@ class PowerSeries:
         return Rational(acc, self._den * v ** self.order)
 
 
-def _ratio_series(ratios) -> PowerSeries:
-    """The series t_0 = 1, t_(k+1) = t_k * p_k / q_k for the integer pairs
-    (p_k, q_k), q_k != 0, over the denominator q_0 ... q_(N-1): numerator k is
-    p_0 ... p_(k-1) q_k ... q_(N-1), so each step divides exactly by q_k."""
-    ratios = list(ratios)
-    nums = [math.prod(q for _, q in ratios)]
-    for p, q in ratios:
-        nums.append(nums[-1] * p // q)
-    return PowerSeries.from_integers(nums, nums[0])
+def _recurrence(lead: Sequence, terms: Sequence, y0: Rational = ONE) -> PowerSeries:
+    """The series y through z^N with y_0 = y0 and c_0(n) y_n = sum_(k>=1)
+    d_k(n) y_(n-k) for n = 1..N, given the integer tables lead[n] = c_0(n) and
+    the pairs (k, [d_k(0), ..., d_k(N)]) in increasing k.
+
+    With y0 = u/w and D = c_0(1)...c_0(N), Y_n = y_n w D is an integer, as by
+    induction c_0(1)...c_0(n) y_n w is the sum over k of d_k(n) times
+    c_0(1)...c_0(n-k) y_(n-k) w times c_0(n-k+1)...c_0(n-1).  So each step
+    c_0(n) Y_n = sum_(k>=1) d_k(n) Y_(n-k) divides exactly.  The Y_n over w D
+    are returned unreduced.  Raises SeriesError where c_0 vanishes: at n = 0,
+    where the recurrence reads c_0(0) y_0 = 0, if y0 != 0; at any n in 1..N,
+    where the solution is not unique.
+    """
+    if lead[0] != 0 and y0 != 0:
+        raise SeriesError("no power-series solution has a nonzero constant term: "
+                          "0 is not a root of the leading recurrence coefficient")
+    top = math.prod(lead[1:])
+    if top == 0:
+        raise SeriesError(f"leading recurrence coefficient vanishes at n = {lead.index(0, 1)}: "
+                          "the constant term does not fix the solution")
+    nums = [y0.numerator * top]
+    for n in range(1, len(lead)):
+        acc = 0
+        for k, d in terms:
+            if k > n:
+                break
+            acc += d[n] * nums[n - k]
+        nums.append(acc // lead[n])
+    return PowerSeries._of(nums, y0.denominator * top)
 
 
 def binomial_series(alpha, order: int) -> PowerSeries:
@@ -411,31 +445,16 @@ def one_minus_x_power(alpha, order: int) -> PowerSeries:
     return series_pow(PowerSeries.from_polynomial((1, -1), order), alpha)
 
 
-def _first_order_series(terms: Sequence, v: int, s0: int, order: int) -> PowerSeries:
+def _first_order_series(s: Sequence, t: Sequence, v: int, order: int) -> PowerSeries:
     """The series p with p(0) = 1 and s p' = (t / v) p through z^order, for
-    integer coefficients s (s_0 != 0) and t and an integer v > 0, given as
-    ``terms``: the triples (k, s_k, t_(k-1)), k >= 1, where either is
-    nonzero, in increasing k.
-
-    At z^(n-1) the equation reads n v s_0 p_n = sum_(k>=1) (t_(k-1) -
-    v (n-k) s_k) p_(n-k), which costs O(order * len(terms)).  With
-    d = v s_0, p_n n! d^n is an integer, so P_n = p_n order! d^order is one
-    too, and n d P_n = sum_(k>=1) (t_(k-1) - v (n-k) s_k) P_(n-k) divides
-    exactly.
-    """
-    d = v * s0
-    # t_(k-1) - v (n-k) s_k = (t_(k-1) + v k s_k) - n (v s_k); with P_0..P_(n-1)
-    # in p, P_(n-k) is p[-k]
-    terms = [(-k, tk + v * k * sk, v * sk) for k, sk, tk in terms]
-    p = [math.factorial(order) * d ** order]
-    for n in range(1, order + 1):
-        acc = 0
-        for back, fixed, per_n in terms:
-            if back < -n:
-                break
-            acc += (fixed - n * per_n) * p[back]
-        p.append(acc // (n * d))
-    return PowerSeries.from_integers(p, p[0])
+    integer coefficient lists s (s_0 != 0) and t, len(t) >= len(s) - 1, and an
+    integer v > 0.  At z^(n-1) the equation reads n v s_0 p_n =
+    sum_(k>=1) d_k(n) p_(n-k), d_k(n) = t_(k-1) - v (n-k) s_k (``_recurrence``);
+    d_k(n) steps by -v s_k in n, so its table is a running sum."""
+    terms = [(k, list(itertools.accumulate(itertools.repeat(-v * s[k], order),
+                                           initial=t[k - 1] + v * k * s[k])))
+             for k in range(1, len(s)) if s[k] or t[k - 1]]
+    return _recurrence([n * v * s[0] for n in range(order + 1)], terms).reduced()
 
 
 def series_pow(s: PowerSeries, alpha) -> PowerSeries:
@@ -446,9 +465,8 @@ def series_pow(s: PowerSeries, alpha) -> PowerSeries:
     if sn[0] != s.den:
         raise DivisionByNonUnit("series_pow needs a series with constant term 1")
     a = Rational(alpha)
-    u = a.numerator
-    return _first_order_series([(k, c, u * k * c) for k, c in enumerate(sn) if k and c],
-                               a.denominator, sn[0], s.order)
+    return _first_order_series(sn, [a.numerator * k * c for k, c in enumerate(sn) if k],
+                               a.denominator, s.order)
 
 
 def power_product(factors: Sequence, order: int) -> PowerSeries:
@@ -459,6 +477,7 @@ def power_product(factors: Sequence, order: int) -> PowerSeries:
     T / v, T over the denominator v, are built one factor at a time by the
     product rule, as polynomials of full degree: with alpha = u/w,
     T <- w T f + u v f' S, v <- v w, S <- S f."""
+    _checked_order(order)
     degree = sum(len(poly) - 1 for poly, _ in factors)
     s, t, v = [1] + [0] * degree, [0] * degree, 1
     for poly, alpha in factors:
@@ -472,8 +491,7 @@ def power_product(factors: Sequence, order: int) -> PowerSeries:
         v *= a.denominator
         s = _shift_add(f, s)
     g = math.gcd(v, *t)
-    terms = [(k, s[k], t[k - 1] // g) for k in range(1, degree + 1) if s[k] or t[k - 1]]
-    return _first_order_series(terms, v // g, 1, order)
+    return _first_order_series(s, [x // g for x in t], v // g, order)
 
 
 @dataclass(frozen=True)
@@ -512,13 +530,15 @@ class HypergeometricSpec:
 
     def series(self, order: int) -> PowerSeries:
         """Coefficients t_0..t_order from the term ratio on integers: with
-        a = pa/qa, b = pb/qb, c = pc/qc, t_(k+1)/t_k is
-        (pa + k qa)(pb + k qb) qc / ((pc + k qc)(k + 1) qa qb)."""
+        a = pa/qa, b = pb/qb, c = pc/qc, t_n/t_(n-1) is
+        (pa + (n-1) qa)(pb + (n-1) qb) qc / ((pc + (n-1) qc) n qa qb)."""
+        ns = range(_checked_order(order) + 1)
         pa, qa = self.a.numerator, self.a.denominator
         pb, qb = self.b.numerator, self.b.denominator
         pc, qc = self.c.numerator, self.c.denominator
-        return _ratio_series(((pa + k * qa) * (pb + k * qb) * qc, (pc + k * qc) * (k + 1) * qa * qb)
-                             for k in range(order))
+        lead = [(pc + (n - 1) * qc) * n * qa * qb for n in ns]
+        ratio = [(pa + (n - 1) * qa) * (pb + (n - 1) * qb) * qc for n in ns]
+        return _recurrence(lead, [(1, ratio)]).reduced()
 
 
 def _at(poly: Sequence, n: int) -> int:
@@ -545,7 +565,7 @@ class DifferentialOperator:
     coefficients in n, highest power first; for n - k >= 0 a falling
     factorial with more factors than n - k has the factor 0, so the
     polynomial vanishes there as the sum does.  ``series_solution`` solves
-    this recurrence and ``apply`` evaluates it.
+    this recurrence (``_recurrence``) and ``apply`` evaluates it.
     """
 
     poly_coeffs: tuple
@@ -583,36 +603,14 @@ class DifferentialOperator:
 
     def series_solution(self, constant, order: int) -> PowerSeries:
         """The power series y through z^order with y(0) = constant and L y = 0
-        through every power its coefficients determine, from the recurrence:
-        y_n = -sum_(k>=1) c_k(n) y_(n-k) / c_0(n) wherever the leading
-        coefficient c_0(n) is not 0.  On integers: with
-        D = den(constant) c_0(1)...c_0(order), Y_n = y_n D is an integer and
-        c_0(n) Y_n = -sum_(k>=1) c_k(n) Y_(n-k) divides exactly.  The Y_n over
-        D are returned unreduced; ``nums`` and ``den`` reduce them on first
-        use.
-
-        Raises SeriesError where c_0 vanishes: at some n in 1..order the
-        solution is not unique, and at n = 0 no solution has a nonzero
-        constant term.
-        """
-        if order < 0:
-            raise OrderTooLow(f"order {order} is negative")
-        lead = [_at(self.recurrence[0], n) for n in range(order + 1)]
-        y0 = Rational(constant)
-        if lead[0] != 0 and y0 != 0:
-            raise SeriesError("no power-series solution has a nonzero constant term: "
-                              "0 is not a root of the leading recurrence coefficient")
-        vanishing = [n for n in range(1, order + 1) if lead[n] == 0]
-        if vanishing:
-            raise SeriesError(f"leading recurrence coefficient vanishes at n = {vanishing[0]}: "
-                              "the constant term does not fix the solution")
-        lower = [(k, poly) for k, poly in self.recurrence.items() if k > 0]
-        top = math.prod(lead[1:])
-        nums = [y0.numerator * top]
-        for n in range(1, order + 1):
-            acc = sum(_at(poly, n) * nums[n - k] for k, poly in lower if k <= n)
-            nums.append(-acc // lead[n])
-        return PowerSeries._of(nums, y0.denominator * top)
+        through every power its coefficients determine, from the recurrence
+        c_0(n) y_n = -sum_(k>=1) c_k(n) y_(n-k), unreduced (``_recurrence``).
+        Raises SeriesError where c_0 vanishes at n = 0 with a nonzero
+        constant, or at some n in 1..order."""
+        ns = range(_checked_order(order) + 1)
+        lead = [_at(self.recurrence[0], n) for n in ns]
+        terms = [(k, [-_at(poly, n) for n in ns]) for k, poly in self.recurrence.items() if k]
+        return _recurrence(lead, terms, Rational(constant))
 
     def apply(self, s: PowerSeries) -> PowerSeries:
         """Exact residual L s through z^(order(s) - operator order), from the

@@ -190,6 +190,16 @@ def test_f_positivity_refuses_small_window():
     assert ident.verify_f_positivity(3).verified
 
 
+@pytest.mark.parametrize("order", [-2, 3.5, True, "5"])
+@pytest.mark.parametrize("name", ["expand_abar", "expand_vbar", "expand_f", "verify_f_positivity"])
+def test_expansions_refuse_a_bad_order(name, order):
+    # with the expansions of order 1 cached, True must still be refused
+    for expand in (ident.expand_abar, ident.expand_vbar, ident.expand_f):
+        expand(1)
+    with pytest.raises(ValueError, match=r"^(order|window) must be"):
+        getattr(ident, name)(order)
+
+
 def test_f_leading_coefficients():
     f = ident.expand_f(3)
     assert f.coefficients[0] == 72

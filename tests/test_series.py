@@ -5,11 +5,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isotorus import series as series_module
 from isotorus.series import (
     CompositionRequiresZeroConstant,
     DifferentialOperator,
@@ -58,8 +60,38 @@ def test_constructors_and_order():
     assert PowerSeries.identity(3)[1] == 1
     with pytest.raises(SeriesError):
         PowerSeries(())
+    with pytest.raises(SeriesError, match="constant term"):
+        PowerSeries.from_integers((), 1)
     with pytest.raises(ZeroDivisionError):
         PowerSeries.from_integers((1, 2), 0)
+
+
+# every constructor and generator that takes an order, from that order alone
+ORDER_TAKERS = {
+    "zero": PowerSeries.zero,
+    "one": PowerSeries.one,
+    "from_polynomial": partial(PowerSeries.from_polynomial, (1, 2)),
+    "hypergeometric": HypergeometricSpec(1, 1, 1).series,
+    "binomial": partial(binomial_series, rat(1, 2)),
+    "one_minus_x_power": partial(one_minus_x_power, rat(-3, 2)),
+    "power_product": partial(power_product, (((1, -6, 1), rat(1, 2)), ((1, 1), -3))),
+    "series_solution": partial(DifferentialOperator(((-1,), (1,))).series_solution, 1),
+}
+
+
+@pytest.mark.parametrize("order, error", [
+    (-1, OrderTooLow), (-5, OrderTooLow),
+    (2.5, TypeError), (3.0, TypeError), (True, TypeError), ("5", TypeError), (None, TypeError),
+])
+@pytest.mark.parametrize("taker", sorted(ORDER_TAKERS))
+def test_bad_order_is_refused_before_any_work(monkeypatch, taker, order, error):
+    # one error per cause, raised before any recurrence is solved
+    def refuse(*args):
+        raise AssertionError("a recurrence was solved before the order was checked")
+
+    monkeypatch.setattr(series_module, "_recurrence", refuse)
+    with pytest.raises(error, match=r"^order must be"):
+        ORDER_TAKERS[taker](order)
 
 
 def test_truncate_and_order_too_low():
