@@ -116,7 +116,9 @@ _FAULT_INDEX = 3
 @main.command("verify")
 @click.option("--order", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--samples", "sample_count", type=click.IntRange(min=1), default=None,
-              help="Parameter samples per identity (default 2*order+3, the degree-bound count).")
+              help="Samples per sampled check: the integers 0, 1, -1, 2, ... for the "
+                   "one-parameter identities, rational (a, b, c) triples for the others "
+                   "(default 2*order+3, the degree-bound count).")
 @click.option("--inject-fault", is_flag=True, default=False, hidden=True)
 def verify_cmd(order, sample_count, inject_fault):
     """Run every exact identity, ODE, and coefficient check."""

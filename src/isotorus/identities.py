@@ -2,11 +2,13 @@
 
 Every check here runs in exact rational arithmetic on truncated power series
 and reports through which order the identity was verified.  The identities
-with one free parameter a are checked at enough distinct rational values of a
-that the per-coefficient polynomial degree bound turns the sample run into a
-proof for all values of a through the stated order.  The three-parameter
-checks (``cont1``, ``cont2``, ``euler_transform``) run on as many (a, b, c)
-triples; for them the run is sampled evidence, not a proof.
+with one free parameter a are checked at enough distinct values of a that
+the per-coefficient polynomial degree bound turns the sample run into a
+proof for all values of a through the stated order.  Any distinct values
+will do; the integers 0, 1, -1, 2, -2, ... keep the exact numbers smallest
+(``_integer_samples``).  The three-parameter checks (``cont1``, ``cont2``,
+``euler_transform``) run on as many rational (a, b, c) triples; for them the
+run is sampled evidence, not a proof.
 
 Every sample of a sampled check is an independent run, so ``verify_all``
 shares them between two processes where it may use a second CPU: a forked
@@ -129,6 +131,14 @@ def default_sample_count(order: int) -> int:
     return 2 * order + 3
 
 
+def _integer_samples(count: int) -> list:
+    """The first count of 0, 1, -1, 2, -2, ..., as rationals: the samples of
+    the one-parameter checks.  Coefficient n of either side of each is a
+    polynomial in a of degree at most 2n + 2 (each check says why), so any
+    2N + 3 distinct values prove it through z^N."""
+    return [rat((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(count)]
+
+
 # --------------------------------------------------------------------------
 # Reports
 # --------------------------------------------------------------------------
@@ -187,7 +197,7 @@ def _failure(name, order, index, difference, samples=(), **detail) -> IdentityRe
     return IdentityReport(name, order, tuple(samples), "failed", detail)
 
 
-def _sampled_report(name, samples, order, pair_fn, default=sample_parameters,
+def _sampled_report(name, samples, order, pair_fn, default=_integer_samples,
                     worker=None) -> IdentityReport:
     """Run a per-sample LHS/RHS expansion and compare exactly through order;
     samples None means default(default_sample_count(order)).  The report
@@ -334,6 +344,17 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
 
 # --------------------------------------------------------------------------
 # Identity suite (free-parameter identities via degree-bound sampling)
+#
+# The degree in a of a coefficient, from which each one-parameter check's
+# bound follows.  [x^k] F(alpha, beta; gamma; x), alpha and beta each a or -a
+# plus a constant and gamma a constant, is (alpha)_k (beta)_k / ((gamma)_k k!):
+# degree 2k.  [x^k] of p(x)^e, p a polynomial with constant term 1 and e
+# affine in a, is a sum of binomials C(e, j) times constants, j <= k: degree
+# at most k, and so for a product of such powers (``power_product``).
+# Degrees add in a product, so [x^n] of one is at most the largest sum over
+# i + j = n.  Composing with r(z) = 4z/(1-z)^2, which starts at z^1, keeps
+# [z^m] at degree 2m where the outer series has degree 2k at x^k, k <= m.  A
+# derivative takes [x^n] from [x^(n+1)].
 # --------------------------------------------------------------------------
 
 def _hyp(a, b, c, order):
@@ -341,12 +362,17 @@ def _hyp(a, b, c, order):
 
 
 def _w_series(a, order: int) -> PowerSeries:
-    """w_a(x) = 2F1(-a,-a;1;x) * (1+x)^(-a) as an exact series."""
+    """w_a(x) = 2F1(-a,-a;1;x) * (1+x)^(-a) as an exact series: [x^m] has
+    degree at most 2m in a, and [x^n] w_a' at most 2n + 2."""
     return _hyp(-a, -a, ONE, order) * binomial_series(-a, order)
 
 
 def verify_lemma1(a_samples=None, order: int = 40, worker=None) -> IdentityReport:
     """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x).
+
+    Degree in a at x^n: the F of each side has degree 2n there and 2n - 2 at
+    x^(n-1), so its product with 1 -/+ x has degree 2n, and the factor a + 1
+    or a makes 2n + 1; F(a,a;1) has 2n.
 
     ``worker``, here and in the other sampled checks, is the second process
     ``verify_all`` shares the samples with (``_Worker``)."""
@@ -416,15 +442,17 @@ def verify_euler_transform(samples=None, order: int = 40, worker=None) -> Identi
 
 
 class _SharedW:
-    """w_a through order + 2, the highest order the checks at ``order`` that
-    use it need, built once per sample and reduced, as each is a factor of
-    several products.  ``verify_all`` makes one table in each of its
-    processes and hands it to ``id_hyp``, ``id_war`` and ``adjoint_form``,
-    so it lasts as long as the call, and each process builds w_a only at the
-    samples it runs: the caller at the even-indexed ones and at any it runs
-    again, the worker at the odd-indexed ones (``_Worker``).  Only w_a is
-    kept: the other series the checks share cost more memory to hold than
-    time to rebuild."""
+    """The series that several one-parameter checks at ``order`` use, built
+    once per sample and kept for the call: w_a through order + 2, reduced, as
+    it is a factor of several products, for ``id_hyp``, ``id_war`` and
+    ``adjoint_form``; F(a+1,a;2;x) through order + 1 for ``id_war``, and its
+    product with (1-x)^(2a) for ``id_hyp`` and ``remark1_derivative``, each
+    check truncating what it needs less of.  ``verify_all`` makes one table
+    in each of its processes and hands it to those four checks, so each
+    process builds the series only at the samples it runs: the caller at the
+    even-indexed ones and at any it runs again, the worker at the
+    odd-indexed ones (``_Worker``).  The other series the checks use are
+    each used once, and cost more memory to hold than time to rebuild."""
 
     def __init__(self, order: int):
         self.order = order
@@ -435,23 +463,40 @@ class _SharedW:
         """``shared`` if it serves this order, else a table for one check."""
         return shared if shared is not None and shared.order == order else _SharedW(order)
 
-    def __call__(self, a) -> PowerSeries:
-        if a not in self._built:
-            self._built[a] = _w_series(a, self.order + 2).reduced()
-        return self._built[a]
+    def _kept(self, key, build) -> PowerSeries:
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def w(self, a) -> PowerSeries:
+        """w_a through order + 2."""
+        return self._kept(("w", a), lambda: _w_series(a, self.order + 2).reduced())
+
+    def hyp(self, a) -> PowerSeries:
+        """F(a+1,a;2;x) through order + 1."""
+        return self._kept(("hyp", a), lambda: _hyp(a + 1, a, rat(2), self.order + 1))
+
+    def hyp_power(self, a) -> PowerSeries:
+        """F(a+1,a;2;x) (1-x)^(2a) through order + 1."""
+        return self._kept(("hyp_power", a),
+                          lambda: self.hyp(a) * one_minus_x_power(2 * a, self.order + 1))
 
 
 def verify_id_hyp(a_samples=None, order: int = 40, shared=None, worker=None) -> IdentityReport:
     """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
 
+    Degree in a at x^n: w_a' has 2i + 2 at x^i and (1+x)^(a+1) has j, so the
+    left side has 2n + 2; F has 2i and the power j, so their product has 2n,
+    and a(a-1) makes 2n + 2.
+
     ``shared``, here and in the other checks that take it, is the table of
-    w_a that ``verify_all`` hands to its checks (``_SharedW``)."""
+    series that ``verify_all`` hands to its checks (``_SharedW``)."""
     _checked_order(order)
-    w_of = _SharedW.serving(shared, order)
+    table = _SharedW.serving(shared, order)
 
     def pair(a):
-        lhs = w_of(a).derivative() * binomial_series(a + 1, order)
-        rhs = (one_minus_x_power(2 * a, order) * _hyp(a + 1, a, rat(2), order)).scale(a * (a - 1))
+        lhs = table.w(a).derivative() * binomial_series(a + 1, order)
+        rhs = table.hyp_power(a).truncate(order).scale(a * (a - 1))
         return lhs, rhs
 
     return _sampled_report("id_hyp", a_samples, order, pair, worker=worker)
@@ -464,26 +509,35 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None, worker=None) -> 
                      * (1-6z+z^2)^(2a) / (1-z)^(4a)
                      * (1-z)^(2a-1) / (1+z)^(2a+1),
 
-    the three powers taken as one series (``power_product``)."""
+    the three powers taken as one series (``power_product``).
+
+    Degree in a at z^n: w_a(r(z)) has 2m at z^m, so its derivative has
+    2n + 2; F(r(z)) has 2i at z^i and the power product j, so their product
+    has 2n, and 4a(a-1) makes 2n + 2."""
     _checked_order(order)
-    w_of = _SharedW.serving(shared, order)
+    table = _SharedW.serving(shared, order)
 
     def pair(a):
-        lhs = _compose_with_inner_argument(w_of(a), order + 1).derivative()
-        rhs = _compose_with_inner_argument(_hyp(a + 1, a, rat(2), order), order)
+        lhs = _compose_with_inner_argument(table.w(a), order + 1).derivative()
+        rhs = _compose_with_inner_argument(table.hyp(a), order)
         powers = power_product(((_Q, 2 * a), ((1, -1), -4 * a + 2 * a - 1), ((1, 1), -2 * a - 1)), order)
         return lhs, (rhs * powers).scale(4 * a * (a - 1))
 
     return _sampled_report("id_war", a_samples, order, pair, worker=worker)
 
 
-def verify_remark1_derivative(a_samples=None, order: int = 30, worker=None) -> IdentityReport:
+def verify_remark1_derivative(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
     """d/dx [F(a+1,a;2;x)(1-x)^(2a)] =
-    -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1)."""
+    -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1).
+
+    Degree in a at x^n: the bracket has 2m at x^m, so the left side has
+    2n + 2.  a(3-a)/2 F(a,a+1;3) has 2i + 2 at x^i, and a(a+1)/6 x F(a+1,a+2;4)
+    has 2(i - 1) + 2; with (1-x)^(2a-1) at j, the right side has 2n + 2."""
     _checked_order(order)
+    table = _SharedW.serving(shared, order)
 
     def pair(a):
-        lhs = (_hyp(a + 1, a, rat(2), order + 1) * one_minus_x_power(2 * a, order + 1)).derivative()
+        lhs = table.hyp_power(a).derivative()
         term1 = _hyp(a, a + 1, rat(3), order).scale(a * (3 - a) / 2)
         term2 = (_hyp(a + 1, a + 2, rat(4), order) * PowerSeries.identity(order)).scale(
             a * (a + 1) / 6
@@ -505,13 +559,18 @@ def verify_adjoint_form(a_samples=None, order: int = 30, shared=None, worker=Non
     equals a(a-1) at x = 0, matching w_a'(0); a variant with an extra factor
     of x (and squared ratio power) would vanish there and cannot hold.  Each
     side's powers of 1 + x and 1 - x are one series (``power_product``).
+
+    Degree in a at x^n: the ratio power has j at x^j and w_a' has 2i + 2 at
+    x^i, so the bracket, shifted by x, has 2(m - 1) + 2 = 2m at x^m and the
+    left side 2n + 2; the power product has j and w_a 2i, so the right side
+    has 2n, and a(a-1) makes 2n + 2.
     """
     _checked_order(order)
     x_series = PowerSeries.identity(order + 1)
-    w_of = _SharedW.serving(shared, order)
+    table = _SharedW.serving(shared, order)
 
     def pair(a):
-        w = w_of(a)
+        w = table.w(a)
         ratio = power_product((((1, 1), 2 * a), ((1, -1), -2 * a)), order + 1)
         lhs = (x_series * ratio * w.derivative()).derivative()
         rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
@@ -660,7 +719,7 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
         count = default_sample_count(order)
     else:
         count = _checked_order(sample_count, "sample_count", 1)
-    a_samples = sample_parameters(count)
+    a_samples = _integer_samples(count)
     triples = _default_triples(count)
 
     def sampled(worker):
@@ -672,7 +731,7 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
             verify_euler_transform(triples, order, worker),
             verify_id_hyp(a_samples, order, shared, worker),
             verify_id_war(a_samples, order, shared, worker),
-            verify_remark1_derivative(a_samples, order, worker),
+            verify_remark1_derivative(a_samples, order, shared, worker),
             verify_adjoint_form(a_samples, order, shared, worker),
         ]
 

@@ -303,7 +303,8 @@ class PowerSeries:
         return not any(self._nums)
 
     def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
+        """The series through z^order, an int from 0 to its own order."""
+        if _checked_order(order) > self.order:
             raise OrderTooLow(f"cannot extend order {self.order} to {order}")
         return PowerSeries._of(self._nums[: order + 1], self._den)
 
@@ -634,7 +635,8 @@ def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:
 
 
 # Deterministic supply of distinct small rationals, ordered by |p| + q over
-# reduced fractions p/q.  Used by the degree-bound sampling certificates.
+# reduced fractions p/q.  Used for the sampled (a, b, c) triples of the
+# three-parameter identity checks.
 def sample_parameters(count: int, exclude=()) -> list:
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")

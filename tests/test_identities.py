@@ -36,16 +36,17 @@ def test_expand_vbar_golden():
 # sha256 digests of exact results, computed with the Fraction-per-coefficient
 # series layer that preceded integer storage; f200, the input of the default
 # positivity window, with the integer layer that preceded composition by
-# prefix sums; verify40, the reports of the order ``isotorus verify --order 40``
-# runs, with the layer that preceded KS2 products, shift-and-add short factors
-# and power products.  Any change to an exact result changes its digest.
+# prefix sums; verify12 and verify40, the reports of ``verify_all`` at those
+# orders (40 is the order ``isotorus verify --order 40`` runs), since the
+# one-parameter checks sample the integers: the earlier reports with those
+# five sample lists replaced.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
-    "verify12": "fd78411151d78f3d2ade9f5fb3432fbb2646d726bd7e5aa9632ec88787d0fa91",
-    "verify40": "65d5e44d90d4546ae27f747d49e2fb8d03aac0c3a132bae91ed9c1d192f4b4d4",
+    "verify12": "ff17769409d363f8927533cdbcf1907a964a3bbc1be7e4049a8d8acab978dd6b",
+    "verify40": "152d27093f0ddd92898a8a8d9c4774c2cfb3bb675931b84ab1335c7155efe1bd",
 }
 
 
@@ -323,9 +324,11 @@ def test_shared_series_last_one_call(monkeypatch):
     assert counts[0] == counts[1]
     assert states[0] == states[1]
 
-    # within the call, the checks that use w_a built it once per sample
-    samples = sample_parameters(ident.default_sample_count(12))
-    checks = (ident.verify_id_hyp, ident.verify_id_war, ident.verify_adjoint_form)
+    # within the call, the checks that share series built each once per
+    # sample: w_a and F(a+1,a;2), three builds each when the checks run alone
+    samples = ident._integer_samples(ident.default_sample_count(12))
+    checks = (ident.verify_id_hyp, ident.verify_id_war, ident.verify_remark1_derivative,
+              ident.verify_adjoint_form)
     start = len(calls)
     for check in checks:
         check(samples, 12)
@@ -334,7 +337,7 @@ def test_shared_series_last_one_call(monkeypatch):
     shared = ident._SharedW(12)
     for check in checks:
         check(samples, 12, shared)
-    assert len(calls) - start == alone - 2 * len(samples)
+    assert len(calls) - start == alone - 4 * len(samples)
 
 
 def test_remark1_derivative():
@@ -387,6 +390,48 @@ def test_default_sample_count_degree_bound():
     assert ident.default_sample_count(40) == 83
 
 
+ONE_PARAMETER = ("lemma1", "id_hyp", "id_war", "remark1_derivative", "adjoint_form")
+
+
+def test_verify_all_proves_on_integers_and_samples_triples():
+    # the one-parameter proofs run on 2N+3 distinct integers, 0, 1, -1, ...;
+    # the three-parameter checks keep their rational triples
+    order = 8
+    count = ident.default_sample_count(order)
+    reports = {r.identity_name: r.parameter_samples for r in ident.verify_all(order)}
+    for name in ONE_PARAMETER:
+        samples = reports[name]
+        assert len(set(samples)) == len(samples) == count
+        assert all(a.denominator == 1 for a in samples)
+        assert samples == tuple(ident._integer_samples(count))
+    assert ident._integer_samples(5) == [0, 1, -1, 2, -2]
+    for name in ("cont1", "cont2", "euler_transform"):
+        assert reports[name] == tuple(ident._default_triples(count))
+
+
+@pytest.mark.parametrize("name", ONE_PARAMETER)
+def test_coefficient_degree_in_a_is_at_most_2n_plus_2(monkeypatch, name):
+    # the bound the proofs rest on: coefficient n of either side, at 2N+7
+    # consecutive integers, has a vanishing (2n+3)-th forward difference
+    # wherever one is defined; at n = N that is at 4 base points
+    order = 6
+    points = [rat(k) for k in range(-order - 3, order + 4)]
+    sides = []
+
+    def collect(_name, samples, _order, pair, *args, **kwargs):
+        sides.extend(pair(a) for a in samples)
+
+    monkeypatch.setattr(ident, "_sampled_report", collect)
+    getattr(ident, f"verify_{name}")(points, order)
+    assert len(sides) == 2 * order + 7
+    for side in (0, 1):
+        for n in range(order + 1):
+            diff = [pair[side][n] for pair in sides]
+            for _ in range(2 * n + 3):
+                diff = [y - x for x, y in zip(diff, diff[1:])]
+            assert len(diff) >= 4 and not any(diff), (side, n)
+
+
 def test_verify_all_shape():
     reports = ident.verify_all(order=8, sample_count=5, ode_order=10, positivity_window=20)
     names = [r.identity_name for r in reports]
@@ -429,8 +474,7 @@ def test_order_is_refused_before_any_work(monkeypatch, check, order):
 
 
 def test_sample_count_is_refused_before_any_work(time_limit):
-    # sample_parameters counts whole samples: a fractional count would
-    # never be reached
+    # samples are counted whole: a fractional count would never be reached
     time_limit(5)
     for count in (0, 2.5):
         with pytest.raises(ValueError, match=r"^sample_count must be"):
@@ -438,14 +482,14 @@ def test_sample_count_is_refused_before_any_work(time_limit):
 
 
 WORKER_ORDER = 8
-WORKER_SAMPLES = sample_parameters(ident.default_sample_count(WORKER_ORDER))
+WORKER_SAMPLES = ident._integer_samples(ident.default_sample_count(WORKER_ORDER))
 
 
 def serial_reports():
     """verify_all's reports, each check called alone in this process."""
     order = WORKER_ORDER
     count = ident.default_sample_count(order)
-    a_samples, triples = sample_parameters(count), ident._default_triples(count)
+    a_samples, triples = ident._integer_samples(count), ident._default_triples(count)
     return [
         ident.verify_golden_coefficients(),
         ident.verify_odes(ident.DEFAULT_ORDER),
@@ -506,12 +550,16 @@ REAL_HYP = ident._hyp
 
 def built_for(a, b, c):
     """The (pair, sample s) that builds F(a, b; c; x): lemma1's
-    F(s+1, s+2; 2), remark1_derivative's F(s, s+1; 3), or the F(s+1, s; 2)
-    of id_hyp, id_war and remark1_derivative; else None."""
-    if (b, c) == (a + 1, 2):
+    F(s+1, s+1; 2), remark1_derivative's F(s+1, s+2; 4), or the F(s+1, s; 2)
+    that id_hyp, id_war and remark1_derivative share; else None.  No other
+    check builds a series of these shapes.  The first is scaled by a and the
+    second by a(a+1)/6, so a fault in them does not show at s = 0 (index 0),
+    nor in the second at s = -1 (index 2): the fault indices below avoid
+    those."""
+    if (b, c) == (a, 2):
         return "lemma1", a - 1
-    if (b, c) == (a + 1, 3):
-        return "remark1", a
+    if (b, c) == (a + 1, 4):
+        return "remark1", a - 1
     if (b, c) == (a - 1, 2):
         return "F(s+1,s;2)", a - 1
     return None

@@ -76,6 +76,7 @@ ORDER_TAKERS = {
     "one_minus_x_power": partial(one_minus_x_power, rat(-3, 2)),
     "power_product": partial(power_product, (((1, -6, 1), rat(1, 2)), ((1, 1), -3))),
     "series_solution": partial(DifferentialOperator(((-1,), (1,))).series_solution, 1),
+    "truncate": PowerSeries.from_polynomial((1, 2), 3).truncate,
 }
 
 
@@ -97,6 +98,7 @@ def test_bad_order_is_refused_before_any_work(monkeypatch, taker, order, error):
 def test_truncate_and_order_too_low():
     s = PowerSeries.from_polynomial((1, 2, 3), 5)
     assert s.truncate(2).coefficients == (1, 2, 3)
+    assert s.truncate(0).coefficients == (1,)
     with pytest.raises(OrderTooLow):
         s.truncate(9)
 
