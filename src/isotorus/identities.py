@@ -10,11 +10,11 @@ will do; the integers 0, 1, -1, 2, -2, ... keep the exact numbers smallest
 ``euler_transform``) run on as many rational (a, b, c) triples; for them the
 run is sampled evidence, not a proof.
 
-Every sample of a sampled check is an independent run, so ``verify_all``
-shares them between two processes where it may use a second CPU: a forked
-worker runs the odd-indexed samples of the eight sampled checks while the
-caller runs the other three checks and the even-indexed samples, and the
-reports are the ones a single process gives (``_Worker``).
+Where it may use a second CPU, ``verify_all`` runs its checks in two
+processes: a forked worker runs the last four (``id_hyp``, ``id_war``,
+``remark1_derivative``, ``adjoint_form``, which share one table of series)
+while the caller runs the first seven, and the reports are the ones a single
+process gives (``_Worker``).
 """
 
 from __future__ import annotations
@@ -197,37 +197,19 @@ def _failure(name, order, index, difference, samples=(), **detail) -> IdentityRe
     return IdentityReport(name, order, tuple(samples), "failed", detail)
 
 
-def _sampled_report(name, samples, order, pair_fn, default=_integer_samples,
-                    worker=None) -> IdentityReport:
+def _sampled_report(name, samples, order, pair_fn, default=_integer_samples) -> IdentityReport:
     """Run a per-sample LHS/RHS expansion and compare exactly through order;
-    samples None means default(default_sample_count(order)).  The report
-    names the first sample that fails; an exception at a sample propagates
-    where no earlier sample fails.  ``worker`` (``_Worker``) shares the
-    samples with a second process; None runs them all here."""
+    samples None means default(default_sample_count(order)), and an empty
+    list is refused before any series is built.  The report names the first
+    sample that fails; an exception at a sample propagates."""
     samples = tuple(default(default_sample_count(order)) if samples is None else samples)
-
-    def first_failure(indices):
-        """(i, the mismatch or the exception) at the first i of indices whose
-        sample mismatches or raises, else None."""
-        for i in indices:
-            try:
-                mismatch = _first_mismatch(*pair_fn(samples[i]), order)
-            except Exception as exc:
-                return i, exc
-            if mismatch is not None:
-                return i, mismatch
-        return None
-
-    if worker is None:
-        found = first_failure(range(len(samples)))
-    else:
-        found = worker.first_failure(len(samples), first_failure)
-    if found is None:
-        return IdentityReport(name, order, samples)
-    i, outcome = found
-    if isinstance(outcome, Exception):
-        raise outcome
-    return _failure(name, order, *outcome, samples, sample=IdentityReport._fmt(samples[i]))
+    if not samples:
+        raise ValueError(f"{name} needs at least one sample")
+    for sample in samples:
+        mismatch = _first_mismatch(*pair_fn(sample), order)
+        if mismatch is not None:
+            return _failure(name, order, *mismatch, samples, sample=IdentityReport._fmt(sample))
+    return IdentityReport(name, order, samples)
 
 
 # --------------------------------------------------------------------------
@@ -367,15 +349,12 @@ def _w_series(a, order: int) -> PowerSeries:
     return _hyp(-a, -a, ONE, order) * binomial_series(-a, order)
 
 
-def verify_lemma1(a_samples=None, order: int = 40, worker=None) -> IdentityReport:
+def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
     """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x).
 
     Degree in a at x^n: the F of each side has degree 2n there and 2n - 2 at
     x^(n-1), so its product with 1 -/+ x has degree 2n, and the factor a + 1
-    or a makes 2n + 1; F(a,a;1) has 2n.
-
-    ``worker``, here and in the other sampled checks, is the second process
-    ``verify_all`` shares the samples with (``_Worker``)."""
+    or a makes 2n + 1; F(a,a;1) has 2n."""
     _checked_order(order)
 
     def pair(a):
@@ -385,7 +364,7 @@ def verify_lemma1(a_samples=None, order: int = 40, worker=None) -> IdentityRepor
         rhs = rhs + _hyp(a, a, ONE, order)
         return lhs, rhs
 
-    return _sampled_report("lemma1", a_samples, order, pair, worker=worker)
+    return _sampled_report("lemma1", a_samples, order, pair)
 
 
 def _default_triples(count: int):
@@ -400,7 +379,7 @@ def _default_triples(count: int):
     return triples
 
 
-def verify_contiguous(which: str = "cont1", samples=None, order: int = 40, worker=None) -> IdentityReport:
+def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> IdentityReport:
     """Gauss contiguous relations, checked in multiplied-through form.
 
     cont1: b*x*F(a+1,b+1;c+1;x) = c*(F(a+1,b;c;x) - F(a,b;c;x))
@@ -425,10 +404,10 @@ def verify_contiguous(which: str = "cont1", samples=None, order: int = 40, worke
         return lhs, rhs
 
     pair = pair_cont1 if which == "cont1" else pair_cont2
-    return _sampled_report(which, samples, order, pair, _default_triples, worker)
+    return _sampled_report(which, samples, order, pair, _default_triples)
 
 
-def verify_euler_transform(samples=None, order: int = 40, worker=None) -> IdentityReport:
+def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
     """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x)."""
     _checked_order(order)
 
@@ -438,7 +417,7 @@ def verify_euler_transform(samples=None, order: int = 40, worker=None) -> Identi
         rhs = one_minus_x_power(c - a - b, order) * _hyp(c - a, c - b, c, order)
         return lhs, rhs
 
-    return _sampled_report("euler_transform", samples, order, pair, _default_triples, worker)
+    return _sampled_report("euler_transform", samples, order, pair, _default_triples)
 
 
 class _SharedW:
@@ -448,11 +427,9 @@ class _SharedW:
     ``adjoint_form``; F(a+1,a;2;x) through order + 1 for ``id_war``, and its
     product with (1-x)^(2a) for ``id_hyp`` and ``remark1_derivative``, each
     check truncating what it needs less of.  ``verify_all`` makes one table
-    in each of its processes and hands it to those four checks, so each
-    process builds the series only at the samples it runs: the caller at the
-    even-indexed ones and at any it runs again, the worker at the
-    odd-indexed ones (``_Worker``).  The other series the checks use are
-    each used once, and cost more memory to hold than time to rebuild."""
+    in whichever process runs those four checks and hands it to them
+    (``_Worker``).  The other series the checks use are each used once, and
+    cost more memory to hold than time to rebuild."""
 
     def __init__(self, order: int):
         self.order = order
@@ -482,7 +459,7 @@ class _SharedW:
                           lambda: self.hyp(a) * one_minus_x_power(2 * a, self.order + 1))
 
 
-def verify_id_hyp(a_samples=None, order: int = 40, shared=None, worker=None) -> IdentityReport:
+def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityReport:
     """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
 
     Degree in a at x^n: w_a' has 2i + 2 at x^i and (1+x)^(a+1) has j, so the
@@ -499,10 +476,10 @@ def verify_id_hyp(a_samples=None, order: int = 40, shared=None, worker=None) -> 
         rhs = table.hyp_power(a).truncate(order).scale(a * (a - 1))
         return lhs, rhs
 
-    return _sampled_report("id_hyp", a_samples, order, pair, worker=worker)
+    return _sampled_report("id_hyp", a_samples, order, pair)
 
 
-def verify_id_war(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
+def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
     """Warped derivative identity: with r(z) = 4z/(1-z)^2,
 
     d/dz w_a(r(z)) = 4a(a-1) F(a+1,a;2;r(z))
@@ -523,10 +500,10 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None, worker=None) -> 
         powers = power_product(((_Q, 2 * a), ((1, -1), -4 * a + 2 * a - 1), ((1, 1), -2 * a - 1)), order)
         return lhs, (rhs * powers).scale(4 * a * (a - 1))
 
-    return _sampled_report("id_war", a_samples, order, pair, worker=worker)
+    return _sampled_report("id_war", a_samples, order, pair)
 
 
-def verify_remark1_derivative(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
+def verify_remark1_derivative(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
     """d/dx [F(a+1,a;2;x)(1-x)^(2a)] =
     -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1).
 
@@ -545,10 +522,10 @@ def verify_remark1_derivative(a_samples=None, order: int = 30, shared=None, work
         rhs = ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
         return lhs, rhs
 
-    return _sampled_report("remark1_derivative", a_samples, order, pair, worker=worker)
+    return _sampled_report("remark1_derivative", a_samples, order, pair)
 
 
-def verify_adjoint_form(a_samples=None, order: int = 30, shared=None, worker=None) -> IdentityReport:
+def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
     """Self-adjoint (Sturm-Liouville) form of the ODE satisfied by w_a:
 
     d/dx [ x ((1+x)/(1-x))^(2a) w_a'(x) ] =
@@ -576,7 +553,7 @@ def verify_adjoint_form(a_samples=None, order: int = 30, shared=None, worker=Non
         rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
 
-    return _sampled_report("adjoint_form", a_samples, order, pair, worker=worker)
+    return _sampled_report("adjoint_form", a_samples, order, pair)
 
 
 # --------------------------------------------------------------------------
@@ -602,36 +579,32 @@ def _threads_and_cpu():
 
 
 class _Worker:
-    """The forked second process of one ``verify_all`` call, as either
-    process holds it.
+    """The forked second process of one ``verify_all`` call, as the caller
+    holds it.
 
-    Both processes call the eight sampled checks in the same order, with
-    their handle as ``worker``.  In the worker (``pid`` 0) each check runs
-    the odd-indexed samples and writes one line to the pipe: the index of
-    the first that mismatches or raises, or -1; its reports are thrown away.
-    In the caller each check runs the even-indexed samples, reads that line
-    and keeps the lower index; where the worker's is lower, the caller runs
-    that one sample again itself, so every report, failure detail and
-    exception is the one a single process gives.  Where no worker runs
-    (``pid`` None) or its pipe has ended early, the caller runs the
-    odd-indexed samples itself.  Leaving the ``with`` block, the caller kills
-    the worker if an exception cut the call short, and reaps it.
+    The worker runs the checks it is given and writes their reports to the
+    pipe as one JSON line; where one of them raises, it writes nothing.  The
+    caller runs its own checks meanwhile and then reads the line
+    (``reports``).  Where no worker runs (``pid`` None), or the line does not
+    come whole, the caller runs the worker's checks itself, so every report
+    and exception is the one a single process gives.  Leaving the ``with``
+    block, the caller kills the worker if an exception cut the call short,
+    and reaps it.
     """
 
     def __init__(self, pid=None, fd=None):
         self.pid = pid
-        self._fd = fd
-        self._lines = open(fd, "rb") if pid else None
+        self._pipe = open(fd, "rb") if pid else None
 
     @classmethod
-    def start(cls, count: int, run) -> "_Worker":
-        """Fork a worker that calls ``run`` with its handle and leaves by
-        ``os._exit``, when some sample has an odd index and this process may
-        run on two or more CPUs; the caller's handle, with pid None where no
-        worker runs: one CPU, no ``os.fork``, other threads running where
-        Linux reports the count (a forked child can deadlock on a lock one
-        of them held), or a fork that failed."""
-        if count < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    def start(cls, run) -> "_Worker":
+        """Fork a worker that writes the reports ``run()`` returns and leaves
+        by ``os._exit``, where this process may run on two or more CPUs; the
+        caller's handle, with pid None where no worker runs: one CPU, no
+        ``os.fork``, other threads running where Linux reports the count (a
+        forked child can deadlock on a lock one of them held), or a fork that
+        failed."""
+        if not hasattr(os, "fork") or _usable_cpus() < 2:
             return cls()
         stat = _threads_and_cpu()
         if stat is not None and stat[0] > 1:
@@ -648,7 +621,9 @@ class _Worker:
                 os.close(read_end)
                 if stat is not None:
                     cls._leave_cpu(stat[1])
-                run(cls(0, write_end))
+                message = cls._message(run())
+                with open(write_end, "wb") as pipe:
+                    pipe.write(message)
             finally:
                 os._exit(0)
         os.close(write_end)
@@ -664,24 +639,22 @@ class _Worker:
         except OSError:
             pass  # no other CPU after all: run beside the caller
 
-    def first_failure(self, count: int, find):
-        """What ``find`` gives over all of the samples 0..count-1, where
-        ``find(indices)`` is (index, mismatch or exception) at the first of
-        indices whose sample fails, else None; None in the worker."""
-        if self.pid == 0:
-            found = find(range(1, count, 2))
-            os.write(self._fd, b"%d\n" % (-1 if found is None else found[0]))
-            return None
-        found = find(range(0, count, 2))
-        line = self._lines.readline() if self._lines else b""
-        if not line:  # no worker, or its pipe ended early
-            theirs = find(range(1, count, 2))
-        else:
-            index = int(line)
-            theirs = find((index,)) if index >= 0 and (found is None or index < found[0]) else None
-        if theirs is not None and (found is None or theirs[0] < found[0]):
-            return theirs
-        return found
+    @staticmethod
+    def _message(reports) -> bytes:
+        """The reports as one line: each one's name, order, status and
+        failure detail, whose values are str and int, which JSON keeps
+        exactly.  The samples are the caller's own, and are not sent."""
+        return json.dumps([[r.identity_name, r.verified_order, r.status, r.failure_detail]
+                           for r in reports]).encode() + b"\n"
+
+    def reports(self, run, samples) -> list:
+        """The worker's reports, each with ``samples``, where its line came
+        whole; else the reports of ``run()``, run here."""
+        message = self._pipe.read() if self._pipe else b""
+        if not message.endswith(b"\n"):  # no worker, or it raised or died
+            return run()
+        return [IdentityReport(name, order, tuple(samples), status, detail)
+                for name, order, status, detail in json.loads(message)]
 
     def __enter__(self) -> "_Worker":
         return self
@@ -689,7 +662,7 @@ class _Worker:
     def __exit__(self, exc_type, exc, tb):
         if self.pid is None:
             return
-        self._lines.close()
+        self._pipe.close()
         try:
             if exc_type is not None:
                 import signal  # loaded only on this path, not on every call
@@ -705,13 +678,12 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
     """Run every exact check; returns the list of IdentityReports.
 
     Where this process may run on two or more CPUs, a forked worker runs the
-    odd-indexed samples of the eight sampled checks while this process runs
-    the other three checks and the even-indexed samples (``_Worker``).  For
-    each check the lower failing index of the two decides, and this process
-    runs that sample itself, so the reports, failure details and exceptions
-    are the ones one process gives.  Where no worker runs, or it stops
-    early, this process runs the odd-indexed samples too.  The arguments
-    are checked before any series is built or any process forked."""
+    last four checks, which share one table of series (``_SharedW``), while
+    this process runs the first seven (``_Worker``).  Where no worker runs,
+    or it sends no whole line, this process runs the four itself, so the
+    reports, failure details and exceptions are the ones one process gives.
+    The arguments are checked before any series is built or any process
+    forked."""
     _checked_order(order)
     _checked_order(ode_order, "ode_order", 3)
     _checked_order(positivity_window, "positivity_window", 3)
@@ -722,23 +694,23 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
     a_samples = _integer_samples(count)
     triples = _default_triples(count)
 
-    def sampled(worker):
+    def shared_checks():
         shared = _SharedW(order)
         return [
-            verify_lemma1(a_samples, order, worker),
-            verify_contiguous("cont1", triples, order, worker),
-            verify_contiguous("cont2", triples, order, worker),
-            verify_euler_transform(triples, order, worker),
-            verify_id_hyp(a_samples, order, shared, worker),
-            verify_id_war(a_samples, order, shared, worker),
-            verify_remark1_derivative(a_samples, order, shared, worker),
-            verify_adjoint_form(a_samples, order, shared, worker),
+            verify_id_hyp(a_samples, order, shared),
+            verify_id_war(a_samples, order, shared),
+            verify_remark1_derivative(a_samples, order, shared),
+            verify_adjoint_form(a_samples, order, shared),
         ]
 
-    with _Worker.start(count, sampled) as worker:
+    with _Worker.start(shared_checks) as worker:
         return [
             verify_golden_coefficients(),
             verify_odes(ode_order),
             verify_f_positivity(positivity_window),
-            *sampled(worker),
+            verify_lemma1(a_samples, order),
+            verify_contiguous("cont1", triples, order),
+            verify_contiguous("cont2", triples, order),
+            verify_euler_transform(triples, order),
+            *worker.reports(shared_checks, a_samples),
         ]

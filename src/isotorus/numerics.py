@@ -240,12 +240,14 @@ def eval_2f1(
     ``spec`` must lie in the nonnegative-term class of the module docstring.
     ``x_abs_err`` is an a-priori bound on the rounding error of the argument
     itself; its effect is folded into the returned bound through a bound on
-    the derivative of the series.  The result is flagged when its bound
-    exceeds ``target``.
+    the derivative of the series; it must be at least 0, and may be inf.
+    The result is flagged when its bound exceeds ``target``.
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"argument {x} outside [0, 1]")
     _check_target(target)
+    if not x_abs_err >= 0.0:
+        raise DomainError(f"argument error {x_abs_err} is not a nonnegative bound")
     params = spec.tail_majorant
     if params is None:
         sigma = spec.c - spec.a - spec.b

@@ -638,8 +638,10 @@ def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:
 # reduced fractions p/q.  Used for the sampled (a, b, c) triples of the
 # three-parameter identity checks.
 def sample_parameters(count: int, exclude=()) -> list:
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+    # an int only: the loop below stops at len(out) == count, which a
+    # fractional count never reaches
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"sample count must be an int of at least 1, got {count!r}")
     excluded = {Rational(e) for e in exclude}
     out = []
     for height in itertools.count(2):

@@ -481,6 +481,21 @@ def test_sample_count_is_refused_before_any_work(time_limit):
             ident.verify_all(8, sample_count=count)
 
 
+SAMPLED_CHECKS = sorted(set(ORDER_CHECKS) - {"verify_all", "odes"})
+
+
+def test_empty_samples_are_refused_before_any_work(monkeypatch):
+    # a check with no sample has proved nothing: it must not say verified
+    def refuse(*args):
+        raise AssertionError("a series was built before the samples were checked")
+
+    monkeypatch.setattr(HypergeometricSpec, "series", refuse)
+    assert len(SAMPLED_CHECKS) == 8
+    for check in SAMPLED_CHECKS:
+        with pytest.raises(ValueError, match=r"needs at least one sample$"):
+            ORDER_CHECKS[check]([], order=4)
+
+
 WORKER_ORDER = 8
 WORKER_SAMPLES = ident._integer_samples(ident.default_sample_count(WORKER_ORDER))
 
@@ -593,41 +608,69 @@ def failed_sample(reports, name):
     return report.failure_detail["sample"]
 
 
-@pytest.mark.parametrize("fail, first", [((6,), 6), ((3,), 3), ((3, 8), 3), ((2, 7), 2)],
-                         ids=["even", "odd", "odd-first", "even-first"])
-def test_lower_failing_sample_wins(monkeypatch, forks, fail, first):
-    # lemma1 fails at even samples only, odd only, or both: the report names
-    # the lower index, whichever process ran it
-    mutate_hyp(monkeypatch, fail=at("lemma1", *fail))
+CHECK_OF = {"lemma1": "lemma1", "remark1": "remark1_derivative"}
+
+
+@pytest.mark.parametrize("fail", [
+    pytest.param(at("lemma1", 6), id="even"),
+    pytest.param(at("lemma1", 3), id="odd"),
+    pytest.param(at("lemma1", 3, 8), id="odd-first"),
+    pytest.param(at("lemma1", 2, 7), id="even-first"),
+    pytest.param(at("remark1", 6), id="worker"),
+    pytest.param(at("remark1", 4, 7), id="worker-first"),
+    pytest.param(at("lemma1", 7, 5) + at("remark1", 8, 3), id="both"),
+])
+def test_lower_failing_sample_wins(monkeypatch, forks, fail):
+    # lemma1, which the caller runs, and remark1_derivative, which the
+    # worker runs, fail at one sample or more: each report names the first
+    mutate_hyp(monkeypatch, fail=fail)
     reports = same_outcome()
-    assert failed_sample(reports, "lemma1") == str(WORKER_SAMPLES[first])
+    for pair in {pair for pair, _ in fail}:
+        first = min(WORKER_SAMPLES.index(sample) for p, sample in fail if p == pair)
+        assert failed_sample(reports, CHECK_OF[pair]) == str(WORKER_SAMPLES[first])
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("fail, raising", [(2, 3), (6, 3), (3, 4), (5, 4)])
-def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, forks, fail, raising):
-    # lemma1 raises at one sample and fails at another, of the other parity:
-    # the earlier of the two decides, as in the serial loop
-    mutate_hyp(monkeypatch, fail=at("lemma1", fail), raising=at("lemma1", raising))
+@pytest.mark.parametrize("fail, raising, raised", [
+    pytest.param(at("lemma1", 2), at("lemma1", 3), False, id="2-3"),
+    pytest.param(at("lemma1", 6), at("lemma1", 3), True, id="6-3"),
+    pytest.param(at("lemma1", 3), at("lemma1", 4), False, id="3-4"),
+    pytest.param(at("lemma1", 5), at("lemma1", 4), True, id="5-4"),
+    pytest.param(at("remark1", 3), at("remark1", 4), False, id="worker-3-4"),
+    pytest.param(at("remark1", 5), at("remark1", 4), True, id="worker-5-4"),
+    pytest.param(at("lemma1", 2), at("remark1", 4), True, id="caller-fails-worker-raises"),
+    pytest.param(at("remark1", 3), at("lemma1", 6), True, id="worker-fails-caller-raises"),
+])
+def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, forks, fail, raising, raised):
+    # a check raises at one sample and fails at another: the earlier of the
+    # two decides, as in the serial loop.  An exception in any check ends
+    # the call, whichever process ran it and whatever an earlier check found
+    mutate_hyp(monkeypatch, fail=fail, raising=raising)
     got = same_outcome()
-    if fail < raising:
-        assert failed_sample(got, "lemma1") == str(WORKER_SAMPLES[fail])
+    ((_, raising_sample),) = raising
+    ((pair, failing_sample),) = fail
+    if raised:
+        assert got == repr(ZeroDivisionError(f"at {raising_sample}"))
     else:
-        assert got == repr(ZeroDivisionError(f"at {WORKER_SAMPLES[raising]}"))
+        assert failed_sample(got, CHECK_OF[pair]) == str(failing_sample)
     assert len(forks) == 1
 
 
 def test_no_fork_or_one_cpu_gives_the_same_reports(monkeypatch, forks):
-    mutate_hyp(monkeypatch, fail=at("lemma1", 3, 6))
+    mutate_hyp(monkeypatch, fail=at("lemma1", 3, 6) + at("remark1", 5))
 
     def no_fork():
         raise OSError("fork refused")
 
+    def failures(reports):
+        return failed_sample(reports, "lemma1"), failed_sample(reports, "remark1_derivative")
+
+    want = (str(WORKER_SAMPLES[3]), str(WORKER_SAMPLES[5]))
     monkeypatch.setattr(os, "fork", no_fork)
-    assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+    assert failures(same_outcome()) == want
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
     monkeypatch.setattr(ident, "_usable_cpus", lambda: 1)
-    assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+    assert failures(same_outcome()) == want
     assert len(forks) == 0
 
 
@@ -649,14 +692,57 @@ def test_no_fork_while_other_threads_run(monkeypatch, forks):
     assert len(forks) == 0
 
 
+def caller_builds_of_shared_hyp(monkeypatch):
+    """The samples at which this process builds F(s+1, s; 2), the series
+    the worker's checks share, in order, on top of the mutation in place."""
+    caller, mutated, built = os.getpid(), ident._hyp, []
+
+    def recorded(a, b, c, order):
+        pair = built_for(a, b, c)
+        if os.getpid() == caller and pair is not None and pair[0] == "F(s+1,s;2)":
+            built.append(pair[1])
+        return mutated(a, b, c, order)
+
+    monkeypatch.setattr(ident, "_hyp", recorded)
+    return built
+
+
 def test_worker_that_exits_partway_leaves_its_samples_to_the_caller(monkeypatch, forks):
-    # the worker ends in id_hyp, the fifth of the eight sampled checks; the
-    # caller runs the odd samples of the rest itself, and so finds
-    # remark1_derivative's fault at an odd sample
-    mutate_hyp(monkeypatch, fail=at("remark1", 5), exit_in_worker=at("F(s+1,s;2)", 1))
-    reports = same_outcome()
+    # the worker ends in remark1_derivative, the third of its four checks,
+    # with id_hyp and id_war done: it sends no reports, so the caller runs
+    # all four checks itself, each at every sample, and finds
+    # remark1_derivative's fault
+    mutate_hyp(monkeypatch, fail=at("remark1", 5), exit_in_worker=at("remark1", 3))
+    built = caller_builds_of_shared_hyp(monkeypatch)
+    reports = ident.verify_all(WORKER_ORDER)
+    assert built == WORKER_SAMPLES
+    assert reports == serial_reports()
     assert failed_sample(reports, "remark1_derivative") == str(WORKER_SAMPLES[5])
     assert [r.identity_name for r in reports if not r.verified] == ["remark1_derivative"]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("keep, caller_runs_them", [
+    pytest.param(lambda n: n, False, id="whole"),
+    pytest.param(lambda n: n - 1, True, id="no-newline"),
+    pytest.param(lambda n: n // 2, True, id="half"),
+])
+def test_worker_message_cut_short_leaves_its_checks_to_the_caller(monkeypatch, forks, keep, caller_runs_them):
+    # a whole message spares the caller the worker's checks; one without its
+    # final newline counts as none, and the caller runs them all itself
+    real = ident._Worker._message
+
+    def cut(reports):
+        message = real(reports)
+        return message[: keep(len(message))]
+
+    monkeypatch.setattr(ident._Worker, "_message", staticmethod(cut))
+    mutate_hyp(monkeypatch, fail=at("remark1", 5))
+    built = caller_builds_of_shared_hyp(monkeypatch)
+    reports = ident.verify_all(WORKER_ORDER)
+    assert built == (WORKER_SAMPLES if caller_runs_them else [])
+    assert reports == serial_reports()
+    assert failed_sample(reports, "remark1_derivative") == str(WORKER_SAMPLES[5])
     assert len(forks) == 1
 
 

@@ -269,6 +269,12 @@ def test_eval_2f1_domain_and_divergence():
         eval_2f1(SPEC_AREA, 1.1)
     with pytest.raises(Divergent):
         eval_2f1(HypergeometricSpec(rat(1), rat(1), rat(1)), 1.0)
+    # a NaN or negative argument error is no bound, and used to be dropped
+    # silently; inf is one, and gives an honest, flagged result
+    for err in (math.nan, -1.0):
+        with pytest.raises(DomainError, match=r"^argument error"):
+            eval_2f1(SPEC_AREA, 0.3, 1e-10, err)
+    assert eval_2f1(SPEC_AREA, 0.3, 1e-10, math.inf).flag == "bound_not_achieved"
 
 
 def test_eval_2f1_outside_class_raises_domain_error():

@@ -294,8 +294,8 @@ def test_sample_parameters_distinct_and_excluding():
 
 
 def test_sample_parameters_rejects_counts_below_one(time_limit):
-    time_limit(2.0)  # a count below 1 used to loop forever
-    for count in (0, -1):
+    time_limit(2.0)  # a count below 1 or a fractional one used to loop forever
+    for count in (0, -1, 2.5, True):
         with pytest.raises(ValueError):
             sample_parameters(count)
     assert sample_parameters(1) == [rat(1)]
