@@ -115,19 +115,16 @@ _FAULT_INDEX = 3
 
 @main.command("verify")
 @click.option("--order", type=click.IntRange(min=0), default=40, show_default=True)
-@click.option("--samples", "sample_count", type=click.IntRange(min=1), default=None,
-              help="Samples per sampled check: the integers 0, 1, -1, 2, ... for the "
-                   "one-parameter identities, rational (a, b, c) triples for the others "
-                   "(default 2*order+3, the degree-bound count).")
 @click.option("--inject-fault", is_flag=True, default=False, hidden=True)
-def verify_cmd(order, sample_count, inject_fault):
-    """Run every exact identity, ODE, and coefficient check."""
+def verify_cmd(order, inject_fault):
+    """Run every exact identity, ODE, and coefficient check.  Each sampled
+    check runs at 2*order+3 samples, the count the degree bound needs."""
     if inject_fault and order <= _FAULT_INDEX:
         raise click.UsageError(
             f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "
             f"the fault at z^{_FAULT_INDEX} lies past the checked residual"
         )
-    reports = identities.verify_all(order=order, sample_count=sample_count)
+    reports = identities.verify_all(order=order)
     if inject_fault:
         bad = perturbed(identities.expand_abar(order), _FAULT_INDEX, 1)
         reports.append(identities.verify_odes(order, abar=bad))

@@ -7,8 +7,10 @@ the per-coefficient polynomial degree bound turns the sample run into a
 proof for all values of a through the stated order.  Any distinct values
 will do; the integers 0, 1, -1, 2, -2, ... keep the exact numbers smallest
 (``_integer_samples``).  The three-parameter checks (``cont1``, ``cont2``,
-``euler_transform``) run on as many rational (a, b, c) triples; for them the
-run is sampled evidence, not a proof.
+``euler_transform``) run on as many rational (a, b, c) triples
+(``_default_triples``); for them the run is sampled evidence, not a proof.
+``verify_all`` takes one input, the order, and derives every count from it,
+so a one-parameter "verified" from it is always the degree-bound proof.
 
 Where it may use a second CPU, ``verify_all`` runs its checks in two
 processes: a forked worker runs the last four (``id_hyp``, ``id_war``,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +37,6 @@ from .series import (
     one_minus_x_power,
     power_product,
     rat,
-    sample_parameters,
 )
 
 __all__ = [
@@ -367,9 +369,21 @@ def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
     return _sampled_report("lemma1", a_samples, order, pair)
 
 
+def _sample_parameters(count: int) -> list:
+    """The first count of 1, -1, 2, -2, 1/2, -1/2, 3, ...: the distinct
+    nonzero rationals p/q in lowest terms, by |p| + q, then by q."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"sample count must be an int of at least 1, got {count!r}")
+    values = (rat(sign * (h - q), q) for h in itertools.count(2) for q in range(1, h)
+              if math.gcd(h - q, q) == 1 for sign in (1, -1))
+    return list(itertools.islice(values, count))
+
+
 def _default_triples(count: int):
-    """Deterministic (a, b, c) triples with valid lower parameters."""
-    a_vals = sample_parameters(count)
+    """count deterministic (a, b, c) triples for the three-parameter checks:
+    a and b from ``_sample_parameters``, and c positive, so that every lower
+    parameter is valid."""
+    a_vals = _sample_parameters(count)
     c_vals = (ONE, rat(2), rat(3), rat(1, 2), rat(5, 2))
     triples = []
     for i, a in enumerate(a_vals):
@@ -673,24 +687,21 @@ class _Worker:
             pass  # already reaped: the host ignores SIGCHLD
 
 
-def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int = DEFAULT_ORDER,
-               positivity_window: int = 200) -> list:
+def verify_all(order: int = 40) -> list:
     """Run every exact check; returns the list of IdentityReports.
+
+    The order is the one input, and every count follows from it: each
+    sampled check runs through z^order at ``default_sample_count(order)``
+    samples, so each one-parameter "verified" is the degree-bound proof; the
+    ODE residuals run at ``DEFAULT_ORDER`` and positivity on a window of 200.
 
     Where this process may run on two or more CPUs, a forked worker runs the
     last four checks, which share one table of series (``_SharedW``), while
     this process runs the first seven (``_Worker``).  Where no worker runs,
     or it sends no whole line, this process runs the four itself, so the
     reports, failure details and exceptions are the ones one process gives.
-    The arguments are checked before any series is built or any process
-    forked."""
-    _checked_order(order)
-    _checked_order(ode_order, "ode_order", 3)
-    _checked_order(positivity_window, "positivity_window", 3)
-    if sample_count is None:
-        count = default_sample_count(order)
-    else:
-        count = _checked_order(sample_count, "sample_count", 1)
+    The order is checked before any series is built or any process forked."""
+    count = default_sample_count(_checked_order(order))
     a_samples = _integer_samples(count)
     triples = _default_triples(count)
 
@@ -706,8 +717,8 @@ def verify_all(order: int = 40, sample_count: int | None = None, ode_order: int 
     with _Worker.start(shared_checks) as worker:
         return [
             verify_golden_coefficients(),
-            verify_odes(ode_order),
-            verify_f_positivity(positivity_window),
+            verify_odes(),
+            verify_f_positivity(),
             verify_lemma1(a_samples, order),
             verify_contiguous("cont1", triples, order),
             verify_contiguous("cont2", triples, order),

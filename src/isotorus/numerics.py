@@ -384,7 +384,10 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
 
 def _w_spec(a) -> HypergeometricSpec | None:
     """The spec of 2F1(-a,-a;1;x) in w_a, or None where w_a = 1 (a = 0, 1)."""
-    a = Rational(a)
+    try:
+        a = Rational(a)
+    except (ValueError, OverflowError):  # a NaN or an infinity has no ratio
+        raise DomainError(f"w_a needs a finite rational a, not {a!r}") from None
     if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
         raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
     return None if a == 0 or a == 1 else HypergeometricSpec(-a, -a, rat(1))
@@ -646,7 +649,7 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     partial sum is enclosed at 2^-P (``_horner_enclosure``): the midpoint is
     rounded once, and the width joins the bound."""
     _check_domain(z)
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise DomainError(f"order {order!r} is not an integer >= 1")
     # t = z^2 = u/v exactly, with v = 4^e as z is a float
     u, v = (n * n for n in float(z).as_integer_ratio())
@@ -799,6 +802,12 @@ def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> S
     return report
 
 
+def _check_grid(grid, least: int):
+    """Refuse a grid that is not an int of at least ``least`` points."""
+    if not isinstance(grid, int) or isinstance(grid, bool) or grid < least:
+        raise ValueError(f"grid must be an int of at least {least} points, not {grid!r}")
+
+
 def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
     """Certified monotonicity scan of iso, w_a, or h over their domains.
 
@@ -806,8 +815,7 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
     are disjoint; overlapping intervals are reported as inconclusive, never as
     violations.
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
+    _check_grid(grid, 2)
     if target == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
         values = [iso(z, target=1e-10) for z in pts]
@@ -816,8 +824,8 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
     elif target == "w":
         if a is None:
             raise ValueError("w scan needs the parameter a")
-        a = Rational(a)
         spec = _w_spec(a)  # None where w_a is constant
+        a = Rational(a)
         pts = _grid(0.0, 1.0, grid)
         values = [_w(spec, x, 1e-9) for x in pts]
         expect = "zero" if spec is None else "negative" if 0 < a < 1 else "positive"
@@ -853,8 +861,7 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
     differences of the matching sign); iso expects a detected sign change,
     with the witness grid points recorded.
     """
-    if grid < 3:
-        raise ValueError("grid must have at least 3 points")
+    _check_grid(grid, 3)
     if which in ("iso_sqrt", "inv_iso_sqrt"):
         pts = _grid(0.0, T_MAX - 1e-4, grid)
         values = [_iso_from_t(t, target=1e-10) for t in pts]

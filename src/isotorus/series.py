@@ -633,27 +633,3 @@ def perturbed(s: PowerSeries, index: int, delta) -> PowerSeries:
     coeffs[index] = coeffs[index] + Rational(delta)
     return PowerSeries(coeffs)
 
-
-# Deterministic supply of distinct small rationals, ordered by |p| + q over
-# reduced fractions p/q.  Used for the sampled (a, b, c) triples of the
-# three-parameter identity checks.
-def sample_parameters(count: int, exclude=()) -> list:
-    # an int only: the loop below stops at len(out) == count, which a
-    # fractional count never reaches
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"sample count must be an int of at least 1, got {count!r}")
-    excluded = {Rational(e) for e in exclude}
-    out = []
-    for height in itertools.count(2):
-        for q in range(1, height):
-            p = height - q
-            if math.gcd(p, q) != 1:
-                continue
-            for sign in (1, -1):
-                cand = rat(sign * p, q)
-                if cand in excluded:
-                    continue
-                out.append(cand)
-                if len(out) == count:
-                    return out
-    raise RuntimeError("unreachable")

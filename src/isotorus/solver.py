@@ -54,8 +54,9 @@ class InverseQuery:
     def __post_init__(self):
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"max_iterations must be an int of at least 1, not {n!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ free-parameter identity suite, and mutation sensitivity."""
 
 import copy
 import hashlib
+import inspect
 import json
 import os
 from functools import partial
@@ -11,10 +12,10 @@ import pytest
 
 from isotorus import identities as ident
 from isotorus import series as series_module
-from isotorus.series import HypergeometricSpec, PowerSeries, parse_rational, perturbed, rat, sample_parameters
+from isotorus.series import HypergeometricSpec, PowerSeries, parse_rational, perturbed, rat
 
 ORDER = 24  # fast unit-test order; the acceptance suite runs the pinned orders
-SAMPLES = sample_parameters(8, exclude=(rat(0), rat(1)))
+SAMPLES = [a for a in ident._sample_parameters(9) if a != 1]  # -1, 2, -2, 1/2, ..., 1/3
 TRIPLES = ident._default_triples(8)
 
 
@@ -186,8 +187,6 @@ def test_f_positivity_refuses_small_window():
     for window in (0, 2):
         with pytest.raises(ValueError, match="at least 3"):
             ident.verify_f_positivity(window)
-    with pytest.raises(ValueError, match="at least 3"):
-        ident.verify_all(order=8, sample_count=5, ode_order=10, positivity_window=2)
     assert ident.verify_f_positivity(3).verified
 
 
@@ -385,6 +384,27 @@ def test_failed_report_detail():
     assert "failure_detail" in d
 
 
+def test_sample_parameters_distinct_and_nonzero():
+    samples = ident._sample_parameters(50)
+    assert len(set(samples)) == 50
+    assert all(s != 0 for s in samples)
+    assert samples[:7] == [1, -1, 2, -2, rat(1, 2), rat(-1, 2), 3]
+
+
+def test_sample_parameters_rejects_counts_below_one(time_limit):
+    time_limit(2.0)  # refused at once, not counted towards
+    for count in (0, -1, 2.5, True):
+        with pytest.raises(ValueError):
+            ident._sample_parameters(count)
+    assert ident._sample_parameters(1) == [rat(1)]
+
+
+def test_verify_all_takes_only_the_order():
+    # every count follows from the order: a one-parameter "verified" from
+    # verify_all is always the degree-bound proof
+    assert list(inspect.signature(ident.verify_all).parameters) == ["order"]
+
+
 def test_default_sample_count_degree_bound():
     # a degree-(2N+2) polynomial identity in the parameter needs 2N+3 zeros
     assert ident.default_sample_count(40) == 83
@@ -433,7 +453,7 @@ def test_coefficient_degree_in_a_is_at_most_2n_plus_2(monkeypatch, name):
 
 
 def test_verify_all_shape():
-    reports = ident.verify_all(order=8, sample_count=5, ode_order=10, positivity_window=20)
+    reports = ident.verify_all(order=8)
     names = [r.identity_name for r in reports]
     assert names == [
         "golden_coefficients", "ode_residuals", "f_positivity", "lemma1",
@@ -471,14 +491,6 @@ def test_order_is_refused_before_any_work(monkeypatch, check, order):
     monkeypatch.setattr(os, "fork", refuse)
     with pytest.raises(ValueError, match=r"^order must be"):
         ORDER_CHECKS[check](order=order)
-
-
-def test_sample_count_is_refused_before_any_work(time_limit):
-    # samples are counted whole: a fractional count would never be reached
-    time_limit(5)
-    for count in (0, 2.5):
-        with pytest.raises(ValueError, match=r"^sample_count must be"):
-            ident.verify_all(8, sample_count=count)
 
 
 SAMPLED_CHECKS = sorted(set(ORDER_CHECKS) - {"verify_all", "odes"})

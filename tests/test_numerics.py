@@ -36,6 +36,7 @@ from isotorus.numerics import (
     scan_monotonicity,
 )
 from isotorus.series import HypergeometricSpec, Rational, perturbed, rat
+from isotorus.solver import InverseQuery
 
 FOUR_OVER_PI = 4.0 / math.pi
 THIRTYTWO_OVER_3PI = 32.0 / (3.0 * math.pi)
@@ -876,6 +877,34 @@ def test_scan_monotonicity_w_whole_interval():
 
 def test_scan_monotonicity_h():
     assert scan_monotonicity("h", grid=30).passed
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 240.0])
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda n: iso_direct(0.1, order=n), DomainError, id="iso_direct-order"),
+    pytest.param(lambda n: InverseQuery(0.9, 1e-10, n), ValueError, id="InverseQuery-max_iterations"),
+    pytest.param(lambda n: scan_monotonicity("iso", grid=n), ValueError, id="scan_monotonicity-grid"),
+    pytest.param(lambda n: scan_convexity("iso", grid=n), ValueError, id="scan_convexity-grid"),
+])
+def test_integer_parameters_refuse_bools_and_fractions(monkeypatch, call, error, value):
+    # each counts terms, steps or points: a bool or a float is refused, not
+    # run as the int it rounds to
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the argument was checked")
+
+    monkeypatch.setattr(num, "_direct_series", refuse)
+    monkeypatch.setattr(num, "iso", refuse)
+    with pytest.raises(error, match="int"):
+        call(value)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_nonfinite_w_parameter_is_a_domain_error(a):
+    # Fraction has no value for them: ValueError or OverflowError, unless named
+    with pytest.raises(DomainError, match="finite"):
+        eval_w(a, 0.3)
+    with pytest.raises(DomainError, match="finite"):
+        scan_monotonicity("w", grid=3, a=a)
 
 
 def test_scan_arguments():

@@ -29,7 +29,6 @@ from isotorus.series import (
     perturbed,
     power_product,
     rat,
-    sample_parameters,
     series_pow,
 )
 
@@ -284,21 +283,6 @@ def test_perturbed():
     p = perturbed(s, 1, rat(1, 2))
     assert p.coefficients == (1, rat(5, 2), 3)
     assert s.coefficients == (1, 2, 3)  # original untouched
-
-
-def test_sample_parameters_distinct_and_excluding():
-    samples = sample_parameters(50, exclude=(rat(1),))
-    assert len(set(samples)) == 50
-    assert rat(1) not in samples
-    assert all(s != 0 for s in samples)
-
-
-def test_sample_parameters_rejects_counts_below_one(time_limit):
-    time_limit(2.0)  # a count below 1 or a fractional one used to loop forever
-    for count in (0, -1, 2.5, True):
-        with pytest.raises(ValueError):
-            sample_parameters(count)
-    assert sample_parameters(1) == [rat(1)]
 
 
 # -- randomized algebraic laws ------------------------------------------------------
