@@ -72,6 +72,9 @@ __all__ = [
 ]
 
 EPS = sys.float_info.epsilon
+# the multiples of EPS in the bounds: each product is exact and Python
+# evaluates 2.0 * EPS * w from the left, so _TWO_EPS * w gives the same bits
+_TWO_EPS, _THREE_EPS, _FOUR_EPS, _EIGHT_EPS = 2.0 * EPS, 3.0 * EPS, 4.0 * EPS, 8.0 * EPS
 SQRT2 = math.sqrt(2.0)
 Z_MAX = SQRT2 - 1.0                 # right end of the torus-parameter domain
 T_MAX = 3.0 - 2.0 * SQRT2           # = Z_MAX**2, domain of the sqrt-substituted maps
@@ -79,8 +82,8 @@ ISO_AT_ZERO = 1.5 * (2.0 * math.pi ** 2) ** -0.25
 _K_RATIO = 9.0 * SQRT2 / (8.0 * math.pi)   # constant in the closed form of iso**2
 _C_DIRECT = 6.0 / (math.sqrt(math.pi) * 2.0 ** 0.25)
 # a constant computed in floats (with pi, sqrt) is known to a few ulps
-_K_RATIO_BOUND = 4.0 * EPS * _K_RATIO
-_C_DIRECT_BOUND = 4.0 * EPS * _C_DIRECT
+_K_RATIO_BOUND = _FOUR_EPS * _K_RATIO
+_C_DIRECT_BOUND = _FOUR_EPS * _C_DIRECT
 # the least positive float: an evaluator floors the share target/k of its
 # target that it gives a series here, where the division underflows to 0
 _TINY = math.ulp(0.0)
@@ -157,17 +160,17 @@ def _flagged(value: float, bound: float, target: float) -> CertifiedValue:
 
 def _sub(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u - v
-    return w, ub + vb + 2.0 * EPS * abs(w)
+    return w, ub + vb + _TWO_EPS * abs(w)
 
 
 def _scale(u: float, ub: float, k: float) -> tuple:
     w = u * k
-    return w, abs(k) * ub + 2.0 * EPS * abs(w)
+    return w, abs(k) * ub + _TWO_EPS * abs(w)
 
 
 def _mul(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u * v
-    return w, abs(u) * vb + abs(v) * ub + ub * vb + 2.0 * EPS * abs(w)
+    return w, abs(u) * vb + abs(v) * ub + ub * vb + _TWO_EPS * abs(w)
 
 
 def _div(u: float, ub: float, v: float, vb: float) -> tuple:
@@ -175,7 +178,7 @@ def _div(u: float, ub: float, v: float, vb: float) -> tuple:
     if denom_lo <= 0.0:
         raise BoundNotAchieved("division by an interval containing zero")
     w = u / v
-    return w, (ub + abs(w) * vb) / denom_lo + 2.0 * EPS * abs(w)
+    return w, (ub + abs(w) * vb) / denom_lo + _TWO_EPS * abs(w)
 
 
 def _pow(u: float, ub: float, p: float) -> tuple:
@@ -184,7 +187,7 @@ def _pow(u: float, ub: float, p: float) -> tuple:
     if lo <= 0.0:
         raise BoundNotAchieved("power base interval not strictly positive")
     w = u ** p
-    return w, max(abs(lo ** p - w), abs((u + ub) ** p - w)) + 4.0 * EPS * abs(w)
+    return w, max(abs(lo ** p - w), abs((u + ub) ** p - w)) + _FOUR_EPS * abs(w)
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +273,9 @@ def _eval_family(params, x, target, x_abs_err):
     # ``stop``, first after _HEAD checked steps and then every _BLOCK, the
     # loop lets ``_sum_blocks`` take the whole blocks of steps that it proves
     # stop nowhere, bit for bit as the loop would; the rest the loop takes.
+    # The step counter n is a float holding an integer: n < _MAX_TERMS < 2^53,
+    # so n, n + 1, a + n and c + n are exactly the floats an int n gives, and
+    # float-by-float arithmetic is the interpreter's fast path.
     a, c, s, m0 = params
     inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
     total = 1.0
@@ -277,26 +283,27 @@ def _eval_family(params, x, target, x_abs_err):
     for n in range(m0 - 1):  # terms before the majorant applies
         t *= (a + n) * (a + n) / ((c + n) * (n + 1)) * x
         total += t
-    n = m0 - 1
+    n = float(m0 - 1)
     a_s = a + s
     err_prev = math.inf
     total_prev = total
-    stop = m0 + _HEAD if m0 < _MAX_TERMS - _HEAD else _MAX_TERMS
+    stop = float(min(m0 + _HEAD, _MAX_TERMS))
     while True:
-        m = n + 1
-        t_next = t * ((a + n) * (a + n)) / ((c + n) * m) * x
+        an = a + n
+        m = n + 1.0
+        t_next = t * (an * an) / ((c + n) * m) * x
         k = (m + a_s) / s
-        err = t_next * (k if k < inv_gap else inv_gap) + 3.0 * EPS * m * total
+        err = t_next * (k if k < inv_gap else inv_gap) + _THREE_EPS * m * total
         if err <= target or t_next == 0.0 or m >= stop:
             if err <= target or t_next == 0.0 or m >= _MAX_TERMS:
                 break
             blocks = _sum_blocks(params, x, target, inv_gap, n, t, total)
             if blocks:  # go on from their end
                 n, t, total, total_prev, err_prev = blocks
-                m = n + 1
-                stop = m + _BLOCK if m < _MAX_TERMS - _BLOCK else _MAX_TERMS
+                m = n + 1.0
+                stop = min(m + _BLOCK, _MAX_TERMS)
                 continue
-            stop = m + _BLOCK if m < _MAX_TERMS - _BLOCK else _MAX_TERMS
+            stop = min(m + _BLOCK, _MAX_TERMS)
         if err > err_prev:
             total, err = total_prev, err_prev
             break
@@ -312,7 +319,7 @@ def _eval_family(params, x, target, x_abs_err):
         gap = 1.0 - x - x_abs_err
         growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
         err += min(x_abs_err * (head + coef * growth), f_range)
-    return total, err + 2.0 * EPS * abs(total)
+    return total, err + _TWO_EPS * abs(total)
 
 
 def _sum_blocks(params, x, target, inv_gap, n, t, total):
@@ -322,9 +329,8 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
     there is no such block.
 
     A block runs steps m1 = n + 1 through m2 = n + _BLOCK, forming only the
-    terms and the running sum S, by the loop's float operations in its order:
-    a + n and c + n from the integer-valued float n, exact like the int n,
-    and n + 1 exact too.  Then one test at m2 shows that no step m1..m2
+    terms and the running sum S, by the loop's float operations in its order
+    and on its float counter.  Then one test at m2 shows that no step m1..m2
     would have stopped the loop:
     - tail(m+1) <= q_m tail(m) for q_m = x (m+a)/(m+a+s), rising in m: the
       majorant, as k grows by (m+a+s+1)/(m+a+s), within 10 EPS of rounding.
@@ -350,11 +356,11 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
         m2 = n + _BLOCK
         k = (m2 + a_s) / s
         k = k if k < inv_gap else inv_gap
-        rounding = 3.0 * EPS * (n + 1) * total
+        rounding = _THREE_EPS * (n + 1) * total
         mid = m2 - _BLOCK // 2
         if t * ((mid + a) * (mid + a) / ((mid + c) * (mid + 1)) * x) ** _BLOCK * k + rounding <= target:
             break
-        u, sum_u, f = t, total, float(n)
+        u, sum_u, f = t, total, n
         for _ in range(_BLOCK - 1):
             af = a + f
             f1 = f + 1.0
@@ -366,10 +372,10 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
         tail = u * k
         decay = ((m2 + a) * (1.0 - x) + s) / (m2 + a_s) - 32.0 * EPS  # 1 - q_m2 - 32 EPS
         if not (u != 0.0 and tail + rounding > target
-                and tail * decay > 3.0 * EPS * (sum_u + u + m2 * t) * (1.0 + 2.0 ** -20)):
+                and tail * decay > _THREE_EPS * (sum_u + u + m2 * t) * (1.0 + 2.0 ** -20)):
             break
         n, t, total = m2, u, sum_u + u
-        state = n, t, total, sum_u, tail + 3.0 * EPS * m2 * sum_u
+        state = n, t, total, sum_u, tail + _THREE_EPS * m2 * sum_u
     return state
 
 
@@ -378,7 +384,7 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
     v = (1.0 + x) ** p
     # pow() plus the float(p) conversion: a few ulps of relative slop, plus
     # sensitivity to the argument rounding through d/dx (1+x)^p.
-    rel = 8.0 * EPS + math.log1p(x) * EPS * abs(p)
+    rel = _EIGHT_EPS + math.log1p(x) * EPS * abs(p)
     return v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err
 
 
@@ -400,8 +406,9 @@ def _w(spec: HypergeometricSpec | None, x: float, target: float) -> CertifiedVal
     _check_target(target)
     if spec is None:
         return CertifiedValue(1.0, 0.0)
-    f = eval_2f1(spec, x, target=target)
-    p, pb = _pow_one_plus_x(-float(spec.a), x, 0.0)
+    f = eval_2f1(spec, x, target)
+    # a = -spec.a from the spec's floats: float() of a Fraction is slow
+    p, pb = _pow_one_plus_x(-spec.tail_majorant[0], x, 0.0)
     return _flagged(*_div(f.value, f.abs_error_bound, p, pb), target)
 
 
@@ -431,8 +438,8 @@ def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
     _check_target(target)
     # h moves with F1, F2 by 3h/F1 < 5.93, 2h/F2 < 3.95 (F >= 1, and h = iso^2/K
     # <= 1/K by the isoperimetric inequality): the bound stays under 0.99 target
-    f1 = eval_2f1(SPEC_AREA, x, target=target / 8.0 or _TINY)
-    f2 = eval_2f1(SPEC_VOLUME, x, target=target / 16.0 or _TINY)
+    f1 = eval_2f1(SPEC_AREA, x, target / 8.0 or _TINY)
+    f2 = eval_2f1(SPEC_VOLUME, x, target / 16.0 or _TINY)
     return _flagged(*_h(f1, f2, x, 0.0), target)
 
 
@@ -454,7 +461,7 @@ def _x_of_t(t: float) -> tuple:
     one_minus = 1.0 - t
     x = 4.0 * t / (one_minus * one_minus)
     dx_dt = 4.0 * (1.0 + t) / one_minus ** 3
-    x_err = 8.0 * EPS * x + dx_dt * (EPS * t)
+    x_err = _EIGHT_EPS * x + dx_dt * (EPS * t)
     return min(x, 1.0), x_err, dx_dt
 
 
@@ -462,8 +469,8 @@ def _iso_squared_from_t(t: float, target: float) -> tuple:
     """Closed form iso^2 = K h(x) as a function of t = z^2: its pair."""
     x, x_err, _ = _x_of_t(t)
     share = target / 4.0 or _TINY
-    f1 = eval_2f1(SPEC_AREA, x, target=share, x_abs_err=x_err)
-    f2 = eval_2f1(SPEC_VOLUME, x, target=share, x_abs_err=x_err)
+    f1 = eval_2f1(SPEC_AREA, x, share, x_err)
+    f2 = eval_2f1(SPEC_VOLUME, x, share, x_err)
     h, hb = _h(f1, f2, x, x_err)
     return _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
 
@@ -667,7 +674,7 @@ def iso_direct(z: float, order: int = 240) -> CertifiedValue:
     def enclose(lo, hi, rest):  # the pair of a partial sum and its rest
         val = (lo + hi) / (2 << _P)
         width = (hi - lo) / (1 << _P)
-        return val + rest / 2.0, rest / 2.0 + 2.0 * EPS * abs(val) + 2.0 * EPS * abs(rest) + width
+        return val + rest / 2.0, rest / 2.0 + _TWO_EPS * abs(val) + _TWO_EPS * abs(rest) + width
 
     _, (a_sum, v_sum) = _partial_sums((ab, vb), u, v, ratio_cap)
     area, area_b = _pow(*enclose(*a_sum), 1.5)
@@ -694,10 +701,10 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     # 1/32 of the target per series: the assembled bound then stays within
     # the target wherever the series reach theirs
     share = target / 32.0 or _TINY
-    f1, f2, g1, g2 = (
-        eval_2f1(spec, x, target=share, x_abs_err=x_err)
-        for spec in (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE)
-    )
+    f1 = eval_2f1(SPEC_AREA, x, share, x_err)
+    f2 = eval_2f1(SPEC_VOLUME, x, share, x_err)
+    g1 = eval_2f1(_SPEC_AREA_SLOPE, x, share, x_err)
+    g2 = eval_2f1(_SPEC_VOLUME_SLOPE, x, share, x_err)
     h, hb = _h(f1, f2, x, x_err)
     sq, sq_b = _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
     iso_v, iso_b = _pow(sq, sq_b, 0.5)
@@ -706,11 +713,11 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     r2, r2_b = _scale(*_div(g2.value, g2.abs_error_bound, f2.value, f2.abs_error_bound), 2.25)
     r1, r1_b = _scale(*_div(g1.value, g1.abs_error_bound, f1.value, f1.abs_error_bound), 0.375)
     slope, slope_b = _sub(r2, r2_b, r1, r1_b)
-    slope, slope_b = _sub(slope, slope_b, *_div(0.75, 0.0, x1, x_err + 2.0 * EPS * abs(x1)))
+    slope, slope_b = _sub(slope, slope_b, *_div(0.75, 0.0, x1, x_err + _TWO_EPS * abs(x1)))
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
     # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
     dx_dz = 2.0 * z * dx_dt
-    dx_dz_err = dx_dz * (8.0 * EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
+    dx_dz_err = dx_dz * (_EIGHT_EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
     d, db = _mul(iso_v, iso_b, slope, slope_b)
     return _flagged(*_mul(d, db, dx_dz, dx_dz_err), target)
 
@@ -849,7 +856,7 @@ def _second_difference(u: CertifiedValue, v: CertifiedValue, w: CertifiedValue) 
         w.abs_error_bound
         + 2.0 * v.abs_error_bound
         + u.abs_error_bound
-        + 8.0 * EPS * (abs(v.value) + abs(d2))
+        + _EIGHT_EPS * (abs(v.value) + abs(d2))
     )
     return d2 - b, d2 + b
 

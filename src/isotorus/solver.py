@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .numerics import Z_MAX, CertifiedValue, NumericsError, iso
@@ -52,6 +53,11 @@ class InverseQuery:
     max_iterations: int = 200
 
     def __post_init__(self):
+        # a bool is an int, so True would run as the number 1
+        for name in ("rho", "tolerance"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         if not (0.0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
         n = self.max_iterations
@@ -86,13 +92,15 @@ def _chord(t_lo: float, g_lo: float, t_hi: float, g_hi: float) -> float:
 def invert_iso(query: InverseQuery) -> InverseResult:
     """Find z with iso(z) = rho by bracketed secant steps on sqrt(1 - iso) in t = z^2."""
     rho, tol = query.rho, query.tolerance
-    if not math.isfinite(rho) or rho >= 1.0:
+    # compared, not converted: an int beyond the float range is out of range too
+    if not rho < 1.0:
         raise TargetOutOfRange(f"target ratio {rho} is not below 1")
     target = min(1e-11, tol)
     z = 0.0  # the last point evaluated, with its interval cv
     cv = iso(z, target)
     if rho < cv.lo:
         raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {cv.value}")
+    rho = float(rho)  # the result reports a float, also for a Fraction rho
     if rho <= cv.hi:
         return InverseResult(rho, 0.0, abs(cv.value - rho) + cv.abs_error_bound, 0)
 

@@ -171,9 +171,9 @@ def test_eval_2f1_near_one_stops_at_best_bound(time_limit):
 
 
 def reference_eval_family(params, x, target):
-    """The family kernel as one checked loop, every term testing the stop
-    rule, at an exact argument: ``num._eval_family`` must match it bit for
-    bit."""
+    """The family kernel as one checked loop on an int step counter, every
+    term testing the stop rule, at an exact argument: ``num._eval_family``,
+    on a float counter and in blocks, must match it bit for bit."""
     a, c, s, m0 = params
     inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
     total = 1.0
@@ -216,6 +216,10 @@ KERNEL_X = st.integers(0, 3).flatmap(
 @example(SPEC_AREA, 0.999, 1e-13)           # the rising-error stop
 @example(num._w_spec(rat(1, 3)), 1.0, 3e-14)
 @example(num._w_spec(rat(2, 7)), 1.0 - 1e-4, 1e-12)
+@example(SPEC_VOLUME, 1.0 - 1e-4, 1e-13)     # m0 = 2
+@example(num._w_spec(rat(7, 3)), 0.999, 1e-12)  # m0 = 3
+@example(SPEC_AREA, 0.05, 1e-10)             # a short sum, no block tried
+@example(num._SPEC_VOLUME_SLOPE, 5e-324, 1e-13)
 def test_blocks_match_the_checked_loop_bit_for_bit(spec, x, target):
     got = num._flagged(*num._eval_family(spec.tail_majorant, x, target, 0.0), target)
     want = reference_eval_family(spec.tail_majorant, x, target)

@@ -1,5 +1,6 @@
 """Certified inversion of the ratio function."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -58,6 +59,32 @@ def test_query_validation():
         InverseQuery(0.9, tolerance=0.0)
     with pytest.raises(ValueError):
         InverseQuery(0.9, max_iterations=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rho": "0.9"}, {"rho": True}, {"rho": None}, {"rho": 0.9j},
+    {"rho": 0.9, "tolerance": True}, {"rho": 0.9, "tolerance": "1e-10"},
+    {"rho": 0.9, "tolerance": None},
+])
+def test_query_refuses_bools_and_non_real_values(kwargs):
+    # tolerance=True ran as a tolerance of 1, and rho="0.9" was built and
+    # then raised a bare TypeError in invert_iso
+    with pytest.raises(ValueError):
+        InverseQuery(**kwargs)
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, 10 ** 400, -(10 ** 400)],
+                         ids=["inf", "-inf", "int-10^400", "int--10^400"])
+def test_unbounded_ratio_is_out_of_range(rho):
+    with pytest.raises(TargetOutOfRange):
+        invert_iso(InverseQuery(rho))
+
+
+def test_fraction_ratio_reports_a_float():
+    result = invert_iso(InverseQuery(Fraction(9, 10)))
+    assert result.rho == 0.9 and result.flag is None
+    assert json.loads(result.to_json())["rho"] == 0.9
+    assert abs(result.z - invert_iso(InverseQuery(0.9)).z) <= 1e-10
 
 
 def test_residual_bound_is_reported_and_small():
@@ -284,6 +311,30 @@ def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
     assert result.flag == "precision_exhausted"
     assert 0.414 < result.z < Z_MAX
     assert calls[0] < budget, calls[0]
+
+
+# sha256 over "z.hex residual_bound.hex iterations flag" lines of invert_iso
+# on INVERT_RHOS at the default query: the MP_ROOTS targets, the lower end,
+# 1 - 10^-(3 + k/8) for k = 0..32, across the straddle's sharp retry (from
+# rho = 0.9999) and its precision_exhausted flag (from k = 11), and the ratio
+# next to 1.  Regenerate with
+#   PYTHONPATH=src:tests python -c "import test_solver; print(test_solver.invert_grid_digest())"
+INVERT_GRID = "9af02d177b1b0c6bb6e09dcb8d6ebb0eb8ad3a8c3a84f1431c85fcba68eef143"
+INVERT_RHOS = ([rho for _, rho, _ in MP_ROOTS] + [ISO0]
+               + [1.0 - 10.0 ** (-3 - k / 8) for k in range(33)] + [0.9999999999999999])
+
+
+def invert_grid_digest():
+    lines = []
+    for rho in INVERT_RHOS:
+        r = invert_iso(InverseQuery(rho))
+        lines.append(f"{r.z.hex()} {r.residual_bound.hex()} {r.iterations} {r.flag}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_inversions_match_the_grid_digest(time_limit):
+    time_limit(5.0)
+    assert invert_grid_digest() == INVERT_GRID
 
 
 if __name__ == "__main__":
