@@ -1,8 +1,9 @@
 """Exact and certified computation for the Clifford-torus isoperimetric ratio.
 
-Four layers:
+Five layers:
 
 - :mod:`isotorus.series`     exact rational truncated power series
+- :mod:`isotorus.contiguity` exact contiguity reduction of 2F1 identities
 - :mod:`isotorus.identities` exact identity / ODE / coefficient checks
 - :mod:`isotorus.numerics`   certified floating-point evaluation and scans
 - :mod:`isotorus.solver`     monotone inversion of the ratio function

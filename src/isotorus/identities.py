@@ -1,33 +1,29 @@
 """Exact machine checks of the hypergeometric identities behind the torus ratio.
 
-Every check here runs in exact rational arithmetic on truncated power series
-and reports through which order the identity was verified.  The identities
-with one free parameter a are checked at enough distinct values of a that
-the per-coefficient polynomial degree bound turns the sample run into a
-proof for all values of a through the stated order.  Any distinct values
-will do; the integers 0, 1, -1, 2, -2, ... keep the exact numbers smallest
-(``_integer_samples``).  The three-parameter checks (``cont1``, ``cont2``,
-``euler_transform``) run on as many rational (a, b, c) triples
-(``_default_triples``); for them the run is sampled evidence, not a proof.
-``verify_all`` takes one input, the order, and derives every count from it,
-so a one-parameter "verified" from it is always the degree-bound proof.
-
-Where it may use a second CPU, ``verify_all`` runs its checks in two
-processes: a forked worker runs the last four (``id_hyp``, ``id_war``,
-``remark1_derivative``, ``adjoint_form``, which share one table of series)
-while the caller runs the first seven, and the reports are the ones a single
-process gives (``_Worker``).
+Each report says what its "verified" rests on (``IdentityReport.certificate``):
+``all-parameters`` for ``lemma1``, ``cont1``, ``cont2``, ``euler_transform``,
+``remark1_derivative`` and ``adjoint_form``, proved for every value of their
+parameters at every order by contiguity reduction (``contiguity``), the
+order only labelling the report;
+``degree-bound`` for ``id_hyp`` and ``id_war``, whose series agree through
+the order at enough integer values of a that the per-coefficient degree
+bound makes the sample run a proof for all a through that order;
+``through-order`` for the ODE residuals, ``window`` for flux positivity and
+``exact`` for the printed leading coefficients.  ``verify_all`` takes one
+input, the order, derives every count from it and runs every check in this
+process.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
-import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
+from . import contiguity
+from .contiguity import A, B, C, X, Rat, Reduction, combine
 from .series import (
     ONE,
     DifferentialOperator,
@@ -128,14 +124,13 @@ def _checked_order(order, name: str = "order", least: int = 0) -> int:
 
 def default_sample_count(order: int) -> int:
     """Samples needed so the degree bound proves a one-parameter identity for
-    all values of its parameter through the order; the three-parameter checks
-    take as many triples, as sampled evidence."""
+    all values of its parameter through the order."""
     return 2 * order + 3
 
 
 def _integer_samples(count: int) -> list:
     """The first count of 0, 1, -1, 2, -2, ..., as rationals: the samples of
-    the one-parameter checks.  Coefficient n of either side of each is a
+    the degree-bound checks.  Coefficient n of either side of each is a
     polynomial in a of degree at most 2n + 2 (each check says why), so any
     2N + 3 distinct values prove it through z^N."""
     return [rat((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(count)]
@@ -149,6 +144,9 @@ def _integer_samples(count: int) -> list:
 class IdentityReport:
     identity_name: str
     verified_order: int
+    # what a "verified" rests on: "all-parameters", "degree-bound",
+    # "through-order", "window" or "exact"
+    certificate: str
     parameter_samples: tuple = ()
     status: str = "verified"  # "verified" | "failed"
     failure_detail: dict | None = None
@@ -161,7 +159,8 @@ class IdentityReport:
         out = {
             "name": self.identity_name,
             "verified_order": self.verified_order,
-            "samples": [self._fmt(s) for s in self.parameter_samples],
+            "certificate": self.certificate,
+            "samples": [str(s) for s in self.parameter_samples],
             "status": self.status,
         }
         if self.failure_detail is not None:
@@ -170,12 +169,6 @@ class IdentityReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @staticmethod
-    def _fmt(sample) -> str:
-        if isinstance(sample, tuple):
-            return "(" + ",".join(str(v) for v in sample) + ")"
-        return str(sample)
 
 
 def _first_mismatch(lhs: PowerSeries, rhs: PowerSeries, order: int):
@@ -192,26 +185,32 @@ def _first_mismatch(lhs: PowerSeries, rhs: PowerSeries, order: int):
     return None
 
 
-def _failure(name, order, index, difference, samples=(), **detail) -> IdentityReport:
+def _failure(name, order, certificate, index, difference, samples=(), **detail) -> IdentityReport:
     """The failed report: the detail entries, then the first failing
     coefficient index and the difference found there."""
     detail.update(coefficient_index=index, difference=str(difference))
-    return IdentityReport(name, order, tuple(samples), "failed", detail)
+    return IdentityReport(name, order, certificate, tuple(samples), "failed", detail)
 
 
-def _sampled_report(name, samples, order, pair_fn, default=_integer_samples) -> IdentityReport:
+def _sampled_report(name, samples, order, pair_fn) -> IdentityReport:
     """Run a per-sample LHS/RHS expansion and compare exactly through order;
-    samples None means default(default_sample_count(order)), and an empty
-    list is refused before any series is built.  The report names the first
-    sample that fails; an exception at a sample propagates."""
-    samples = tuple(default(default_sample_count(order)) if samples is None else samples)
+    samples None means ``_integer_samples(default_sample_count(order))``.
+    Ints become exact rationals; an empty list, or a sample that is a bool,
+    a float or anything else but an int or a Fraction, is refused before any
+    series is built.  The report names the first sample that fails; an
+    exception at a sample propagates."""
+    samples = tuple(_integer_samples(default_sample_count(order)) if samples is None else samples)
     if not samples:
         raise ValueError(f"{name} needs at least one sample")
+    for a in samples:
+        if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+            raise ValueError(f"{name} samples must be ints or Fractions, not {a!r}")
+    samples = tuple(map(rat, samples))
     for sample in samples:
         mismatch = _first_mismatch(*pair_fn(sample), order)
         if mismatch is not None:
-            return _failure(name, order, *mismatch, samples, sample=IdentityReport._fmt(sample))
-    return IdentityReport(name, order, samples)
+            return _failure(name, order, "degree-bound", *mismatch, samples, sample=str(sample))
+    return IdentityReport(name, order, "degree-bound", samples)
 
 
 # --------------------------------------------------------------------------
@@ -287,8 +286,8 @@ def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityRep
         residual = op.apply(series.truncate(order))
         mismatch = _first_mismatch(residual, PowerSeries.zero(residual.order), residual.order)
         if mismatch is not None:
-            return _failure("ode_residuals", order - 2, *mismatch, series=name)
-    return IdentityReport("ode_residuals", order - 2)
+            return _failure("ode_residuals", order - 2, "through-order", *mismatch, series=name)
+    return IdentityReport("ode_residuals", order - 2, "through-order")
 
 
 def verify_golden_coefficients() -> IdentityReport:
@@ -298,8 +297,8 @@ def verify_golden_coefficients() -> IdentityReport:
     for name, series, golden in (("abar", ab, ABAR_LEADING), ("vbar", vb, VBAR_LEADING)):
         mismatch = _first_mismatch(series, PowerSeries(golden), 5)
         if mismatch is not None:
-            return _failure("golden_coefficients", 5, *mismatch, series=name)
-    return IdentityReport("golden_coefficients", 5)
+            return _failure("golden_coefficients", 5, "exact", *mismatch, series=name)
+    return IdentityReport("golden_coefficients", 5, "exact")
 
 
 def verify_f_positivity(window: int = 200) -> IdentityReport:
@@ -318,20 +317,116 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
     }
     mismatch = _first_mismatch(f, PowerSeries(F_LEADING), len(F_LEADING) - 1)
     if mismatch is not None:
-        return _failure("f_positivity", window, *mismatch)
+        return _failure("f_positivity", window, "window", *mismatch)
     # expand_f is reduced, so its denominator is positive: each sign is its numerator's
     for n, num in enumerate(f.nums):
         if num <= 0:
-            return _failure("f_positivity", window, n, f[n])
-    return IdentityReport("f_positivity", window, (), "verified", detail)
+            return _failure("f_positivity", window, "window", n, f[n])
+    return IdentityReport("f_positivity", window, "window", (), "verified", detail)
 
 
 # --------------------------------------------------------------------------
-# Identity suite (free-parameter identities via degree-bound sampling)
+# Identities for every parameter value at every order, by contiguity
+# reduction.  The order does no work in these proofs: it is checked and
+# only labels the report, so that ``verify_all`` prints one order for all.
+# --------------------------------------------------------------------------
+
+_ALL_C = "all a, b; c not in {0, -1, -2, ...}"
+
+
+def _reduced_report(name, order, reduction, difference, domain) -> IdentityReport:
+    """Reduce difference(reduction), the two sides' difference as a pair
+    (r0, r1) over the reduction's base, and check termwise each axiom the
+    reduction applied: verified when they hold and both coefficients
+    vanish; else the detail names the failed axioms or coefficients.  It
+    states the domain, the axioms and each value a division excluded, which
+    continuity covers: coefficient n of either side is a polynomial in a and
+    b over (c)_n."""
+    _checked_order(order)
+    rest = difference(reduction)
+    failed = contiguity.failed_axioms(reduction.used) or [n for n, r in zip(("F", "F'"), rest) if r.num]
+    detail = {"domain": domain, "axioms": sorted(reduction.used),
+              "excluded": [f"{p} = 0" for p in dict.fromkeys(reduction.excluded)]}
+    if failed:
+        detail["failed"] = failed
+    return IdentityReport(name, order, "all-parameters", (), "failed" if failed else "verified", detail)
+
+
+def verify_lemma1(order: int = 40) -> IdentityReport:
+    """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x) for
+    every a, reduced over F(a,a;1); the order only labels the report."""
+    return _reduced_report("lemma1", order, Reduction(A, A, 1), lambda r: r.reduce([
+        ((A + 1) * (1 - X), (A + 1, A + 2, 2)), (-A * (1 + X), (A + 1, A + 1, 2)), (-1, (A, A, 1))]), "all a")
+
+
+_CONTIGUOUS = {
+    "cont1": [(B * X, (A + 1, B + 1, C + 1)), (-C, (A + 1, B, C)), (C, (A, B, C))],
+    "cont2": [(A * (1 - X), (A + 1, B, C)), (-A * (1 - X), (A, B, C)), (B - C, (A, B - 1, C)),
+              (-(B - C + A * X), (A, B, C))],
+}
+
+
+def verify_contiguous(which: str = "cont1", order: int = 40) -> IdentityReport:
+    """Gauss contiguous relations in multiplied-through form, for every a, b
+    and c not in {0, -1, -2, ...}, reduced over F(a,b;c); the order only
+    labels the report:
+
+    cont1: b*x*F(a+1,b+1;c+1;x) = c*(F(a+1,b;c;x) - F(a,b;c;x))
+    cont2: a(1-x)(F(a+1,b;c;x) - F(a,b;c;x))
+           = (c-b) F(a,b-1;c;x) + (b-c+a*x) F(a,b;c;x)
+    """
+    if which not in _CONTIGUOUS:
+        raise ValueError(f"unknown contiguous relation {which!r}")
+    return _reduced_report(which, order, Reduction(A, B, C), lambda r: r.reduce(_CONTIGUOUS[which]), _ALL_C)
+
+
+def verify_euler_transform(order: int = 40) -> IdentityReport:
+    """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x) for every a, b and c not in
+    {0, -1, -2, ...}: the right side, reduced over F(c-a,c-b;c), satisfies
+    the equation of F(a,b;c), and is 1 at x = 0.  Coefficient n of that
+    equation applied to a series y has y_(n+1) times (n+1)(n+c) and no later
+    y_m, so there the analytic solution with y(0) = 1 is unique.  The order
+    only labels the report."""
+    return _reduced_report("euler_transform", order, Reduction(C - A, C - B, C), lambda r: r.apply_equation(
+        r.hyp(C - A, C - B, C), (A, B, C), (C - A - B, 0)), _ALL_C)
+
+
+def verify_remark1_derivative(order: int = 30) -> IdentityReport:
+    """d/dx [F(a+1,a;2;x)(1-x)^(2a)] = -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6
+    F(a+1,a+2;4;x)) (1-x)^(2a-1) for every a, reduced over F(a-1,a;2), both
+    sides in the gauge (1-x)^(2a); the order only labels the report."""
+    rhs = [(Rat(A * (3 - A), 2, 1 - X), (A, A + 1, 3)), (Rat(A * (A + 1) * X, 6, 1 - X), (A + 1, A + 2, 4))]
+    return _reduced_report("remark1_derivative", order, Reduction(A - 1, A, 2), lambda r: combine(
+        (1, r.d(r.hyp(A + 1, A, 2), (2 * A, 0))), (1, r.reduce(rhs))), "all a")
+
+
+def verify_adjoint_form(order: int = 30) -> IdentityReport:
+    """Self-adjoint (Sturm-Liouville) form of the ODE satisfied by
+    w_a = (1+x)^(-a) F(-a,-a;1;x):
+
+    d/dx [ x ((1+x)/(1-x))^(2a) w_a'(x) ] =
+        a(a-1) (1+x)^(-2) ((1+x)/(1-x))^(2a) w_a(x)
+
+    for every a, reduced over F(-a,-a;1): w_a' in the gauge (1+x)^(-a), and
+    both sides in the gauge (1+x)^(-a) ((1+x)/(1-x))^(2a).  The right side
+    equals a(a-1) at x = 0, matching w_a'(0); a variant with an extra factor
+    of x (and squared ratio power) would vanish there and cannot hold.  The
+    order only labels the report."""
+
+    def difference(r):
+        w_prime = r.d((Rat(1), Rat(0)), (0, -A))
+        lhs = r.d(combine((X, w_prime)), (-2 * A, A))
+        return combine((1, lhs), (Rat(A * (1 - A), 1 + X, 1 + X), (Rat(1), Rat(0))))
+
+    return _reduced_report("adjoint_form", order, Reduction(-A, -A, 1), difference, "all a")
+
+
+# --------------------------------------------------------------------------
+# One-parameter identities, proved through the order by degree-bound sampling
 #
-# The degree in a of a coefficient, from which each one-parameter check's
-# bound follows.  [x^k] F(alpha, beta; gamma; x), alpha and beta each a or -a
-# plus a constant and gamma a constant, is (alpha)_k (beta)_k / ((gamma)_k k!):
+# The degree in a of a coefficient, from which each check's bound follows.
+# [x^k] F(alpha, beta; gamma; x), alpha and beta each a or -a plus a
+# constant and gamma a constant, is (alpha)_k (beta)_k / ((gamma)_k k!):
 # degree 2k.  [x^k] of p(x)^e, p a polynomial with constant term 1 and e
 # affine in a, is a sum of binomials C(e, j) times constants, j <= k: degree
 # at most k, and so for a product of such powers (``power_product``).
@@ -351,99 +446,14 @@ def _w_series(a, order: int) -> PowerSeries:
     return _hyp(-a, -a, ONE, order) * binomial_series(-a, order)
 
 
-def verify_lemma1(a_samples=None, order: int = 40) -> IdentityReport:
-    """(a+1)(1-x) F(a+1,a+2;2;x) = a(1+x) F(a+1,a+1;2;x) + F(a,a;1;x).
-
-    Degree in a at x^n: the F of each side has degree 2n there and 2n - 2 at
-    x^(n-1), so its product with 1 -/+ x has degree 2n, and the factor a + 1
-    or a makes 2n + 1; F(a,a;1) has 2n."""
-    _checked_order(order)
-
-    def pair(a):
-        lhs = _hyp(a + 1, a + 2, rat(2), order) * PowerSeries.from_polynomial((1, -1), order)
-        lhs = lhs.scale(a + 1)
-        rhs = (_hyp(a + 1, a + 1, rat(2), order) * PowerSeries.from_polynomial((1, 1), order)).scale(a)
-        rhs = rhs + _hyp(a, a, ONE, order)
-        return lhs, rhs
-
-    return _sampled_report("lemma1", a_samples, order, pair)
-
-
-def _sample_parameters(count: int) -> list:
-    """The first count of 1, -1, 2, -2, 1/2, -1/2, 3, ...: the distinct
-    nonzero rationals p/q in lowest terms, by |p| + q, then by q."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"sample count must be an int of at least 1, got {count!r}")
-    values = (rat(sign * (h - q), q) for h in itertools.count(2) for q in range(1, h)
-              if math.gcd(h - q, q) == 1 for sign in (1, -1))
-    return list(itertools.islice(values, count))
-
-
-def _default_triples(count: int):
-    """count deterministic (a, b, c) triples for the three-parameter checks:
-    a and b from ``_sample_parameters``, and c positive, so that every lower
-    parameter is valid."""
-    a_vals = _sample_parameters(count)
-    c_vals = (ONE, rat(2), rat(3), rat(1, 2), rat(5, 2))
-    triples = []
-    for i, a in enumerate(a_vals):
-        b = a_vals[(i * 7 + 3) % len(a_vals)]
-        c = c_vals[i % len(c_vals)]
-        triples.append((a, b, c))
-    return triples
-
-
-def verify_contiguous(which: str = "cont1", samples=None, order: int = 40) -> IdentityReport:
-    """Gauss contiguous relations, checked in multiplied-through form.
-
-    cont1: b*x*F(a+1,b+1;c+1;x) = c*(F(a+1,b;c;x) - F(a,b;c;x))
-    cont2: a(1-x)(F(a+1,b;c;x) - F(a,b;c;x))
-           = (c-b) F(a,b-1;c;x) + (b-c+a*x) F(a,b;c;x)
-    """
-    if which not in ("cont1", "cont2"):
-        raise ValueError(f"unknown contiguous relation {which!r}")
-    _checked_order(order)
-
-    def pair_cont1(t):
-        a, b, c = t
-        lhs = _hyp(a + 1, b + 1, c + 1, order) * PowerSeries.from_polynomial((0, b), order)
-        rhs = (_hyp(a + 1, b, c, order) - _hyp(a, b, c, order)).scale(c)
-        return lhs, rhs
-
-    def pair_cont2(t):
-        a, b, c = t
-        f = _hyp(a, b, c, order)
-        lhs = ((_hyp(a + 1, b, c, order) - f) * PowerSeries.from_polynomial((1, -1), order)).scale(a)
-        rhs = _hyp(a, b - 1, c, order).scale(c - b) + f * PowerSeries.from_polynomial((b - c, a), order)
-        return lhs, rhs
-
-    pair = pair_cont1 if which == "cont1" else pair_cont2
-    return _sampled_report(which, samples, order, pair, _default_triples)
-
-
-def verify_euler_transform(samples=None, order: int = 40) -> IdentityReport:
-    """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x)."""
-    _checked_order(order)
-
-    def pair(t):
-        a, b, c = t
-        lhs = _hyp(a, b, c, order)
-        rhs = one_minus_x_power(c - a - b, order) * _hyp(c - a, c - b, c, order)
-        return lhs, rhs
-
-    return _sampled_report("euler_transform", samples, order, pair, _default_triples)
-
-
 class _SharedW:
-    """The series that several one-parameter checks at ``order`` use, built
-    once per sample and kept for the call: w_a through order + 2, reduced, as
-    it is a factor of several products, for ``id_hyp``, ``id_war`` and
-    ``adjoint_form``; F(a+1,a;2;x) through order + 1 for ``id_war``, and its
-    product with (1-x)^(2a) for ``id_hyp`` and ``remark1_derivative``, each
-    check truncating what it needs less of.  ``verify_all`` makes one table
-    in whichever process runs those four checks and hands it to them
-    (``_Worker``).  The other series the checks use are each used once, and
-    cost more memory to hold than time to rebuild."""
+    """The series that both degree-bound checks at ``order`` use, built once
+    per sample and kept for the call: w_a through order + 2, reduced, as it
+    is a factor of several products, and F(a+1,a;2;x) through order + 1,
+    each check truncating what it needs less of.  ``verify_all`` makes one
+    table and hands it to ``id_hyp`` and ``id_war``.  The other series the
+    checks use are each used once, and cost more memory to hold than time
+    to rebuild."""
 
     def __init__(self, order: int):
         self.order = order
@@ -467,11 +477,6 @@ class _SharedW:
         """F(a+1,a;2;x) through order + 1."""
         return self._kept(("hyp", a), lambda: _hyp(a + 1, a, rat(2), self.order + 1))
 
-    def hyp_power(self, a) -> PowerSeries:
-        """F(a+1,a;2;x) (1-x)^(2a) through order + 1."""
-        return self._kept(("hyp_power", a),
-                          lambda: self.hyp(a) * one_minus_x_power(2 * a, self.order + 1))
-
 
 def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityReport:
     """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
@@ -481,13 +486,14 @@ def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityRepor
     and a(a-1) makes 2n + 2.
 
     ``shared``, here and in the other checks that take it, is the table of
-    series that ``verify_all`` hands to its checks (``_SharedW``)."""
+    series that ``verify_all`` hands to its checks (``_SharedW``); a table
+    of another order is not used."""
     _checked_order(order)
     table = _SharedW.serving(shared, order)
 
     def pair(a):
         lhs = table.w(a).derivative() * binomial_series(a + 1, order)
-        rhs = table.hyp_power(a).truncate(order).scale(a * (a - 1))
+        rhs = (table.hyp(a).truncate(order) * one_minus_x_power(2 * a, order)).scale(a * (a - 1))
         return lhs, rhs
 
     return _sampled_report("id_hyp", a_samples, order, pair)
@@ -517,211 +523,18 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityRepor
     return _sampled_report("id_war", a_samples, order, pair)
 
 
-def verify_remark1_derivative(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
-    """d/dx [F(a+1,a;2;x)(1-x)^(2a)] =
-    -(a(3-a)/2 F(a,a+1;3;x) + a(a+1)x/6 F(a+1,a+2;4;x)) (1-x)^(2a-1).
-
-    Degree in a at x^n: the bracket has 2m at x^m, so the left side has
-    2n + 2.  a(3-a)/2 F(a,a+1;3) has 2i + 2 at x^i, and a(a+1)/6 x F(a+1,a+2;4)
-    has 2(i - 1) + 2; with (1-x)^(2a-1) at j, the right side has 2n + 2."""
-    _checked_order(order)
-    table = _SharedW.serving(shared, order)
-
-    def pair(a):
-        lhs = table.hyp_power(a).derivative()
-        term1 = _hyp(a, a + 1, rat(3), order).scale(a * (3 - a) / 2)
-        term2 = (_hyp(a + 1, a + 2, rat(4), order) * PowerSeries.identity(order)).scale(
-            a * (a + 1) / 6
-        )
-        rhs = ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
-        return lhs, rhs
-
-    return _sampled_report("remark1_derivative", a_samples, order, pair)
-
-
-def verify_adjoint_form(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
-    """Self-adjoint (Sturm-Liouville) form of the ODE satisfied by w_a:
-
-    d/dx [ x ((1+x)/(1-x))^(2a) w_a'(x) ] =
-        a(a-1) (1+x)^(-2) ((1+x)/(1-x))^(2a) w_a(x).
-
-    Derived directly from the hypergeometric equation for 2F1(-a,-a;1;x)
-    under the substitution w = 2F1 * (1+x)^(-a).  Note the right-hand side
-    equals a(a-1) at x = 0, matching w_a'(0); a variant with an extra factor
-    of x (and squared ratio power) would vanish there and cannot hold.  Each
-    side's powers of 1 + x and 1 - x are one series (``power_product``).
-
-    Degree in a at x^n: the ratio power has j at x^j and w_a' has 2i + 2 at
-    x^i, so the bracket, shifted by x, has 2(m - 1) + 2 = 2m at x^m and the
-    left side 2n + 2; the power product has j and w_a 2i, so the right side
-    has 2n, and a(a-1) makes 2n + 2.
-    """
-    _checked_order(order)
-    x_series = PowerSeries.identity(order + 1)
-    table = _SharedW.serving(shared, order)
-
-    def pair(a):
-        w = table.w(a)
-        ratio = power_product((((1, 1), 2 * a), ((1, -1), -2 * a)), order + 1)
-        lhs = (x_series * ratio * w.derivative()).derivative()
-        rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
-        return lhs, rhs.scale(a * (a - 1))
-
-    return _sampled_report("adjoint_form", a_samples, order, pair)
-
-
 # --------------------------------------------------------------------------
 # Whole-suite driver
 # --------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _threads_and_cpu():
-    """This process's thread count and the CPU it runs on now, where Linux
-    tells both (``/proc/self/stat``), else None."""
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            fields = stat.read().rsplit(b")", 1)[1].split()
-        return int(fields[17]), int(fields[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-class _Worker:
-    """The forked second process of one ``verify_all`` call, as the caller
-    holds it.
-
-    The worker runs the checks it is given and writes their reports to the
-    pipe as one JSON line; where one of them raises, it writes nothing.  The
-    caller runs its own checks meanwhile and then reads the line
-    (``reports``).  Where no worker runs (``pid`` None), or the line does not
-    come whole, the caller runs the worker's checks itself, so every report
-    and exception is the one a single process gives.  Leaving the ``with``
-    block, the caller kills the worker if an exception cut the call short,
-    and reaps it.
-    """
-
-    def __init__(self, pid=None, fd=None):
-        self.pid = pid
-        self._pipe = open(fd, "rb") if pid else None
-
-    @classmethod
-    def start(cls, run) -> "_Worker":
-        """Fork a worker that writes the reports ``run()`` returns and leaves
-        by ``os._exit``, where this process may run on two or more CPUs; the
-        caller's handle, with pid None where no worker runs: one CPU, no
-        ``os.fork``, other threads running where Linux reports the count (a
-        forked child can deadlock on a lock one of them held), or a fork that
-        failed."""
-        if not hasattr(os, "fork") or _usable_cpus() < 2:
-            return cls()
-        stat = _threads_and_cpu()
-        if stat is not None and stat[0] > 1:
-            return cls()
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            return cls()
-        if pid == 0:
-            try:
-                os.close(read_end)
-                if stat is not None:
-                    cls._leave_cpu(stat[1])
-                message = cls._message(run())
-                with open(write_end, "wb") as pipe:
-                    pipe.write(message)
-            finally:
-                os._exit(0)
-        os.close(write_end)
-        return cls(pid, read_end)
-
-    @staticmethod
-    def _leave_cpu(cpu: int):
-        """Run the worker on the CPUs it may use other than the caller's:
-        left to itself, the kernel kept it on the caller's CPU for most of
-        the call in most runs on a two-vCPU host."""
-        try:
-            os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-        except OSError:
-            pass  # no other CPU after all: run beside the caller
-
-    @staticmethod
-    def _message(reports) -> bytes:
-        """The reports as one line: each one's name, order, status and
-        failure detail, whose values are str and int, which JSON keeps
-        exactly.  The samples are the caller's own, and are not sent."""
-        return json.dumps([[r.identity_name, r.verified_order, r.status, r.failure_detail]
-                           for r in reports]).encode() + b"\n"
-
-    def reports(self, run, samples) -> list:
-        """The worker's reports, each with ``samples``, where its line came
-        whole; else the reports of ``run()``, run here."""
-        message = self._pipe.read() if self._pipe else b""
-        if not message.endswith(b"\n"):  # no worker, or it raised or died
-            return run()
-        return [IdentityReport(name, order, tuple(samples), status, detail)
-                for name, order, status, detail in json.loads(message)]
-
-    def __enter__(self) -> "_Worker":
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.pid is None:
-            return
-        self._pipe.close()
-        try:
-            if exc_type is not None:
-                import signal  # loaded only on this path, not on every call
-
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # already reaped: the host ignores SIGCHLD
-
-
 def verify_all(order: int = 40) -> list:
-    """Run every exact check; returns the list of IdentityReports.
-
-    The order is the one input, and every count follows from it: each
-    sampled check runs through z^order at ``default_sample_count(order)``
-    samples, so each one-parameter "verified" is the degree-bound proof; the
-    ODE residuals run at ``DEFAULT_ORDER`` and positivity on a window of 200.
-
-    Where this process may run on two or more CPUs, a forked worker runs the
-    last four checks, which share one table of series (``_SharedW``), while
-    this process runs the first seven (``_Worker``).  Where no worker runs,
-    or it sends no whole line, this process runs the four itself, so the
-    reports, failure details and exceptions are the ones one process gives.
-    The order is checked before any series is built or any process forked."""
-    count = default_sample_count(_checked_order(order))
-    a_samples = _integer_samples(count)
-    triples = _default_triples(count)
-
-    def shared_checks():
-        shared = _SharedW(order)
-        return [
-            verify_id_hyp(a_samples, order, shared),
-            verify_id_war(a_samples, order, shared),
-            verify_remark1_derivative(a_samples, order, shared),
-            verify_adjoint_form(a_samples, order, shared),
-        ]
-
-    with _Worker.start(shared_checks) as worker:
-        return [
-            verify_golden_coefficients(),
-            verify_odes(),
-            verify_f_positivity(),
-            verify_lemma1(a_samples, order),
-            verify_contiguous("cont1", triples, order),
-            verify_contiguous("cont2", triples, order),
-            verify_euler_transform(triples, order),
-            *worker.reports(shared_checks, a_samples),
-        ]
+    """Every exact check, run in this process.  The order, checked first, is
+    the one input: the degree-bound checks run through it at 2*order+3
+    integer samples, sharing one ``_SharedW``; the reduced checks, which
+    hold at every order, are labelled with it."""
+    a_samples = _integer_samples(default_sample_count(_checked_order(order)))
+    shared = _SharedW(order)
+    return [verify_golden_coefficients(), verify_odes(), verify_f_positivity(), verify_lemma1(order),
+            verify_contiguous("cont1", order), verify_contiguous("cont2", order), verify_euler_transform(order),
+            verify_id_hyp(a_samples, order, shared), verify_id_war(a_samples, order, shared),
+            verify_remark1_derivative(order), verify_adjoint_form(order)]

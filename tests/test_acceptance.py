@@ -13,7 +13,8 @@ from fractions import Fraction
 from isotorus import identities as ident
 from isotorus import numerics as num
 from isotorus import solver
-from isotorus.series import PowerSeries, perturbed, rat
+from isotorus.contiguity import A, B, C, X, Reduction
+from isotorus.series import perturbed, rat
 
 FOUR_OVER_PI = 4.0 / math.pi
 THIRTYTWO_OVER_3PI = 32.0 / (3.0 * math.pi)
@@ -149,23 +150,14 @@ def test_criterion_06_identity_suite_with_mutations():
         assert not ident.verify_odes(order, abar=perturbed(ident.expand_abar(order), 3, 1)).verified
         assert not ident.verify_odes(order, vbar=perturbed(ident.expand_vbar(order), 3, 1)).verified
 
-        def cont1_mutated(t):
-            a, b, c = t
-            lhs = ident._hyp(a + 1, b + 1, c + 1, order) * PowerSeries.from_polynomial((0, b), order)
-            rhs = (ident._hyp(a + 1, b, c + 1, order) - ident._hyp(a, b, c + 1, order)).scale(c)
-            return lhs, rhs
-
-        triples = ident._default_triples(5)
-        assert not ident._sampled_report("cont1_mutated", triples, order, cont1_mutated).verified
-
-        def euler_mutated(t):
-            a, b, c = t
-            from isotorus.series import one_minus_x_power
-            lhs = ident._hyp(a, b, c, order)
-            rhs = one_minus_x_power(c - a - b + 1, order) * ident._hyp(c - a, c - b, c, order)
-            return lhs, rhs
-
-        assert not ident._sampled_report("euler_mutated", triples, order, euler_mutated).verified
+        # the reduced statements, with one lower parameter or one exponent
+        # changed, must fail: c + 1 for c on the right side of cont1, and
+        # c - a - b + 1 for the Euler exponent
+        cont1 = [(B * X, (A + 1, B + 1, C + 1)), (-C, (A + 1, B, C + 1)), (C, (A, B, C + 1))]
+        assert not ident._reduced_report("cont1_mutated", order, Reduction(A, B, C),
+                                         lambda r: r.reduce(cont1), "").verified
+        assert not ident._reduced_report("euler_mutated", order, Reduction(C - A, C - B, C), lambda r: r.apply_equation(
+            r.hyp(C - A, C - B, C), (A, B, C), (C - A - B + 1, 0)), "").verified
 
 
 def test_criterion_07_monotonicity_scans():

@@ -125,6 +125,17 @@ def test_verify_small_order():
     assert "failed" not in result.output
 
 
+def test_verify_names_each_certificate():
+    # the fourth column says what each "verified" rests on
+    rows = [line.split() for line in runner.invoke(main, ["verify", "--order", "8"]).output.splitlines()]
+    certificates = {row[0]: row[3] for row in rows}
+    assert [name for name, c in certificates.items() if c == "all-parameters"] == [
+        "lemma1", "cont1", "cont2", "euler_transform", "remark1_derivative", "adjoint_form"]
+    assert [name for name, c in certificates.items() if c == "degree-bound"] == ["id_hyp", "id_war"]
+    assert [certificates[n] for n in ("golden_coefficients", "ode_residuals", "f_positivity")] == [
+        "exact", "through-order", "window"]
+
+
 def test_verify_samples_below_one_exits_2():
     # the sample count follows from --order and is no option: below 2N+3 a
     # one-parameter "verified" proves nothing (at one sample, a = 0, four of

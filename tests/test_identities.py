@@ -10,13 +10,15 @@ from functools import partial
 
 import pytest
 
+from isotorus import contiguity
 from isotorus import identities as ident
 from isotorus import series as series_module
-from isotorus.series import HypergeometricSpec, PowerSeries, parse_rational, perturbed, rat
+from isotorus.contiguity import A, B, C, N, X, Rat, Reduction
+from isotorus.series import (HypergeometricSpec, PowerSeries, one_minus_x_power, parse_rational, perturbed,
+                             power_product, rat)
 
 ORDER = 24  # fast unit-test order; the acceptance suite runs the pinned orders
-SAMPLES = [a for a in ident._sample_parameters(9) if a != 1]  # -1, 2, -2, 1/2, ..., 1/3
-TRIPLES = ident._default_triples(8)
+SAMPLES = [rat(-1), rat(2), rat(-2), rat(1, 2), rat(-1, 2), rat(3), rat(-3), rat(1, 3)]
 
 
 def inner_argument(order):
@@ -38,16 +40,18 @@ def test_expand_vbar_golden():
 # series layer that preceded integer storage; f200, the input of the default
 # positivity window, with the integer layer that preceded composition by
 # prefix sums; verify12 and verify40, the reports of ``verify_all`` at those
-# orders (40 is the order ``isotorus verify --order 40`` runs), since the
-# one-parameter checks sample the integers: the earlier reports with those
-# five sample lists replaced.  Any change to an exact result changes its digest.
+# orders (40 is the order ``isotorus verify --order 40`` runs), since each
+# report names its certificate and lemma1, cont1, cont2, euler_transform,
+# remark1_derivative and adjoint_form are reduced for all parameters: the
+# earlier reports with those fields changed.  Any change to an exact result
+# changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
-    "verify12": "ff17769409d363f8927533cdbcf1907a964a3bbc1be7e4049a8d8acab978dd6b",
-    "verify40": "152d27093f0ddd92898a8a8d9c4774c2cfb3bb675931b84ab1335c7155efe1bd",
+    "verify12": "7bec24e9bc1a683b7c40f4de328b2d5a84637bc7dfd85697a7549c3ed09f8728",
+    "verify40": "c959c0bdfb08390348f0e9c1ca1b99235e8348e090dc979cedd1b27cb83789b1",
 }
 
 
@@ -86,11 +90,10 @@ def test_poly_expands_factored_products():
 
 
 def test_report_formats_rationals_as_parse_rational_reads_them():
-    fmt = ident.IdentityReport._fmt
-    assert fmt(rat(4, 2)) == "2"
-    assert fmt(rat(-5, 10)) == "-1/2"
-    assert fmt((rat(1, 3), rat(-2), rat(5, 2))) == "(1/3,-2,5/2)"
-    assert parse_rational(fmt(rat(451625, 16))) == rat(451625, 16)
+    samples = (rat(4, 2), rat(-5, 10), rat(451625, 16))
+    out = ident.IdentityReport("id_hyp", 4, "degree-bound", samples).to_dict()["samples"]
+    assert out == ["2", "-1/2", "451625/16"]
+    assert [parse_rational(s) for s in out] == list(samples)
 
 
 def test_first_mismatch_on_integer_forms():
@@ -216,45 +219,231 @@ def test_f_positivity_window():
     assert report.failure_detail["d3_matches_display"] is False
 
 
+# -- the reduced identities ---------------------------------------------------
+
+def series_sides(name, params, order):
+    """The two sides of a reduced identity as exact series at one parameter
+    point: the reference that ties each reduced statement to the identity
+    it stands for."""
+    hyp = ident._hyp
+    if name == "lemma1":
+        (a,) = params
+        lhs = (hyp(a + 1, a + 2, rat(2), order) * PowerSeries.from_polynomial((1, -1), order)).scale(a + 1)
+        rhs = (hyp(a + 1, a + 1, rat(2), order) * PowerSeries.from_polynomial((1, 1), order)).scale(a)
+        return lhs, rhs + hyp(a, a, rat(1), order)
+    if name == "adjoint_form":
+        (a,) = params
+        w = ident._w_series(a, order + 2)
+        ratio = power_product((((1, 1), 2 * a), ((1, -1), -2 * a)), order + 1)
+        lhs = (PowerSeries.identity(order + 1) * ratio * w.derivative()).derivative()
+        rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
+        return lhs, rhs.scale(a * (a - 1))
+    if name == "remark1_derivative":
+        (a,) = params
+        lhs = (hyp(a + 1, a, rat(2), order + 1) * one_minus_x_power(2 * a, order + 1)).derivative()
+        term1 = hyp(a, a + 1, rat(3), order).scale(a * (3 - a) / 2)
+        term2 = (hyp(a + 1, a + 2, rat(4), order) * PowerSeries.identity(order)).scale(a * (a + 1) / 6)
+        return lhs, ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
+    a, b, c = params
+    if name == "cont1":
+        lhs = hyp(a + 1, b + 1, c + 1, order) * PowerSeries.from_polynomial((0, b), order)
+        return lhs, (hyp(a + 1, b, c, order) - hyp(a, b, c, order)).scale(c)
+    if name == "cont2":
+        f = hyp(a, b, c, order)
+        lhs = ((hyp(a + 1, b, c, order) - f) * PowerSeries.from_polynomial((1, -1), order)).scale(a)
+        return lhs, hyp(a, b - 1, c, order).scale(c - b) + f * PowerSeries.from_polynomial((b - c, a), order)
+    assert name == "euler_transform"
+    return hyp(a, b, c, order), one_minus_x_power(c - a - b, order) * hyp(c - a, c - b, c, order)
+
+
+REDUCED = ("lemma1", "cont1", "cont2", "euler_transform", "remark1_derivative", "adjoint_form")
+ONE_PARAMETER_REDUCED = ("lemma1", "remark1_derivative", "adjoint_form")
+REDUCED_CHECKS = {
+    "lemma1": ident.verify_lemma1,
+    "cont1": partial(ident.verify_contiguous, "cont1"),
+    "cont2": partial(ident.verify_contiguous, "cont2"),
+    "euler_transform": ident.verify_euler_transform,
+    "remark1_derivative": ident.verify_remark1_derivative,
+    "adjoint_form": ident.verify_adjoint_form,
+}
+
+
+def holds_in_series(name, params, order=ORDER):
+    lhs, rhs = series_sides(name, tuple(map(rat, params)), order)
+    return ident._first_mismatch(lhs, rhs, order) is None
+
+
+@pytest.mark.parametrize("name", REDUCED)
+def test_reduced_identity_is_its_series_statement(name):
+    # each reduced statement, as a series identity, at two rational points
+    # with c not an integer
+    points = [(rat(1, 3),), (rat(-5, 2),)] if name in ONE_PARAMETER_REDUCED else [
+        (rat(1, 3), rat(-2, 5), rat(7, 2)), (rat(-3, 2), rat(5, 3), rat(1, 2))]
+    report = REDUCED_CHECKS[name](ORDER)
+    assert report.verified and report.certificate == "all-parameters"
+    assert all(holds_in_series(name, p) for p in points)
+
+
 def test_lemma1():
-    assert ident.verify_lemma1(SAMPLES, ORDER).verified
+    report = ident.verify_lemma1(ORDER)
+    assert report.verified
+    assert report.failure_detail == {"domain": "all a", "axioms": ["all_up", "alpha_up", "equation"],
+                                     "excluded": ["a = 0", "a + 1 = 0"]}
 
 
 def test_lemma1_at_unit_sample():
-    assert ident.verify_lemma1([rat(1)], ORDER).verified
+    # a = 1 and the two values the reduction divided by, which continuity
+    # covers: each coefficient of either side is a polynomial in a
+    assert all(holds_in_series("lemma1", [a]) for a in (1, 0, -1))
 
 
 def test_contiguous_both():
-    assert ident.verify_contiguous("cont1", TRIPLES, ORDER).verified
-    assert ident.verify_contiguous("cont2", TRIPLES, ORDER).verified
+    for which, step, excluded in (("cont1", "all_up", ["a = 0", "b = 0"]),
+                                  ("cont2", "beta_down", ["a = 0", "c - b = 0"])):
+        report = ident.verify_contiguous(which, ORDER)
+        assert report.verified and report.parameter_samples == ()
+        assert report.failure_detail == {"domain": "all a, b; c not in {0, -1, -2, ...}",
+                                         "axioms": sorted([step, "alpha_up", "equation"]),
+                                         "excluded": excluded}
     with pytest.raises(ValueError):
         ident.verify_contiguous("cont3")
 
 
 def test_cont1_at_ones():
-    assert ident.verify_contiguous("cont1", [(rat(1), rat(1), rat(1))], ORDER).verified
+    # (1, 1, 1), and points on the excluded a = 0 and b = 0
+    for params in ((1, 1, 1), (0, rat(1, 2), rat(3, 2)), (rat(2, 3), 0, rat(5, 2))):
+        assert holds_in_series("cont1", params)
 
 
 def test_cont1_mutated_lower_parameter_fails():
     # replacing c by c+1 on the right-hand side must break the relation
-    from isotorus.identities import _hyp
-
-    def pair(t):
-        a, b, c = t
-        lhs = _hyp(a + 1, b + 1, c + 1, ORDER) * PowerSeries.from_polynomial((0, b), ORDER)
-        rhs = (_hyp(a + 1, b, c + 1, ORDER) - _hyp(a, b, c + 1, ORDER)).scale(c)
-        return lhs, rhs
-
-    report = ident._sampled_report("cont1_mutated", TRIPLES, ORDER, pair)
+    mutant = [(B * X, (A + 1, B + 1, C + 1)), (-C, (A + 1, B, C + 1)), (C, (A, B, C + 1))]
+    report = ident._reduced_report("cont1_mutated", ORDER, Reduction(A, B, C), lambda r: r.reduce(mutant), "")
     assert not report.verified
+    assert report.failure_detail["failed"] == ["F", "F'"]
+
+
+def reduced_mutant(name):
+    """The reduction and difference of a reduced identity with one
+    coefficient, shift or exponent changed."""
+    if name == "lemma1":  # a + 1 for a + 2 in F(a+1, a+2; 2)
+        terms = [((A + 1) * (1 - X), (A + 1, A + 1, 2)), (-A * (1 + X), (A + 1, A + 1, 2)), (-1, (A, A, 1))]
+        return Reduction(A, A, 1), lambda r: r.reduce(terms)
+    if name == "cont1":  # the coefficient c of F(a+1,b;c) becomes c + 1
+        terms = [(B * X, (A + 1, B + 1, C + 1)), (-(C + 1), (A + 1, B, C)), (C, (A, B, C))]
+        return Reduction(A, B, C), lambda r: r.reduce(terms)
+    if name == "cont2":  # (c-b) becomes (c-b+1)
+        terms = [(A * (1 - X), (A + 1, B, C)), (-A * (1 - X), (A, B, C)), (B - C - 1, (A, B - 1, C)),
+                 (-(B - C + A * X), (A, B, C))]
+        return Reduction(A, B, C), lambda r: r.reduce(terms)
+    if name == "remark1_derivative":  # a(3-a)/3 for a(3-a)/2
+        terms = [(Rat(A * (3 - A), 3, 1 - X), (A, A + 1, 3)), (Rat(A * (A + 1) * X, 6, 1 - X), (A + 1, A + 2, 4))]
+        return Reduction(A - 1, A, 2), lambda r: contiguity.combine(
+            (1, r.d(r.hyp(A + 1, A, 2), (2 * A, 0))), (1, r.reduce(terms)))
+    if name == "adjoint_form":  # (1+x)^(-1) for (1+x)^(-2) on the right side
+        return Reduction(-A, -A, 1), lambda r: contiguity.combine(
+            (1, r.d(contiguity.combine((X, r.d((Rat(1), Rat(0)), (0, -A)))), (-2 * A, A))),
+            (Rat(A * (1 - A), 1 + X), (Rat(1), Rat(0))))
+    # the exponent c - a - b + 1
+    return (Reduction(C - A, C - B, C),
+            lambda r: r.apply_equation(r.hyp(C - A, C - B, C), (A, B, C), (C - A - B + 1, 0)))
+
+
+@pytest.mark.parametrize("name", REDUCED)
+def test_reduced_mutant_fails(name):
+    reduction, difference = reduced_mutant(name)
+    report = ident._reduced_report(name, ORDER, reduction, difference, "")
+    assert not report.verified and report.failure_detail["failed"]
+
+
+def test_engine_axioms_hold():
+    assert contiguity.failed_axioms() == []
+
+
+def test_reduction_refuses_a_zero_divisor_and_non_contiguous_targets():
+    # F(1, b; c) from F(0, b; c) would divide by alpha = 0, which would make
+    # every numerator over that denominator 0
+    with pytest.raises(ZeroDivisionError, match="alpha_up divides by 0"):
+        Reduction(0, B, C).hyp(1, B, C)
+    for target in ((A + rat(1, 2), B, C), (A, B, C - 1), (A, B * B, C)):
+        with pytest.raises(ValueError, match="does not reduce over the base"):
+            Reduction(A, B, C).hyp(*target)
+
+
+def series_at(poly, point, order):
+    """The polynomial at (a, b, c) = point, as a series in x."""
+    coefficients = [rat(0)] * (order + 1)
+    for e, v in poly.items():
+        if (e >> 24 & 255) <= order:
+            a, b, c = (point[i] ** (e >> 8 * i & 255) for i in range(3))
+            coefficients[e >> 24 & 255] += v * a * b * c
+    return PowerSeries(coefficients)
+
+
+@pytest.mark.parametrize("shift", [(1, 2, 0), (-2, 1, 1), (2, -1, 1), (0, -2, 2), (-1, -1, 0)])
+def test_reduction_is_the_contiguous_series(shift):
+    # F(a + da, b + db; c + dc), reduced over F(a, b; c) by steps on alpha
+    # and, swapped, on beta, cleared of its denominator D and compared as
+    # series at one rational point: D F(target) = n0 F + n1 F'
+    point, order = (rat(1, 3), rat(-2, 5), rat(7, 2)), 12
+    r0, r1 = Reduction(A, B, C).hyp(A + shift[0], B + shift[1], C + shift[2])
+    factors = {**r0.factors}
+    for k, (f, e) in r1.factors.items():
+        factors[k] = (f, max(e, factors.get(k, (f, 0))[1]))
+    den = contiguity._product(f for f, e in factors.values() for _ in range(e))
+    n0, n1 = (series_at(r._over(factors), point, order) for r in (r0, r1))
+    base = ident._hyp(*point, order + 1)
+    target = ident._hyp(*(p + d for p, d in zip(point, shift)), order)
+    lhs = series_at(den, point, order) * target
+    assert ident._first_mismatch(lhs, n0 * base.truncate(order) + n1 * base.derivative(), order) is None
+
+
+AXIOM_MUTANTS = {
+    "alpha_up": lambda al, be, ga: ((1, 0, 0), (al,), al, 2 * X),
+    "beta_down": lambda al, be, ga: ((0, -1, 0), (ga - be,), ga - be - al * X, X * (1 + X)),
+    "all_up": lambda al, be, ga: ((1, 1, 1), (al, be), 0, ga + 1),
+    "equation": lambda al, be, ga: (X * (1 - X), ga - (al + be) * X, -al * be),
+    "gauge": lambda lam, sign: (1 - sign * X, sign * (1 - lam)),
+}
+USES = {"alpha_up": "lemma1", "all_up": "lemma1", "equation": "lemma1", "beta_down": "cont2",
+        "gauge": "euler_transform"}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
+def test_engine_axiom_mutant_fails_its_check(monkeypatch, name):
+    # one coefficient changed: the termwise check refutes it, and a reduced
+    # check that applies the axiom reports it, alone or under verify_all
+    assert not contiguity.axiom_holds(name, AXIOM_MUTANTS[name])
+    if name in contiguity.RULES:
+        monkeypatch.setitem(contiguity.RULES, name, AXIOM_MUTANTS[name])
+    else:
+        monkeypatch.setattr(contiguity, name, AXIOM_MUTANTS[name])
+    assert contiguity.failed_axioms() == [name]
+    report = REDUCED_CHECKS[USES[name]](ORDER)
+    assert not report.verified and report.failure_detail["failed"] == [name]
+    (report,) = [r for r in ident.verify_all(4) if r.identity_name == USES[name]]
+    assert not report.verified and report.failure_detail["failed"] == [name]
+
+
+def test_euler_solution_is_unique_off_nonpositive_integer_c():
+    # [x^n] of the equation applied to y = sum y_m x^m: x divides p2, so no
+    # y_m past m = n + 1 appears, and y_(n+1) comes with (n+1)(n+c), which
+    # vanishes for some n >= 0 exactly when c is 0, -1, -2, ...
+    def at_x(poly, k):  # the coefficient of x^k; x's exponent sits at bit 24
+        return contiguity.Poly({e - (k << 24): v for e, v in poly.items() if e >> 24 & 255 == k})
+
+    p2, p1, _ = contiguity.equation(A, B, C)
+    assert not at_x(p2, 0)
+    assert at_x(p2, 1) * N * (N + 1) + at_x(p1, 0) * (N + 1) == (N + 1) * (N + C)
 
 
 def test_euler_transform():
-    assert ident.verify_euler_transform(TRIPLES, ORDER).verified
+    report = ident.verify_euler_transform(ORDER)
+    assert report.verified and report.certificate == "all-parameters"
 
 
 def test_euler_transform_generic_triple():
-    assert ident.verify_euler_transform([(rat(1, 3), rat(1, 5), rat(2))], 30).verified
+    assert holds_in_series("euler_transform", (rat(1, 3), rat(1, 5), 2), 30)
 
 
 def test_id_hyp():
@@ -290,8 +479,7 @@ def test_id_war_fails_with_a_perturbed_exponent(monkeypatch, which):
 def test_shared_series_last_one_call(monkeypatch):
     # verify_all shares w_a among its checks through a table that lives as
     # long as the call: two cold calls build the same series, and leave no
-    # module-level state behind.  The count is of this process's builds; a
-    # worker, where one runs, counts its own in its own copy of the list
+    # module-level state behind, the reduction engine's included
     calls = []
     real = HypergeometricSpec.series
 
@@ -303,7 +491,7 @@ def test_shared_series_last_one_call(monkeypatch):
 
     def module_state():
         state = {}
-        for module in (ident, series_module):
+        for module in (ident, series_module, contiguity):
             for name, value in vars(module).items():
                 if isinstance(value, (dict, list, set)):
                     value = copy.copy(value)
@@ -324,10 +512,9 @@ def test_shared_series_last_one_call(monkeypatch):
     assert states[0] == states[1]
 
     # within the call, the checks that share series built each once per
-    # sample: w_a and F(a+1,a;2), three builds each when the checks run alone
+    # sample: w_a and F(a+1,a;2), two builds each when the checks run alone
     samples = ident._integer_samples(ident.default_sample_count(12))
-    checks = (ident.verify_id_hyp, ident.verify_id_war, ident.verify_remark1_derivative,
-              ident.verify_adjoint_form)
+    checks = (ident.verify_id_hyp, ident.verify_id_war)
     start = len(calls)
     for check in checks:
         check(samples, 12)
@@ -336,44 +523,55 @@ def test_shared_series_last_one_call(monkeypatch):
     shared = ident._SharedW(12)
     for check in checks:
         check(samples, 12, shared)
-    assert len(calls) - start == alone - 4 * len(samples)
+    assert len(calls) - start == alone - 2 * len(samples)
+
+
+@pytest.mark.parametrize("check", [ident.verify_id_hyp, ident.verify_id_war], ids=["id_hyp", "id_war"])
+def test_shared_table_of_another_order_is_not_used(check):
+    # a table built at a lower order holds series too short for this one:
+    # the check builds its own, and reports what it reports with no table
+    samples = [rat(2), rat(-1, 3)]
+    report = check(samples, 10, ident._SharedW(4))
+    assert report == check(samples, 10) and report.verified
+    assert report.verified_order == 10
 
 
 def test_remark1_derivative():
-    assert ident.verify_remark1_derivative(SAMPLES, 20).verified
+    report = ident.verify_remark1_derivative(20)
+    assert report.verified and report.certificate == "all-parameters"
+    assert report.failure_detail["excluded"] == ["a - 1 = 0", "a = 0", "a + 1 = 0"]
+    # the excluded values, which continuity covers
+    assert all(holds_in_series("remark1_derivative", [a]) for a in (1, 0, -1))
 
 
 def test_adjoint_form():
-    assert ident.verify_adjoint_form(SAMPLES, 20).verified
+    report = ident.verify_adjoint_form(20)
+    assert report.verified and report.certificate == "all-parameters"
+    assert report.failure_detail["axioms"] == ["equation", "gauge"]
 
 
 def test_adjoint_form_mutated_exponent_fails():
-    # doubling the ratio power on the right-hand side must fail
-    from isotorus.identities import _w_series
-    from isotorus.series import binomial_series, one_minus_x_power
+    # raising the ratio power ((1+x)/(1-x))^(2a) on the left side by one
+    # must fail: in the right side's gauge it is (1+x)/(1-x) times more
+    def difference(r):
+        w_prime = r.d((Rat(1), Rat(0)), (0, -A))
+        lhs = r.d(contiguity.combine((Rat(X * (1 + X), 1 - X), w_prime)), (-2 * A, A))
+        return contiguity.combine((1, lhs), (Rat(A * (1 - A), 1 + X, 1 + X), (Rat(1), Rat(0))))
 
-    order = 16
-    x_series = PowerSeries.identity(order + 1)
-
-    def ratio_power(expo, n):
-        return binomial_series(expo, n) * one_minus_x_power(-expo, n)
-
-    def pair(a):
-        w = _w_series(a, order + 2)
-        lhs = (x_series * ratio_power(2 * a, order + 1) * w.derivative()).derivative()
-        rhs = binomial_series(rat(-2), order) * ratio_power(4 * a, order) * w.truncate(order)
-        return lhs, rhs.scale(a * (a - 1))
-
-    report = ident._sampled_report("adjoint_mutated", SAMPLES, order, pair)
+    report = ident._reduced_report("adjoint_mutated", ORDER, Reduction(-A, -A, 1), difference, "")
     assert not report.verified
 
 
 def test_report_serialization():
-    report = ident.verify_lemma1([rat(2)], 10)
+    report = ident.verify_id_hyp([rat(2)], 10)
     d = report.to_dict()
     assert d["status"] == "verified"
     assert d["samples"] == ["2"]
-    assert "lemma1" in report.to_json()
+    assert d["certificate"] == "degree-bound"
+    assert "id_hyp" in report.to_json()
+    reduced = json.loads(ident.verify_lemma1(10).to_json())
+    assert reduced["certificate"] == "all-parameters" and reduced["samples"] == []
+    assert reduced["failure_detail"]["domain"] == "all a"
 
 
 def test_failed_report_detail():
@@ -382,21 +580,6 @@ def test_failed_report_detail():
     d = report.to_dict()
     assert d["status"] == "failed"
     assert "failure_detail" in d
-
-
-def test_sample_parameters_distinct_and_nonzero():
-    samples = ident._sample_parameters(50)
-    assert len(set(samples)) == 50
-    assert all(s != 0 for s in samples)
-    assert samples[:7] == [1, -1, 2, -2, rat(1, 2), rat(-1, 2), 3]
-
-
-def test_sample_parameters_rejects_counts_below_one(time_limit):
-    time_limit(2.0)  # refused at once, not counted towards
-    for count in (0, -1, 2.5, True):
-        with pytest.raises(ValueError):
-            ident._sample_parameters(count)
-    assert ident._sample_parameters(1) == [rat(1)]
 
 
 def test_verify_all_takes_only_the_order():
@@ -410,30 +593,38 @@ def test_default_sample_count_degree_bound():
     assert ident.default_sample_count(40) == 83
 
 
-ONE_PARAMETER = ("lemma1", "id_hyp", "id_war", "remark1_derivative", "adjoint_form")
+DEGREE_BOUND = ("id_hyp", "id_war")
+CERTIFICATES = {
+    "golden_coefficients": "exact", "ode_residuals": "through-order", "f_positivity": "window",
+    **dict.fromkeys(REDUCED, "all-parameters"), **dict.fromkeys(DEGREE_BOUND, "degree-bound"),
+}
 
 
-def test_verify_all_proves_on_integers_and_samples_triples():
-    # the one-parameter proofs run on 2N+3 distinct integers, 0, 1, -1, ...;
-    # the three-parameter checks keep their rational triples
+def test_verify_all_proves_on_integers_and_reduces_the_rest():
+    # the degree-bound proofs run on 2N+3 distinct integers, 0, 1, -1, ...;
+    # the reduced checks take no sample, and every report names its certificate
     order = 8
     count = ident.default_sample_count(order)
-    reports = {r.identity_name: r.parameter_samples for r in ident.verify_all(order)}
-    for name in ONE_PARAMETER:
-        samples = reports[name]
+    reports = {r.identity_name: r for r in ident.verify_all(order)}
+    for name in DEGREE_BOUND:
+        samples = reports[name].parameter_samples
         assert len(set(samples)) == len(samples) == count
-        assert all(a.denominator == 1 for a in samples)
         assert samples == tuple(ident._integer_samples(count))
     assert ident._integer_samples(5) == [0, 1, -1, 2, -2]
-    for name in ("cont1", "cont2", "euler_transform"):
-        assert reports[name] == tuple(ident._default_triples(count))
+    for name in REDUCED:
+        assert reports[name].parameter_samples == ()
+        assert reports[name].verified_order == order
+    assert {name: r.certificate for name, r in reports.items()} == CERTIFICATES
+    assert all(r.to_dict()["certificate"] == r.certificate for r in reports.values())
 
 
-@pytest.mark.parametrize("name", ONE_PARAMETER)
+@pytest.mark.parametrize("name", ONE_PARAMETER_REDUCED + DEGREE_BOUND)
 def test_coefficient_degree_in_a_is_at_most_2n_plus_2(monkeypatch, name):
-    # the bound the proofs rest on: coefficient n of either side, at 2N+7
-    # consecutive integers, has a vanishing (2n+3)-th forward difference
-    # wherever one is defined; at n = N that is at 4 base points
+    # the bound the degree-bound proofs rest on: coefficient n of either
+    # side, at 2N+7 consecutive integers, has a vanishing (2n+3)-th forward
+    # difference wherever one is defined; at n = N that is at 4 base points.
+    # For the reduced lemma1 and remark1_derivative, coefficients polynomial
+    # in a are what let continuity cover the values a division excluded
     order = 6
     points = [rat(k) for k in range(-order - 3, order + 4)]
     sides = []
@@ -441,8 +632,11 @@ def test_coefficient_degree_in_a_is_at_most_2n_plus_2(monkeypatch, name):
     def collect(_name, samples, _order, pair, *args, **kwargs):
         sides.extend(pair(a) for a in samples)
 
-    monkeypatch.setattr(ident, "_sampled_report", collect)
-    getattr(ident, f"verify_{name}")(points, order)
+    if name in ONE_PARAMETER_REDUCED:
+        sides = [series_sides(name, (a,), order) for a in points]
+    else:
+        monkeypatch.setattr(ident, "_sampled_report", collect)
+        getattr(ident, f"verify_{name}")(points, order)
     assert len(sides) == 2 * order + 7
     for side in (0, 1):
         for n in range(order + 1):
@@ -463,15 +657,12 @@ def test_verify_all_shape():
     assert all(r.verified for r in reports)
 
 
-# -- boundary checks and the two-process verify_all ---------------------------
+# -- boundary checks and the one-process verify_all ---------------------------
 
 ORDER_CHECKS = {
     "verify_all": ident.verify_all,
     "odes": ident.verify_odes,
-    "lemma1": ident.verify_lemma1,
-    "cont1": partial(ident.verify_contiguous, "cont1"),
-    "cont2": partial(ident.verify_contiguous, "cont2"),
-    "euler_transform": ident.verify_euler_transform,
+    **REDUCED_CHECKS,
     "id_hyp": ident.verify_id_hyp,
     "id_war": ident.verify_id_war,
     "remark1_derivative": ident.verify_remark1_derivative,
@@ -482,136 +673,77 @@ ORDER_CHECKS = {
 @pytest.mark.parametrize("order", [-1, -5, 2.5, "8", None, True])
 @pytest.mark.parametrize("check", sorted(ORDER_CHECKS))
 def test_order_is_refused_before_any_work(monkeypatch, check, order):
-    # a negative or non-int order is named, before any series is built or
-    # any worker forked
+    # a negative or non-int order is named before any series is built or
+    # any axiom checked
     def refuse(*args):
         raise AssertionError("work started before the order was checked")
 
     monkeypatch.setattr(HypergeometricSpec, "series", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(contiguity, "failed_axioms", refuse)
     with pytest.raises(ValueError, match=r"^order must be"):
         ORDER_CHECKS[check](order=order)
 
 
-SAMPLED_CHECKS = sorted(set(ORDER_CHECKS) - {"verify_all", "odes"})
-
-
-def test_empty_samples_are_refused_before_any_work(monkeypatch):
-    # a check with no sample has proved nothing: it must not say verified
+def refuse_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("a series was built before the samples were checked")
 
     monkeypatch.setattr(HypergeometricSpec, "series", refuse)
-    assert len(SAMPLED_CHECKS) == 8
-    for check in SAMPLED_CHECKS:
+
+
+def test_empty_samples_are_refused_before_any_work(monkeypatch):
+    # a check with no sample has proved nothing: it must not say verified
+    refuse_series(monkeypatch)
+    for check in DEGREE_BOUND:
         with pytest.raises(ValueError, match=r"needs at least one sample$"):
             ORDER_CHECKS[check]([], order=4)
 
 
-WORKER_ORDER = 8
-WORKER_SAMPLES = ident._integer_samples(ident.default_sample_count(WORKER_ORDER))
+@pytest.mark.parametrize("samples", [[rat(1, 10), 0.3], [True], [2, 0.5]])
+def test_inexact_samples_are_refused_before_any_work(monkeypatch, samples):
+    # a float sample would compare float series, and True would pass as 1
+    refuse_series(monkeypatch)
+    for check in DEGREE_BOUND:
+        with pytest.raises(ValueError, match=r"samples must be ints or Fractions"):
+            ORDER_CHECKS[check](samples, order=4)
 
 
-def serial_reports():
-    """verify_all's reports, each check called alone in this process."""
-    order = WORKER_ORDER
-    count = ident.default_sample_count(order)
-    a_samples, triples = ident._integer_samples(count), ident._default_triples(count)
-    return [
-        ident.verify_golden_coefficients(),
-        ident.verify_odes(ident.DEFAULT_ORDER),
-        ident.verify_f_positivity(200),
-        ident.verify_lemma1(a_samples, order),
-        ident.verify_contiguous("cont1", triples, order),
-        ident.verify_contiguous("cont2", triples, order),
-        ident.verify_euler_transform(triples, order),
-        ident.verify_id_hyp(a_samples, order),
-        ident.verify_id_war(a_samples, order),
-        ident.verify_remark1_derivative(a_samples, order),
-        ident.verify_adjoint_form(a_samples, order),
-    ]
+def test_int_samples_are_exact():
+    # a(3-a)/2 at an int a is a float division unless the sample is made exact
+    def pair(a):
+        lhs = PowerSeries.from_polynomial((a * (3 - a) / 2, 1), 3)
+        return lhs, PowerSeries.from_polynomial((rat(a * (3 - a), 2), 1), 3)
+
+    report = ident._sampled_report("probe", [1, 2, -3], 3, pair)
+    assert report.verified and report.parameter_samples == (1, 2, -3)
+    assert all(type(a) is type(rat(1)) for a in report.parameter_samples)
+    assert all(ORDER_CHECKS[check]([1, -2], order=6).verified for check in DEGREE_BOUND)
 
 
-def outcome(run):
-    """The reports run returns, or the repr of the ZeroDivisionError it raises."""
-    try:
-        return run()
-    except ZeroDivisionError as exc:
-        return repr(exc)
+ORDER8 = 8
+SAMPLES8 = ident._integer_samples(ident.default_sample_count(ORDER8))
 
 
-def same_outcome():
-    """verify_all's outcome, checked against the checks called alone."""
-    got = outcome(partial(ident.verify_all, WORKER_ORDER))
-    assert got == outcome(serial_reports)
-    return got
+def at(check, *indices):
+    return [(check, i) for i in indices]
 
 
-def open_fds():
-    """This process's open file descriptors, where Linux lists them."""
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+def mutate_pairs(monkeypatch, fail=(), raising=()):
+    """Make the degree-bound checks wrong at the (check, sample index)
+    entries given: the left side perturbed at fail, raising at raising."""
+    real = ident._sampled_report
 
+    def report(name, samples, order, pair_fn):
+        def pair(a):
+            index = SAMPLES8.index(a)
+            if (name, index) in raising:
+                raise ZeroDivisionError(f"at {a}")
+            lhs, rhs = pair_fn(a)
+            return (perturbed(lhs, 1, 1) if (name, index) in fail else lhs), rhs
 
-@pytest.fixture
-def forks(monkeypatch):
-    """verify_all takes the worker path on any host; the list of its forks.
-    After the test no child is left and no pipe end is open."""
-    monkeypatch.setattr(ident, "_usable_cpus", lambda: 2)
-    calls = []
-    real = os.fork
+        return real(name, samples, order, pair)
 
-    def counted():
-        calls.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    fds = open_fds()
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert open_fds() == fds
-
-
-REAL_HYP = ident._hyp
-
-
-def built_for(a, b, c):
-    """The (pair, sample s) that builds F(a, b; c; x): lemma1's
-    F(s+1, s+1; 2), remark1_derivative's F(s+1, s+2; 4), or the F(s+1, s; 2)
-    that id_hyp, id_war and remark1_derivative share; else None.  No other
-    check builds a series of these shapes.  The first is scaled by a and the
-    second by a(a+1)/6, so a fault in them does not show at s = 0 (index 0),
-    nor in the second at s = -1 (index 2): the fault indices below avoid
-    those."""
-    if (b, c) == (a, 2):
-        return "lemma1", a - 1
-    if (b, c) == (a + 1, 4):
-        return "remark1", a - 1
-    if (b, c) == (a - 1, 2):
-        return "F(s+1,s;2)", a - 1
-    return None
-
-
-def at(pair, *indices):
-    return [(pair, WORKER_SAMPLES[i]) for i in indices]
-
-
-def mutate_hyp(monkeypatch, fail=(), raising=(), exit_in_worker=()):
-    """Make ident._hyp wrong for the (pair, sample) entries given: perturbed
-    at fail, raising at raising, and ending the worker process at
-    exit_in_worker.  Each call replaces the mutation before."""
-    caller = os.getpid()
-
-    def hyp(a, b, c, order):
-        built = built_for(a, b, c)
-        if built in exit_in_worker and os.getpid() != caller:
-            os._exit(1)
-        if built in raising:
-            raise ZeroDivisionError(f"at {built[1]}")
-        out = REAL_HYP(a, b, c, order)
-        return perturbed(out, 1, 1) if built in fail else out
-
-    monkeypatch.setattr(ident, "_hyp", hyp)
+    monkeypatch.setattr(ident, "_sampled_report", report)
 
 
 def failed_sample(reports, name):
@@ -620,156 +752,77 @@ def failed_sample(reports, name):
     return report.failure_detail["sample"]
 
 
-CHECK_OF = {"lemma1": "lemma1", "remark1": "remark1_derivative"}
-
-
 @pytest.mark.parametrize("fail", [
-    pytest.param(at("lemma1", 6), id="even"),
-    pytest.param(at("lemma1", 3), id="odd"),
-    pytest.param(at("lemma1", 3, 8), id="odd-first"),
-    pytest.param(at("lemma1", 2, 7), id="even-first"),
-    pytest.param(at("remark1", 6), id="worker"),
-    pytest.param(at("remark1", 4, 7), id="worker-first"),
-    pytest.param(at("lemma1", 7, 5) + at("remark1", 8, 3), id="both"),
+    pytest.param(at("id_hyp", 6), id="even"),
+    pytest.param(at("id_hyp", 3), id="odd"),
+    pytest.param(at("id_hyp", 3, 8), id="odd-first"),
+    pytest.param(at("id_hyp", 2, 7), id="even-first"),
+    pytest.param(at("id_hyp", 7, 5) + at("id_war", 8, 3), id="both"),
 ])
-def test_lower_failing_sample_wins(monkeypatch, forks, fail):
-    # lemma1, which the caller runs, and remark1_derivative, which the
-    # worker runs, fail at one sample or more: each report names the first
-    mutate_hyp(monkeypatch, fail=fail)
-    reports = same_outcome()
-    for pair in {pair for pair, _ in fail}:
-        first = min(WORKER_SAMPLES.index(sample) for p, sample in fail if p == pair)
-        assert failed_sample(reports, CHECK_OF[pair]) == str(WORKER_SAMPLES[first])
-    assert len(forks) == 1
+def test_lower_failing_sample_wins(monkeypatch, fail):
+    # a check that fails at one sample or more names the first
+    mutate_pairs(monkeypatch, fail=fail)
+    reports = ident.verify_all(ORDER8)
+    names = sorted({name for name, _ in fail})
+    for name in names:
+        first = min(i for check, i in fail if check == name)
+        assert failed_sample(reports, name) == str(SAMPLES8[first])
+    assert sorted(r.identity_name for r in reports if not r.verified) == names
 
 
 @pytest.mark.parametrize("fail, raising, raised", [
-    pytest.param(at("lemma1", 2), at("lemma1", 3), False, id="2-3"),
-    pytest.param(at("lemma1", 6), at("lemma1", 3), True, id="6-3"),
-    pytest.param(at("lemma1", 3), at("lemma1", 4), False, id="3-4"),
-    pytest.param(at("lemma1", 5), at("lemma1", 4), True, id="5-4"),
-    pytest.param(at("remark1", 3), at("remark1", 4), False, id="worker-3-4"),
-    pytest.param(at("remark1", 5), at("remark1", 4), True, id="worker-5-4"),
-    pytest.param(at("lemma1", 2), at("remark1", 4), True, id="caller-fails-worker-raises"),
-    pytest.param(at("remark1", 3), at("lemma1", 6), True, id="worker-fails-caller-raises"),
+    pytest.param(at("id_hyp", 2), at("id_hyp", 3), False, id="2-3"),
+    pytest.param(at("id_hyp", 6), at("id_hyp", 3), True, id="6-3"),
+    pytest.param(at("id_hyp", 3), at("id_hyp", 4), False, id="3-4"),
+    pytest.param(at("id_hyp", 5), at("id_hyp", 4), True, id="5-4"),
 ])
-def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, forks, fail, raising, raised):
+def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, fail, raising, raised):
     # a check raises at one sample and fails at another: the earlier of the
-    # two decides, as in the serial loop.  An exception in any check ends
-    # the call, whichever process ran it and whatever an earlier check found
-    mutate_hyp(monkeypatch, fail=fail, raising=raising)
-    got = same_outcome()
-    ((_, raising_sample),) = raising
-    ((pair, failing_sample),) = fail
+    # two decides
+    mutate_pairs(monkeypatch, fail=fail, raising=raising)
+    ((_, raising_index),) = raising
+    ((name, failing_index),) = fail
     if raised:
-        assert got == repr(ZeroDivisionError(f"at {raising_sample}"))
+        with pytest.raises(ZeroDivisionError, match=f"^at {SAMPLES8[raising_index]}$"):
+            ident.verify_all(ORDER8)
     else:
-        assert failed_sample(got, CHECK_OF[pair]) == str(failing_sample)
-    assert len(forks) == 1
+        assert failed_sample(ident.verify_all(ORDER8), name) == str(SAMPLES8[failing_index])
 
 
-def test_no_fork_or_one_cpu_gives_the_same_reports(monkeypatch, forks):
-    mutate_hyp(monkeypatch, fail=at("lemma1", 3, 6) + at("remark1", 5))
-
-    def no_fork():
-        raise OSError("fork refused")
-
-    def failures(reports):
-        return failed_sample(reports, "lemma1"), failed_sample(reports, "remark1_derivative")
-
-    want = (str(WORKER_SAMPLES[3]), str(WORKER_SAMPLES[5]))
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert failures(same_outcome()) == want
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
-    monkeypatch.setattr(ident, "_usable_cpus", lambda: 1)
-    assert failures(same_outcome()) == want
-    assert len(forks) == 0
+def no_process(monkeypatch):
+    """Make any new process or pipe fail the test."""
+    for name in ("fork", "pipe", "posix_spawn"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, lambda *args, name=name: pytest.fail(f"verify_all called os.{name}"))
 
 
-@pytest.mark.skipif(ident._threads_and_cpu() is None, reason="thread count read from Linux's /proc")
-def test_no_fork_while_other_threads_run(monkeypatch, forks):
-    # a forked child can deadlock on a lock another thread held at the fork
+def test_no_fork_or_one_cpu_gives_the_same_reports(monkeypatch):
+    # verify_all runs in this process: with no fork possible and one CPU it
+    # gives the reports each check gives alone
+    mutate_pairs(monkeypatch, fail=at("id_war", 5))
+    alone = [check(SAMPLES8, ORDER8) for check in (ident.verify_id_hyp, ident.verify_id_war)]
+    before = ident.verify_all(ORDER8)
+    no_process(monkeypatch)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    reports = ident.verify_all(ORDER8)
+    assert reports == before
+    assert reports[7:9] == alone
+    assert failed_sample(reports, "id_war") == str(SAMPLES8[5])
+
+
+def test_no_fork_while_other_threads_run(monkeypatch):
+    # nothing is forked, so another thread running is no hazard
     import threading
 
-    mutate_hyp(monkeypatch, fail=at("lemma1", 3))
+    mutate_pairs(monkeypatch, fail=at("id_hyp", 3))
+    no_process(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert failed_sample(same_outcome(), "lemma1") == str(WORKER_SAMPLES[3])
+        assert failed_sample(ident.verify_all(ORDER8), "id_hyp") == str(SAMPLES8[3])
     finally:
         release.set()
         thread.join(5)
     assert not thread.is_alive()
-    assert len(forks) == 0
-
-
-def caller_builds_of_shared_hyp(monkeypatch):
-    """The samples at which this process builds F(s+1, s; 2), the series
-    the worker's checks share, in order, on top of the mutation in place."""
-    caller, mutated, built = os.getpid(), ident._hyp, []
-
-    def recorded(a, b, c, order):
-        pair = built_for(a, b, c)
-        if os.getpid() == caller and pair is not None and pair[0] == "F(s+1,s;2)":
-            built.append(pair[1])
-        return mutated(a, b, c, order)
-
-    monkeypatch.setattr(ident, "_hyp", recorded)
-    return built
-
-
-def test_worker_that_exits_partway_leaves_its_samples_to_the_caller(monkeypatch, forks):
-    # the worker ends in remark1_derivative, the third of its four checks,
-    # with id_hyp and id_war done: it sends no reports, so the caller runs
-    # all four checks itself, each at every sample, and finds
-    # remark1_derivative's fault
-    mutate_hyp(monkeypatch, fail=at("remark1", 5), exit_in_worker=at("remark1", 3))
-    built = caller_builds_of_shared_hyp(monkeypatch)
-    reports = ident.verify_all(WORKER_ORDER)
-    assert built == WORKER_SAMPLES
-    assert reports == serial_reports()
-    assert failed_sample(reports, "remark1_derivative") == str(WORKER_SAMPLES[5])
-    assert [r.identity_name for r in reports if not r.verified] == ["remark1_derivative"]
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("keep, caller_runs_them", [
-    pytest.param(lambda n: n, False, id="whole"),
-    pytest.param(lambda n: n - 1, True, id="no-newline"),
-    pytest.param(lambda n: n // 2, True, id="half"),
-])
-def test_worker_message_cut_short_leaves_its_checks_to_the_caller(monkeypatch, forks, keep, caller_runs_them):
-    # a whole message spares the caller the worker's checks; one without its
-    # final newline counts as none, and the caller runs them all itself
-    real = ident._Worker._message
-
-    def cut(reports):
-        message = real(reports)
-        return message[: keep(len(message))]
-
-    monkeypatch.setattr(ident._Worker, "_message", staticmethod(cut))
-    mutate_hyp(monkeypatch, fail=at("remark1", 5))
-    built = caller_builds_of_shared_hyp(monkeypatch)
-    reports = ident.verify_all(WORKER_ORDER)
-    assert built == (WORKER_SAMPLES if caller_runs_them else [])
-    assert reports == serial_reports()
-    assert failed_sample(reports, "remark1_derivative") == str(WORKER_SAMPLES[5])
-    assert len(forks) == 1
-
-
-@pytest.mark.parametrize("case", ["verified", "failed", "raised"])
-def test_one_fork_per_call_and_no_child_left(monkeypatch, forks, case):
-    # the forks fixture checks, after the test, that no child is left
-    if case == "failed":
-        mutate_hyp(monkeypatch, fail=at("lemma1", 5))
-    elif case == "raised":
-        mutate_hyp(monkeypatch, raising=at("lemma1", 4))
-    got = outcome(partial(ident.verify_all, WORKER_ORDER))
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    if case == "raised":
-        assert got == repr(ZeroDivisionError(f"at {WORKER_SAMPLES[4]}"))
-    else:
-        assert all(r.verified for r in got) == (case == "verified")
