@@ -25,14 +25,18 @@ so Iso and its derivative are certified on the whole domain.
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
-``iso_derivative`` also sums the two slope series G_a.  The bound rules act
-on (value, bound) float pairs (``_mul``, ``_div``, ``_pow``, ``_sub``,
-``_scale``, ``_pow_one_plus_x``, ``_h``) and carry no flag.  Each public call
-checks the caller's target, gives each series a share of it, and returns one
-CertifiedValue, built from its final pair and flagged exactly when that
-bound exceeds the target, and only there (``_flagged``).
-Scans enclose the difference they test at each grid point and judge every
-enclosure in one classifier (``_classify``).
+``iso_derivative`` also sums the two slope series G_a.  Everything inside
+runs on (value, bound) float pairs: the kernel (``_eval_family``), the bound
+rules (``_mul``, ``_div``, ``_pow``, ``_sub``, ``_scale``,
+``_pow_one_plus_x``, ``_h``) and the evaluators' own assemblies, none of
+which carries a flag.  ``eval_2f1`` is the checked public wrapper of the
+kernel, and nothing in the package calls it.  Each public call checks its
+arguments once, gives each series a share of the caller's target, and
+builds exactly one CertifiedValue, from its final pair, flagged exactly when
+that bound exceeds the target, and only there (``_flagged``).
+Scans evaluate their grids through the same pair functions and build no
+CertifiedValue: they enclose the difference they test at each grid point
+and judge every enclosure in one classifier (``_classify``).
 """
 
 from __future__ import annotations
@@ -98,6 +102,12 @@ SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
 # 2F1(1-a,1-a;2;x) at a = 1/2 and 3/2: the series in dw_a/dx
 _SPEC_AREA_SLOPE = HypergeometricSpec(rat(1, 2), rat(1, 2), rat(2))
 _SPEC_VOLUME_SLOPE = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(2))
+# their kernel parameters (a, c, s, m0), which the evaluators hand to
+# ``_eval_family`` directly
+_AREA = SPEC_AREA.tail_majorant
+_VOLUME = SPEC_VOLUME.tail_majorant
+_AREA_SLOPE = _SPEC_AREA_SLOPE.tail_majorant
+_VOLUME_SLOPE = _SPEC_VOLUME_SLOPE.tail_majorant
 
 
 class NumericsError(Exception):
@@ -160,7 +170,12 @@ def _flagged(value: float, bound: float, target: float) -> CertifiedValue:
 
 def _sub(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u - v
-    return w, ub + vb + _TWO_EPS * abs(w)
+    b = ub + vb
+    if abs(w) < b:
+        # the difference cancels below the bound: 2 EPS |w| no longer covers
+        # the rounding of ub + vb, so round that sum up by 2 EPS of itself
+        b *= 1.0 + _TWO_EPS
+    return w, b + _TWO_EPS * abs(w)
 
 
 def _scale(u: float, ub: float, k: float) -> tuple:
@@ -194,9 +209,22 @@ def _pow(u: float, ub: float, p: float) -> tuple:
 # Certified 2F1 evaluation
 # --------------------------------------------------------------------------
 
+def _refuse_bool(name: str, value):
+    """A bool is an int to Python, so True would pass as 1: refuse it."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} {value!r} is a bool, not a number")
+
+
 def _check_target(target: float):
+    _refuse_bool("target", target)
     if not 0.0 < target < math.inf:
         raise DomainError(f"target {target} is not a positive finite bound")
+
+
+def _check_x(x: float):
+    _refuse_bool("argument", x)
+    if not (0.0 <= x <= 1.0):
+        raise DomainError(f"argument {x} outside [0, 1]")
 
 
 def _in_family(spec: HypergeometricSpec) -> bool:
@@ -244,11 +272,13 @@ def eval_2f1(
     ``x_abs_err`` is an a-priori bound on the rounding error of the argument
     itself; its effect is folded into the returned bound through a bound on
     the derivative of the series; it must be at least 0, and may be inf.
-    The result is flagged when its bound exceeds ``target``.
+    The result is flagged when its bound exceeds ``target``.  This is the
+    checked public entry to the kernel; the package's own evaluators call
+    ``_eval_family`` on their series' parameters instead.
     """
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"argument {x} outside [0, 1]")
+    _check_x(x)
     _check_target(target)
+    _refuse_bool("argument error", x_abs_err)
     if not x_abs_err >= 0.0:
         raise DomainError(f"argument error {x_abs_err} is not a nonnegative bound")
     params = spec.tail_majorant
@@ -263,6 +293,8 @@ def eval_2f1(
 
 
 def _eval_family(params, x, target, x_abs_err):
+    """The (value, bound) pair of the series with ``tail_majorant`` params at
+    x in [0, 1], the arguments unchecked."""
     # Tail: with t_m the first unsummed term and m + a > 0, the ratio
     # majorant gives t_k <= t_m x^(k-m) P_k, P_k = prod_{j=m}^{k-1}
     # (j+a)/(j+a+s+1) <= 1.  So the tail is at most t_m/(1-x), and since
@@ -390,6 +422,7 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
 
 def _w_spec(a) -> HypergeometricSpec | None:
     """The spec of 2F1(-a,-a;1;x) in w_a, or None where w_a = 1 (a = 0, 1)."""
+    _refuse_bool("w_a's parameter", a)
     try:
         a = Rational(a)
     except (ValueError, OverflowError):  # a NaN or an infinity has no ratio
@@ -399,30 +432,36 @@ def _w_spec(a) -> HypergeometricSpec | None:
     return None if a == 0 or a == 1 else HypergeometricSpec(-a, -a, rat(1))
 
 
-def _w(spec: HypergeometricSpec | None, x: float, target: float) -> CertifiedValue:
-    """w_a(x) from the spec ``_w_spec(a)``, built once per a."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"argument {x} outside [0, 1]")
-    _check_target(target)
-    if spec is None:
-        return CertifiedValue(1.0, 0.0)
-    f = eval_2f1(spec, x, target)
-    # a = -spec.a from the spec's floats: float() of a Fraction is slow
-    p, pb = _pow_one_plus_x(-spec.tail_majorant[0], x, 0.0)
-    return _flagged(*_div(f.value, f.abs_error_bound, p, pb), target)
+def _w_params(a) -> tuple | None:
+    """The kernel parameters of the series of ``_w_spec(a)``, or None."""
+    spec = _w_spec(a)
+    return None if spec is None else spec.tail_majorant
+
+
+def _w(params: tuple | None, x: float, target: float) -> tuple:
+    """w_a(x) as a pair, from the parameters ``_w_params(a)``, built once per a."""
+    if params is None:
+        return 1.0, 0.0
+    f, fb = _eval_family(params, x, target, 0.0)
+    # a = -params[0], the spec's a as a float: float() of a Fraction is slow
+    p, pb = _pow_one_plus_x(-params[0], x, 0.0)
+    return _div(f, fb, p, pb)
 
 
 def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
     """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
-    return _w(_w_spec(a), x, target)
+    params = _w_params(a)
+    _check_x(x)
+    _check_target(target)
+    return _flagged(*_w(params, x, target), target)
 
 
-def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> tuple:
-    """h = F2^2/F1^3 (1+x)^(-3/2) = w_{3/2}^2/w_{1/2}^3 as a pair, from
-    F1 = 2F1(-1/2,-1/2;1;x) and F2 = 2F1(-3/2,-3/2;1;x) at an argument known
-    to within x_abs_err."""
-    f1v, f1b = f1.value, f1.abs_error_bound
-    f2v, f2b = f2.value, f2.abs_error_bound
+def _h(f1: tuple, f2: tuple, x: float, x_abs_err: float) -> tuple:
+    """h = F2^2/F1^3 (1+x)^(-3/2) = w_{3/2}^2/w_{1/2}^3 as a pair, from the
+    pairs F1 = 2F1(-1/2,-1/2;1;x) and F2 = 2F1(-3/2,-3/2;1;x) at an argument
+    known to within x_abs_err."""
+    f1v, f1b = f1
+    f2v, f2b = f2
     num, num_b = _mul(f2v, f2b, f2v, f2b)
     den, den_b = _mul(f1v, f1b, f1v, f1b)
     den, den_b = _mul(den, den_b, f1v, f1b)
@@ -431,16 +470,20 @@ def _h(f1: CertifiedValue, f2: CertifiedValue, x: float, x_abs_err: float) -> tu
     return _div(q, qb, p, pb)
 
 
-def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
-    """h(x) = 2F1(-3/2,-3/2;1;x)^2 / 2F1(-1/2,-1/2;1;x)^3 * (1+x)^(-3/2)."""
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"argument {x} outside [0, 1]")
-    _check_target(target)
+def _h_from_x(x: float, target: float) -> tuple:
+    """h(x) as a pair, from the kernel at x in [0, 1]."""
     # h moves with F1, F2 by 3h/F1 < 5.93, 2h/F2 < 3.95 (F >= 1, and h = iso^2/K
     # <= 1/K by the isoperimetric inequality): the bound stays under 0.99 target
-    f1 = eval_2f1(SPEC_AREA, x, target / 8.0 or _TINY)
-    f2 = eval_2f1(SPEC_VOLUME, x, target / 16.0 or _TINY)
-    return _flagged(*_h(f1, f2, x, 0.0), target)
+    f1 = _eval_family(_AREA, x, target / 8.0 or _TINY, 0.0)
+    f2 = _eval_family(_VOLUME, x, target / 16.0 or _TINY, 0.0)
+    return _h(f1, f2, x, 0.0)
+
+
+def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
+    """h(x) = 2F1(-3/2,-3/2;1;x)^2 / 2F1(-1/2,-1/2;1;x)^3 * (1+x)^(-3/2)."""
+    _check_x(x)
+    _check_target(target)
+    return _flagged(*_h_from_x(x, target), target)
 
 
 # --------------------------------------------------------------------------
@@ -448,6 +491,7 @@ def eval_h(x: float, target: float = 1e-10) -> CertifiedValue:
 # --------------------------------------------------------------------------
 
 def _check_domain(z: float):
+    _refuse_bool("z", z)
     if not (0.0 <= z < Z_MAX):
         raise DomainError(f"z = {z} outside [0, {Z_MAX})")
 
@@ -469,8 +513,8 @@ def _iso_squared_from_t(t: float, target: float) -> tuple:
     """Closed form iso^2 = K h(x) as a function of t = z^2: its pair."""
     x, x_err, _ = _x_of_t(t)
     share = target / 4.0 or _TINY
-    f1 = eval_2f1(SPEC_AREA, x, share, x_err)
-    f2 = eval_2f1(SPEC_VOLUME, x, share, x_err)
+    f1 = _eval_family(_AREA, x, share, x_err)
+    f2 = _eval_family(_VOLUME, x, share, x_err)
     h, hb = _h(f1, f2, x, x_err)
     return _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
 
@@ -490,13 +534,12 @@ def iso(z: float, target: float = 1e-10) -> CertifiedValue:
     return _flagged(*_pow(sq, sq_b, 0.5), target)
 
 
-def _iso_from_t(t: float, target: float = 1e-10) -> CertifiedValue:
-    """iso evaluated as a function of t = z^2 (for the sqrt-substituted
-    scans), unflagged."""
+def _iso_from_t(t: float, target: float = 1e-10) -> tuple:
+    """iso as a function of t = z^2, as a pair: the scans' iso."""
     if not (0.0 <= t < T_MAX):
         raise DomainError(f"t = {t} outside [0, {T_MAX})")
     sq, sq_b = _iso_squared_from_t(t, target)
-    return CertifiedValue(*_pow(sq, sq_b, 0.5))
+    return _pow(sq, sq_b, 0.5)
 
 
 @lru_cache(maxsize=None)
@@ -701,17 +744,17 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     # 1/32 of the target per series: the assembled bound then stays within
     # the target wherever the series reach theirs
     share = target / 32.0 or _TINY
-    f1 = eval_2f1(SPEC_AREA, x, share, x_err)
-    f2 = eval_2f1(SPEC_VOLUME, x, share, x_err)
-    g1 = eval_2f1(_SPEC_AREA_SLOPE, x, share, x_err)
-    g2 = eval_2f1(_SPEC_VOLUME_SLOPE, x, share, x_err)
+    f1 = _eval_family(_AREA, x, share, x_err)
+    f2 = _eval_family(_VOLUME, x, share, x_err)
+    g1 = _eval_family(_AREA_SLOPE, x, share, x_err)
+    g2 = _eval_family(_VOLUME_SLOPE, x, share, x_err)
     h, hb = _h(f1, f2, x, x_err)
     sq, sq_b = _mul(h, hb, _K_RATIO, _K_RATIO_BOUND)
     iso_v, iso_b = _pow(sq, sq_b, 0.5)
     # w_{3/2}'/w_{3/2} - (3/2) w_{1/2}'/w_{1/2} = 9/4 G2/F2 - 3/8 G1/F1 - 3/4 /(1+x)
     x1 = 1.0 + x
-    r2, r2_b = _scale(*_div(g2.value, g2.abs_error_bound, f2.value, f2.abs_error_bound), 2.25)
-    r1, r1_b = _scale(*_div(g1.value, g1.abs_error_bound, f1.value, f1.abs_error_bound), 0.375)
+    r2, r2_b = _scale(*_div(*g2, *f2), 2.25)
+    r1, r1_b = _scale(*_div(*g1, *f1), 0.375)
     slope, slope_b = _sub(r2, r2_b, r1, r1_b)
     slope, slope_b = _sub(slope, slope_b, *_div(0.75, 0.0, x1, x_err + _TWO_EPS * abs(x1)))
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
@@ -782,6 +825,8 @@ def _grid(lo: float, hi: float, n: int) -> list:
 def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> ScanReport:
     """Judge the difference tested at each grid point by its enclosure (lo, hi).
 
+    ``values`` holds the (value, bound) pair evaluated at each grid point.
+
     ``diffs[j]`` belongs to grid point j + 1; points without one get no
     verdict.  An enclosure's sign is positive (lo > 0), negative (hi < 0) or
     zero (it holds 0).  ``expect`` is the sign every difference should have,
@@ -798,7 +843,7 @@ def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> S
             verdicts[i] = "inconclusive"
         else:
             verdicts[i] = sign if expect == "change" else "violation"
-    rows = [(z, v.value, v.abs_error_bound, verdict) for z, v, verdict in zip(pts, values, verdicts)]
+    rows = [(z, v, b, verdict) for z, (v, b), verdict in zip(pts, values, verdicts)]
     witnesses = [z for z, verdict in zip(pts, verdicts) if verdict == "violation"]
     report = ScanReport(
         name, len(pts), verdicts.count("violation"), verdicts.count("inconclusive"), witnesses, rows
@@ -820,44 +865,42 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
 
     A consecutive pair counts as conclusive only when the certified intervals
     are disjoint; overlapping intervals are reported as inconclusive, never as
-    violations.
+    violations.  Each grid point is evaluated as a (value, bound) pair.
     """
     _check_grid(grid, 2)
     if target == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
-        values = [iso(z, target=1e-10) for z in pts]
+        values = [_iso_from_t(z * z, 1e-10) for z in pts]
         expect = "positive"
         name = "mono-iso"
     elif target == "w":
         if a is None:
             raise ValueError("w scan needs the parameter a")
-        spec = _w_spec(a)  # None where w_a is constant
+        params = _w_params(a)  # None where w_a is constant
         a = Rational(a)
         pts = _grid(0.0, 1.0, grid)
-        values = [_w(spec, x, 1e-9) for x in pts]
-        expect = "zero" if spec is None else "negative" if 0 < a < 1 else "positive"
+        values = [_w(params, x, 1e-9) for x in pts]
+        expect = "zero" if params is None else "negative" if 0 < a < 1 else "positive"
         name = f"mono-w[{a}]"
     elif target == "h":
         pts = _grid(0.0, 1.0, grid)
-        values = [eval_h(x, target=1e-9) for x in pts]
+        values = [_h_from_x(x, 1e-9) for x in pts]
         expect = "positive"
         name = "mono-h"
     else:
         raise ValueError(f"unknown monotonicity target {target!r}")
     # the enclosure of cur - prev: its sign test is the disjointness test
-    diffs = [(cur.lo - prev.hi, cur.hi - prev.lo) for prev, cur in zip(values, values[1:])]
+    ends = [(v - b, v + b) for v, b in values]
+    diffs = [(lo - prev_hi, hi - prev_lo) for (prev_lo, prev_hi), (lo, hi) in zip(ends, ends[1:])]
     return _classify(name, pts, values, diffs, expect)
 
 
-def _second_difference(u: CertifiedValue, v: CertifiedValue, w: CertifiedValue) -> tuple:
-    """Enclosure (lo, hi) of the centered second difference w - 2v + u."""
-    d2 = w.value - 2.0 * v.value + u.value
-    b = (
-        w.abs_error_bound
-        + 2.0 * v.abs_error_bound
-        + u.abs_error_bound
-        + _EIGHT_EPS * (abs(v.value) + abs(d2))
-    )
+def _second_difference(u: tuple, v: tuple, w: tuple) -> tuple:
+    """Enclosure (lo, hi) of the centered second difference w - 2v + u of
+    three (value, bound) pairs."""
+    (uv, ub), (vv, vb), (wv, wb) = u, v, w
+    d2 = wv - 2.0 * vv + uv
+    b = wb + 2.0 * vb + ub + _EIGHT_EPS * (abs(vv) + abs(d2))
     return d2 - b, d2 + b
 
 
@@ -871,16 +914,16 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
     _check_grid(grid, 3)
     if which in ("iso_sqrt", "inv_iso_sqrt"):
         pts = _grid(0.0, T_MAX - 1e-4, grid)
-        values = [_iso_from_t(t, target=1e-10) for t in pts]
+        values = [_iso_from_t(t, 1e-10) for t in pts]
         if which == "inv_iso_sqrt":
-            values = [CertifiedValue(*_div(1.0, 0.0, v.value, v.abs_error_bound)) for v in values]
+            values = [_div(1.0, 0.0, v, b) for v, b in values]
             expect = "positive"
         else:
             expect = "negative"
         name = "convex-" + which.replace("_", "-")
     elif which == "iso":
         pts = _grid(0.0, Z_MAX - 1e-4, grid)
-        values = [iso(z, target=1e-10) for z in pts]
+        values = [_iso_from_t(z * z, 1e-10) for z in pts]
         expect = "change"
         name = "nonconvex-iso"
     else:

@@ -61,13 +61,16 @@ def test_tracer_installs_records_and_uninstalls():
         assert numerics.eval_2f1 is not original
         numerics.iso(0.2)
         numerics.iso_derivative(0.2)
+        # the evaluators sum their series through the kernel, not through
+        # the checked public eval_2f1: only a direct call records its span
+        numerics.eval_2f1(numerics.SPEC_AREA, 0.3)
     finally:
         tracer.uninstall()
     assert numerics.eval_2f1 is original
     names = {span.name for span in tracer.spans}
     assert {"numerics.iso", "numerics.eval_2f1", "numerics.iso_derivative"} <= names
     metrics = tracer.layer_metrics()
-    assert metrics["numerics.eval_2f1.calls"] == 6
+    assert metrics["numerics.eval_2f1.calls"] == 1
 
 
 def test_tracer_records_exact_layer_spans():

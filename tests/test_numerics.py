@@ -8,6 +8,7 @@ rigorous by construction.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +104,90 @@ def test_interval_ops_guard_zero():
         num._div(1.0, 0.0, *wide)
     with pytest.raises(BoundNotAchieved):
         num._pow(*wide, 0.5)
+
+
+# Each rule's bound must hold the exact result of its operation on every
+# point within its operands' bounds.  The operations are monotone or
+# bilinear in each operand, so the ends and the centre of each interval
+# suffice.  The magnitudes keep every result a normal float: the 2 EPS |w|
+# pads cover rounding, not underflow.  A zero input bound makes a dropped
+# pad a bound of 0 on an inexact result.
+NONZERO = st.one_of(st.floats(2.0 ** -60, 2.0 ** 60), st.floats(-(2.0 ** 60), -(2.0 ** -60)))
+
+
+@st.composite
+def pairs(draw, values=NONZERO):
+    """(value, bound): the value 0 or drawn from ``values``, the bound 0 or
+    a small share of |value|."""
+    u = draw(st.one_of(st.just(0.0), values))
+    rel = draw(st.one_of(st.just(0.0), st.floats(2.0 ** -60, 2.0 ** -20)))
+    return u, rel * abs(u)
+
+
+def _points(u, ub):
+    u, ub = Fraction(u), Fraction(ub)
+    return u - ub, u, u + ub
+
+
+def _within(pair, exact):
+    w, b = pair
+    return abs(exact - Fraction(w)) <= Fraction(b)
+
+
+@given(pairs(), pairs())
+@example((1.0, 0.0), (0.1, 0.0))
+@example((1.0, 1e-7), (1.0, 1e-9))  # w = 0, and 1e-7 + 1e-9 rounds down
+def test_sub_and_mul_bounds_hold_the_exact_result(u, v):
+    for rule, op in ((num._sub, lambda x, y: x - y), (num._mul, lambda x, y: x * y)):
+        out = rule(*u, *v)
+        assert all(_within(out, op(x, y)) for x in _points(*u) for y in _points(*v)), rule
+
+
+@given(pairs(), pairs())
+@example((1.0, 0.0), (3.0, 0.0))
+def test_div_bound_holds_the_exact_result(u, v):
+    v_lo = abs(Fraction(v[0])) - Fraction(v[1])
+    if v_lo <= 0:
+        with pytest.raises(BoundNotAchieved):
+            num._div(*u, *v)
+        return
+    out = num._div(*u, *v)
+    assert all(_within(out, x / y) for x in _points(*u) for y in _points(*v))
+
+
+@given(pairs(), st.one_of(st.just(0.0), NONZERO))
+@example((1.0, 0.0), 0.1)
+def test_scale_bound_holds_the_exact_result(u, k):
+    out = num._scale(*u, k)
+    assert all(_within(out, x * Fraction(k)) for x in _points(*u))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@given(u=pairs(st.floats(2.0 ** -60, 2.0 ** 60)))
+@example(u=(2.0, 0.0))
+def test_pow_bound_holds_the_exact_result(p, u):
+    # y = x^p lies in [w - b, w + b] exactly when y^2 = x^(2p) lies in
+    # [(w - b)^2, (w + b)^2], w - b >= 0, or below (w + b)^2, w - b < 0:
+    # exact squares, as x^p itself is irrational
+    lo, _, hi = _points(*u)
+    if lo <= 0:
+        with pytest.raises(BoundNotAchieved):
+            num._pow(*u, p)
+        return
+    w, b = (Fraction(f) for f in num._pow(*u, p))
+    for x in (lo, hi):
+        y_squared = x ** int(2 * p)
+        assert y_squared <= (w + b) ** 2
+        assert w - b < 0 or (w - b) ** 2 <= y_squared
+
+
+def test_float_constants_lie_within_their_bounds():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        k_ratio = 9 * mpmath.sqrt(2) / (8 * mpmath.pi)
+        c_direct = 6 / (mpmath.sqrt(mpmath.pi) * mpmath.root(2, 4))
+        assert abs(mpmath.mpf(num._K_RATIO) - k_ratio) <= num._K_RATIO_BOUND
+        assert abs(mpmath.mpf(num._C_DIRECT) - c_direct) <= num._C_DIRECT_BOUND
 
 
 def test_only_public_evaluators_flag():
@@ -396,6 +481,35 @@ def test_nonpositive_or_nonfinite_target_rejected(target):
             eval_w(a, 0.5, target=target)
 
 
+# every public evaluator, with each of its arguments in turn set to the value
+BOOL_ARGUMENT_CALLS = {
+    "eval_2f1-x": lambda v: eval_2f1(SPEC_AREA, v),
+    "eval_2f1-target": lambda v: eval_2f1(SPEC_AREA, 0.3, target=v),
+    "eval_2f1-x_abs_err": lambda v: eval_2f1(SPEC_AREA, 0.3, 1e-10, v),
+    "eval_w-a": lambda v: eval_w(v, 0.3),
+    "eval_w-x": lambda v: eval_w(rat(1, 2), v),
+    "eval_w-target": lambda v: eval_w(rat(1, 2), 0.3, target=v),
+    "eval_h-x": lambda v: eval_h(v),
+    "eval_h-target": lambda v: eval_h(0.3, target=v),
+    "iso-z": lambda v: iso(v),
+    "iso-target": lambda v: iso(0.2, target=v),
+    "iso_squared-z": lambda v: iso_squared(v),
+    "iso_squared-target": lambda v: iso_squared(0.2, target=v),
+    "iso_derivative-z": lambda v: iso_derivative(v),
+    "iso_derivative-target": lambda v: iso_derivative(0.2, target=v),
+    "iso_direct-z": lambda v: iso_direct(v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", list(BOOL_ARGUMENT_CALLS))
+def test_bool_arguments_are_refused(name, value):
+    # a bool is an int to Python, so True would run as 1 (a target of 1.0,
+    # x = 1) and False as 0: every public evaluator refuses it
+    with pytest.raises(DomainError, match="bool"):
+        BOOL_ARGUMENT_CALLS[name](value)
+
+
 def test_invalid_target_is_named_as_passed():
     # each evaluator checks the caller's target, not the share of it that a
     # series gets
@@ -437,8 +551,8 @@ def test_iso_even_in_z():
     # iso depends on z only through t = z^2
     for z in (0.1, 0.3):
         a = iso(z)
-        b = num._iso_from_t(z * z)
-        assert abs(a.value - b.value) <= a.abs_error_bound + b.abs_error_bound + 4 * EPS
+        b, b_bound = num._iso_from_t(z * z)
+        assert abs(a.value - b) <= a.abs_error_bound + b_bound + 4 * EPS
 
 
 def test_iso_direct_cross_path():
@@ -946,16 +1060,69 @@ def test_scan_report_serialization():
     assert "grid_size" in report.to_json()
 
 
+# -- one CertifiedValue per public call, none inside a scan ---------------------------
+
+def test_scans_build_no_certified_value(monkeypatch):
+    # a scan evaluates its grid on (value, bound) pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan built a CertifiedValue")
+
+    monkeypatch.setattr(num, "CertifiedValue", refuse)
+    for scan, which, kwargs in (
+        (scan_monotonicity, "iso", {}), (scan_monotonicity, "w", {"a": rat(1, 2)}),
+        (scan_monotonicity, "h", {}), (scan_convexity, "iso_sqrt", {}),
+        (scan_convexity, "inv_iso_sqrt", {}), (scan_convexity, "iso", {}),
+    ):
+        assert scan(which, grid=20, **kwargs).passed, which
+
+
+PUBLIC_CALLS = {
+    "eval_2f1": lambda: eval_2f1(SPEC_AREA, 0.3),
+    "eval_w": lambda: eval_w(rat(1, 2), 0.3),
+    "eval_w-constant": lambda: eval_w(rat(1), 0.3),
+    "eval_h": lambda: eval_h(0.3),
+    "iso": lambda: iso(0.2),
+    "iso_squared": lambda: iso_squared(0.2),
+    "iso_derivative": lambda: iso_derivative(0.2),
+    "iso_derivative-origin": lambda: iso_derivative(0.0),
+    "iso_direct": lambda: iso_direct(0.2),
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_CALLS))
+def test_each_public_call_builds_one_certified_value(monkeypatch, name):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CertifiedValue(*args)
+
+    monkeypatch.setattr(num, "CertifiedValue", counted)
+    assert isinstance(PUBLIC_CALLS[name](), CertifiedValue)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("name", [n for n in PUBLIC_CALLS if not n.startswith("eval_2f1")])
+def test_evaluators_sum_through_the_kernel_not_eval_2f1(monkeypatch, name):
+    # eval_2f1 is the checked public entry; the package never calls it
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called eval_2f1")
+
+    monkeypatch.setattr(num, "eval_2f1", refuse)
+    PUBLIC_CALLS[name]()
+
+
 # -- scan verdicts on crafted values -------------------------------------------------
 
 def _feed(monkeypatch, name, values, bound=0.0):
-    """Make ``numerics.<name>`` return ``values`` in call order, each with ``bound``."""
-    fed = iter(CertifiedValue(v, bound) for v in values)
+    """Make the scans' pair function ``numerics.<name>`` return the pairs
+    (v, ``bound``) for ``values``, in call order."""
+    fed = iter((v, bound) for v in values)
     monkeypatch.setattr(num, name, lambda *args, **kwargs: next(fed))
 
 
 def test_scan_monotonicity_violation_witness(monkeypatch):
-    _feed(monkeypatch, "iso", [1.0, 2.0, 3.0, 2.5, 4.0], bound=0.1)
+    _feed(monkeypatch, "_iso_from_t", [1.0, 2.0, 3.0, 2.5, 4.0], bound=0.1)
     report = scan_monotonicity("iso", grid=5)
     assert [row[3] for row in report.rows] == ["", "ok", "ok", "violation", "ok"]
     assert (report.violations, report.inconclusive) == (1, 0)
@@ -964,7 +1131,7 @@ def test_scan_monotonicity_violation_witness(monkeypatch):
 
 
 def test_scan_monotonicity_inconclusive_pair(monkeypatch):
-    _feed(monkeypatch, "iso", [1.0, 1.05, 2.0], bound=0.1)
+    _feed(monkeypatch, "_iso_from_t", [1.0, 1.05, 2.0], bound=0.1)
     report = scan_monotonicity("iso", grid=3)
     assert [row[3] for row in report.rows] == ["", "inconclusive", "ok"]
     assert (report.violations, report.inconclusive) == (0, 1)
@@ -992,7 +1159,7 @@ def test_scan_convexity_wrong_sign_second_difference(monkeypatch):
 
 
 def test_scan_convexity_one_sign_only(monkeypatch):
-    _feed(monkeypatch, "iso", [1.0, 1.1, 1.3, 1.6, 2.0], bound=1e-3)
+    _feed(monkeypatch, "_iso_from_t", [1.0, 1.1, 1.3, 1.6, 2.0], bound=1e-3)
     report = scan_convexity("iso", grid=5)
     assert [row[3] for row in report.rows] == ["", "positive", "positive", "positive", ""]
     assert report.sign_change_detected is False

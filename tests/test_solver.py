@@ -264,23 +264,24 @@ def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
         assert abs(Fraction(result.z) - root) <= 1e-10, (scale, rho, result.z)
 
 
-def _counting_eval_2f1(monkeypatch):
-    """Count the series sums the solver makes, through every iso call."""
+def _counting_series_sums(monkeypatch):
+    """Count the series sums the solver makes, through every iso call: each
+    is one call of the family kernel."""
     calls = [0]
-    evaluate = numerics.eval_2f1
+    evaluate = numerics._eval_family
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "eval_2f1", counted)
+    monkeypatch.setattr(numerics, "_eval_family", counted)
     return calls
 
 
 def test_few_evaluations_per_root(monkeypatch):
     # each point costs one iso call, two series; a straddle point one more
     # iso call when it takes the sharp retry.  Bisection took about 33 points
-    calls = _counting_eval_2f1(monkeypatch)
+    calls = _counting_series_sums(monkeypatch)
     for k in range(20):
         z = 0.03 + (0.30 - 0.03) * (k + 0.5) / 20
         rho = iso(z, target=1e-13).value
@@ -293,7 +294,7 @@ def test_few_evaluations_per_root(monkeypatch):
 def test_few_evaluations_per_root_near_z_max(monkeypatch):
     # iso's slope in t vanishes at Z_MAX, but sqrt(1 - iso) stays nearly
     # linear, so roots there cost no more than interior ones
-    calls = _counting_eval_2f1(monkeypatch)
+    calls = _counting_series_sums(monkeypatch)
     for rho, root in _stored_roots(NEAR_Z_MAX_ZS):
         before = calls[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
@@ -306,7 +307,7 @@ def test_few_evaluations_per_root_near_z_max(monkeypatch):
 def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
     # the root lies so near Z_MAX that even the sharpest bound cannot tell
     # z -+ tol/2 apart from rho: flagged, never raised, in few series sums
-    calls = _counting_eval_2f1(monkeypatch)
+    calls = _counting_series_sums(monkeypatch)
     result = invert_iso(InverseQuery(rho, 1e-10))
     assert result.flag == "precision_exhausted"
     assert 0.414 < result.z < Z_MAX
