@@ -119,10 +119,10 @@ _FAULT_INDEX = 3
 def verify_cmd(order, inject_fault):
     """Run every exact identity, ODE, and coefficient check, in one process.
     Each line names what its "verified" rests on: lemma1, cont1, cont2,
-    euler_transform, remark1_derivative and adjoint_form are proved for all
-    parameters at every order, which --order only labels; id_hyp and id_war
-    run through --order at 2*order+3 samples, the count the degree bound
-    needs."""
+    euler_transform, id_hyp (with the Euler transform as its lemma),
+    remark1_derivative and adjoint_form are proved for all parameters at
+    every order, which --order only labels; id_war runs through --order at
+    2*order+3 samples, the count the degree bound needs."""
     if inject_fault and order <= _FAULT_INDEX:
         raise click.UsageError(
             f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "

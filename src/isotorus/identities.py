@@ -2,22 +2,23 @@
 
 Each report says what its "verified" rests on (``IdentityReport.certificate``):
 ``all-parameters`` for ``lemma1``, ``cont1``, ``cont2``, ``euler_transform``,
-``remark1_derivative`` and ``adjoint_form``, proved for every value of their
-parameters at every order by contiguity reduction (``contiguity``), the
-order only labelling the report;
-``degree-bound`` for ``id_hyp`` and ``id_war``, whose series agree through
-the order at enough integer values of a that the per-coefficient degree
-bound makes the sample run a proof for all a through that order;
+``id_hyp``, ``remark1_derivative`` and ``adjoint_form``, proved for every
+value of their parameters at every order by contiguity reduction
+(``contiguity``), the order only labelling the report; ``id_hyp`` takes
+Euler's transform as a lemma, checked in the same call;
+``degree-bound`` for ``id_war``, whose series agree through the order at
+enough integer values of a that the per-coefficient degree bound makes the
+sample run a proof for all a through that order;
 ``through-order`` for the ODE residuals, ``window`` for flux positivity and
 ``exact`` for the printed leading coefficients.  ``verify_all`` takes one
-input, the order, derives every count from it and runs every check in this
-process.
+input, the order, and runs every check in this process.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,6 @@ from .series import (
     HypergeometricSpec,
     PowerSeries,
     binomial_series,
-    one_minus_x_power,
     power_product,
     rat,
 )
@@ -130,9 +130,9 @@ def default_sample_count(order: int) -> int:
 
 def _integer_samples(count: int) -> list:
     """The first count of 0, 1, -1, 2, -2, ..., as rationals: the samples of
-    the degree-bound checks.  Coefficient n of either side of each is a
-    polynomial in a of degree at most 2n + 2 (each check says why), so any
-    2N + 3 distinct values prove it through z^N."""
+    the degree-bound check.  Coefficient n of either side is a polynomial in
+    a of degree at most 2n + 2 (``verify_id_war`` says why), so any 2N + 3
+    distinct values prove it through z^N."""
     return [rat((k + 1) // 2 if k % 2 else -(k // 2)) for k in range(count)]
 
 
@@ -334,19 +334,23 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
 _ALL_C = "all a, b; c not in {0, -1, -2, ...}"
 
 
-def _reduced_report(name, order, reduction, difference, domain) -> IdentityReport:
+def _reduced_report(name, order, reduction, difference, domain, lemmas=()) -> IdentityReport:
     """Reduce difference(reduction), the two sides' difference as a pair
     (r0, r1) over the reduction's base, and check termwise each axiom the
-    reduction applied: verified when they hold and both coefficients
-    vanish; else the detail names the failed axioms or coefficients.  It
-    states the domain, the axioms and each value a division excluded, which
-    continuity covers: coefficient n of either side is a polynomial in a and
-    b over (c)_n."""
+    reduction applied: verified when they hold, both coefficients vanish
+    and each lemma, a report of an identity the reduction took as given,
+    is verified; else the detail names the failed axioms, coefficients or
+    lemmas.  It states the domain, the axioms, the lemmas and each value a
+    division excluded, which continuity covers: coefficient n of either
+    side is a polynomial in a and b over (c)_n."""
     _checked_order(order)
     rest = difference(reduction)
     failed = contiguity.failed_axioms(reduction.used) or [n for n, r in zip(("F", "F'"), rest) if r.num]
+    failed += [lemma.identity_name for lemma in lemmas if not lemma.verified]
     detail = {"domain": domain, "axioms": sorted(reduction.used),
               "excluded": [f"{p} = 0" for p in dict.fromkeys(reduction.excluded)]}
+    if lemmas:
+        detail["lemmas"] = [lemma.identity_name for lemma in lemmas]
     if failed:
         detail["failed"] = failed
     return IdentityReport(name, order, "all-parameters", (), "failed" if failed else "verified", detail)
@@ -380,6 +384,13 @@ def verify_contiguous(which: str = "cont1", order: int = 40) -> IdentityReport:
     return _reduced_report(which, order, Reduction(A, B, C), lambda r: r.reduce(_CONTIGUOUS[which]), _ALL_C)
 
 
+def _euler(al, be, ga):
+    """Euler's transform F(α,β;γ;x) = (1-x)^(γ-α-β) F(γ-α,γ-β;γ;x) as
+    (γ-α-β, (γ-α, γ-β, γ)): the statement ``verify_euler_transform`` proves
+    and ``verify_id_hyp`` applies."""
+    return ga - al - be, (ga - al, ga - be, ga)
+
+
 def verify_euler_transform(order: int = 40) -> IdentityReport:
     """F(a,b;c;x) = (1-x)^(c-a-b) F(c-a,c-b;c;x) for every a, b and c not in
     {0, -1, -2, ...}: the right side, reduced over F(c-a,c-b;c), satisfies
@@ -387,8 +398,43 @@ def verify_euler_transform(order: int = 40) -> IdentityReport:
     equation applied to a series y has y_(n+1) times (n+1)(n+c) and no later
     y_m, so there the analytic solution with y(0) = 1 is unique.  The order
     only labels the report."""
-    return _reduced_report("euler_transform", order, Reduction(C - A, C - B, C), lambda r: r.apply_equation(
-        r.hyp(C - A, C - B, C), (A, B, C), (C - A - B, 0)), _ALL_C)
+    exponent, params = _euler(A, B, C)
+    return _reduced_report("euler_transform", order, Reduction(*params), lambda r: r.apply_equation(
+        r.hyp(*params), (A, B, C), (exponent, 0)), _ALL_C)
+
+
+# id_hyp's right side a(a-1) (1-x)^(2a) F(a+1,a;2;x), as its coefficient,
+# its exponent of 1 - x and the parameters of its 2F1
+_ID_HYP_RIGHT = (A * (A - 1), 2 * A, (A + 1, A, 2))
+
+
+def _one_minus_x_to(exponent) -> Rat:
+    """(1-x)^exponent, for an exponent that is an integer constant; else a
+    ValueError, as no rational factor then joins the two gauges."""
+    k = exponent.get(0, 0)
+    if set(exponent) - {0} or type(k) is not int:
+        raise ValueError(f"(1-x)^({exponent}) is not rational in x")
+    return Rat(math.prod([1 - X] * k), *[1 - X] * -k)
+
+
+def verify_id_hyp(order: int = 40) -> IdentityReport:
+    """w_a'(x) (1+x)^(a+1) = a(a-1) (1-x)^(2a) F(a+1,a;2;x) for every a,
+    w_a = (1+x)^(-a) F(-a,-a;1;x), reduced over F(-a,-a;1): w_a' in the
+    gauge (1+x)^(-a), times 1 + x.  Euler's transform at (a+1, a, 2) gives
+    F(a+1,a;2;x) = (1-x)^(1-2a) F(1-a,2-a;2;x), so the right side is
+    a(a-1) (1-x) F(1-a,2-a;2;x), which reduces.  ``verify_euler_transform``
+    runs in this call, and the report names it as a lemma and fails where
+    it fails.  The order only labels the report."""
+    lemma = verify_euler_transform(_checked_order(order))
+    coefficient, exponent, params = _ID_HYP_RIGHT
+    euler_exponent, transformed = _euler(*params)
+    right = _one_minus_x_to(exponent + euler_exponent) * -coefficient
+
+    def difference(r):
+        w_prime = r.d((Rat(1), Rat(0)), (0, -A))
+        return combine((1 + X, w_prime), (right, r.hyp(*transformed)))
+
+    return _reduced_report("id_hyp", order, Reduction(-A, -A, 1), difference, "all a", (lemma,))
 
 
 def verify_remark1_derivative(order: int = 30) -> IdentityReport:
@@ -422,9 +468,9 @@ def verify_adjoint_form(order: int = 30) -> IdentityReport:
 
 
 # --------------------------------------------------------------------------
-# One-parameter identities, proved through the order by degree-bound sampling
+# The warped identity, proved through the order by degree-bound sampling
 #
-# The degree in a of a coefficient, from which each check's bound follows.
+# The degree in a of a coefficient, from which the check's bound follows.
 # [x^k] F(alpha, beta; gamma; x), alpha and beta each a or -a plus a
 # constant and gamma a constant, is (alpha)_k (beta)_k / ((gamma)_k k!):
 # degree 2k.  [x^k] of p(x)^e, p a polynomial with constant term 1 and e
@@ -446,60 +492,7 @@ def _w_series(a, order: int) -> PowerSeries:
     return _hyp(-a, -a, ONE, order) * binomial_series(-a, order)
 
 
-class _SharedW:
-    """The series that both degree-bound checks at ``order`` use, built once
-    per sample and kept for the call: w_a through order + 2, reduced, as it
-    is a factor of several products, and F(a+1,a;2;x) through order + 1,
-    each check truncating what it needs less of.  ``verify_all`` makes one
-    table and hands it to ``id_hyp`` and ``id_war``.  The other series the
-    checks use are each used once, and cost more memory to hold than time
-    to rebuild."""
-
-    def __init__(self, order: int):
-        self.order = order
-        self._built = {}
-
-    @staticmethod
-    def serving(shared, order: int) -> "_SharedW":
-        """``shared`` if it serves this order, else a table for one check."""
-        return shared if shared is not None and shared.order == order else _SharedW(order)
-
-    def _kept(self, key, build) -> PowerSeries:
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
-
-    def w(self, a) -> PowerSeries:
-        """w_a through order + 2."""
-        return self._kept(("w", a), lambda: _w_series(a, self.order + 2).reduced())
-
-    def hyp(self, a) -> PowerSeries:
-        """F(a+1,a;2;x) through order + 1."""
-        return self._kept(("hyp", a), lambda: _hyp(a + 1, a, rat(2), self.order + 1))
-
-
-def verify_id_hyp(a_samples=None, order: int = 40, shared=None) -> IdentityReport:
-    """Cleared form: w_a'(x) (1+x)^(a+1) = a(a-1)(1-x)^(2a) F(a+1,a;2;x).
-
-    Degree in a at x^n: w_a' has 2i + 2 at x^i and (1+x)^(a+1) has j, so the
-    left side has 2n + 2; F has 2i and the power j, so their product has 2n,
-    and a(a-1) makes 2n + 2.
-
-    ``shared``, here and in the other checks that take it, is the table of
-    series that ``verify_all`` hands to its checks (``_SharedW``); a table
-    of another order is not used."""
-    _checked_order(order)
-    table = _SharedW.serving(shared, order)
-
-    def pair(a):
-        lhs = table.w(a).derivative() * binomial_series(a + 1, order)
-        rhs = (table.hyp(a).truncate(order) * one_minus_x_power(2 * a, order)).scale(a * (a - 1))
-        return lhs, rhs
-
-    return _sampled_report("id_hyp", a_samples, order, pair)
-
-
-def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityReport:
+def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
     """Warped derivative identity: with r(z) = 4z/(1-z)^2,
 
     d/dz w_a(r(z)) = 4a(a-1) F(a+1,a;2;r(z))
@@ -512,11 +505,10 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityRepor
     2n + 2; F(r(z)) has 2i at z^i and the power product j, so their product
     has 2n, and 4a(a-1) makes 2n + 2."""
     _checked_order(order)
-    table = _SharedW.serving(shared, order)
 
     def pair(a):
-        lhs = _compose_with_inner_argument(table.w(a), order + 1).derivative()
-        rhs = _compose_with_inner_argument(table.hyp(a), order)
+        lhs = _compose_with_inner_argument(_w_series(a, order + 1), order + 1).derivative()
+        rhs = _compose_with_inner_argument(_hyp(a + 1, a, rat(2), order), order)
         powers = power_product(((_Q, 2 * a), ((1, -1), -4 * a + 2 * a - 1), ((1, 1), -2 * a - 1)), order)
         return lhs, (rhs * powers).scale(4 * a * (a - 1))
 
@@ -528,13 +520,14 @@ def verify_id_war(a_samples=None, order: int = 30, shared=None) -> IdentityRepor
 # --------------------------------------------------------------------------
 
 def verify_all(order: int = 40) -> list:
-    """Every exact check, run in this process.  The order, checked first, is
-    the one input: the degree-bound checks run through it at 2*order+3
-    integer samples, sharing one ``_SharedW``; the reduced checks, which
-    hold at every order, are labelled with it."""
+    """Every exact check, run in this process, from one input: the order,
+    checked first.  ``id_war`` runs through it at 2*order+3 integer
+    samples, and the reduced checks, which hold at every order, are
+    labelled with it.  The ODE residuals always run at their default order
+    64 and flux positivity at its default window 200, and the golden
+    coefficients are fixed."""
     a_samples = _integer_samples(default_sample_count(_checked_order(order)))
-    shared = _SharedW(order)
     return [verify_golden_coefficients(), verify_odes(), verify_f_positivity(), verify_lemma1(order),
             verify_contiguous("cont1", order), verify_contiguous("cont2", order), verify_euler_transform(order),
-            verify_id_hyp(a_samples, order, shared), verify_id_war(a_samples, order, shared),
-            verify_remark1_derivative(order), verify_adjoint_form(order)]
+            verify_id_hyp(order), verify_id_war(a_samples, order), verify_remark1_derivative(order),
+            verify_adjoint_form(order)]

@@ -79,6 +79,7 @@ EPS = sys.float_info.epsilon
 # the multiples of EPS in the bounds: each product is exact and Python
 # evaluates 2.0 * EPS * w from the left, so _TWO_EPS * w gives the same bits
 _TWO_EPS, _THREE_EPS, _FOUR_EPS, _EIGHT_EPS = 2.0 * EPS, 3.0 * EPS, 4.0 * EPS, 8.0 * EPS
+_ROUND_UP = 1.0 + _FOUR_EPS  # a bound sum's round-up where it is not small against |w|
 SQRT2 = math.sqrt(2.0)
 Z_MAX = SQRT2 - 1.0                 # right end of the torus-parameter domain
 T_MAX = 3.0 - 2.0 * SQRT2           # = Z_MAX**2, domain of the sqrt-substituted maps
@@ -160,6 +161,21 @@ class CertifiedValue:
 # lies within b of w.  The 2 EPS |w| term in each bound (4 EPS |w| for a
 # power) covers the rounding of w itself.  The rules carry no flag; a public
 # evaluator turns its final pair into its one CertifiedValue (``_flagged``).
+#
+# The pad must also cover the rounding of the bound's own terms.  Away from
+# underflow and overflow, with u = EPS/2, a rounded nonnegative result is at
+# least (1 - u) times its exact value, so a bound s computed in k roundings
+# is at least (1 - u)^k times its exact value S: k = 1 in ``_sub`` (the sum)
+# and ``_scale`` (the product), 3 in ``_mul`` (a product, then two sums) and
+# 5 in ``_div`` (|w| for |u/v|, the product, the sum, the rounded-up
+# denominator, the quotient).  The returned s + 2 EPS |w|, rounded once
+# more, is then at least S - (k+1) u S + 4u |w| - 4u^2 |w|, which holds
+# S + u |w| (w's own rounding) while (k+1) S <= (3 - 4u) |w|.  ``_sub``
+# meets that where s <= |w|, and the others where 4 s <= |w|.  Elsewhere
+# the rule rounds s up by the factor 1 + 2 EPS (``_sub``) or 1 + 4 EPS,
+# one more rounding: (1 - u)^(k+2) (1 + 4u) >= 1 for k = 1 and
+# (1 - u)^(k+2) (1 + 8u) >= 1 for k <= 5, so the result holds S, and the
+# pad, 4u (1 - u) |w| after the last rounding, holds u |w|.
 
 def _flagged(value: float, bound: float, target: float) -> CertifiedValue:
     """The CertifiedValue of a public evaluator's final (value, bound) pair,
@@ -180,12 +196,18 @@ def _sub(u: float, ub: float, v: float, vb: float) -> tuple:
 
 def _scale(u: float, ub: float, k: float) -> tuple:
     w = u * k
-    return w, abs(k) * ub + _TWO_EPS * abs(w)
+    b = abs(k) * ub
+    if abs(w) < 4.0 * b:
+        b *= _ROUND_UP
+    return w, b + _TWO_EPS * abs(w)
 
 
 def _mul(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u * v
-    return w, abs(u) * vb + abs(v) * ub + ub * vb + _TWO_EPS * abs(w)
+    b = abs(u) * vb + abs(v) * ub + ub * vb
+    if abs(w) < 4.0 * b:
+        b *= _ROUND_UP
+    return w, b + _TWO_EPS * abs(w)
 
 
 def _div(u: float, ub: float, v: float, vb: float) -> tuple:
@@ -193,7 +215,10 @@ def _div(u: float, ub: float, v: float, vb: float) -> tuple:
     if denom_lo <= 0.0:
         raise BoundNotAchieved("division by an interval containing zero")
     w = u / v
-    return w, (ub + abs(w) * vb) / denom_lo + _TWO_EPS * abs(w)
+    b = (ub + abs(w) * vb) / denom_lo
+    if abs(w) < 4.0 * b:
+        b *= _ROUND_UP
+    return w, b + _TWO_EPS * abs(w)
 
 
 def _pow(u: float, ub: float, p: float) -> tuple:

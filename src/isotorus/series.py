@@ -49,7 +49,7 @@ __all__ = [
     "SeriesError", "DivisionByNonUnit", "CompositionRequiresZeroConstant",
     "InvalidLowerParameter", "OrderTooLow",
     "PowerSeries", "HypergeometricSpec", "DifferentialOperator",
-    "binomial_series", "one_minus_x_power", "series_pow", "power_product",
+    "binomial_series", "series_pow", "power_product",
 ]
 
 ONE = Rational(1)
@@ -439,11 +439,6 @@ def _recurrence(lead: Sequence, terms: Sequence, y0: Rational = ONE) -> PowerSer
 def binomial_series(alpha, order: int) -> PowerSeries:
     """(1+x)^alpha with coefficients C(alpha, n), exact for rational alpha."""
     return series_pow(PowerSeries.from_polynomial((1, 1), order), alpha)
-
-
-def one_minus_x_power(alpha, order: int) -> PowerSeries:
-    """(1-x)^alpha, i.e. the binomial series with alternating signs."""
-    return series_pow(PowerSeries.from_polynomial((1, -1), order), alpha)
 
 
 def _first_order_series(s: Sequence, t: Sequence, v: int, order: int) -> PowerSeries:

@@ -14,8 +14,8 @@ from isotorus import contiguity
 from isotorus import identities as ident
 from isotorus import series as series_module
 from isotorus.contiguity import A, B, C, N, X, Rat, Reduction
-from isotorus.series import (HypergeometricSpec, PowerSeries, one_minus_x_power, parse_rational, perturbed,
-                             power_product, rat)
+from isotorus.series import (HypergeometricSpec, PowerSeries, binomial_series, parse_rational, perturbed,
+                             power_product, rat, series_pow)
 
 ORDER = 24  # fast unit-test order; the acceptance suite runs the pinned orders
 SAMPLES = [rat(-1), rat(2), rat(-2), rat(1, 2), rat(-1, 2), rat(3), rat(-3), rat(1, 3)]
@@ -24,6 +24,11 @@ SAMPLES = [rat(-1), rat(2), rat(-2), rat(1, 2), rat(-1, 2), rat(3), rat(-3), rat
 def inner_argument(order):
     """4z/(1-z)^2 = sum 4n z^n as an exact series."""
     return PowerSeries([4 * n for n in range(order + 1)])
+
+
+def one_minus_x_to(alpha, order):
+    """(1-x)^alpha as an exact series."""
+    return series_pow(PowerSeries.from_polynomial((1, -1), order), alpha)
 
 
 def test_expand_abar_golden():
@@ -40,18 +45,17 @@ def test_expand_vbar_golden():
 # series layer that preceded integer storage; f200, the input of the default
 # positivity window, with the integer layer that preceded composition by
 # prefix sums; verify12 and verify40, the reports of ``verify_all`` at those
-# orders (40 is the order ``isotorus verify --order 40`` runs), since each
-# report names its certificate and lemma1, cont1, cont2, euler_transform,
-# remark1_derivative and adjoint_form are reduced for all parameters: the
-# earlier reports with those fields changed.  Any change to an exact result
-# changes its digest.
+# orders (40 is the order ``isotorus verify --order 40`` runs), since
+# id_hyp too is reduced for all parameters, with the Euler transform as its
+# lemma: the earlier reports with that report changed, the other ten byte
+# for byte the same.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
-    "verify12": "7bec24e9bc1a683b7c40f4de328b2d5a84637bc7dfd85697a7549c3ed09f8728",
-    "verify40": "c959c0bdfb08390348f0e9c1ca1b99235e8348e090dc979cedd1b27cb83789b1",
+    "verify12": "a5b1fca4e2a6e07fb2254f653b365704778065b7da830edf7f470740a2447ad6",
+    "verify40": "16cd05bbb81fa0661c81fe70828c2812b24ed939b46e3a4782302ddbf6458508",
 }
 
 
@@ -91,7 +95,7 @@ def test_poly_expands_factored_products():
 
 def test_report_formats_rationals_as_parse_rational_reads_them():
     samples = (rat(4, 2), rat(-5, 10), rat(451625, 16))
-    out = ident.IdentityReport("id_hyp", 4, "degree-bound", samples).to_dict()["samples"]
+    out = ident.IdentityReport("id_war", 4, "degree-bound", samples).to_dict()["samples"]
     assert out == ["2", "-1/2", "451625/16"]
     assert [parse_rational(s) for s in out] == list(samples)
 
@@ -238,12 +242,16 @@ def series_sides(name, params, order):
         lhs = (PowerSeries.identity(order + 1) * ratio * w.derivative()).derivative()
         rhs = power_product((((1, 1), 2 * a - 2), ((1, -1), -2 * a)), order) * w.truncate(order)
         return lhs, rhs.scale(a * (a - 1))
+    if name == "id_hyp":
+        (a,) = params
+        lhs = ident._w_series(a, order + 1).derivative() * binomial_series(a + 1, order)
+        return lhs, (hyp(a + 1, a, rat(2), order) * one_minus_x_to(2 * a, order)).scale(a * (a - 1))
     if name == "remark1_derivative":
         (a,) = params
-        lhs = (hyp(a + 1, a, rat(2), order + 1) * one_minus_x_power(2 * a, order + 1)).derivative()
+        lhs = (hyp(a + 1, a, rat(2), order + 1) * one_minus_x_to(2 * a, order + 1)).derivative()
         term1 = hyp(a, a + 1, rat(3), order).scale(a * (3 - a) / 2)
         term2 = (hyp(a + 1, a + 2, rat(4), order) * PowerSeries.identity(order)).scale(a * (a + 1) / 6)
-        return lhs, ((term1 + term2) * one_minus_x_power(2 * a - 1, order)).scale(-1)
+        return lhs, ((term1 + term2) * one_minus_x_to(2 * a - 1, order)).scale(-1)
     a, b, c = params
     if name == "cont1":
         lhs = hyp(a + 1, b + 1, c + 1, order) * PowerSeries.from_polynomial((0, b), order)
@@ -253,16 +261,17 @@ def series_sides(name, params, order):
         lhs = ((hyp(a + 1, b, c, order) - f) * PowerSeries.from_polynomial((1, -1), order)).scale(a)
         return lhs, hyp(a, b - 1, c, order).scale(c - b) + f * PowerSeries.from_polynomial((b - c, a), order)
     assert name == "euler_transform"
-    return hyp(a, b, c, order), one_minus_x_power(c - a - b, order) * hyp(c - a, c - b, c, order)
+    return hyp(a, b, c, order), one_minus_x_to(c - a - b, order) * hyp(c - a, c - b, c, order)
 
 
-REDUCED = ("lemma1", "cont1", "cont2", "euler_transform", "remark1_derivative", "adjoint_form")
-ONE_PARAMETER_REDUCED = ("lemma1", "remark1_derivative", "adjoint_form")
+REDUCED = ("lemma1", "cont1", "cont2", "euler_transform", "id_hyp", "remark1_derivative", "adjoint_form")
+ONE_PARAMETER_REDUCED = ("lemma1", "id_hyp", "remark1_derivative", "adjoint_form")
 REDUCED_CHECKS = {
     "lemma1": ident.verify_lemma1,
     "cont1": partial(ident.verify_contiguous, "cont1"),
     "cont2": partial(ident.verify_contiguous, "cont2"),
     "euler_transform": ident.verify_euler_transform,
+    "id_hyp": ident.verify_id_hyp,
     "remark1_derivative": ident.verify_remark1_derivative,
     "adjoint_form": ident.verify_adjoint_form,
 }
@@ -323,6 +332,16 @@ def test_cont1_mutated_lower_parameter_fails():
     assert report.failure_detail["failed"] == ["F", "F'"]
 
 
+# id_hyp's mutants, each one module attribute set to a changed statement:
+# a*a for the coefficient a(a-1), (1-x)^(2a+1) for (1-x)^(2a), and the
+# Euler lemma's exponent c - a - b + 1, which fails euler_transform too
+ID_HYP_MUTANTS = {
+    "id_hyp": ("_ID_HYP_RIGHT", (A * A, 2 * A, (A + 1, A, 2))),
+    "id_hyp-exponent": ("_ID_HYP_RIGHT", (A * (A - 1), 2 * A + 1, (A + 1, A, 2))),
+    "id_hyp-euler": ("_euler", lambda al, be, ga: (ga - al - be + 1, (ga - al, ga - be, ga))),
+}
+
+
 def reduced_mutant(name):
     """The reduction and difference of a reduced identity with one
     coefficient, shift or exponent changed."""
@@ -349,11 +368,25 @@ def reduced_mutant(name):
             lambda r: r.apply_equation(r.hyp(C - A, C - B, C), (A, B, C), (C - A - B + 1, 0)))
 
 
-@pytest.mark.parametrize("name", REDUCED)
-def test_reduced_mutant_fails(name):
-    reduction, difference = reduced_mutant(name)
-    report = ident._reduced_report(name, ORDER, reduction, difference, "")
+@pytest.mark.parametrize("name", REDUCED + ("id_hyp-exponent", "id_hyp-euler"))
+def test_reduced_mutant_fails(monkeypatch, name):
+    if name in ID_HYP_MUTANTS:
+        monkeypatch.setattr(ident, *ID_HYP_MUTANTS[name])
+        report = ident.verify_id_hyp(ORDER)
+        lemma_fails = name == "id_hyp-euler"
+        assert report.failure_detail["failed"] == ["F", "F'"] + ["euler_transform"] * lemma_fails
+        assert ident.verify_euler_transform(ORDER).verified != lemma_fails
+    else:
+        report = ident._reduced_report(name, ORDER, *reduced_mutant(name), "")
     assert not report.verified and report.failure_detail["failed"]
+
+
+def test_id_hyp_refuses_sides_whose_gauges_differ_by_an_irrational_factor(monkeypatch):
+    # (1-x)^a for (1-x)^(2a): the sides' gauges then differ by (1-x)^(1-a),
+    # which no reduction to rational coefficients can join
+    monkeypatch.setattr(ident, "_ID_HYP_RIGHT", (A * (A - 1), A, (A + 1, A, 2)))
+    with pytest.raises(ValueError, match=r"is not rational in x$"):
+        ident.verify_id_hyp(ORDER)
 
 
 def test_engine_axioms_hold():
@@ -447,7 +480,13 @@ def test_euler_transform_generic_triple():
 
 
 def test_id_hyp():
-    assert ident.verify_id_hyp(SAMPLES, ORDER).verified
+    # proved for every a through the Euler transform, checked in the call
+    report = ident.verify_id_hyp(ORDER)
+    assert report.verified and report.certificate == "all-parameters"
+    assert report.failure_detail == {"domain": "all a", "axioms": ["all_up", "alpha_up", "equation", "gauge"],
+                                     "excluded": ["-a = 0", "-a + 1 = 0"], "lemmas": ["euler_transform"]}
+    # the excluded values, which continuity covers, and the samples
+    assert all(holds_in_series("id_hyp", [a]) for a in [0, 1, *SAMPLES])
 
 
 def test_id_war():
@@ -476,10 +515,9 @@ def test_id_war_fails_with_a_perturbed_exponent(monkeypatch, which):
     assert report.failure_detail["coefficient_index"] == 1
 
 
-def test_shared_series_last_one_call(monkeypatch):
-    # verify_all shares w_a among its checks through a table that lives as
-    # long as the call: two cold calls build the same series, and leave no
-    # module-level state behind, the reduction engine's included
+def test_verify_all_leaves_no_state_behind(monkeypatch):
+    # two cold calls build the same series, and leave no module-level state
+    # behind, the reduction engine's included
     calls = []
     real = HypergeometricSpec.series
 
@@ -511,30 +549,6 @@ def test_shared_series_last_one_call(monkeypatch):
     assert counts[0] == counts[1]
     assert states[0] == states[1]
 
-    # within the call, the checks that share series built each once per
-    # sample: w_a and F(a+1,a;2), two builds each when the checks run alone
-    samples = ident._integer_samples(ident.default_sample_count(12))
-    checks = (ident.verify_id_hyp, ident.verify_id_war)
-    start = len(calls)
-    for check in checks:
-        check(samples, 12)
-    alone = len(calls) - start
-    start = len(calls)
-    shared = ident._SharedW(12)
-    for check in checks:
-        check(samples, 12, shared)
-    assert len(calls) - start == alone - 2 * len(samples)
-
-
-@pytest.mark.parametrize("check", [ident.verify_id_hyp, ident.verify_id_war], ids=["id_hyp", "id_war"])
-def test_shared_table_of_another_order_is_not_used(check):
-    # a table built at a lower order holds series too short for this one:
-    # the check builds its own, and reports what it reports with no table
-    samples = [rat(2), rat(-1, 3)]
-    report = check(samples, 10, ident._SharedW(4))
-    assert report == check(samples, 10) and report.verified
-    assert report.verified_order == 10
-
 
 def test_remark1_derivative():
     report = ident.verify_remark1_derivative(20)
@@ -563,12 +577,12 @@ def test_adjoint_form_mutated_exponent_fails():
 
 
 def test_report_serialization():
-    report = ident.verify_id_hyp([rat(2)], 10)
+    report = ident.verify_id_war([rat(2)], 10)
     d = report.to_dict()
     assert d["status"] == "verified"
     assert d["samples"] == ["2"]
     assert d["certificate"] == "degree-bound"
-    assert "id_hyp" in report.to_json()
+    assert "id_war" in report.to_json()
     reduced = json.loads(ident.verify_lemma1(10).to_json())
     assert reduced["certificate"] == "all-parameters" and reduced["samples"] == []
     assert reduced["failure_detail"]["domain"] == "all a"
@@ -583,8 +597,8 @@ def test_failed_report_detail():
 
 
 def test_verify_all_takes_only_the_order():
-    # every count follows from the order: a one-parameter "verified" from
-    # verify_all is always the degree-bound proof
+    # the order is the one input: id_war's sample count follows from it, so
+    # its "verified" from verify_all is always the degree-bound proof
     assert list(inspect.signature(ident.verify_all).parameters) == ["order"]
 
 
@@ -593,7 +607,7 @@ def test_default_sample_count_degree_bound():
     assert ident.default_sample_count(40) == 83
 
 
-DEGREE_BOUND = ("id_hyp", "id_war")
+DEGREE_BOUND = ("id_war",)
 CERTIFICATES = {
     "golden_coefficients": "exact", "ode_residuals": "through-order", "f_positivity": "window",
     **dict.fromkeys(REDUCED, "all-parameters"), **dict.fromkeys(DEGREE_BOUND, "degree-bound"),
@@ -601,7 +615,7 @@ CERTIFICATES = {
 
 
 def test_verify_all_proves_on_integers_and_reduces_the_rest():
-    # the degree-bound proofs run on 2N+3 distinct integers, 0, 1, -1, ...;
+    # the degree-bound proof runs on 2N+3 distinct integers, 0, 1, -1, ...;
     # the reduced checks take no sample, and every report names its certificate
     order = 8
     count = ident.default_sample_count(order)
@@ -623,8 +637,9 @@ def test_coefficient_degree_in_a_is_at_most_2n_plus_2(monkeypatch, name):
     # the bound the degree-bound proofs rest on: coefficient n of either
     # side, at 2N+7 consecutive integers, has a vanishing (2n+3)-th forward
     # difference wherever one is defined; at n = N that is at 4 base points.
-    # For the reduced lemma1 and remark1_derivative, coefficients polynomial
-    # in a are what let continuity cover the values a division excluded
+    # For the reduced lemma1, id_hyp and remark1_derivative, coefficients
+    # polynomial in a are what let continuity cover the values a division
+    # excluded
     order = 6
     points = [rat(k) for k in range(-order - 3, order + 4)]
     sides = []
@@ -663,10 +678,7 @@ ORDER_CHECKS = {
     "verify_all": ident.verify_all,
     "odes": ident.verify_odes,
     **REDUCED_CHECKS,
-    "id_hyp": ident.verify_id_hyp,
     "id_war": ident.verify_id_war,
-    "remark1_derivative": ident.verify_remark1_derivative,
-    "adjoint_form": ident.verify_adjoint_form,
 }
 
 
@@ -729,7 +741,7 @@ def at(check, *indices):
 
 
 def mutate_pairs(monkeypatch, fail=(), raising=()):
-    """Make the degree-bound checks wrong at the (check, sample index)
+    """Make the degree-bound check wrong at the (check, sample index)
     entries given: the left side perturbed at fail, raising at raising."""
     real = ident._sampled_report
 
@@ -753,14 +765,15 @@ def failed_sample(reports, name):
 
 
 @pytest.mark.parametrize("fail", [
-    pytest.param(at("id_hyp", 6), id="even"),
-    pytest.param(at("id_hyp", 3), id="odd"),
-    pytest.param(at("id_hyp", 3, 8), id="odd-first"),
-    pytest.param(at("id_hyp", 2, 7), id="even-first"),
-    pytest.param(at("id_hyp", 7, 5) + at("id_war", 8, 3), id="both"),
+    pytest.param(at("id_war", 6), id="even"),
+    pytest.param(at("id_war", 3), id="odd"),
+    pytest.param(at("id_war", 3, 8), id="odd-first"),
+    pytest.param(at("id_war", 2, 7), id="even-first"),
+    pytest.param(at("id_war", 7, 5, 8, 4), id="both"),
 ])
 def test_lower_failing_sample_wins(monkeypatch, fail):
-    # a check that fails at one sample or more names the first
+    # a check that fails at one sample or more, odd or even or both, names
+    # the first, and no other check fails
     mutate_pairs(monkeypatch, fail=fail)
     reports = ident.verify_all(ORDER8)
     names = sorted({name for name, _ in fail})
@@ -771,10 +784,10 @@ def test_lower_failing_sample_wins(monkeypatch, fail):
 
 
 @pytest.mark.parametrize("fail, raising, raised", [
-    pytest.param(at("id_hyp", 2), at("id_hyp", 3), False, id="2-3"),
-    pytest.param(at("id_hyp", 6), at("id_hyp", 3), True, id="6-3"),
-    pytest.param(at("id_hyp", 3), at("id_hyp", 4), False, id="3-4"),
-    pytest.param(at("id_hyp", 5), at("id_hyp", 4), True, id="5-4"),
+    pytest.param(at("id_war", 2), at("id_war", 3), False, id="2-3"),
+    pytest.param(at("id_war", 6), at("id_war", 3), True, id="6-3"),
+    pytest.param(at("id_war", 3), at("id_war", 4), False, id="3-4"),
+    pytest.param(at("id_war", 5), at("id_war", 4), True, id="5-4"),
 ])
 def test_exception_propagates_only_where_no_earlier_sample_fails(monkeypatch, fail, raising, raised):
     # a check raises at one sample and fails at another: the earlier of the
@@ -800,7 +813,7 @@ def test_no_fork_or_one_cpu_gives_the_same_reports(monkeypatch):
     # verify_all runs in this process: with no fork possible and one CPU it
     # gives the reports each check gives alone
     mutate_pairs(monkeypatch, fail=at("id_war", 5))
-    alone = [check(SAMPLES8, ORDER8) for check in (ident.verify_id_hyp, ident.verify_id_war)]
+    alone = [ident.verify_id_hyp(ORDER8), ident.verify_id_war(SAMPLES8, ORDER8)]
     before = ident.verify_all(ORDER8)
     no_process(monkeypatch)
     if hasattr(os, "sched_getaffinity"):
@@ -815,13 +828,13 @@ def test_no_fork_while_other_threads_run(monkeypatch):
     # nothing is forked, so another thread running is no hazard
     import threading
 
-    mutate_pairs(monkeypatch, fail=at("id_hyp", 3))
+    mutate_pairs(monkeypatch, fail=at("id_war", 3))
     no_process(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert failed_sample(ident.verify_all(ORDER8), "id_hyp") == str(SAMPLES8[3])
+        assert failed_sample(ident.verify_all(ORDER8), "id_war") == str(SAMPLES8[3])
     finally:
         release.set()
         thread.join(5)

@@ -24,7 +24,6 @@ from isotorus.series import (
     SeriesError,
     _int_mul,
     binomial_series,
-    one_minus_x_power,
     parse_rational,
     perturbed,
     power_product,
@@ -33,6 +32,11 @@ from isotorus.series import (
 )
 
 ORDER = 12
+
+
+def one_minus_x_to(alpha, order):
+    """(1-x)^alpha: series_pow of 1 - x."""
+    return series_pow(PowerSeries.from_polynomial((1, -1), order), alpha)
 
 
 def geometric(order=ORDER):
@@ -72,7 +76,7 @@ ORDER_TAKERS = {
     "from_polynomial": partial(PowerSeries.from_polynomial, (1, 2)),
     "hypergeometric": HypergeometricSpec(1, 1, 1).series,
     "binomial": partial(binomial_series, rat(1, 2)),
-    "one_minus_x_power": partial(one_minus_x_power, rat(-3, 2)),
+    "one_minus_x_power": partial(one_minus_x_to, rat(-3, 2)),  # series_pow of 1 - x
     "power_product": partial(power_product, (((1, -6, 1), rat(1, 2)), ((1, 1), -3))),
     "series_solution": partial(DifferentialOperator(((-1,), (1,))).series_solution, 1),
     "truncate": PowerSeries.from_polynomial((1, 2), 3).truncate,
@@ -161,7 +165,7 @@ def test_binomial_inverse_pair():
 
 
 def test_one_minus_x_power_geometric():
-    assert one_minus_x_power(-1, 6).coefficients == (1,) * 7
+    assert one_minus_x_to(-1, 6).coefficients == (1,) * 7
 
 
 def test_series_pow_matches_binomial():
@@ -581,7 +585,7 @@ def test_power_product_matches_fraction_reference(exponents):
 @given(parameter, st.integers(0, 40))
 def test_binomial_generators_match_fraction_reference(alpha, order):
     assert canonical(binomial_series(alpha, order)).coefficients == ref_binomial(alpha, order)
-    assert canonical(one_minus_x_power(alpha, order)).coefficients == ref_binomial(alpha, order, -1)
+    assert canonical(one_minus_x_to(alpha, order)).coefficients == ref_binomial(alpha, order, -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,7 +602,7 @@ def test_generators_on_edge_parameters():
         assert canonical(s).coefficients == ref_hyp(Fraction(a), Fraction(b), Fraction(c), 12)
     assert HypergeometricSpec(-3, 1, 1).series(10).nums[4:] == (0,) * 7
     assert binomial_series(0, 5) == PowerSeries.one(5)
-    assert one_minus_x_power(3, 6).coefficients == (1, -3, 3, -1, 0, 0, 0)
+    assert one_minus_x_to(3, 6).coefficients == (1, -3, 3, -1, 0, 0, 0)
 
 
 @settings(max_examples=150, deadline=None)
