@@ -22,6 +22,15 @@ w_a = F_a/(1+x)^a for a = 1/2 and 3/2, and G_a = 2F1(1-a,1-a;2;x) in the
 log slope w_a'/w_a = a^2 G_a/F_a - a/(1+x) (F_a' = a^2 G_a, DLMF 15.5.1),
 so Iso and its derivative are certified on the whole domain.
 
+A step's factors (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and 3 EPS (n+1) do not
+depend on x.  For these four series, F_a and G_a at a = 1/2 and 3/2, they
+are tabled once, at import (``_step_tables``): all four for the 97 checked
+steps up to the first block, and the first two for every step of the first
+14 blocks (992 steps from n = 0; 993 for F_{3/2}), about 320 KB in all.
+Each entry is the float operation of the inline expression on the same
+float operands, so a table changes no bit of any result; every other
+series computes its factors at each step.
+
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
 = F_{3/2}^2/F_{1/2}^3 (1+x)^(-3/2), where (1+x)^(-3/2) = ((1-t)/(1+t))^3.
@@ -33,7 +42,7 @@ which carries a flag.  ``eval_2f1`` is the checked public wrapper of the
 kernel, and nothing in the package calls it.  Each public call checks its
 arguments once, gives each series a share of the caller's target, and
 builds exactly one CertifiedValue, from its final pair, flagged exactly when
-that bound exceeds the target, and only there (``_flagged``).
+that bound is not at most the target, a NaN bound too (``_flagged``).
 Scans evaluate their grids through the same pair functions and build no
 CertifiedValue: they enclose the difference they test at each grid point
 and judge every enclosure in one classifier (``_classify``).
@@ -95,6 +104,7 @@ _TINY = math.ulp(0.0)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
 _HEAD = 96                          # checked steps before eval_2f1 first tries unchecked blocks
 _BLOCK = 64                         # terms in each unchecked block (``_eval_family``)
+_TABLE_BLOCKS = 14                  # blocks whose factors the step tables hold (``_step_tables``)
 _CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
 _P = 128                            # bits after the point in iso_direct's fixed-point partial sums
 
@@ -179,35 +189,39 @@ class CertifiedValue:
 
 def _flagged(value: float, bound: float, target: float) -> CertifiedValue:
     """The CertifiedValue of a public evaluator's final (value, bound) pair,
-    flagged when the bound exceeds ``target``: the one place a flag is set,
-    so the flag follows the evaluator's own final bound."""
-    return CertifiedValue(value, bound, "bound_not_achieved" if bound > target else None)
+    flagged unless the bound is at most ``target`` (so a NaN bound is
+    flagged): the one place a flag is set, so the flag follows the
+    evaluator's own final bound."""
+    return CertifiedValue(value, bound, None if bound <= target else "bound_not_achieved")
 
 
 def _sub(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u - v
+    size = abs(w)
     b = ub + vb
-    if abs(w) < b:
+    if size < b:
         # the difference cancels below the bound: 2 EPS |w| no longer covers
         # the rounding of ub + vb, so round that sum up by 2 EPS of itself
         b *= 1.0 + _TWO_EPS
-    return w, b + _TWO_EPS * abs(w)
+    return w, b + _TWO_EPS * size
 
 
 def _scale(u: float, ub: float, k: float) -> tuple:
     w = u * k
+    size = abs(w)
     b = abs(k) * ub
-    if abs(w) < 4.0 * b:
+    if size < 4.0 * b:
         b *= _ROUND_UP
-    return w, b + _TWO_EPS * abs(w)
+    return w, b + _TWO_EPS * size
 
 
 def _mul(u: float, ub: float, v: float, vb: float) -> tuple:
     w = u * v
+    size = abs(w)
     b = abs(u) * vb + abs(v) * ub + ub * vb
-    if abs(w) < 4.0 * b:
+    if size < 4.0 * b:
         b *= _ROUND_UP
-    return w, b + _TWO_EPS * abs(w)
+    return w, b + _TWO_EPS * size
 
 
 def _div(u: float, ub: float, v: float, vb: float) -> tuple:
@@ -215,10 +229,11 @@ def _div(u: float, ub: float, v: float, vb: float) -> tuple:
     if denom_lo <= 0.0:
         raise BoundNotAchieved("division by an interval containing zero")
     w = u / v
-    b = (ub + abs(w) * vb) / denom_lo
-    if abs(w) < 4.0 * b:
+    size = abs(w)
+    b = (ub + size * vb) / denom_lo
+    if size < 4.0 * b:
         b *= _ROUND_UP
-    return w, b + _TWO_EPS * abs(w)
+    return w, b + _TWO_EPS * size
 
 
 def _pow(u: float, ub: float, p: float) -> tuple:
@@ -297,7 +312,7 @@ def eval_2f1(
     ``x_abs_err`` is an a-priori bound on the rounding error of the argument
     itself; its effect is folded into the returned bound through a bound on
     the derivative of the series; it must be at least 0, and may be inf.
-    The result is flagged when its bound exceeds ``target``.  This is the
+    The result is flagged unless its bound is at most ``target``.  This is the
     checked public entry to the kernel; the package's own evaluators call
     ``_eval_family`` on their series' parameters instead.
     """
@@ -345,12 +360,23 @@ def _eval_family(params, x, target, x_abs_err):
     err_prev = math.inf
     total_prev = total
     stop = float(min(m0 + _HEAD, _MAX_TERMS))
+    row = _STEP_TABLES.get(params, _NO_TABLE)[0]
     while True:
-        an = a + n
-        m = n + 1.0
-        t_next = t * (an * an) / ((c + n) * m) * x
-        k = (m + a_s) / s
-        err = t_next * (k if k < inv_gap else inv_gap) + _THREE_EPS * m * total
+        # the step's factors free of x, (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and
+        # 3 EPS (n+1): computed, or read with the same bits from the head
+        # table's row, which also holds n + 1 and the next row.  Each branch
+        # forms the term and the error itself, as naming the computed factors
+        # would slow a series with no table
+        if row is None:
+            an = a + n
+            m = n + 1.0
+            t_next = t * (an * an) / ((c + n) * m) * x
+            k = (m + a_s) / s
+            err = t_next * (k if k < inv_gap else inv_gap) + _THREE_EPS * m * total
+        else:
+            square, product, k, rounding, m, row = row
+            t_next = t * square / product * x
+            err = t_next * (k if k < inv_gap else inv_gap) + rounding * total
         if err <= target or t_next == 0.0 or m >= stop:
             if err <= target or t_next == 0.0 or m >= _MAX_TERMS:
                 break
@@ -371,11 +397,13 @@ def _eval_family(params, x, target, x_abs_err):
     if x_abs_err > 0.0:
         # the true argument lies in [x - e, x + e] and in [0, 1], where F is
         # increasing and convex: |F(true) - F(x)| <= e F'(min(x + e, 1)),
-        # and at most F(1) - F(0) in any case
+        # and at most F(1) - F(0) in any case.  A cap of 0 is a constant F,
+        # which the argument cannot move, even by e = inf
         head, coef, limit, f_range = _family_derivative_cap(*params)
         gap = 1.0 - x - x_abs_err
-        growth = min(limit, 1.0 / gap) if gap > 0.0 else limit
-        err += min(x_abs_err * (head + coef * growth), f_range)
+        cap = head + coef * (min(limit, 1.0 / gap) if gap > 0.0 else limit)
+        if cap > 0.0:
+            err += min(x_abs_err * cap, f_range)
     return total, err + _TWO_EPS * abs(total)
 
 
@@ -387,8 +415,9 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
 
     A block runs steps m1 = n + 1 through m2 = n + _BLOCK, forming only the
     terms and the running sum S, by the loop's float operations in its order
-    and on its float counter.  Then one test at m2 shows that no step m1..m2
-    would have stopped the loop:
+    and on its float counter, with the factors (a+f)^2 and (c+f)(f+1) of
+    step f read from the block table where it holds the whole block.  Then
+    one test at m2 shows that no step m1..m2 would have stopped the loop:
     - tail(m+1) <= q_m tail(m) for q_m = x (m+a)/(m+a+s), rising in m: the
       majorant, as k grows by (m+a+s+1)/(m+a+s), within 10 EPS of rounding.
       The rounding bound 3 EPS m S_(m-1) grows by 3 EPS (S_m + m t_m) a
@@ -408,6 +437,8 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
     """
     a, c, s, _ = params
     a_s = a + s
+    _, squares, products = _STEP_TABLES.get(params, _NO_TABLE)
+    tabled = len(squares) - _BLOCK  # a block from n <= tabled has all its steps there
     state = None
     while n + _BLOCK < _MAX_TERMS:
         m2 = n + _BLOCK
@@ -417,15 +448,24 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
         mid = m2 - _BLOCK // 2
         if t * ((mid + a) * (mid + a) / ((mid + c) * (mid + 1)) * x) ** _BLOCK * k + rounding <= target:
             break
-        u, sum_u, f = t, total, n
-        for _ in range(_BLOCK - 1):
+        u, sum_u = t, total
+        if n <= tabled:  # the block's steps f = first .. last, from the table
+            first = int(n)
+            last = first + _BLOCK - 1
+            for square, product in zip(squares[first:last], products[first:last]):
+                u = u * square / product * x
+                sum_u += u
+            u = u * squares[last] / products[last] * x
+        else:
+            f = n
+            for _ in range(_BLOCK - 1):
+                af = a + f
+                f1 = f + 1.0
+                u = u * (af * af) / ((c + f) * f1) * x
+                sum_u += u
+                f = f1
             af = a + f
-            f1 = f + 1.0
-            u = u * (af * af) / ((c + f) * f1) * x
-            sum_u += u
-            f = f1
-        af = a + f
-        u = u * (af * af) / ((c + f) * (f + 1.0)) * x
+            u = u * (af * af) / ((c + f) * (f + 1.0)) * x
         tail = u * k
         decay = ((m2 + a) * (1.0 - x) + s) / (m2 + a_s) - 32.0 * EPS  # 1 - q_m2 - 32 EPS
         if not (u != 0.0 and tail + rounding > target
@@ -434,6 +474,40 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
         n, t, total = m2, u, sum_u + u
         state = n, t, total, sum_u, tail + _THREE_EPS * m2 * sum_u
     return state
+
+
+def _step_tables(params) -> tuple:
+    """(head, squares, products): the x-free factors of the family kernel's
+    steps for the series with ``tail_majorant`` params, each formed by the
+    float operations of ``_eval_family`` and ``_sum_blocks`` on the same
+    float operands, so a table entry has the bits of the inline expression.
+
+    squares[f] = (a+f)^2 and products[f] = (c+f)(f+1) for the steps f below
+    m0 - 1 + _HEAD + _TABLE_BLOCKS _BLOCK: the first _TABLE_BLOCKS blocks
+    that ``_sum_blocks`` tries.  head is the first of the rows of the
+    checked steps n = m0 - 1 .. m0 - 1 + _HEAD, up to the first block try;
+    each row is ((a+n)^2, (c+n)(n+1), (n+1+a+s)/s, 3 EPS (n+1), n+1, next
+    row), the last row's next None."""
+    a, c, s, m0 = params
+    a_s = a + s
+    squares, products = [], []
+    for f in map(float, range(m0 - 1 + _HEAD + _TABLE_BLOCKS * _BLOCK)):
+        af = a + f
+        squares.append(af * af)
+        products.append((c + f) * (f + 1.0))
+    head = None
+    for n in range(m0 - 1 + _HEAD, m0 - 2, -1):
+        m = n + 1.0
+        head = (squares[n], products[n], (m + a_s) / s, _THREE_EPS * m, m, head)
+    return head, squares, products
+
+
+# the step tables of the four series of the ratio and its derivative, built
+# at import and keyed by kernel parameters; every other series computes its
+# factors at each step
+_STEP_TABLES = {params: _step_tables(params)
+                for params in (_AREA, _VOLUME, _AREA_SLOPE, _VOLUME_SLOPE)}
+_NO_TABLE = None, (), ()  # the (head, squares, products) of any other series
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:

@@ -333,6 +333,7 @@ def invert_grid_digest():
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@pytest.mark.pinned
 def test_inversions_match_the_grid_digest(time_limit):
     time_limit(5.0)
     assert invert_grid_digest() == INVERT_GRID
