@@ -24,12 +24,11 @@ so Iso and its derivative are certified on the whole domain.
 
 A step's factors (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and 3 EPS (n+1) do not
 depend on x.  For these four series, F_a and G_a at a = 1/2 and 3/2, they
-are tabled once, at import (``_step_tables``): all four for the 97 checked
-steps up to the first block, and the first two for every step of the first
-14 blocks (992 steps from n = 0; 993 for F_{3/2}), about 320 KB in all.
-Each entry is the float operation of the inline expression on the same
-float operands, so a table changes no bit of any result; every other
-series computes its factors at each step.
+are tabled once, at import, for the 97 checked steps up to the first block
+(``_head_table``), about 80 KB in all.  Each entry is the float operation
+of the inline expression on the same float operands, so a table changes no
+bit of any result; the blocks, and every other series, compute their
+factors at each step.
 
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
@@ -104,7 +103,6 @@ _TINY = math.ulp(0.0)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
 _HEAD = 96                          # checked steps before eval_2f1 first tries unchecked blocks
 _BLOCK = 64                         # terms in each unchecked block (``_eval_family``)
-_TABLE_BLOCKS = 14                  # blocks whose factors the step tables hold (``_step_tables``)
 _CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
 _P = 128                            # bits after the point in iso_direct's fixed-point partial sums
 
@@ -360,7 +358,7 @@ def _eval_family(params, x, target, x_abs_err):
     err_prev = math.inf
     total_prev = total
     stop = float(min(m0 + _HEAD, _MAX_TERMS))
-    row = _STEP_TABLES.get(params, _NO_TABLE)[0]
+    row = _HEAD_TABLES.get(params)
     while True:
         # the step's factors free of x, (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and
         # 3 EPS (n+1): computed, or read with the same bits from the head
@@ -415,9 +413,8 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
 
     A block runs steps m1 = n + 1 through m2 = n + _BLOCK, forming only the
     terms and the running sum S, by the loop's float operations in its order
-    and on its float counter, with the factors (a+f)^2 and (c+f)(f+1) of
-    step f read from the block table where it holds the whole block.  Then
-    one test at m2 shows that no step m1..m2 would have stopped the loop:
+    and on its float counter.  Then one test at m2 shows that no step m1..m2
+    would have stopped the loop:
     - tail(m+1) <= q_m tail(m) for q_m = x (m+a)/(m+a+s), rising in m: the
       majorant, as k grows by (m+a+s+1)/(m+a+s), within 10 EPS of rounding.
       The rounding bound 3 EPS m S_(m-1) grows by 3 EPS (S_m + m t_m) a
@@ -437,8 +434,6 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
     """
     a, c, s, _ = params
     a_s = a + s
-    _, squares, products = _STEP_TABLES.get(params, _NO_TABLE)
-    tabled = len(squares) - _BLOCK  # a block from n <= tabled has all its steps there
     state = None
     while n + _BLOCK < _MAX_TERMS:
         m2 = n + _BLOCK
@@ -448,24 +443,15 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
         mid = m2 - _BLOCK // 2
         if t * ((mid + a) * (mid + a) / ((mid + c) * (mid + 1)) * x) ** _BLOCK * k + rounding <= target:
             break
-        u, sum_u = t, total
-        if n <= tabled:  # the block's steps f = first .. last, from the table
-            first = int(n)
-            last = first + _BLOCK - 1
-            for square, product in zip(squares[first:last], products[first:last]):
-                u = u * square / product * x
-                sum_u += u
-            u = u * squares[last] / products[last] * x
-        else:
-            f = n
-            for _ in range(_BLOCK - 1):
-                af = a + f
-                f1 = f + 1.0
-                u = u * (af * af) / ((c + f) * f1) * x
-                sum_u += u
-                f = f1
+        u, sum_u, f = t, total, n
+        for _ in range(_BLOCK - 1):
             af = a + f
-            u = u * (af * af) / ((c + f) * (f + 1.0)) * x
+            f1 = f + 1.0
+            u = u * (af * af) / ((c + f) * f1) * x
+            sum_u += u
+            f = f1
+        af = a + f
+        u = u * (af * af) / ((c + f) * (f + 1.0)) * x
         tail = u * k
         decay = ((m2 + a) * (1.0 - x) + s) / (m2 + a_s) - 32.0 * EPS  # 1 - q_m2 - 32 EPS
         if not (u != 0.0 and tail + rounding > target
@@ -476,38 +462,29 @@ def _sum_blocks(params, x, target, inv_gap, n, t, total):
     return state
 
 
-def _step_tables(params) -> tuple:
-    """(head, squares, products): the x-free factors of the family kernel's
-    steps for the series with ``tail_majorant`` params, each formed by the
-    float operations of ``_eval_family`` and ``_sum_blocks`` on the same
-    float operands, so a table entry has the bits of the inline expression.
-
-    squares[f] = (a+f)^2 and products[f] = (c+f)(f+1) for the steps f below
-    m0 - 1 + _HEAD + _TABLE_BLOCKS _BLOCK: the first _TABLE_BLOCKS blocks
-    that ``_sum_blocks`` tries.  head is the first of the rows of the
-    checked steps n = m0 - 1 .. m0 - 1 + _HEAD, up to the first block try;
-    each row is ((a+n)^2, (c+n)(n+1), (n+1+a+s)/s, 3 EPS (n+1), n+1, next
-    row), the last row's next None."""
+def _head_table(params) -> tuple:
+    """The first row of the head table of the series with ``tail_majorant``
+    params: the x-free factors of the family kernel's checked steps n =
+    m0 - 1 .. m0 - 1 + _HEAD, up to its first block try.  Each row is
+    ((a+n)^2, (c+n)(n+1), (n+1+a+s)/s, 3 EPS (n+1), n+1, next row), the
+    last row's next None, each factor formed by the float operations of
+    ``_eval_family`` on the same float operands, so it has the bits of the
+    inline expression."""
     a, c, s, m0 = params
     a_s = a + s
-    squares, products = [], []
-    for f in map(float, range(m0 - 1 + _HEAD + _TABLE_BLOCKS * _BLOCK)):
-        af = a + f
-        squares.append(af * af)
-        products.append((c + f) * (f + 1.0))
-    head = None
-    for n in range(m0 - 1 + _HEAD, m0 - 2, -1):
+    row = None
+    for n in map(float, range(m0 - 1 + _HEAD, m0 - 2, -1)):
+        an = a + n
         m = n + 1.0
-        head = (squares[n], products[n], (m + a_s) / s, _THREE_EPS * m, m, head)
-    return head, squares, products
+        row = (an * an, (c + n) * m, (m + a_s) / s, _THREE_EPS * m, m, row)
+    return row
 
 
-# the step tables of the four series of the ratio and its derivative, built
+# the head tables of the four series of the ratio and its derivative, built
 # at import and keyed by kernel parameters; every other series computes its
 # factors at each step
-_STEP_TABLES = {params: _step_tables(params)
+_HEAD_TABLES = {params: _head_table(params)
                 for params in (_AREA, _VOLUME, _AREA_SLOPE, _VOLUME_SLOPE)}
-_NO_TABLE = None, (), ()  # the (head, squares, products) of any other series
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
