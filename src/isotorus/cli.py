@@ -122,7 +122,9 @@ def verify_cmd(order, inject_fault):
     euler_transform, id_hyp (with the Euler transform as its lemma),
     remark1_derivative and adjoint_form are proved for all parameters at
     every order, which --order only labels; id_war runs through --order at
-    2*order+3 samples, the count the degree bound needs."""
+    2*order+3 samples, the count the degree bound needs; f_positivity reads
+    d_n > 0 for n <= 200 from the solution of the flux operator from d_0,
+    and proves the operator, its lemma flux_operator, in the same call."""
     if inject_fault and order <= _FAULT_INDEX:
         raise click.UsageError(
             f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "

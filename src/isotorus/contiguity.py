@@ -4,11 +4,17 @@ g·(R0·F + R1·F') over a base F = 2F1(α, β; γ; x), R0 and R1 rational in th
 parameters and x, g = (1-x)^λ or 1; contiguous 2F1s reduce to it by step
 rules, F'' by the hypergeometric equation, and an identity holds when both
 coefficients of the difference of its sides vanish.  Every rule is an axiom
-checked termwise on t_n = (α)_n (β)_n / ((γ)_n n!), n symbolic.  See
+checked termwise on t_n = (α)_n (β)_n / ((γ)_n n!), n symbolic.
+``Poly.at`` and ``Rat.at`` put a rational function in for x: the flux proof
+of ``identities`` reads its reductions at x = 4z/(1-z)^2, with x then read
+as z.  See
 Vidunas, arXiv:math/0109222, and Petkovšek, Wilf & Zeilberger, *A=B*.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 _X = 24  # the shift of x's exponent: a, b, c, x and n take 8 bits each
 
@@ -40,16 +46,50 @@ class Poly(dict):
         other = _poly(other)
         if other == _ONE or self == _ONE:
             return other if self == _ONE else self
-        out, right = {}, other.items()
+        out, right = {}, list(other.items())
+        get = out.get
         for e1, v1 in self.items():
             for e2, v2 in right:
-                out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+                e = e1 + e2
+                out[e] = get(e, 0) + v1 * v2
         return Poly({e: v for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
     def dx(self) -> "Poly":
         return Poly({e - (1 << _X): v * (e >> _X & 255) for e, v in self.items() if e >> _X & 255})
+
+    def at(self, value: "Rat") -> "Rat":
+        """self with x replaced by value, by Horner's rule in x."""
+        by_power = {}
+        for e, v in self.items():
+            by_power.setdefault(e >> _X & 255, Poly())[e & ~(255 << _X)] = v
+        out = Rat(0)
+        for k in range(max(by_power, default=0), -1, -1):
+            out = out * value + Rat(by_power.get(k, 0))
+        return out
+
+    def quotient(self, f: "Poly") -> "Poly | None":
+        """self / f where f, a polynomial in x alone, divides self; else
+        None.  Long division on the terms of highest degree in x."""
+        fx = {e >> _X: v for e, v in f.items()}
+        m = max(fx)
+        lead = fx.pop(m)
+        rest, out = dict(self), Poly()
+        while rest:
+            e = max(rest, key=lambda t: t >> _X & 255)
+            if e >> _X & 255 < m:
+                return None
+            v = rest.pop(e)
+            c = v // lead if type(v) is int and v % lead == 0 else Fraction(v) / lead
+            out[e - (m << _X)] = c
+            for k, w in fx.items():
+                t = e - (m - k << _X)
+                if rest.setdefault(t, 0) == c * w:
+                    del rest[t]
+                else:
+                    rest[t] -= c * w
+        return out
 
     def __str__(self) -> str:
         text = ""
@@ -73,6 +113,12 @@ def _product(factors) -> Poly:
     for f in factors:
         out = out * f
     return out
+
+
+def in_x(coefficients) -> Poly:
+    """The polynomial Σ c_k x^k of the rational coefficients (c_0, c_1, ...),
+    each integral one as an int."""
+    return Poly({k << _X: c.numerator if c.denominator == 1 else c for k, c in enumerate(coefficients) if c})
 
 
 A, B, C, X, N = (Poly({1 << 8 * i: 1}) for i in range(5))
@@ -120,6 +166,39 @@ class Rat:
             num = num - self.num * g.dx() * e * _product(f for j, (f, _) in xs.items() if j != k)
         return Rat(num, factors={**self.factors, **{k: (f, e + 1) for k, (f, e) in xs.items()}})
 
+    def at(self, value: "Rat") -> "Rat":
+        """self with x replaced by value, ``cancel``led before and after:
+        each factor's value is inverted by taking its numerator as a factor,
+        so none may vanish."""
+        src = self.cancel()
+        out = src.num.at(value)
+        for f, e in src.factors.values():
+            g = f.at(value)
+            if not g.num:
+                raise ZeroDivisionError(f"{f} vanishes at x = the value")
+            inverse = Rat(_product(h for h, k in g.factors.values() for _ in range(k)), g.num)
+            for _ in range(e):
+                out = out * inverse
+        return out.cancel()
+
+    def cancel(self) -> "Rat":
+        """The same function with each factor in x alone divided out of num
+        as often as it divides exactly, and the constant factors and the
+        denominators of num's coefficients gathered into one integer factor,
+        so that num has integer coefficients."""
+        num, factors, scale = self.num, {}, Fraction(1)
+        for k, (f, e) in self.factors.items():
+            if set(f) == {0}:
+                scale /= f[0] ** e
+                continue
+            while e and not any(t & ~(255 << _X) for t in f) and (q := num.quotient(f)) is not None:
+                num, e = q, e - 1
+            if e:
+                factors[k] = (f, e)
+        num = num * scale
+        den = math.lcm(*(Fraction(v).denominator for v in num.values()))
+        return Rat(Poly({t: int(v * den) for t, v in num.items()}), den, factors=factors)
+
 
 # The axioms.  A step rule maps (α, β, γ) to (shift, divisors, c0, c1):
 # Π divisors · F(α + dα, β + dβ; γ + dγ) = c0·F + c1·F'.
@@ -130,9 +209,13 @@ RULES = {
 }
 
 
+# the factors of the leading coefficient of the hypergeometric equation
+_P2_FACTORS = (X, 1 - X)
+
+
 def equation(al, be, ga):
     """(p2, p1, p0): p2 F'' + p1 F' + p0 F = 0."""
-    return X * (1 - X), ga - (al + be + 1) * X, -al * be
+    return _product(_P2_FACTORS), ga - (al + be + 1) * X, -al * be
 
 
 def gauge(lam, sign):
@@ -213,8 +296,9 @@ class Reduction:
 
     def __init__(self, al, be, ga):
         self.base = tuple(map(_poly, (al, be, ga)))
-        p2, p1, p0 = equation(*self.base)
-        self.f2 = Rat(-p0, p2), Rat(-p1, p2)  # F'' = f2[0]·F + f2[1]·F'
+        _, p1, p0 = equation(*self.base)
+        # F'' = f2[0]·F + f2[1]·F', over the factors of p2 kept apart
+        self.f2 = Rat(-p0, *_P2_FACTORS), Rat(-p1, *_P2_FACTORS)
         self.excluded, self.used = [], set()
 
     def d(self, f, gauge_exponents=(0, 0)):
@@ -234,9 +318,9 @@ class Reduction:
         for γ, then ``alpha_up`` or ``beta_down`` on α, and on β by symmetry."""
         p = list(self.base)
         d = [_poly(t) - s for t, s in zip((al, be, ga), p)]
-        if any(set(q) - {0} or type(q.get(0, 0)) is not int for q in d) or d[2].get(0, 0) < 0:
+        if any(set(q) - {0} or q.get(0, 0) % 1 for q in d) or d[2].get(0, 0) < 0:
             raise ValueError(f"F{tuple(map(str, map(_poly, (al, be, ga))))} does not reduce over the base")
-        d = [q.get(0, 0) for q in d]
+        d = [int(q.get(0, 0)) for q in d]
         plan = [("all_up", False)] * d[2]
         for slot in (0, 1):
             rule = "alpha_up" if d[slot] > d[2] else "beta_down"

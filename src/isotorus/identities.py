@@ -9,8 +9,9 @@ Euler's transform as a lemma, checked in the same call;
 ``degree-bound`` for ``id_war``, whose series agree through the order at
 enough integer values of a that the per-coefficient degree bound makes the
 sample run a proof for all a through that order;
-``through-order`` for the ODE residuals, ``window`` for flux positivity and
-``exact`` for the printed leading coefficients.  ``verify_all`` takes one
+``through-order`` for the ODE residuals, ``window`` for flux positivity,
+whose lemma, ``FLUX_OPERATOR``, is proved in the same call, and ``exact``
+for the printed leading coefficients.  ``verify_all`` takes one
 input, the order, and runs every check in this process.
 """
 
@@ -103,6 +104,34 @@ VBAR_OPERATOR = DifferentialOperator(
         _poly(_Z, _Z_MINUS_1, _Z_PLUS_1, _Q, _Q),
     )
 )
+
+# The flux F = 2*Vbar'*Abar - 3*Vbar*Abar' is D-finite, as a sum of products
+# of derivatives of D-finite series (Stanley 1980): F and its first three
+# derivatives lie in span{G^2, G G', G'^2} over Q(z), G = 2F1(-1/2,-1/2;1;x)
+# at x = 4z/(1-z)^2, so one combination of them vanishes.  It was found by
+# linear algebra over Q(z) and ``verify_f_positivity`` proves it.  Its
+# recurrence has c_0(n) = -3n(n+1)^2, nonzero for n >= 1, so d_0 fixes the
+# series:
+#   z^2(z-1)^3(z+1)^2(z^2-6z+1)^2(3z^4-164z^3+370z^2-164z+3) * y'''
+#   + z(z-1)^2(z+1)(z^2-6z+1)(66z^8-3943z^7+...-15) * y''
+#   + 2(z-1)(210z^12-13761z^11+...+6) * y' + 2(378z^12-25452z^11+...+161) * y
+FLUX_OPERATOR = DifferentialOperator(
+    (
+        _poly((2,), (161, -10178, 228041, -1142836, 2348092, -1822124, -506446, 1565968, -639207, -143106,
+                     145173, -25452, 378)),
+        _poly((2,), _Z_MINUS_1, (6, -649, 24144, -267421, 794998, -694834, -446064, 930590, -248334, -178437,
+                                 101088, -13761, 210)),
+        _poly(_Z, _Z_MINUS_1, _Z_MINUS_1, _Z_PLUS_1, _Q,
+              (-15, 971, -17577, 47123, -30383, -16759, 18981, -3943, 66)),
+        _poly(_Z, _Z, _Z_MINUS_1, _Z_MINUS_1, _Z_MINUS_1, _Z_PLUS_1, _Z_PLUS_1, _Q, _Q, (3, -164, 370, -164, 3)),
+    )
+)
+
+# The closed forms prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2), as
+# (a, prefactor, q_power): what ``expand_abar`` and ``expand_vbar`` expand
+# and the flux proof reduces
+_ABAR = (rat(-1, 2), (4, 0, -4), 2)
+_VBAR = (rat(-3, 2), (2, -6, 6, -2), 3)
 
 ABAR_LEADING = (rat(4), rat(52), rat(477), rat(3809), rat(451625, 16), rat(3195333, 16))
 VBAR_LEADING = (rat(2), rat(48), rat(1269, 2), rat(6600), rat(1928025, 32), rat(2026101, 4))
@@ -248,22 +277,35 @@ def _closed_form(a, prefactor: tuple, q_power: int, order: int) -> PowerSeries:
 @lru_cache(maxsize=None, typed=True)
 def expand_abar(order: int) -> PowerSeries:
     """Closed-form expansion 4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2)."""
-    return _closed_form(rat(-1, 2), (4, 0, -4), 2, _checked_order(order))
+    return _closed_form(*_ABAR, _checked_order(order))
 
 
 @lru_cache(maxsize=None, typed=True)
 def expand_vbar(order: int) -> PowerSeries:
     """Closed-form expansion 2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2)."""
-    return _closed_form(rat(-3, 2), (2, -6, 6, -2), 3, _checked_order(order))
+    return _closed_form(*_VBAR, _checked_order(order))
+
+
+def _flux_constant():
+    """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the closed forms."""
+    ab, vb = expand_abar(1), expand_vbar(1)
+    return 2 * vb[1] * ab[0] - 3 * vb[0] * ab[1]
+
+
+def _flux_series(order: int) -> PowerSeries:
+    """FLUX_OPERATOR's solution from d_0 through z^order, unreduced: over the
+    product of c_0(n) = -3n(n+1)^2 for n = 1..order, its sign moved onto
+    the numerators."""
+    return FLUX_OPERATOR.series_solution(_flux_constant(), _checked_order(order))
 
 
 @lru_cache(maxsize=None, typed=True)
 def expand_f(order: int) -> PowerSeries:
-    """Coefficients d_n of the flux series, via F = 2*Vbar'*Abar - 3*Vbar*Abar'."""
-    ab = expand_abar(_checked_order(order) + 1)
-    vb = expand_vbar(order + 1)
-    f = (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
-    return f.reduced()
+    """Coefficients d_n of the flux series F = 2*Vbar'*Abar - 3*Vbar*Abar',
+    as FLUX_OPERATOR's solution from d_0, reduced: ``verify_f_positivity``
+    proves that the operator annihilates F, and c_0(n) != 0 for n >= 1
+    makes the series solution with that d_0 unique."""
+    return _flux_series(order).reduced()
 
 
 # --------------------------------------------------------------------------
@@ -301,27 +343,89 @@ def verify_golden_coefficients() -> IdentityReport:
     return IdentityReport("golden_coefficients", 5, "exact")
 
 
+def _derivative(form, dr, e0, e1) -> list:
+    """d/dz of the form sum_j form[j] u^(k-j) v^j, k = len(form) - 1, in
+    u = G(r) and v = G'(r), by u' = r' v and v' = e0 u + e1 v."""
+    k = len(form) - 1
+    out = [s.dx() for s in form]
+    for j, s in enumerate(form):
+        if j < k:
+            out[j + 1] = out[j + 1] + s * dr * (k - j)
+        if j:
+            out[j - 1] = out[j - 1] + s * e0 * j
+            out[j] = out[j] + s * e1 * j
+    return out
+
+
+def _form_product(p, q) -> list:
+    out = [Rat(0)] * (len(p) + len(q) - 1)
+    for i, s in enumerate(p):
+        for j, t in enumerate(q):
+            out[i + j] = out[i + j] + s * t
+    return out
+
+
+def _flux_operator_failures() -> list:
+    """What fails of the proof that FLUX_OPERATOR annihilates the flux: []
+    where it holds.  Over G = 2F1(a,a;1;x), a of ``_ABAR``, each closed form
+    is prefactor/Q^q_power times its 2F1 at x = r = 4z/(1-z)^2, which
+    ``contiguity`` reduces to r0 G + r1 G' by its checked steps (for Vbar,
+    (5x+3)/3 G + 4x(1-x)/3 G'); these are read at x = r, with x then read
+    as z.  By the chain rule d/dz G(r) = r' G'(r) and d/dz G'(r) =
+    r' G''(r), with G'' reduced by the hypergeometric equation at x = r.  So
+    the flux and its derivatives are forms in G(r)^2, G(r) G'(r) and G'(r)^2,
+    and the operator applied to the flux must have all three coefficients 0.
+    Returns the axioms of the steps that fail their check, and
+    ``flux_operator`` where a coefficient is not 0."""
+    a = _ABAR[0]
+    reduction = Reduction(a, a, 1)
+    r = Rat(4 * X, 1 - X, 1 - X)
+    dr = r.dx()
+    e0, e1 = ((t.at(r) * dr).cancel() for t in reduction.f2)
+    q = contiguity.in_x(_Q)
+    abar, vbar = ([t.at(r) * Rat(contiguity.in_x(prefactor), *[q] * q_power) for t in reduction.hyp(b, b, 1)]
+                  for b, prefactor, q_power in (_ABAR, _VBAR))
+    flux = [s * 2 + t * -3 for s, t in zip(_form_product(_derivative(vbar, dr, e0, e1), abar),
+                                           _form_product(vbar, _derivative(abar, dr, e0, e1)))]
+    total = [Rat(0)] * 3
+    for i, p in enumerate(FLUX_OPERATOR.poly_coeffs):
+        if i:
+            flux = _derivative(flux, dr, e0, e1)
+        total = [s + t * contiguity.in_x(p) for s, t in zip(total, flux)]
+    return contiguity.failed_axioms(reduction.used) + ["flux_operator"] * any(t.num for t in total)
+
+
 def verify_f_positivity(window: int = 200) -> IdentityReport:
     """d_0 = 72, d_1 = 1932 exactly; d_n > 0 on the desk-scale window.
 
-    Also compares the computed coefficient of z^3 against the displayed 31248
-    and reports (not fails on) any discrepancy, plus the computed d_2, which
-    the display elides; d_2 must still be positive.
+    The d_n are FLUX_OPERATOR's solution from d_0 (``expand_f``), and each
+    call proves the operator (``_flux_operator_failures``), a lemma the
+    detail names.  The solution is read unreduced: its denominator, the
+    product of the c_0(n), has the sign (-1)^window, which the stored series
+    moves onto its numerators, so each sign is its numerator's.  Also
+    compares the computed coefficient of z^3 against the displayed 31248
+    and reports (not fails on) any discrepancy, plus the computed d_2,
+    which the display elides; d_2 must still be positive.
     """
-    f = expand_f(_checked_order(window, "window", 3))  # the report reads d_2 and d_3
+    _checked_order(window, "window", 3)  # the report reads d_2 and d_3
+    failed = _flux_operator_failures()
+    if failed:
+        return IdentityReport("f_positivity", window, "window", (), "failed",
+                              {"lemmas": ["flux_operator"], "failed": failed})
+    f = _flux_series(window)
     detail = {
         "d2": str(f[2]),
         "d3": str(f[3]),
         "d3_matches_display": f[3] == F_DISPLAYED_Z3,
         "display_matches_d2": f[2] == F_DISPLAYED_Z3,
+        "lemmas": ["flux_operator"],
     }
     mismatch = _first_mismatch(f, PowerSeries(F_LEADING), len(F_LEADING) - 1)
     if mismatch is not None:
-        return _failure("f_positivity", window, "window", *mismatch)
-    # expand_f is reduced, so its denominator is positive: each sign is its numerator's
-    for n, num in enumerate(f.nums):
+        return _failure("f_positivity", window, "window", *mismatch, **detail)
+    for n, num in enumerate(f._nums):
         if num <= 0:
-            return _failure("f_positivity", window, "window", n, f[n])
+            return _failure("f_positivity", window, "window", n, f[n], **detail)
     return IdentityReport("f_positivity", window, "window", (), "verified", detail)
 
 

@@ -101,6 +101,9 @@ _C_DIRECT_BOUND = _FOUR_EPS * _C_DIRECT
 # target that it gives a series here, where the division underflows to 0
 _TINY = math.ulp(0.0)
 _MAX_TERMS = 10 ** 6                # cap on the terms eval_2f1 sums; reaching it flags the result
+# w_a's a ends where 2F1(-a,-a;1;1) = Gamma(1+2a)/Gamma(1+a)^2 reaches
+# e^_W_LOG_MAX, 1/e of the largest float: at a = 513.94
+_W_LOG_MAX = math.log(sys.float_info.max) - 1.0
 _HEAD = 96                          # checked steps before eval_2f1 first tries unchecked blocks
 _BLOCK = 64                         # terms in each unchecked block (``_eval_family``)
 _CAP_CUSHION = 1.05                 # iso_direct's tail cap over its largest checked coefficient ratio
@@ -505,6 +508,12 @@ def _w_spec(a) -> HypergeometricSpec | None:
         raise DomainError(f"w_a needs a finite rational a, not {a!r}") from None
     if a <= rat(-1, 2):  # 2F1(-a,-a;1) has c - 2(-a) = 1 + 2a > 0 only above
         raise DomainError(f"w_a is certified for a > -1/2, not a = {a}")
+    # the kernel sums floor(a) terms before its tail bound applies, and the
+    # series, of nonnegative terms, is largest at x = 1: Gamma(1+2a)/Gamma(1+a)^2
+    if math.floor(a) > _MAX_TERMS or (
+            math.lgamma(1 + 2 * float(a)) - 2 * math.lgamma(1 + float(a)) > _W_LOG_MAX):
+        raise DomainError(f"w_a is certified for a below about 513.94, where 2F1(-a,-a;1;1) stays "
+                          f"in the float range, not a = {a}")
     return None if a == 0 or a == 1 else HypergeometricSpec(-a, -a, rat(1))
 
 
@@ -525,7 +534,11 @@ def _w(params: tuple | None, x: float, target: float) -> tuple:
 
 
 def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
-    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for a > -1/2."""
+    """w_a(x) = 2F1(-a,-a;1;x) / (1+x)^a with a certified bound, for
+    -1/2 < a < 513.94 (about): a DomainError from the a where the series at
+    x = 1, Gamma(1+2a)/Gamma(1+a)^2, passes 1/e of the largest float.  That
+    also keeps the floor(a) terms the kernel sums before its tail bound
+    applies far under ``_MAX_TERMS``."""
     params = _w_params(a)
     _check_x(x)
     _check_target(target)
@@ -834,11 +847,15 @@ def iso_derivative(z: float, target: float = 1e-10) -> CertifiedValue:
     slope, slope_b = _sub(r2, r2_b, r1, r1_b)
     slope, slope_b = _sub(slope, slope_b, *_div(0.75, 0.0, x1, x_err + _TWO_EPS * abs(x1)))
     # dx/dz = 2z dx/dt: a few roundings, plus its sensitivity to the
-    # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t))
+    # rounding of t, d(dx/dt)/dt = dx/dt (1/(1+t) + 3/(1-t)).  For z below
+    # about 1e-308 dx/dz and the derivative are subnormal, where a rounding
+    # errs by up to half of _TINY and the relative pads underflow: each
+    # of the two gets _TINY more
     dx_dz = 2.0 * z * dx_dt
-    dx_dz_err = dx_dz * (_EIGHT_EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t)
+    dx_dz_err = dx_dz * (_EIGHT_EPS + (1.0 / (1.0 + t) + 3.0 / (1.0 - t)) * EPS * t) + _TINY
     d, db = _mul(iso_v, iso_b, slope, slope_b)
-    return _flagged(*_mul(d, db, dx_dz, dx_dz_err), target)
+    w, wb = _mul(d, db, dx_dz, dx_dz_err)
+    return _flagged(w, wb + _TINY, target)
 
 
 # --------------------------------------------------------------------------

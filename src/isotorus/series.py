@@ -545,6 +545,14 @@ def _at(poly: Sequence, n: int) -> int:
     return acc
 
 
+def _at_each(poly: Sequence, ns: range) -> list:
+    """``_at(poly, n)`` for each n in ns, by Horner's rule on the list."""
+    acc = [0] * len(ns)
+    for c in poly:
+        acc = [a * n + c for a, n in zip(acc, ns)]
+    return acc
+
+
 @dataclass(frozen=True)
 class DifferentialOperator:
     """Linear differential operator sum_i p_i(z) d^i/dz^i.
@@ -604,8 +612,8 @@ class DifferentialOperator:
         Raises SeriesError where c_0 vanishes at n = 0 with a nonzero
         constant, or at some n in 1..order."""
         ns = range(_checked_order(order) + 1)
-        lead = [_at(self.recurrence[0], n) for n in ns]
-        terms = [(k, [-_at(poly, n) for n in ns]) for k, poly in self.recurrence.items() if k]
+        lead = _at_each(self.recurrence[0], ns)
+        terms = [(k, _at_each([-c for c in poly], ns)) for k, poly in self.recurrence.items() if k]
         return _recurrence(lead, terms, Rational(constant))
 
     def apply(self, s: PowerSeries) -> PowerSeries:

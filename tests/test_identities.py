@@ -5,6 +5,7 @@ import copy
 import hashlib
 import inspect
 import json
+import math
 import os
 from functools import partial
 
@@ -47,15 +48,16 @@ def test_expand_vbar_golden():
 # prefix sums; verify12 and verify40, the reports of ``verify_all`` at those
 # orders (40 is the order ``isotorus verify --order 40`` runs), since
 # id_hyp too is reduced for all parameters, with the Euler transform as its
-# lemma: the earlier reports with that report changed, the other ten byte
-# for byte the same.  Any change to an exact result changes its digest.
+# lemma, and since f_positivity names its flux-operator lemma: each time the
+# earlier reports with that one report changed, the other ten byte for byte
+# the same.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
     "abar250": "43cbaa1f6cffb7bb4d74d099bffbb8381e89eb8fdf47a1eb7a5a203113e5aeb7",
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
-    "verify12": "a5b1fca4e2a6e07fb2254f653b365704778065b7da830edf7f470740a2447ad6",
-    "verify40": "16cd05bbb81fa0661c81fe70828c2812b24ed939b46e3a4782302ddbf6458508",
+    "verify12": "c38b4d03b9c085c469593491318d7cfe7e0a4356d39eaaed6716301a8450f5c0",
+    "verify40": "cad63d984eeb15bce425a03a19bec7d6fd1162901f65faccab3b1bc9ca7535e5",
 }
 
 
@@ -221,6 +223,75 @@ def test_f_positivity_window():
     # the printed cubic coefficient actually sits at z^2
     assert report.failure_detail["display_matches_d2"] is True
     assert report.failure_detail["d3_matches_display"] is False
+    assert report.failure_detail["lemmas"] == ["flux_operator"]
+
+
+def flux_by_products(order):
+    """2*Vbar'*Abar - 3*Vbar*Abar' from the closed-form expansions, by two
+    products: the reference for FLUX_OPERATOR's solution."""
+    ab, vb = ident.expand_abar(order + 1), ident.expand_vbar(order + 1)
+    f = (vb.derivative() * ab.truncate(order)).scale(2) - (vb.truncate(order) * ab.derivative()).scale(3)
+    return f.reduced()
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 40, 200])
+def test_flux_operator_solution_matches_the_products(order):
+    assert ident.expand_f(order).to_strings() == flux_by_products(order).to_strings()
+
+
+def test_flux_operator_is_proved_and_its_recurrence_fixes_d0():
+    assert ident._flux_operator_failures() == []
+    # c_0(n) = -3n(n+1)^2: 0 at n = 0 only, so d_0 fixes the series
+    assert ident.FLUX_OPERATOR.recurrence[0] == (-3, -6, -3, 0)
+    assert ident._flux_constant() == 72
+
+
+@pytest.mark.parametrize("window", [3, 4, 60, 201])
+def test_f_positivity_reads_signs_against_the_unreduced_denominator(window):
+    # prod c_0(n) has the sign (-1)^window, which the stored series moves
+    # onto its numerators, so odd and even windows read the same way
+    f = ident._flux_series(window)
+    assert f._den == abs(math.prod(-3 * n * (n + 1) ** 2 for n in range(1, window + 1)))
+    assert ident.verify_f_positivity(window).verified
+
+
+def _mutated_operator():
+    polys = [list(p) for p in ident.FLUX_OPERATOR.poly_coeffs]
+    polys[0][0] += 1
+    return ident.DifferentialOperator(tuple(map(tuple, polys)))
+
+
+_BETA_DOWN = contiguity.RULES["beta_down"]
+
+
+def _mutated_beta_down(al, be, ga):
+    # the step rule with one coefficient of its F term changed
+    shift, divisors, c0, c1 = _BETA_DOWN(al, be, ga)
+    return shift, divisors, c0 + X, c1
+
+
+@pytest.mark.parametrize("mutant, failed", [
+    ("operator", ["flux_operator"]),
+    ("contiguity_step", ["beta_down", "flux_operator"]),
+    ("abar_gauge", ["flux_operator"]),
+])
+def test_f_positivity_fails_on_a_wrong_proof_input(monkeypatch, mutant, failed):
+    if mutant == "operator":
+        monkeypatch.setattr(ident, "FLUX_OPERATOR", _mutated_operator())
+    elif mutant == "contiguity_step":
+        monkeypatch.setitem(contiguity.RULES, "beta_down", _mutated_beta_down)
+    else:  # Abar's gauge Q^-2 changed to Q^-3
+        monkeypatch.setattr(ident, "_ABAR", ident._ABAR[:2] + (3,))
+    report = ident.verify_f_positivity(10)
+    assert not report.verified
+    assert report.failure_detail == {"lemmas": ["flux_operator"], "failed": failed}
+
+
+def test_f_positivity_fails_on_a_wrong_d0(monkeypatch):
+    monkeypatch.setattr(ident, "_flux_constant", lambda: rat(73))
+    report = ident.verify_f_positivity(10)
+    assert not report.verified
+    assert report.failure_detail["coefficient_index"] == 0
 
 
 # -- the reduced identities ---------------------------------------------------
@@ -391,6 +462,17 @@ def test_id_hyp_refuses_sides_whose_gauges_differ_by_an_irrational_factor(monkey
 
 def test_engine_axioms_hold():
     assert contiguity.failed_axioms() == []
+
+
+def test_substitution_and_exact_cancellation():
+    # (x^2 - 1) at x = 1/(1-x) is x(2-x)/(1-x)^2, over its factors
+    r = (X * X - 1).at(Rat(1, 1 - X))
+    assert r.num == 2 * X - X * X and [(f, e) for f, e in r.factors.values()] == [(1 - X, 2)]
+    assert ((X - 1) * (X + 2)).quotient(X - 1) == X + 2
+    assert (X * X + 1).quotient(X - 1) is None
+    # the factor x - 1 cancels; 1/2 over the constant 3 gathers into 6
+    c = Rat((X - 1) * (X + 2) * rat(1, 2), X - 1, 3).cancel()
+    assert c.num == X + 2 and [(f, e) for f, e in c.factors.values()] == [({0: 6}, 1)]
 
 
 def test_reduction_refuses_a_zero_divisor_and_non_contiguous_targets():

@@ -8,6 +8,7 @@ rigorous by construction.
 
 import hashlib
 import math
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -487,6 +488,24 @@ def test_eval_w_domain():
     assert abs(cv.value - want) <= cv.abs_error_bound
 
 
+@pytest.mark.parametrize("a", [10 ** 20, 10 ** 400, 10 ** 5, 1000, rat(51395, 100)])
+def test_eval_w_refuses_an_a_whose_series_leaves_the_float_range(a, time_limit):
+    # 10^20 used to run 10^20 kernel steps, 10^400 and 10^5 to raise an
+    # OverflowError, and 1000 to return a flagged NaN
+    time_limit(1.0)
+    with pytest.raises(DomainError, match="513.94"):
+        eval_w(a, 0.5)
+
+
+@pytest.mark.parametrize("x", [rat(1, 2), rat(1)])
+def test_eval_w_at_the_largest_integer_a_holds_the_exact_value(x):
+    # at integer a, 2F1(-a,-a;1;x) is the polynomial sum C(a,k)^2 x^k
+    a = 513
+    exact = sum(Fraction(math.comb(a, k) ** 2) * x ** k for k in range(a + 1)) / (1 + x) ** a
+    cv = eval_w(a, float(x))
+    assert math.isfinite(cv.value) and abs(Fraction(cv.value) - exact) <= Fraction(cv.abs_error_bound)
+
+
 def test_eval_h_endpoints():
     # h(0) = 1; h(1) = (32/3pi)^2 / (4/pi)^3 / 2^(3/2)
     cv0 = eval_h(0.0)
@@ -609,6 +628,16 @@ def test_iso_direct_cross_path():
         assert abs(d.value - c.value) <= d.abs_error_bound + c.abs_error_bound
 
 
+@pytest.mark.parametrize("z, order", [(0.05, 4), (0.1, 8), (0.2, 16), (0.25, 24), (0.3, 40), (0.35, 60)])
+def test_iso_direct_at_a_low_order_holds_the_exact_value(z, order):
+    # at these orders the rest is most of the bound, which the true error
+    # fills to 56-70 %: an enclosure with a rest too small misses the value
+    mpmath = pytest.importorskip("mpmath")
+    d = iso_direct(z, order=order)
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(d.value) - _iso_exact(mpmath, mpmath.mpf(z))) <= d.abs_error_bound
+
+
 def test_iso_direct_needs_order_near_endpoint():
     with pytest.raises(BoundNotAchieved):
         iso_direct(0.41, order=60)
@@ -669,8 +698,10 @@ def test_iso_direct_matches_the_grid_digest():
 # sha256 over "value.hex bound.hex flag" lines, or exception names, of the
 # float evaluators on FLOAT_GRID_Z and FLOAT_GRID_X at three targets each,
 # then the CSVs of the six scans at grid 200, from before the evaluators
-# assembled their bounds on (value, bound) float pairs.
-FLOAT_GRID = "96c054d9e78c637d36149112e93490caa410f0d8427cd5e1eace426af7ecd67b"
+# assembled their bounds on (value, bound) float pairs; since then only the
+# three iso_derivative lines at z = 5e-324 moved, whose bound was 0 before
+# subnormal roundings were padded.
+FLOAT_GRID = "e9cc538236d47185cef7e9abcbfa217569085ccdea81feaa2b90384cff2bf369"
 FLOAT_GRID_Z = [0.41 * k / 40 for k in range(41)] + [5e-324, 1e-8, Z_MAX - 1e-6]
 FLOAT_GRID_X = [k / 40 for k in range(41)] + [5e-324, 0.999]
 
@@ -869,25 +900,37 @@ def test_derivative_flagged_enclosure_at_endpoint(time_limit):
     assert 0.0 <= d.lo and d.abs_error_bound < 1e-5
 
 
+def _iso_exact(mpmath, z):
+    t = z * z
+    x = 4 * t / (1 - t) ** 2
+    f1 = mpmath.hyp2f1(-0.5, -0.5, 1, x)
+    f2 = mpmath.hyp2f1(-1.5, -1.5, 1, x)
+    return mpmath.sqrt(9 * mpmath.sqrt(2) / (8 * mpmath.pi) * f2 ** 2 / f1 ** 3 * ((1 - t) / (1 + t)) ** 3)
+
+
 @pytest.mark.parametrize("target", [1e-12, 1e-13])
 def test_derivative_flagged_over_target(target):
     mpmath = pytest.importorskip("mpmath")
-
-    def iso_exact(z):
-        t = z * z
-        x = 4 * t / (1 - t) ** 2
-        f1 = mpmath.hyp2f1(-0.5, -0.5, 1, x)
-        f2 = mpmath.hyp2f1(-1.5, -1.5, 1, x)
-        return mpmath.sqrt(9 * mpmath.sqrt(2) / (8 * mpmath.pi) * f2 ** 2 / f1 ** 3
-                           * ((1 - t) / (1 + t)) ** 3)
-
     for k in range(1, 42):
         z = 0.01 * k
         d = iso_derivative(z, target=target)
         assert (d.flag == "bound_not_achieved") == (d.abs_error_bound > target), z
         with mpmath.workdps(30):
-            ref = mpmath.diff(iso_exact, mpmath.mpf(z))
+            ref = mpmath.diff(partial(_iso_exact, mpmath), mpmath.mpf(z))
             assert abs(mpmath.mpf(d.value) - ref) <= d.abs_error_bound, z
+
+
+@pytest.mark.parametrize("z", [5e-324, 1e-322, 1e-320, 2.0 ** -1022])
+def test_derivative_encloses_the_slope_at_subnormal_z(z):
+    # iso'(z) = iso''(0) z, iso''(0) = 6.40474..., to far below 2^-1074 at
+    # these z, where dx/dz and the derivative round to subnormals and a
+    # relative pad underflows to 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ref = mpmath.diff(partial(_iso_exact, mpmath), 0, 2) * mpmath.mpf(z)
+    d = iso_derivative(z)
+    assert d.flag is None and d.abs_error_bound > 0.0
+    assert abs(mpmath.mpf(d.value) - ref) <= d.abs_error_bound
 
 
 def test_derivative_unflagged_at_default_target():
