@@ -109,10 +109,12 @@ _ONE = Poly({0: 1})
 
 
 def _product(factors) -> Poly:
-    out = _poly(1)
+    """The product of the polynomials ``factors``, 1 for none: one
+    ``Poly.__mul__`` per factor after the first."""
+    out = None
     for f in factors:
-        out = out * f
-    return out
+        out = _poly(f) if out is None else out * f
+    return _ONE if out is None else out
 
 
 def in_x(coefficients) -> Poly:
@@ -137,9 +139,11 @@ class Rat:
                 self.factors[key] = (den, self.factors.get(key, (den, 0))[1] + 1)
 
     def _over(self, factors) -> Poly:
-        """num over the denominator of ``factors``, which holds self's."""
-        return self.num * _product(f for k, (f, e) in factors.items()
-                                   for _ in range(e - self.factors.get(k, (f, 0))[1]))
+        """num over the denominator of ``factors``, which holds self's: the
+        factors self lacks are multiplied together first, and num by their
+        product once, or not at all where self lacks none."""
+        missing = [f for k, (f, e) in factors.items() for _ in range(e - self.factors.get(k, (f, 0))[1])]
+        return self.num * _product(missing) if missing else self.num
 
     def __add__(self, other: "Rat") -> "Rat":
         if not (self.num and other.num):
@@ -161,9 +165,10 @@ class Rat:
         """(n / Π f^e)' = (n' Π g - n Σ e g' Π_{h != g} h) / (Π f^e Π g),
         over the factors g and h in x."""
         xs = {k: (f, e) for k, (f, e) in self.factors.items() if f.dx()}
-        num = self.num.dx() * _product(f for f, _ in xs.values())
-        for k, (g, e) in xs.items():
-            num = num - self.num * g.dx() * e * _product(f for j, (f, _) in xs.items() if j != k)
+        # the sum over g is of factors alone, so n multiplies it once
+        rest = sum((g.dx() * e * _product(f for j, (f, _) in xs.items() if j != k)
+                    for k, (g, e) in xs.items()), Poly())
+        num = self.num.dx() * _product(f for f, _ in xs.values()) - self.num * rest
         return Rat(num, factors={**self.factors, **{k: (f, e + 1) for k, (f, e) in xs.items()}})
 
     def at(self, value: "Rat") -> "Rat":

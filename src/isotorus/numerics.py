@@ -22,13 +22,16 @@ w_a = F_a/(1+x)^a for a = 1/2 and 3/2, and G_a = 2F1(1-a,1-a;2;x) in the
 log slope w_a'/w_a = a^2 G_a/F_a - a/(1+x) (F_a' = a^2 G_a, DLMF 15.5.1),
 so Iso and its derivative are certified on the whole domain.
 
-A step's factors (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and 3 EPS (n+1) do not
-depend on x.  For these four series, F_a and G_a at a = 1/2 and 3/2, they
-are tabled once, at import, for the 97 checked steps up to the first block
-(``_head_table``), about 80 KB in all.  Each entry is the float operation
-of the inline expression on the same float operands, so a table changes no
-bit of any result; the blocks, and every other series, compute their
-factors at each step.
+The kernel takes each series as a record (``_Kernel``): its parameters,
+its head-table row and its derivative cap.  A step's factors (a+n)^2,
+(c+n)(n+1), (n+1+a+s)/s and 3 EPS (n+1) do not depend on x.  For these four
+series, F_a and G_a at a = 1/2 and 3/2, the records are built once, at
+import: the factors are tabled for the 97 checked steps up to the first
+block (``_head_table``), about 80 KB in all, and the cap is computed then,
+so no call hashes the parameters of a series.  Each entry is the float
+operation of the inline expression on the same float operands, so a table
+changes no bit of any result; the blocks, and every other series, compute
+their factors at each step, and look their cap up when they need it.
 
 Iso is assembled from one quotient (``_h``): with t = z^2 and
 x = 4t/(1-t)^2, iso^2 = K h(x), h = w_{3/2}^2/w_{1/2}^3
@@ -56,6 +59,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .identities import ABAR_OPERATOR, VBAR_OPERATOR
 from .series import HypergeometricSpec, Rational, rat
@@ -114,12 +118,6 @@ SPEC_VOLUME = HypergeometricSpec(rat(-3, 2), rat(-3, 2), rat(1))
 # 2F1(1-a,1-a;2;x) at a = 1/2 and 3/2: the series in dw_a/dx
 _SPEC_AREA_SLOPE = HypergeometricSpec(rat(1, 2), rat(1, 2), rat(2))
 _SPEC_VOLUME_SLOPE = HypergeometricSpec(rat(-1, 2), rat(-1, 2), rat(2))
-# their kernel parameters (a, c, s, m0), which the evaluators hand to
-# ``_eval_family`` directly
-_AREA = SPEC_AREA.tail_majorant
-_VOLUME = SPEC_VOLUME.tail_majorant
-_AREA_SLOPE = _SPEC_AREA_SLOPE.tail_majorant
-_VOLUME_SLOPE = _SPEC_VOLUME_SLOPE.tail_majorant
 
 
 class NumericsError(Exception):
@@ -138,8 +136,7 @@ class DomainError(NumericsError):
     """Argument outside the function's certified domain."""
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class CertifiedValue(NamedTuple):
     """A float paired with a rigorous absolute error bound.
 
     The true mathematical value lies in [value - abs_error_bound,
@@ -147,11 +144,33 @@ class CertifiedValue:
     achieved") whose bound is still honest but larger than requested.  Only
     a public evaluator sets it, from its own final bound and target
     (``_flagged``); the pair rules below carry no flag.
+
+    A named tuple, as one builds in half the time of a frozen dataclass; it
+    unpacks as (value, abs_error_bound, flag).  It equals only another
+    CertifiedValue, never a plain tuple, and has no order and no tuple
+    arithmetic.
     """
 
     value: float
     abs_error_bound: float
     flag: str | None = None
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # not NotImplemented for a tuple, whose own == would compare the items
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _refused(self, other):
+        # raised, not NotImplemented, which would fall back to the tuple's own
+        raise TypeError("a CertifiedValue has no order and no arithmetic")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refused
+    __hash__ = tuple.__hash__
 
     @property
     def lo(self) -> float:
@@ -315,7 +334,9 @@ def eval_2f1(
     the derivative of the series; it must be at least 0, and may be inf.
     The result is flagged unless its bound is at most ``target``.  This is the
     checked public entry to the kernel; the package's own evaluators call
-    ``_eval_family`` on their series' parameters instead.
+    ``_eval_family`` on their series' records instead.  It sums every series
+    on the per-call path, the four of the ratio too: no head table, the cap
+    looked up.
     """
     _check_x(x)
     _check_target(target)
@@ -330,12 +351,23 @@ def eval_2f1(
         raise DomainError(
             f"{spec} is outside the certified class a = b, c > 0, c - 2a > 0, (a-1)(c-a) <= 0"
         )
-    return _flagged(*_eval_family(params, x, target, x_abs_err), target)
+    return _flagged(*_eval_family(_Kernel(params), x, target, x_abs_err), target)
 
 
-def _eval_family(params, x, target, x_abs_err):
-    """The (value, bound) pair of the series with ``tail_majorant`` params at
-    x in [0, 1], the arguments unchecked."""
+class _Kernel(NamedTuple):
+    """A series' record for the family kernel: its ``tail_majorant``
+    parameters (a, c, s, m0), the first row of its head table
+    (``_head_table``) and its ``_family_derivative_cap``; a series with no
+    table has row None, and cap None, which the kernel then looks up."""
+
+    params: tuple
+    row: tuple | None = None
+    cap: tuple | None = None
+
+
+def _eval_family(kernel: _Kernel, x, target, x_abs_err):
+    """The (value, bound) pair of the series of the record ``kernel`` at x in
+    [0, 1], the arguments unchecked."""
     # Tail: with t_m the first unsummed term and m + a > 0, the ratio
     # majorant gives t_k <= t_m x^(k-m) P_k, P_k = prod_{j=m}^{k-1}
     # (j+a)/(j+a+s+1) <= 1.  So the tail is at most t_m/(1-x), and since
@@ -349,6 +381,7 @@ def _eval_family(params, x, target, x_abs_err):
     # The step counter n is a float holding an integer: n < _MAX_TERMS < 2^53,
     # so n, n + 1, a + n and c + n are exactly the floats an int n gives, and
     # float-by-float arithmetic is the interpreter's fast path.
+    params, row, known_cap = kernel
     a, c, s, m0 = params
     inv_gap = 1.0 / (1.0 - x) if x < 1.0 else math.inf
     total = 1.0
@@ -361,11 +394,10 @@ def _eval_family(params, x, target, x_abs_err):
     err_prev = math.inf
     total_prev = total
     stop = float(min(m0 + _HEAD, _MAX_TERMS))
-    row = _HEAD_TABLES.get(params)
     while True:
         # the step's factors free of x, (a+n)^2, (c+n)(n+1), (n+1+a+s)/s and
-        # 3 EPS (n+1): computed, or read with the same bits from the head
-        # table's row, which also holds n + 1 and the next row.  Each branch
+        # 3 EPS (n+1): computed, or read with the same bits from the record's
+        # head-table row, which also holds n + 1 and the next row.  Each branch
         # forms the term and the error itself, as naming the computed factors
         # would slow a series with no table
         if row is None:
@@ -400,7 +432,7 @@ def _eval_family(params, x, target, x_abs_err):
         # increasing and convex: |F(true) - F(x)| <= e F'(min(x + e, 1)),
         # and at most F(1) - F(0) in any case.  A cap of 0 is a constant F,
         # which the argument cannot move, even by e = inf
-        head, coef, limit, f_range = _family_derivative_cap(*params)
+        head, coef, limit, f_range = known_cap or _family_derivative_cap(*params)
         gap = 1.0 - x - x_abs_err
         cap = head + coef * (min(limit, 1.0 / gap) if gap > 0.0 else limit)
         if cap > 0.0:
@@ -483,11 +515,17 @@ def _head_table(params) -> tuple:
     return row
 
 
-# the head tables of the four series of the ratio and its derivative, built
-# at import and keyed by kernel parameters; every other series computes its
-# factors at each step
-_HEAD_TABLES = {params: _head_table(params)
-                for params in (_AREA, _VOLUME, _AREA_SLOPE, _VOLUME_SLOPE)}
+def _tabled(spec: HypergeometricSpec) -> _Kernel:
+    """The record of one of the series of the ratio and its derivative, with
+    its head table and its cap, built at import."""
+    params = spec.tail_majorant
+    return _Kernel(params, _head_table(params), _family_derivative_cap(*params))
+
+
+# the records of the four series, which the evaluators hand to ``_eval_family``
+_AREA, _VOLUME, _AREA_SLOPE, _VOLUME_SLOPE = map(
+    _tabled, (SPEC_AREA, SPEC_VOLUME, _SPEC_AREA_SLOPE, _SPEC_VOLUME_SLOPE))
+_HALF, _THREE_HALVES = rat(1, 2), rat(3, 2)
 
 
 def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
@@ -499,8 +537,11 @@ def _pow_one_plus_x(p: float, x: float, x_abs_err: float) -> tuple:
     return v, v * rel + abs(p) * v / (1.0 + x) * x_abs_err
 
 
-def _w_spec(a) -> HypergeometricSpec | None:
-    """The spec of 2F1(-a,-a;1;x) in w_a, or None where w_a = 1 (a = 0, 1)."""
+def _w_kernel(a) -> _Kernel | None:
+    """The kernel record of 2F1(-a,-a;1;x) in w_a, or None where w_a = 1
+    (a = 0, 1), once a is checked.  At a = 1/2 and 3/2 that series is
+    SPEC_AREA's or SPEC_VOLUME's, and the record the module's own, so no spec
+    is built."""
     _refuse_bool("w_a's parameter", a)
     try:
         a = Rational(a)
@@ -514,22 +555,20 @@ def _w_spec(a) -> HypergeometricSpec | None:
             math.lgamma(1 + 2 * float(a)) - 2 * math.lgamma(1 + float(a)) > _W_LOG_MAX):
         raise DomainError(f"w_a is certified for a below about 513.94, where 2F1(-a,-a;1;1) stays "
                           f"in the float range, not a = {a}")
-    return None if a == 0 or a == 1 else HypergeometricSpec(-a, -a, rat(1))
+    if a == _HALF:
+        return _AREA
+    if a == _THREE_HALVES:
+        return _VOLUME
+    return None if a == 0 or a == 1 else _Kernel(HypergeometricSpec(-a, -a, rat(1)).tail_majorant)
 
 
-def _w_params(a) -> tuple | None:
-    """The kernel parameters of the series of ``_w_spec(a)``, or None."""
-    spec = _w_spec(a)
-    return None if spec is None else spec.tail_majorant
-
-
-def _w(params: tuple | None, x: float, target: float) -> tuple:
-    """w_a(x) as a pair, from the parameters ``_w_params(a)``, built once per a."""
-    if params is None:
+def _w(kernel: _Kernel | None, x: float, target: float) -> tuple:
+    """w_a(x) as a pair, from the record ``_w_kernel(a)``, built once per a."""
+    if kernel is None:
         return 1.0, 0.0
-    f, fb = _eval_family(params, x, target, 0.0)
+    f, fb = _eval_family(kernel, x, target, 0.0)
     # a = -params[0], the spec's a as a float: float() of a Fraction is slow
-    p, pb = _pow_one_plus_x(-params[0], x, 0.0)
+    p, pb = _pow_one_plus_x(-kernel.params[0], x, 0.0)
     return _div(f, fb, p, pb)
 
 
@@ -539,10 +578,10 @@ def eval_w(a, x: float, target: float = 1e-10) -> CertifiedValue:
     x = 1, Gamma(1+2a)/Gamma(1+a)^2, passes 1/e of the largest float.  That
     also keeps the floor(a) terms the kernel sums before its tail bound
     applies far under ``_MAX_TERMS``."""
-    params = _w_params(a)
+    kernel = _w_kernel(a)
     _check_x(x)
     _check_target(target)
-    return _flagged(*_w(params, x, target), target)
+    return _flagged(*_w(kernel, x, target), target)
 
 
 def _h(f1: tuple, f2: tuple, x: float, x_abs_err: float) -> tuple:
@@ -615,12 +654,18 @@ def iso_squared(z: float, target: float = 1e-10) -> CertifiedValue:
     return _flagged(*_iso_squared_from_t(z * z, target), target)
 
 
+def _iso_pair(z: float, target: float) -> tuple:
+    """iso(z) as a pair, the arguments unchecked: ``iso``'s own evaluation,
+    which the solver makes at each of its points.  Every float z below Z_MAX
+    is in its domain, the six whose square rounds up to T_MAX too."""
+    return _pow(*_iso_squared_from_t(z * z, target), 0.5)
+
+
 def iso(z: float, target: float = 1e-10) -> CertifiedValue:
     """The isoperimetric ratio of the torus with parameter z, certified."""
     _check_domain(z)
     _check_target(target)
-    sq, sq_b = _iso_squared_from_t(z * z, target)
-    return _flagged(*_pow(sq, sq_b, 0.5), target)
+    return _flagged(*_iso_pair(z, target), target)
 
 
 def _iso_from_t(t: float, target: float = 1e-10) -> tuple:
@@ -969,11 +1014,11 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
     elif target == "w":
         if a is None:
             raise ValueError("w scan needs the parameter a")
-        params = _w_params(a)  # None where w_a is constant
+        kernel = _w_kernel(a)  # None where w_a is constant
         a = Rational(a)
         pts = _grid(0.0, 1.0, grid)
-        values = [_w(params, x, 1e-9) for x in pts]
-        expect = "zero" if params is None else "negative" if 0 < a < 1 else "positive"
+        values = [_w(kernel, x, 1e-9) for x in pts]
+        expect = "zero" if kernel is None else "negative" if 0 < a < 1 else "positive"
         name = f"mono-w[{a}]"
     elif target == "h":
         pts = _grid(0.0, 1.0, grid)

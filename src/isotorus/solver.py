@@ -6,7 +6,10 @@ parameter.  The solver takes bracketed secant steps (Anderson-Bjorck
 regula falsi) on g = sqrt(1 - iso) - sqrt(1 - rho) in t = z^2, from the
 chord to the right end, where iso -> 1.  There 1 - iso ~ eps^2 log(1/eps),
 eps = 1 - x, so iso's slope vanishes while g stays nearly linear.  Each
-point costs one ``iso`` call.  Correctness rests on monotonicity alone:
+point costs one evaluation of iso's (value, bound) pair, ``iso``'s own body
+(``numerics._iso_pair``): two series, with no argument check and no
+CertifiedValue.  The ends of the first bracket, iso(0) and the limit 1 at
+Z_MAX, are pairs built at import.  Correctness rests on monotonicity alone:
 
 - a point whose certified interval is disjoint from rho narrows a bracket
   (lo, hi) that provably holds the root.  A step that leaves the bracket,
@@ -30,16 +33,19 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-from .numerics import Z_MAX, CertifiedValue, NumericsError, iso
+from .numerics import Z_MAX, NumericsError, _iso_pair
 
 __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "invert_iso"]
-
-# iso's limit at the right end of its domain: iso(z) < 1 for every z < Z_MAX
-_AT_Z_MAX = CertifiedValue(1.0, 0.0)
 
 # the sharpest practical bound, tried once at a straddle point before the
 # candidate is given up on
 _SHARP = 1e-13
+
+# iso's pair at z = 0, where x = 0 stops both series at their first step:
+# the same pair at every target
+_AT_ZERO = _iso_pair(0.0, _SHARP)
+# iso's limit at the right end of its domain: iso(z) < 1 for every z < Z_MAX
+_AT_Z_MAX = (1.0, 0.0)
 
 
 class TargetOutOfRange(NumericsError):
@@ -96,25 +102,26 @@ def invert_iso(query: InverseQuery) -> InverseResult:
     if not rho < 1.0:
         raise TargetOutOfRange(f"target ratio {rho} is not below 1")
     target = min(1e-11, tol)
-    z = 0.0  # the last point evaluated, with its interval cv
-    cv = iso(z, target)
-    if rho < cv.lo:
-        raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {cv.value}")
+    z = 0.0  # the last point evaluated, with its pair: iso(z) lies in [v - b, v + b]
+    v, b = _AT_ZERO
+    if rho < v - b:
+        raise TargetOutOfRange(f"target ratio {rho} below iso(0) = {v}")
     rho = float(rho)  # the result reports a float, also for a Fraction rho
-    if rho <= cv.hi:
-        return InverseResult(rho, 0.0, abs(cv.value - rho) + cv.abs_error_bound, 0)
+    if rho <= v + b:
+        return InverseResult(rho, 0.0, abs(v - rho) + b, 0)
 
     half = 0.5 * tol
     gap = math.sqrt(1.0 - rho)
 
-    def g(cv):  # > 0 below rho, < 0 above; iso's float value can pass 1 near Z_MAX
-        return math.sqrt(max(0.0, 1.0 - cv.value)) - gap
+    def g(v):  # > 0 below rho, < 0 above; iso's float value can pass 1 near Z_MAX
+        return math.sqrt(max(0.0, 1.0 - v)) - gap
 
-    # the root lies in (lo, hi): the interval at lo lies below rho and the
-    # one at hi above it.  When the same end moves twice running, the g of
-    # the other is scaled down (Anderson and Bjorck), so both ends close in
-    lo, hi, below, above = 0.0, Z_MAX, cv, _AT_Z_MAX
-    g_lo, g_hi, moved = g(cv), -gap, None
+    # the root lies in (lo, hi): the interval at lo lies below rho, down to
+    # ``below``, and the one at hi above it, up to ``above``.  When the same
+    # end moves twice running, the g of the other is scaled down (Anderson
+    # and Bjorck), so both ends close in
+    lo, hi, below, above = 0.0, Z_MAX, v - b, _AT_Z_MAX[0] + _AT_Z_MAX[1]
+    g_lo, g_hi, moved = g(v), -gap, None
     step = 2.0 * Z_MAX  # so that the rule below admits any first step
     candidate = None  # the z that the straddle is certifying
     iterations = 0
@@ -133,35 +140,34 @@ def invert_iso(query: InverseQuery) -> InverseResult:
                 candidate = nxt
         # the straddle: bracket ends within tol/2 of the candidate hold the root
         if candidate is not None and lo >= candidate - half and hi <= candidate + half:
-            return InverseResult(rho, candidate, max(above.hi - rho, rho - below.lo), iterations)
+            return InverseResult(rho, candidate, max(above - rho, rho - below), iterations)
         if iterations >= query.max_iterations:
-            return InverseResult(rho, z, abs(cv.value - rho) + cv.abs_error_bound, iterations,
-                                 "max_iterations")
+            return InverseResult(rho, z, abs(v - rho) + b, iterations, "max_iterations")
         iterations += 1
         if candidate is None:
             z = nxt
-            cv = iso(z, target)
-            if cv.lo <= rho <= cv.hi:
+            v, b = _iso_pair(z, target)
+            if v - b <= rho <= v + b:
                 candidate = z
         else:
             # a straddle point, at the ordinary target and once at the sharp one
             z = candidate - half if lo < candidate - half else candidate + half
-            cv = iso(z, target)
-            if cv.lo <= rho <= cv.hi:
-                cv = iso(z, target=_SHARP)
-            if cv.lo <= rho <= cv.hi:
-                at = iso(candidate, target=_SHARP)
-                return InverseResult(rho, candidate, abs(at.value - rho) + at.abs_error_bound,
-                                     iterations, "precision_exhausted")
-        if rho > cv.hi:
+            v, b = _iso_pair(z, target)
+            if v - b <= rho <= v + b:
+                v, b = _iso_pair(z, _SHARP)
+            if v - b <= rho <= v + b:
+                at, at_b = _iso_pair(candidate, _SHARP)
+                return InverseResult(rho, candidate, abs(at - rho) + at_b, iterations,
+                                     "precision_exhausted")
+        if rho > v + b:
             if moved == "lo":
-                m = 1.0 - g(cv) / g_lo
+                m = 1.0 - g(v) / g_lo
                 g_hi *= m if m > 0.0 else 0.5
-            lo, below, g_lo, moved = z, cv, g(cv), "lo"
-        elif rho < cv.lo:
+            lo, below, g_lo, moved = z, v - b, g(v), "lo"
+        elif rho < v - b:
             if moved == "hi":
-                m = 1.0 - g(cv) / g_hi
+                m = 1.0 - g(v) / g_hi
                 g_lo *= m if m > 0.0 else 0.5
-            hi, above, g_hi, moved = z, cv, g(cv), "hi"
+            hi, above, g_hi, moved = z, v + b, g(v), "hi"
         if candidate is not None and not lo < candidate < hi:
             candidate = None  # a straddle point found the root beyond it

@@ -8,6 +8,7 @@ rigorous by construction.
 
 import hashlib
 import math
+import operator
 from functools import partial
 from fractions import Fraction
 
@@ -52,6 +53,11 @@ FAMILY_SPECS = [
 SLOPE_SPECS = [num._SPEC_AREA_SLOPE, num._SPEC_VOLUME_SLOPE]
 
 
+def w_spec(a):
+    """The spec of 2F1(-a,-a;1;x), the series of w_a."""
+    return HypergeometricSpec(-a, -a, rat(1))
+
+
 def term_ratio(spec, n):
     """Exact ratio t_{n+1}/t_n of consecutive Gauss-series coefficients."""
     return (spec.a + n) * (spec.b + n) / ((spec.c + n) * (n + 1))
@@ -82,6 +88,32 @@ def exact_family_enclosure(spec, x_rat, terms):
 def test_certified_value_endpoints():
     cv = CertifiedValue(1.0, 0.25)
     assert cv.lo == 0.75 and cv.hi == 1.25
+
+
+def test_certified_value_is_an_immutable_value():
+    # equality, hash and repr as a frozen dataclass of the three fields had
+    # them; no plain tuple equals it, and it refuses order and arithmetic
+    cv = CertifiedValue(1.0, 0.25)
+    for name in ("value", "abs_error_bound", "flag", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cv, name, 2.0)
+    assert cv == CertifiedValue(1.0, 0.25, None) and not cv != CertifiedValue(1.0, 0.25)
+    assert cv != CertifiedValue(1.0, 0.25, "bound_not_achieved") != CertifiedValue(1.0, 0.5)
+    assert hash(cv) == hash(CertifiedValue(1.0, 0.25)) == hash((1.0, 0.25, None))
+    assert len({cv, CertifiedValue(1.0, 0.25), CertifiedValue(1.0, 0.5)}) == 2
+    assert repr(cv) == "CertifiedValue(value=1.0, abs_error_bound=0.25, flag=None)"
+    assert repr(CertifiedValue(0.5, 1e-3, "bound_not_achieved")) == (
+        "CertifiedValue(value=0.5, abs_error_bound=0.001, flag='bound_not_achieved')")
+    for plain in ((1.0, 0.25, None), [1.0, 0.25, None]):
+        assert cv != plain and plain != cv and not cv == plain and not plain == cv
+    for u, v in ((cv, cv), (cv, (1.0,)), ((1.0,), cv)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+            with pytest.raises(TypeError):
+                op(u, v)
+    for n in (2, 2.0):
+        for u, v in ((cv, n), (n, cv)):
+            with pytest.raises(TypeError):
+                u * v
 
 
 def test_interval_ops_contain_truth():
@@ -295,8 +327,10 @@ def reference_eval_family(params, x, target):
     return num._flagged(total, err + 2.0 * EPS * abs(total), target)
 
 
+# the records of the four series of the ratio and its derivative
+OWN_KERNELS = [num._AREA, num._VOLUME, num._AREA_SLOPE, num._VOLUME_SLOPE]
 KERNEL_SPECS = [SPEC_AREA, SPEC_VOLUME] + SLOPE_SPECS + [
-    num._w_spec(a) for a in (rat(-1, 3), rat(1, 3), rat(2, 7), rat(5, 11), rat(-2, 5), rat(7, 3))]
+    w_spec(a) for a in (rat(-1, 3), rat(1, 3), rat(2, 7), rat(5, 11), rat(-2, 5), rat(7, 3))]
 # x = 1 - 10^-u, where the sums run long and in blocks, in three draws of
 # five; an interior x in [0, 0.95], where they are short and the first four
 # specs read mostly their head tables, in one; the ends of [0, 1] in one.
@@ -310,10 +344,10 @@ KERNEL_X = st.integers(0, 4).flatmap(
 @given(st.sampled_from(KERNEL_SPECS), KERNEL_X,
        st.sampled_from([1e-9, 1e-10, 2.5e-11, 1e-12, 1e-13, 3e-14]))
 @example(SPEC_AREA, 0.999, 1e-13)           # the rising-error stop
-@example(num._w_spec(rat(1, 3)), 1.0, 3e-14)
-@example(num._w_spec(rat(2, 7)), 1.0 - 1e-4, 1e-12)
+@example(w_spec(rat(1, 3)), 1.0, 3e-14)
+@example(w_spec(rat(2, 7)), 1.0 - 1e-4, 1e-12)
 @example(SPEC_VOLUME, 1.0 - 1e-4, 1e-13)     # m0 = 2
-@example(num._w_spec(rat(7, 3)), 0.999, 1e-12)  # m0 = 3
+@example(w_spec(rat(7, 3)), 0.999, 1e-12)  # m0 = 3
 @example(SPEC_AREA, 0.05, 1e-10)             # a short sum, no block tried
 @example(num._SPEC_VOLUME_SLOPE, 5e-324, 1e-13)
 # sums whose last step is the last of a head table, m0 + _HEAD
@@ -322,19 +356,25 @@ KERNEL_X = st.integers(0, 4).flatmap(
 @example(num._SPEC_AREA_SLOPE, 0.8580872206721897, 1e-10)
 @example(num._SPEC_VOLUME_SLOPE, 0.9474547077545059, 1e-10)
 def test_blocks_match_the_checked_loop_bit_for_bit(spec, x, target):
-    got = num._flagged(*num._eval_family(spec.tail_majorant, x, target, 0.0), target)
+    # the four series of the ratio through their records, with head tables;
+    # every other series, and those four once more, on the per-call path
     want = reference_eval_family(spec.tail_majorant, x, target)
-    assert (got.value.hex(), got.abs_error_bound.hex(), got.flag) == (
-        want.value.hex(), want.abs_error_bound.hex(), want.flag)
+    kernels = [num._Kernel(spec.tail_majorant)]
+    kernels += [k for k in OWN_KERNELS if k.params == spec.tail_majorant]
+    for kernel in kernels:
+        got = num._flagged(*num._eval_family(kernel, x, target, 0.0), target)
+        path = "per-call" if kernel.row is None else "tabled"
+        assert (got.value.hex(), got.abs_error_bound.hex(), got.flag) == (
+            want.value.hex(), want.abs_error_bound.hex(), want.flag), path
 
 
-def test_a_table_entry_one_ulp_off_fails_the_bit_comparison(monkeypatch):
+def test_a_table_entry_one_ulp_off_fails_the_bit_comparison():
     # the kernel reads its factors from the head table: one square moved by
     # one ulp moves the result off the checked loop's bits.  A move by an
     # ulp often rounds away, so the step is one where it does not
     params, x, target, step = SPEC_AREA.tail_majorant, 0.5, 1e-10, 3
     want = reference_eval_family(params, x, target)
-    rows, row = [], num._HEAD_TABLES[params]
+    rows, row = [], num._AREA.row
     while row is not None:
         rows.append(row[:5])
         row = row[5]
@@ -343,8 +383,7 @@ def test_a_table_entry_one_ulp_off_fails_the_bit_comparison(monkeypatch):
     rows[step - first] = (math.nextafter(square, math.inf), *rest)
     for values in reversed(rows):
         row = (*values, row)
-    monkeypatch.setitem(num._HEAD_TABLES, params, row)
-    got = num._flagged(*num._eval_family(params, x, target, 0.0), target)
+    got = num._flagged(*num._eval_family(num._AREA._replace(row=row), x, target, 0.0), target)
     assert (got.value.hex(), got.abs_error_bound.hex()) != (
         want.value.hex(), want.abs_error_bound.hex())
 
@@ -1081,8 +1120,43 @@ def test_scan_monotonicity_w_builds_its_spec_once(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(num, "HypergeometricSpec", CountedSpec)
-    assert scan_monotonicity("w", grid=50, a=rat(1, 2)).passed
+    assert scan_monotonicity("w", grid=50, a=rat(1, 3)).passed
     assert len(built) == 1
+    # w_{1/2} and w_{3/2} sum the series of the module's own records
+    for a in (rat(1, 2), rat(3, 2)):
+        assert scan_monotonicity("w", grid=50, a=a).passed
+        assert eval_w(a, 0.3).flag is None
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("a, kernel", [(rat(1, 2), num._AREA), (rat(3, 2), num._VOLUME)])
+def test_w_at_one_half_and_three_halves_takes_the_module_record(a, kernel):
+    # after the domain checks, the record of SPEC_AREA or SPEC_VOLUME, whose
+    # series is w_a's: the same bits as the series built from a
+    assert num._w_kernel(a) is kernel
+    assert w_spec(a).tail_majorant == kernel.params
+    built = num._Kernel(w_spec(a).tail_majorant)
+    for x in (0.0, 0.3, 0.97, 1.0):
+        for target in (1e-9, 1e-12):
+            assert [f.hex() for f in num._w(kernel, x, target)] == [
+                f.hex() for f in num._w(built, x, target)], (x, target)
+
+
+def test_each_kernel_record_holds_its_table_and_cap():
+    # built at import, with the bits of the per-call functions
+    def flat(row):
+        out = []
+        while row is not None:
+            out += [f.hex() for f in row[:5]]
+            row = row[5]
+        return out
+
+    for kernel, spec in zip(OWN_KERNELS, [SPEC_AREA, SPEC_VOLUME] + SLOPE_SPECS):
+        assert kernel.params == spec.tail_majorant
+        assert flat(kernel.row) == flat(num._head_table(kernel.params))
+        assert len(flat(kernel.row)) == 5 * (num._HEAD + 1)
+        cap = num._family_derivative_cap(*kernel.params)
+        assert [f.hex() for f in kernel.cap] == [float(f).hex() for f in cap]
 
 
 def test_scan_monotonicity_w_whole_interval():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from isotorus import numerics, solver
-from isotorus.numerics import Z_MAX, iso
+from isotorus.numerics import T_MAX, Z_MAX, CertifiedValue, iso
 from isotorus.solver import InverseQuery, InverseResult, TargetOutOfRange, invert_iso
 
 ISO0 = iso(0.0).value
@@ -138,15 +138,17 @@ def test_root_near_iso_zero_is_flagged_or_within_tolerance():
 
 
 def _recording_iso(monkeypatch):
-    """Record every (z, target, interval) the solver's straddle asks iso for."""
+    """Record every (z, target, interval) the solver's straddle asks its
+    evaluation of iso's pair for, the interval as iso's CertifiedValue."""
     calls = []
+    evaluate = solver._iso_pair
 
     def recorded(z, target):
-        cv = iso(z, target=target)
-        calls.append((z, target, cv))
-        return cv
+        pair = evaluate(z, target)
+        calls.append((z, target, CertifiedValue(*pair)))
+        return pair
 
-    monkeypatch.setattr(solver, "iso", recorded)
+    monkeypatch.setattr(solver, "_iso_pair", recorded)
     return calls
 
 
@@ -169,6 +171,42 @@ def test_ambiguous_midpoint_is_certified_by_the_straddle(monkeypatch):
     with mpmath.workdps(40):
         root = mp_root(mpmath, mpmath.mpf(rho), z0 - 1e-9, z0 + 1e-9)
         assert abs(result.z - root) <= 1e-10
+
+
+def test_inversion_builds_no_certified_value(monkeypatch):
+    # each point is iso's (value, bound) pair: a CertifiedValue built anywhere
+    # in an inversion fails it, on every exit: the lower end, the straddle
+    # (0.9999 takes its sharp retry), precision_exhausted and max_iterations
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inversion built a CertifiedValue")
+
+    monkeypatch.setattr(numerics, "CertifiedValue", refuse)
+    for rho, flag in ((ISO0, None), (0.9, None), (0.9999, None),
+                      (0.9999999, "precision_exhausted")):
+        assert invert_iso(InverseQuery(rho)).flag == flag, rho
+    assert invert_iso(InverseQuery(0.9, 1e-15, 3)).flag == "max_iterations"
+
+
+@pytest.mark.parametrize("target", [1e-3, 1e-11, 1e-13, 1e-300, 5e-324])
+def test_the_pair_at_z_zero_is_iso_at_every_target(target):
+    # at x = 0 both series stop at their first step, whatever the target:
+    # the pair built at import is iso(0.0)'s, bit for bit
+    cv = iso(0.0, target)
+    assert [f.hex() for f in solver._AT_ZERO] == [cv.value.hex(), cv.abs_error_bound.hex()]
+
+
+def test_the_solver_evaluates_iso_where_z_squared_rounds_to_t_max():
+    # six floats z < Z_MAX have z * z >= T_MAX: in iso's domain, though the
+    # scans' check on t would refuse them.  The solver's evaluation is iso's
+    zs, z = [], math.nextafter(Z_MAX, 0.0)
+    while z * z >= T_MAX:
+        zs.append(z)
+        z = math.nextafter(z, 0.0)
+    assert len(zs) == 6
+    for z in zs:
+        cv = iso(z, 1e-11)
+        v, b = solver._iso_pair(z, 1e-11)
+        assert (v.hex(), b.hex()) == (cv.value.hex(), cv.abs_error_bound.hex()), z
 
 
 def _mp_roots(mpmath, zs):
