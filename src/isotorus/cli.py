@@ -124,7 +124,9 @@ def verify_cmd(order, inject_fault):
     every order, which --order only labels; id_war runs through --order at
     2*order+3 samples, the count the degree bound needs; f_positivity reads
     d_n > 0 for n <= 200 from the solution of the flux operator from d_0,
-    and proves the operator, its lemma flux_operator, in the same call."""
+    and proves the operator, its lemma flux_operator, in the same call.
+    The contiguity axioms each line lists, and the Euler transform, are
+    checked once per run."""
     if inject_fault and order <= _FAULT_INDEX:
         raise click.UsageError(
             f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "

@@ -4,7 +4,11 @@ g·(R0·F + R1·F') over a base F = 2F1(α, β; γ; x), R0 and R1 rational in th
 parameters and x, g = (1-x)^λ or 1; contiguous 2F1s reduce to it by step
 rules, F'' by the hypergeometric equation, and an identity holds when both
 coefficients of the difference of its sides vanish.  Every rule is an axiom
-checked termwise on t_n = (α)_n (β)_n / ((γ)_n n!), n symbolic.
+checked termwise on t_n = (α)_n (β)_n / ((γ)_n n!), n symbolic.  The
+axioms depend on no input: inside one ``run`` scope (``identities.verify_all``
+enters one) each is checked at most once, and every later ``failed_axioms``
+call of the run reads its stored outcome; outside a scope each call checks
+its axioms again.
 ``Poly.at`` and ``Rat.at`` put a rational function in for x: the flux proof
 of ``identities`` reads its reductions at x = 4z/(1-z)^2, with x then read
 as z.  See
@@ -13,8 +17,11 @@ Vidunas, arXiv:math/0109222, and Petkovšek, Wilf & Zeilberger, *A=B*.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from fractions import Fraction
+from functools import partial
 
 _X = 24  # the shift of x's exponent: a, b, c, x and n take 8 bits each
 
@@ -134,6 +141,8 @@ class Rat:
     def __init__(self, num, *dens, factors=None):
         self.num, self.factors = _poly(num), dict(factors or {})
         for den in map(_poly, dens):
+            if not den:
+                raise ZeroDivisionError(f"{self.num} / 0")
             if den != _ONE:
                 key = frozenset(den.items())
                 self.factors[key] = (den, self.factors.get(key, (den, 0))[1] + 1)
@@ -278,10 +287,39 @@ def _vanishes(*terms, base=(A, B, C), sign=1) -> bool:
 AXIOMS = (*RULES, "equation", "gauge")
 
 
+# the outcomes of the open ``run`` scope, by key; None outside every scope
+_RUN = contextvars.ContextVar("contiguity_run", default=None)
+
+
+@contextlib.contextmanager
+def run():
+    """One proof run: inside it ``once`` computes each outcome at most once.
+    The outcomes are gone when the scope closes; a nested scope, or one in
+    another thread, starts empty."""
+    token = _RUN.set({})
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def once(key, check):
+    """check(), computed once per ``run`` scope under key, and on each call
+    outside every scope."""
+    outcomes = _RUN.get()
+    if outcomes is None:
+        return check()
+    if key not in outcomes:
+        outcomes[key] = check()
+    return outcomes[key]
+
+
 def failed_axioms(names=AXIOMS) -> list:
-    """The names of the axioms, of ``names``, that fail their check."""
+    """The names of the axioms, of ``names``, that fail their check: once
+    per ``run`` scope for each axiom, keyed by the axiom itself, so that a
+    changed rule is checked anew."""
     axioms = {**RULES, "equation": equation, "gauge": gauge}
-    return [n for n, axiom in axioms.items() if n in names and not axiom_holds(n, axiom)]
+    return [n for n, axiom in axioms.items() if n in names and not once((n, axiom), partial(axiom_holds, n, axiom))]
 
 
 def combine(*scaled):

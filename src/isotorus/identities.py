@@ -5,14 +5,19 @@ Each report says what its "verified" rests on (``IdentityReport.certificate``):
 ``id_hyp``, ``remark1_derivative`` and ``adjoint_form``, proved for every
 value of their parameters at every order by contiguity reduction
 (``contiguity``), the order only labelling the report; ``id_hyp`` takes
-Euler's transform as a lemma, checked in the same call;
+Euler's transform as a lemma, checked in the same call or once per run;
 ``degree-bound`` for ``id_war``, whose series agree through the order at
-enough integer values of a that the per-coefficient degree bound makes the
-sample run a proof for all a through that order;
+enough distinct values of a, 2N+3 at order N, that the per-coefficient
+degree bound makes the sample run a proof for all a through that order;
+``sampled`` for ``id_war`` at fewer distinct caller-supplied values, where
+the series agree at those values alone;
 ``through-order`` for the ODE residuals, ``window`` for flux positivity,
 whose lemma, ``FLUX_OPERATOR``, is proved in the same call, and ``exact``
 for the printed leading coefficients.  ``verify_all`` takes one
-input, the order, and runs every check in this process.
+input, the order, and runs every check in this process, in one
+``contiguity.run`` scope: each axiom is checked once, and the report of
+``euler_transform`` is ``id_hyp``'s lemma.  A check called alone checks its
+own axioms and lemma.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ class IdentityReport:
     identity_name: str
     verified_order: int
     # what a "verified" rests on: "all-parameters", "degree-bound",
-    # "through-order", "window" or "exact"
+    # "sampled", "through-order", "window" or "exact"
     certificate: str
     parameter_samples: tuple = ()
     status: str = "verified"  # "verified" | "failed"
@@ -227,7 +232,9 @@ def _sampled_report(name, samples, order, pair_fn) -> IdentityReport:
     Ints become exact rationals; an empty list, or a sample that is a bool,
     a float or anything else but an int or a Fraction, is refused before any
     series is built.  The report names the first sample that fails; an
-    exception at a sample propagates."""
+    exception at a sample propagates.  Its certificate is ``degree-bound``
+    where the samples hold at least ``default_sample_count(order)`` distinct
+    values, else ``sampled``."""
     samples = tuple(_integer_samples(default_sample_count(order)) if samples is None else samples)
     if not samples:
         raise ValueError(f"{name} needs at least one sample")
@@ -235,11 +242,12 @@ def _sampled_report(name, samples, order, pair_fn) -> IdentityReport:
         if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
             raise ValueError(f"{name} samples must be ints or Fractions, not {a!r}")
     samples = tuple(map(rat, samples))
+    certificate = "degree-bound" if len(set(samples)) >= default_sample_count(order) else "sampled"
     for sample in samples:
         mismatch = _first_mismatch(*pair_fn(sample), order)
         if mismatch is not None:
-            return _failure(name, order, "degree-bound", *mismatch, samples, sample=str(sample))
-    return IdentityReport(name, order, "degree-bound", samples)
+            return _failure(name, order, certificate, *mismatch, samples, sample=str(sample))
+    return IdentityReport(name, order, certificate, samples)
 
 
 # --------------------------------------------------------------------------
@@ -287,15 +295,17 @@ def expand_vbar(order: int) -> PowerSeries:
 
 
 def _flux_constant():
-    """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the closed forms."""
-    ab, vb = expand_abar(1), expand_vbar(1)
+    """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the closed forms'
+    expansions through z^5, which the golden check reads: ``verify_all``
+    builds them once."""
+    ab, vb = expand_abar(5), expand_vbar(5)
     return 2 * vb[1] * ab[0] - 3 * vb[0] * ab[1]
 
 
 def _flux_series(order: int) -> PowerSeries:
     """FLUX_OPERATOR's solution from d_0 through z^order, unreduced: over the
-    product of c_0(n) = -3n(n+1)^2 for n = 1..order, its sign moved onto
-    the numerators."""
+    positive denominator the recurrence keeps (``series._recurrence``), a
+    divisor of the product of c_0(n) = -3n(n+1)^2 for n = 1..order."""
     return FLUX_OPERATOR.series_solution(_flux_constant(), _checked_order(order))
 
 
@@ -385,8 +395,10 @@ def _flux_operator_failures() -> list:
     q = contiguity.in_x(_Q)
     abar, vbar = ([t.at(r) * Rat(contiguity.in_x(prefactor), *[q] * q_power) for t in reduction.hyp(b, b, 1)]
                   for b, prefactor, q_power in (_ABAR, _VBAR))
-    flux = [s * 2 + t * -3 for s, t in zip(_form_product(_derivative(vbar, dr, e0, e1), abar),
-                                           _form_product(vbar, _derivative(abar, dr, e0, e1)))]
+    # cancelled once, as its numerators share powers of 1 - x and x with their
+    # denominators, which each derivative below would carry
+    flux = [(s * 2 + t * -3).cancel() for s, t in zip(_form_product(_derivative(vbar, dr, e0, e1), abar),
+                                                      _form_product(vbar, _derivative(abar, dr, e0, e1)))]
     total = [Rat(0)] * 3
     for i, p in enumerate(FLUX_OPERATOR.poly_coeffs):
         if i:
@@ -400,9 +412,8 @@ def verify_f_positivity(window: int = 200) -> IdentityReport:
 
     The d_n are FLUX_OPERATOR's solution from d_0 (``expand_f``), and each
     call proves the operator (``_flux_operator_failures``), a lemma the
-    detail names.  The solution is read unreduced: its denominator, the
-    product of the c_0(n), has the sign (-1)^window, which the stored series
-    moves onto its numerators, so each sign is its numerator's.  Also
+    detail names.  The solution is read unreduced, over a positive
+    denominator, so each sign is its numerator's.  Also
     compares the computed coefficient of z^3 against the displayed 31248
     and reports (not fails on) any discrepancy, plus the computed d_2,
     which the display elides; d_2 must still be positive.
@@ -507,6 +518,13 @@ def verify_euler_transform(order: int = 40) -> IdentityReport:
         r.hyp(*params), (A, B, C), (exponent, 0)), _ALL_C)
 
 
+def _euler_lemma(order: int) -> IdentityReport:
+    """``verify_euler_transform(order)``, run once per ``contiguity.run``
+    scope: ``verify_all`` reports it and ``verify_id_hyp`` takes it as its
+    lemma."""
+    return contiguity.once(("euler_transform", order), lambda: verify_euler_transform(order))
+
+
 # id_hyp's right side a(a-1) (1-x)^(2a) F(a+1,a;2;x), as its coefficient,
 # its exponent of 1 - x and the parameters of its 2F1
 _ID_HYP_RIGHT = (A * (A - 1), 2 * A, (A + 1, A, 2))
@@ -527,9 +545,10 @@ def verify_id_hyp(order: int = 40) -> IdentityReport:
     gauge (1+x)^(-a), times 1 + x.  Euler's transform at (a+1, a, 2) gives
     F(a+1,a;2;x) = (1-x)^(1-2a) F(1-a,2-a;2;x), so the right side is
     a(a-1) (1-x) F(1-a,2-a;2;x), which reduces.  ``verify_euler_transform``
-    runs in this call, and the report names it as a lemma and fails where
-    it fails.  The order only labels the report."""
-    lemma = verify_euler_transform(_checked_order(order))
+    runs in this call, or once per ``contiguity.run`` scope, and the report
+    names it as a lemma and fails where it fails.  The order only labels the
+    report."""
+    lemma = _euler_lemma(_checked_order(order))
     coefficient, exponent, params = _ID_HYP_RIGHT
     euler_exponent, transformed = _euler(*params)
     right = _one_minus_x_to(exponent + euler_exponent) * -coefficient
@@ -629,9 +648,12 @@ def verify_all(order: int = 40) -> list:
     samples, and the reduced checks, which hold at every order, are
     labelled with it.  The ODE residuals always run at their default order
     64 and flux positivity at its default window 200, and the golden
-    coefficients are fixed."""
+    coefficients are fixed.  The checks run in one ``contiguity.run`` scope:
+    each axiom is checked once, and the Euler transform's report is
+    ``id_hyp``'s lemma."""
     a_samples = _integer_samples(default_sample_count(_checked_order(order)))
-    return [verify_golden_coefficients(), verify_odes(), verify_f_positivity(), verify_lemma1(order),
-            verify_contiguous("cont1", order), verify_contiguous("cont2", order), verify_euler_transform(order),
-            verify_id_hyp(order), verify_id_war(a_samples, order), verify_remark1_derivative(order),
-            verify_adjoint_form(order)]
+    with contiguity.run():
+        return [verify_golden_coefficients(), verify_odes(), verify_f_positivity(), verify_lemma1(order),
+                verify_contiguous("cont1", order), verify_contiguous("cont2", order), _euler_lemma(order),
+                verify_id_hyp(order), verify_id_war(a_samples, order), verify_remark1_derivative(order),
+                verify_adjoint_form(order)]

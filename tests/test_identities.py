@@ -248,10 +248,12 @@ def test_flux_operator_is_proved_and_its_recurrence_fixes_d0():
 
 @pytest.mark.parametrize("window", [3, 4, 60, 201])
 def test_f_positivity_reads_signs_against_the_unreduced_denominator(window):
-    # prod c_0(n) has the sign (-1)^window, which the stored series moves
-    # onto its numerators, so odd and even windows read the same way
+    # the stored denominator is positive and divides prod c_0(n), whose sign
+    # (-1)^window the recurrence never takes on, so each numerator's sign is
+    # its coefficient's, at odd and even windows alike
     f = ident._flux_series(window)
-    assert f._den == abs(math.prod(-3 * n * (n + 1) ** 2 for n in range(1, window + 1)))
+    assert f._den > 0 and math.prod(-3 * n * (n + 1) ** 2 for n in range(1, window + 1)) % f._den == 0
+    assert all((v > 0) == (f[n] > 0) for n, v in enumerate(f._nums))
     assert ident.verify_f_positivity(window).verified
 
 
@@ -475,6 +477,28 @@ def test_substitution_and_exact_cancellation():
     assert c.num == X + 2 and [(f, e) for f, e in c.factors.values()] == [({0: 6}, 1)]
 
 
+def test_rat_refuses_a_zero_denominator():
+    # x/0 would add to 1 as x: the sum takes the zero factor's power and
+    # multiplies nothing by it
+    for dens in ((X - X,), (0,), (1 - X, X - X)):
+        with pytest.raises(ZeroDivisionError):
+            Rat(X, *dens)
+
+
+def test_rat_refuses_zero_over_zero():
+    # 0/0 would pass a proof's test that a coefficient's numerator vanishes
+    with pytest.raises(ZeroDivisionError):
+        Rat(0, X - X)
+
+
+def test_no_rat_reaches_cancel_with_a_zero_factor():
+    # cancel divided x/0's numerator by the empty polynomial, and failed
+    # with "max() arg is an empty sequence"
+    with pytest.raises(ZeroDivisionError, match=r"^x / 0$"):
+        Rat(X, X - X).cancel()
+    assert Rat(X * (1 - X), 1 - X).cancel().num == X
+
+
 def test_reduction_refuses_a_zero_divisor_and_non_contiguous_targets():
     # F(1, b; c) from F(0, b; c) would divide by alpha = 0, which would make
     # every numerator over that denominator 0
@@ -524,20 +548,145 @@ USES = {"alpha_up": "lemma1", "all_up": "lemma1", "equation": "lemma1", "beta_do
         "gauge": "euler_transform"}
 
 
+def mutate_axiom(monkeypatch, name):
+    if name in contiguity.RULES:
+        monkeypatch.setitem(contiguity.RULES, name, AXIOM_MUTANTS[name])
+    else:
+        monkeypatch.setattr(contiguity, name, AXIOM_MUTANTS[name])
+
+
 @pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
 def test_engine_axiom_mutant_fails_its_check(monkeypatch, name):
     # one coefficient changed: the termwise check refutes it, and a reduced
     # check that applies the axiom reports it, alone or under verify_all
     assert not contiguity.axiom_holds(name, AXIOM_MUTANTS[name])
-    if name in contiguity.RULES:
-        monkeypatch.setitem(contiguity.RULES, name, AXIOM_MUTANTS[name])
-    else:
-        monkeypatch.setattr(contiguity, name, AXIOM_MUTANTS[name])
+    mutate_axiom(monkeypatch, name)
     assert contiguity.failed_axioms() == [name]
     report = REDUCED_CHECKS[USES[name]](ORDER)
     assert not report.verified and report.failure_detail["failed"] == [name]
     (report,) = [r for r in ident.verify_all(4) if r.identity_name == USES[name]]
     assert not report.verified and report.failure_detail["failed"] == [name]
+
+
+# the axioms the flux proof applies: beta_down takes F(-1/2,-1/2;1) to Vbar's
+# F(-3/2,-3/2;1), and every derivative reduces F'' by the equation
+FLUX_AXIOMS = ("beta_down", "equation")
+
+
+def listed_axioms():
+    """{report name: the axioms its verified report lists} at order 4."""
+    return {r.identity_name: r.failure_detail["axioms"] for r in ident.verify_all(4)
+            if r.identity_name in REDUCED}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
+def test_a_wrong_axiom_fails_every_report_that_rests_on_it(monkeypatch, name):
+    # within one verify_all, where each axiom is checked once, and for each
+    # check called alone: the flux report too
+    listed = listed_axioms()
+    mutate_axiom(monkeypatch, name)
+    reports = {r.identity_name: r for r in ident.verify_all(4)}
+    alone = {check: REDUCED_CHECKS[check](4) for check in REDUCED}
+    alone["f_positivity"] = ident.verify_f_positivity(10)
+    listed["f_positivity"] = list(FLUX_AXIOMS)
+    assert any(name in axioms for axioms in listed.values())
+    for check, axioms in listed.items():
+        for report in (reports[check], alone[check]):
+            assert report.verified == (name not in axioms), (check, report)
+            if name in axioms:
+                assert name in report.failure_detail["failed"]
+
+
+def count_calls(monkeypatch, module, attr) -> list:
+    """Record the first argument of each call of module.attr."""
+    calls = []
+    real = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_all_checks_each_axiom_and_the_euler_lemma_once(monkeypatch):
+    # the run's first check of each axiom is the one every later report
+    # reads, and id_hyp takes the run's euler_transform report; a second
+    # run carries nothing over and checks them all again
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    euler = count_calls(monkeypatch, ident, "verify_euler_transform")
+    for runs in (1, 2):
+        reports = ident.verify_all(8)
+        assert sorted(axioms) == sorted(contiguity.AXIOMS * runs)
+        assert euler == [8] * runs
+        assert contiguity._RUN.get() is None
+    assert all(r.verified for r in reports)
+
+
+@pytest.mark.parametrize("check", sorted(REDUCED_CHECKS))
+def test_a_check_called_alone_checks_its_own_axioms_and_lemma(monkeypatch, check):
+    listed = listed_axioms()
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    euler = count_calls(monkeypatch, ident, "verify_euler_transform")
+    assert REDUCED_CHECKS[check](4).verified
+    lemma = listed["euler_transform"] if check == "id_hyp" else []
+    assert sorted(axioms) == sorted(listed[check] + lemma)
+    # REDUCED_CHECKS holds the function itself, so only id_hyp's call counts
+    assert euler == ([4] if check == "id_hyp" else [])
+
+
+def test_f_positivity_alone_checks_the_flux_axioms(monkeypatch):
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    assert ident.verify_f_positivity(10).verified
+    assert sorted(axioms) == sorted(FLUX_AXIOMS)
+
+
+def test_a_nested_run_starts_empty_and_leaves_the_outer_one_intact(monkeypatch):
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    count = len(contiguity.AXIOMS)
+    with contiguity.run():
+        assert contiguity.failed_axioms() == [] and len(axioms) == count
+        assert all(r.verified for r in ident.verify_all(4))
+        assert len(axioms) == 2 * count
+        assert contiguity.failed_axioms() == [] and len(axioms) == 2 * count
+    assert contiguity.failed_axioms() == [] and len(axioms) == 3 * count
+
+
+def test_runs_in_concurrent_threads_each_check_every_axiom(monkeypatch):
+    # each thread's verify_all has its own scope: with more threads than
+    # cores, switching often, every run checks every axiom itself
+    import sys
+    import threading
+
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    count = 4
+    reports, start = [], threading.Barrier(count)
+
+    def run():
+        start.wait()
+        reports.append(ident.verify_all(4))
+
+    threads = [threading.Thread(target=run) for _ in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(axioms) == sorted(contiguity.AXIOMS * count)
+    assert len(reports) == count and all(r == ident.verify_all(4) for r in reports)
+
+
+def test_the_run_closes_when_a_check_raises(monkeypatch):
+    mutate_pairs(monkeypatch, raising=at("id_war", 0))
+    with pytest.raises(ZeroDivisionError):
+        ident.verify_all(ORDER8)
+    assert contiguity._RUN.get() is None
 
 
 def test_euler_solution_is_unique_off_nonpositive_integer_c():
@@ -663,7 +812,7 @@ def test_report_serialization():
     d = report.to_dict()
     assert d["status"] == "verified"
     assert d["samples"] == ["2"]
-    assert d["certificate"] == "degree-bound"
+    assert d["certificate"] == "sampled"
     assert "id_war" in report.to_json()
     reduced = json.loads(ident.verify_lemma1(10).to_json())
     assert reduced["certificate"] == "all-parameters" and reduced["samples"] == []
@@ -676,6 +825,24 @@ def test_failed_report_detail():
     d = report.to_dict()
     assert d["status"] == "failed"
     assert "failure_detail" in d
+
+
+@pytest.mark.parametrize("samples, certificate", [
+    pytest.param([1], "sampled", id="one"),
+    pytest.param([2] * 19, "sampled", id="19-equal"),
+    pytest.param(list(range(18)) + [rat(1, 2)], "degree-bound", id="2N+3-distinct"),
+    pytest.param(list(range(18)) + [17, rat(34, 2)], "sampled", id="2N+2-distinct"),
+])
+def test_id_war_claims_the_degree_bound_only_at_2n_plus_3_distinct_samples(samples, certificate):
+    # at N = 8 the bound needs 19 distinct values of a; fewer is a sample run
+    report = ident.verify_id_war(samples, 8)
+    assert report.verified and report.certificate == certificate
+
+
+def test_id_war_failing_at_few_samples_names_the_weaker_certificate(monkeypatch):
+    mutate_pairs(monkeypatch, fail=at("id_war", 1))
+    report = ident.verify_id_war(SAMPLES8[:3], ORDER8)
+    assert not report.verified and report.certificate == "sampled"
 
 
 def test_verify_all_takes_only_the_order():

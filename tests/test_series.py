@@ -23,6 +23,7 @@ from isotorus.series import (
     Rational,
     SeriesError,
     _int_mul,
+    _schoolbook,
     binomial_series,
     parse_rational,
     perturbed,
@@ -256,6 +257,38 @@ def test_operator_order_and_errors():
         DifferentialOperator(((1,), (0,)))
 
 
+def test_recurrence_keeps_only_the_denominator_the_coefficients_need():
+    # c_0(n) y_n = sum_k d_k(n) y_(n-k) solved in Fractions, against the
+    # kernel's integers: the same values, over a positive denominator that
+    # divides w prod |c_0(n)|, with leads of both signs, steps where the sum
+    # is 0 and up to three terms reaching back five steps
+    rng = random.Random(5)
+    for _ in range(60):
+        order = rng.randrange(0, 30)
+        lead = [0] + [rng.choice((1, -1)) * rng.randrange(1, 50) for _ in range(order)]
+        terms = [(k, [rng.randrange(-3, 4) * rng.randrange(0, 8) for _ in range(order + 1)])
+                 for k in sorted(rng.sample(range(1, 6), rng.randrange(1, 4)))]
+        y0 = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        y = [y0]
+        for n in range(1, order + 1):
+            y.append(sum((d[n] * y[n - k] for k, d in terms if k <= n), Fraction(0)) / lead[n])
+        s = series_module._recurrence(lead, terms, y0)
+        assert s.coefficients == tuple(y)
+        assert s._den > 0 and y0.denominator * math.prod(map(abs, lead[1:])) % s._den == 0
+
+
+def test_tables_by_differences_match_horner():
+    # _at_each builds each table from forward differences: the values of _at
+    # at every point, for degrees 0 to 6, ranges shorter than the degree and
+    # ranges that start below 0
+    rng = random.Random(11)
+    for _ in range(300):
+        poly = [rng.randrange(-50, 51) for _ in range(rng.randrange(0, 7))]
+        start = rng.randrange(-5, 5)
+        ns = range(start, start + rng.randrange(0, 30))
+        assert series_module._at_each(poly, ns) == [series_module._at(poly, n) for n in ns], (poly, ns)
+
+
 def test_series_solution_from_the_recurrence():
     # y' - y = 0: exp, coefficient k is 1/k!
     exp = DifferentialOperator(((-1,), (1,))).series_solution(rat(3, 2), 12)
@@ -438,6 +471,30 @@ def test_int_mul_ks2_recombines_even_and_odd_coefficients():
                                 Fraction(0)) for m in range(ns[-1] + 1)]
                 for n in ns:
                     assert _int_mul(a, b, n) == expected[: n + 1], (la, lb, base, signs, sign, n)
+
+
+def test_schoolbook_matches_ks2_on_extremal_operands():
+    # a product through fewer than 16 powers is the double loop: the same
+    # coefficients as KS2, with zero coefficients skipped and signs mixed
+    rng = random.Random(16)
+    for la, lb in ((1, 1), (2, 9), (9, 2), (16, 16), (5, 11)):
+        for base, step, signs in ((1, 1, "+"), (6, 3, "alt"), (90, 1, "random")):
+            a = extremal_operand(la, "rising", base, step, signs, rng)
+            b = extremal_operand(lb, "v", base, step, signs, rng)
+            a[la // 2] = 0
+            for n in sorted({0, 1, la - 1, lb - 1, la + lb - 2}):
+                assert _schoolbook(a, b, n) == _int_mul(a, b, n), (la, lb, base, signs, n)
+
+
+def test_short_products_take_the_double_loop(monkeypatch):
+    # through z^15 no KS2 product is taken; from z^16 on one is
+    calls = []
+    monkeypatch.setattr(series_module, "_int_mul", lambda *args: calls.append(args[2]) or _int_mul(*args))
+    for order in (8, 15, 16):
+        a, b = (PowerSeries([rat(k + 1, k + 2 + s) for k in range(order + 1)]) for s in (0, 3))
+        assert (a * b).coefficients == tuple(
+            sum((a[i] * b[m - i] for i in range(m + 1)), Rational(0)) for m in range(order + 1))
+    assert calls == [16]
 
 
 def test_short_factors_match_rational_convolution():
