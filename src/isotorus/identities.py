@@ -296,9 +296,9 @@ def expand_vbar(order: int) -> PowerSeries:
 
 def _flux_constant():
     """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the closed forms'
-    expansions through z^5, which the golden check reads: ``verify_all``
-    builds them once."""
-    ab, vb = expand_abar(5), expand_vbar(5)
+    expansions through z^DEFAULT_ORDER, which the golden check and the ODE
+    residuals read too: ``verify_all`` builds each once."""
+    ab, vb = expand_abar(DEFAULT_ORDER), expand_vbar(DEFAULT_ORDER)
     return 2 * vb[1] * ab[0] - 3 * vb[0] * ab[1]
 
 
@@ -343,9 +343,11 @@ def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityRep
 
 
 def verify_golden_coefficients() -> IdentityReport:
-    """Exact regression of the printed leading coefficients of Abar and Vbar."""
-    ab = expand_abar(5)
-    vb = expand_vbar(5)
+    """Exact regression of the printed leading coefficients of Abar and Vbar,
+    the first six of the expansions through z^DEFAULT_ORDER that the ODE
+    residuals check."""
+    ab = expand_abar(DEFAULT_ORDER)
+    vb = expand_vbar(DEFAULT_ORDER)
     for name, series, golden in (("abar", ab, ABAR_LEADING), ("vbar", vb, VBAR_LEADING)):
         mismatch = _first_mismatch(series, PowerSeries(golden), 5)
         if mismatch is not None:

@@ -781,6 +781,18 @@ def test_verify_all_leaves_no_state_behind(monkeypatch):
     assert states[0] == states[1]
 
 
+def test_a_cold_verify_builds_each_closed_form_once():
+    # the golden check and the flux constant read the first six
+    # coefficients of the expansions the ODE residuals check
+    caches = (ident.expand_abar, ident.expand_vbar)
+    for cache in caches:
+        cache.cache_clear()
+    assert all(r.verified for r in ident.verify_all(8))
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), cache
+
+
 def test_remark1_derivative():
     report = ident.verify_remark1_derivative(20)
     assert report.verified and report.certificate == "all-parameters"

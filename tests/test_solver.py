@@ -103,7 +103,9 @@ def test_result_serialization():
 
 
 def test_iteration_cap_is_flagged():
-    # three steps cannot reach 1e-15; the result must say so
+    # three steps cannot reach 1e-15; the result must say so.  The model's
+    # error is not below tol/4 here, so its point is no candidate and the
+    # chord steps run from the whole domain
     result = invert_iso(InverseQuery(0.9, tolerance=1e-15, max_iterations=3))
     assert result.iterations == 3
     assert result.flag == "max_iterations"
@@ -274,11 +276,12 @@ def test_stored_roots_match_mpmath():
 
 
 def test_round_trip_against_mpmath_roots():
+    # the straddle places each root within tol/2 of the z returned
     zs_out = []
     for rho, root in _stored_roots(ROUND_TRIP_ZS):
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, rho
-        assert abs(Fraction(result.z) - root) <= 1e-10, (rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 5e-11, (rho, result.z)
         zs_out.append(result.z)
     assert zs_out == sorted(zs_out) and len(set(zs_out)) == len(zs_out)
 
@@ -299,7 +302,7 @@ def test_wrong_slope_still_gives_a_certified_root(monkeypatch, scale):
     for rho, root in _stored_roots(WRONG_SLOPE_ZS):
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, (scale, rho)
-        assert abs(Fraction(result.z) - root) <= 1e-10, (scale, rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 5e-11, (scale, rho, result.z)
 
 
 def _counting_series_sums(monkeypatch):
@@ -317,8 +320,9 @@ def _counting_series_sums(monkeypatch):
 
 
 def test_few_evaluations_per_root(monkeypatch):
-    # each point costs one iso call, two series; a straddle point one more
-    # iso call when it takes the sharp retry.  Bisection took about 33 points
+    # each point costs one iso call, two series.  Inside the model's range
+    # its point is the candidate, and the straddle's two points certify it:
+    # four series.  Bisection took about 33 points, the chord steps 5 or 6
     calls = _counting_series_sums(monkeypatch)
     for k in range(20):
         z = 0.03 + (0.30 - 0.03) * (k + 0.5) / 20
@@ -326,7 +330,99 @@ def test_few_evaluations_per_root(monkeypatch):
         before = calls[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None
-        assert calls[0] - before <= 18, (z, calls[0] - before)
+        assert calls[0] - before <= 4, (z, calls[0] - before)
+
+
+MODEL_ZS = [z for z, _, _ in MP_ROOTS if z <= 0.39]
+
+
+def test_every_root_in_the_model_range_certifies_in_two_evaluations(monkeypatch):
+    # the model's point is within about 1e-13 of each root, so the
+    # intervals at z -+ tol/2 straddle rho at the ordinary target.  The
+    # residual bound holds iso(z) to 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    calls = _counting_series_sums(monkeypatch)
+    assert len(MODEL_ZS) == 18
+    for rho, root in _stored_roots(MODEL_ZS):
+        before = calls[0]
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        assert (result.flag, result.iterations, calls[0] - before) == (None, 2, 4), rho
+        assert abs(Fraction(result.z) - root) <= 5e-11, (rho, result.z)
+        with mpmath.workdps(40):
+            assert abs(mp_iso(mpmath, mpmath.mpf(result.z)) - rho) <= result.residual_bound, rho
+
+
+def _shift_model_t(monkeypatch, dz):
+    """Move the model's point by dz in z."""
+    model_t = solver._model_t
+
+    def shifted(gap):
+        t = model_t(gap)
+        return None if t is None else (math.sqrt(t) + dz) ** 2
+
+    monkeypatch.setattr(solver, "_model_t", shifted)
+
+
+@pytest.mark.parametrize("corruption", ["nodes+1e-6", "z+0.6tol", "z-0.6tol"])
+def test_a_wrong_model_costs_evaluations_never_the_result(monkeypatch, corruption):
+    # the model only proposes the candidate: with nodes 1e-6 off in t, or
+    # its point 0.6 tol off the root, a straddle point finds the root beyond
+    # it, and the search goes on to a z within tol/2 of the root
+    tol = 1e-10
+    if corruption == "nodes+1e-6":
+        monkeypatch.setattr(solver, "_MODEL", tuple((g, w, t + 1e-6) for g, w, t in solver._MODEL))
+    else:
+        _shift_model_t(monkeypatch, 0.6 * tol if corruption[1] == "+" else -0.6 * tol)
+    for rho, root in _stored_roots(MODEL_ZS):
+        result = invert_iso(InverseQuery(rho, tol))
+        assert result.flag is None, (corruption, rho)
+        assert abs(Fraction(result.z) - root) <= tol / 2, (corruption, rho, result.z)
+
+
+def test_a_root_within_tol_over_2_of_zero_is_certified_by_the_bracket_end():
+    # z - tol/2 < 0: the straddle's lower side is the bracket end z = 0,
+    # whose pair lies below rho, and one point above the model's z certifies
+    mpmath = pytest.importorskip("mpmath")
+    rho, tol = ISO0 + 1e-10, 1e-4
+    result = invert_iso(InverseQuery(rho, tol))
+    assert result.z == math.sqrt(solver._model_t(math.sqrt(1.0 - rho)))
+    assert result.z - tol / 2 < 0.0
+    assert (result.flag, result.iterations) == (None, 1)
+    with mpmath.workdps(40):
+        root = mp_root(mpmath, mpmath.mpf(rho), 0, 1e-4)
+        assert abs(result.z - root) <= tol / 2
+    assert result.residual_bound == max(iso(result.z + tol / 2, 1e-11).hi - rho, rho - iso(0.0).lo)
+
+
+def _model_edges():
+    """rho at the model's two ends: the least rho above iso(0)'s interval,
+    the first that reaches the model, and the sharp value at z = 0.39, the
+    last node, with its two float neighbours.  g = sqrt(1 - rho) falls from
+    the first node to the last."""
+    (g_first, _, _), (g_last, _, t_last) = solver._MODEL[0], solver._MODEL[-1]
+    v, b = solver._AT_ZERO
+    high = solver._iso_pair(math.sqrt(t_last), solver._SHARP)[0]
+    assert math.sqrt(1.0 - v) == g_first
+    assert math.sqrt(1.0 - high) == g_last and t_last == 0.39 * 0.39
+    return [math.nextafter(v + b, 1.0), math.nextafter(high, 0.0), high, math.nextafter(high, 1.0)]
+
+
+def test_ratios_at_the_edges_of_the_model_range():
+    # at either end of the model's range, its point where it is the
+    # candidate, and the chord steps where it is not, give certified roots
+    mpmath = pytest.importorskip("mpmath")
+    for rho in _model_edges():
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        if result.flag is not None:  # next to iso(0), where iso is flat
+            assert result.flag == "precision_exhausted" and rho < 0.72, rho
+            continue
+        with mpmath.workdps(40):  # by monotonicity, the root within 5e-11 of z
+            z = mpmath.mpf(result.z)
+            assert mp_iso(mpmath, z - 5e-11) < rho < mp_iso(mpmath, z + 5e-11), rho
+    high = _model_edges()[2]
+    assert solver._model_t(math.sqrt(1.0 - high)) == 0.39 * 0.39
+    assert solver._model_t(math.sqrt(1.0 - math.nextafter(high, 1.0))) is None
+    assert invert_iso(InverseQuery(high, 1e-10)).iterations == 2
 
 
 def test_few_evaluations_per_root_near_z_max(monkeypatch):
@@ -337,19 +433,62 @@ def test_few_evaluations_per_root_near_z_max(monkeypatch):
         before = calls[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
         assert result.flag is None, rho
-        assert abs(Fraction(result.z) - root) <= 1e-10, (rho, result.z)
+        assert abs(Fraction(result.z) - root) <= 5e-11, (rho, result.z)
         assert calls[0] - before <= 20, (rho, calls[0] - before)
 
 
-@pytest.mark.parametrize("rho, budget", [(0.9999999, 62), (1.0 - 2.0 ** -53, 74)])
+@pytest.mark.parametrize("rho, budget", [(0.9999999, 13), (1.0 - 2.0 ** -53, 7)])
 def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
     # the root lies so near Z_MAX that even the sharpest bound cannot tell
-    # z -+ tol/2 apart from rho: flagged, never raised, in few series sums
+    # z -+ tol/2 apart from rho: flagged, never raised, in few series sums.
+    # Straddle points there go to the sharp target at once: 12 and 6 sums,
+    # where the ordinary try first took 14 and 8
     calls = _counting_series_sums(monkeypatch)
     result = invert_iso(InverseQuery(rho, 1e-10))
     assert result.flag == "precision_exhausted"
     assert 0.414 < result.z < Z_MAX
     assert calls[0] < budget, calls[0]
+
+
+def test_a_straddle_interval_holding_rho_is_retried_sharp(monkeypatch):
+    # at tol = 1e-11 iso moves about as much over tol/2 as the ordinary
+    # bound: on these roots one straddle interval holds rho at the ordinary
+    # target and not at the sharp one, which certifies the model's point
+    calls = _recording_iso(monkeypatch)
+    tol = 1e-11
+    for rho, root in _stored_roots([0.28400000000000003, 0.3094, 0.3348, 0.36019999999999996,
+                                    0.38559999999999994]):
+        del calls[:]
+        result = invert_iso(InverseQuery(rho, tol))
+        assert (result.flag, result.iterations) == (None, 2), rho
+        assert abs(Fraction(result.z) - root) <= tol / 2, (rho, result.z)
+        retried = [cv for (z, target, cv), (z2, target2, _) in zip(calls, calls[1:])
+                   if z == z2 and (target, target2) == (1e-11, solver._SHARP)]
+        assert len(retried) == 1 and retried[0].lo <= rho <= retried[0].hi, rho
+
+
+NEAR_ONE_RHOS = [1.0 - 10.0 ** (-3 - k / 8) for k in range(33)]
+
+
+def test_straddle_points_near_z_max_go_sharp_at_once(monkeypatch):
+    # where iso's change over tol/2, by the bracket's chord, is below the
+    # ordinary bound, an ordinary straddle interval would hold rho: the point
+    # goes to the sharp target at once.  Over rho = 1 - 10^-(3 + k/8) that
+    # saves 66 of 472 series sums, with the same results.  Before k = 8 no
+    # point goes sharp, and from k = 11 on even the sharp bound runs out
+    sums = _counting_series_sums(monkeypatch)
+    calls = _recording_iso(monkeypatch)
+    for k, rho in enumerate(NEAR_ONE_RHOS):
+        del calls[:]
+        result = invert_iso(InverseQuery(rho, 1e-10))
+        flagged = result.flag == "precision_exhausted"
+        assert flagged == (k >= 11), k
+        # one call per point, and the flag's one at the candidate: no
+        # straddle point is tried at the ordinary target and then again
+        # sharp, where the ordinary try took 2 retries at k = 8..15, 1 after
+        assert len(calls) == result.iterations + flagged, k
+        assert (solver._SHARP in [target for _, target, _ in calls]) == (k >= 8), k
+    assert sums[0] <= 406, sums[0]
 
 
 # sha256 over "z.hex residual_bound.hex iterations flag" lines of invert_iso
@@ -358,9 +497,8 @@ def test_ratio_next_to_one_is_flagged_within_budget(monkeypatch, rho, budget):
 # rho = 0.9999) and its precision_exhausted flag (from k = 11), and the ratio
 # next to 1.  Regenerate with
 #   PYTHONPATH=src:tests python -c "import test_solver; print(test_solver.invert_grid_digest())"
-INVERT_GRID = "9af02d177b1b0c6bb6e09dcb8d6ebb0eb8ad3a8c3a84f1431c85fcba68eef143"
-INVERT_RHOS = ([rho for _, rho, _ in MP_ROOTS] + [ISO0]
-               + [1.0 - 10.0 ** (-3 - k / 8) for k in range(33)] + [0.9999999999999999])
+INVERT_GRID = "579de284e7c15818e8b4a6ebcd9fc7f4a7720e3768948ab21fcd7d61c05222d4"
+INVERT_RHOS = [rho for _, rho, _ in MP_ROOTS] + [ISO0] + NEAR_ONE_RHOS + [0.9999999999999999]
 
 
 def invert_grid_digest():
