@@ -107,8 +107,8 @@ def coeffs_cmd(series_name, order, fmt):
         click.echo(", ".join(strings))
 
 
-# --inject-fault shifts this coefficient of Abar.  At --order N the ODE
-# residual is checked through z^(N-2), whose coefficients reach Abar through
+# --inject-fault shifts this coefficient of Abar, whose ODE residual is then
+# checked through z^(N-2) at --order N; those coefficients reach Abar through
 # z^(N-1), so the fault is seen from order 4 on
 _FAULT_INDEX = 3
 
@@ -120,13 +120,14 @@ def verify_cmd(order, inject_fault):
     """Run every exact identity, ODE, and coefficient check, in one process.
     Each line names what its "verified" rests on: lemma1, cont1, cont2,
     euler_transform, id_hyp (with the Euler transform as its lemma),
-    remark1_derivative and adjoint_form are proved for all parameters at
-    every order, which --order only labels; id_war runs through --order at
-    2*order+3 samples, the count the degree bound needs; f_positivity reads
-    d_n > 0 for n <= 200 from the solution of the flux operator from d_0,
-    and proves the operator, its lemma flux_operator, in the same call.
-    The contiguity axioms each line lists, and the Euler transform, are
-    checked once per run."""
+    remark1_derivative and adjoint_form are proved for all parameters, and
+    ode_residuals (the printed operators on the closed forms, by pullback),
+    at every order, which --order only labels; id_war runs through --order
+    at 2*order+3 samples, the count the degree bound needs; f_positivity
+    reads d_n > 0 for n <= 200 from the solution of the flux operator from
+    d_0, and proves the operator, its lemma flux_operator, in the same
+    call.  The contiguity axioms each line lists, and the Euler transform,
+    are checked once per run."""
     if inject_fault and order <= _FAULT_INDEX:
         raise click.UsageError(
             f"--inject-fault needs --order {_FAULT_INDEX + 1} or more: "

@@ -6,18 +6,20 @@ Each report says what its "verified" rests on (``IdentityReport.certificate``):
 value of their parameters at every order by contiguity reduction
 (``contiguity``), the order only labelling the report; ``id_hyp`` takes
 Euler's transform as a lemma, checked in the same call or once per run;
+``all-orders`` for the ODE residuals, the printed operators proved on the
+closed forms by pullback, so that their series solutions, which
+``expand_abar`` and ``expand_vbar`` return, are the closed forms;
 ``degree-bound`` for ``id_war``, whose series agree through the order at
 enough distinct values of a, 2N+3 at order N, that the per-coefficient
 degree bound makes the sample run a proof for all a through that order;
 ``sampled`` for ``id_war`` at fewer distinct caller-supplied values, where
-the series agree at those values alone;
-``through-order`` for the ODE residuals, ``window`` for flux positivity,
-whose lemma, ``FLUX_OPERATOR``, is proved in the same call, and ``exact``
-for the printed leading coefficients.  ``verify_all`` takes one
-input, the order, and runs every check in this process, in one
-``contiguity.run`` scope: each axiom is checked once, and the report of
-``euler_transform`` is ``id_hyp``'s lemma.  A check called alone checks its
-own axioms and lemma.
+the series agree at those values alone; ``window`` for flux positivity,
+whose lemma, ``FLUX_OPERATOR``, is proved in the same call on the same
+pullback; and ``exact`` for the printed leading coefficients.
+``verify_all`` takes one input, the order, and runs every check in this
+process, in one ``contiguity.run`` scope: each axiom is checked and the
+pullback built once, and the report of ``euler_transform`` is ``id_hyp``'s
+lemma.  A check called alone checks its own axioms and lemma.
 """
 
 from __future__ import annotations
@@ -133,8 +135,7 @@ FLUX_OPERATOR = DifferentialOperator(
 )
 
 # The closed forms prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2), as
-# (a, prefactor, q_power): what ``expand_abar`` and ``expand_vbar`` expand
-# and the flux proof reduces
+# (a, prefactor, q_power): what the pullback proofs of the operators reduce
 _ABAR = (rat(-1, 2), (4, 0, -4), 2)
 _VBAR = (rat(-3, 2), (2, -6, 6, -2), 3)
 
@@ -142,8 +143,6 @@ ABAR_LEADING = (rat(4), rat(52), rat(477), rat(3809), rat(451625, 16), rat(31953
 VBAR_LEADING = (rat(2), rat(48), rat(1269, 2), rat(6600), rat(1928025, 32), rat(2026101, 4))
 F_LEADING = (rat(72), rat(1932))
 F_DISPLAYED_Z3 = rat(31248)
-
-DEFAULT_ORDER = 64
 
 
 def _checked_order(order, name: str = "order", least: int = 0) -> int:
@@ -178,8 +177,8 @@ def _integer_samples(count: int) -> list:
 class IdentityReport:
     identity_name: str
     verified_order: int
-    # what a "verified" rests on: "all-parameters", "degree-bound",
-    # "sampled", "through-order", "window" or "exact"
+    # what a "verified" rests on: "all-parameters", "all-orders",
+    # "degree-bound", "sampled", "through-order", "window" or "exact"
     certificate: str
     parameter_samples: tuple = ()
     status: str = "verified"  # "verified" | "failed"
@@ -254,51 +253,28 @@ def _sampled_report(name, samples, order, pair_fn) -> IdentityReport:
 # Expansions of the area/volume series and their flux combination
 # --------------------------------------------------------------------------
 
-def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
-    """outer(4z/(1-z)^2) mod z^(N+1), N = min(order, outer.order), exactly.
-
-    Horner's rule in u = z/(1-z)^2 on the integer numerators 4^n t_n of the
-    outer coefficients over their common denominator, with no series product:
-    multiplying by u is a shift by one power and two prefix sums (dividing by
-    1 - z twice).  The accumulator at step n is multiplied by u n more times,
-    so only its terms through z^(N-n) are kept.
-    """
-    order = min(outer.order, order)
-    nums = outer._nums
-    acc = [nums[order] << (2 * order)]
-    for n in range(order - 1, -1, -1):
-        acc = [nums[n] << (2 * n), *itertools.accumulate(itertools.accumulate(acc))]
-    return PowerSeries._of(acc, outer._den)
-
-
-def _closed_form(a, prefactor: tuple, q_power: int, order: int) -> PowerSeries:
-    """prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2) through z^order, Q = z^2-6z+1: one
-    product with the short prefactor, one long division by Q^q_power (constant term 1).
-    Reduced, like ``expand_f``, as the cached expansions are factors of later products."""
-    comp = _compose_with_inner_argument(_hyp(a, a, ONE, order), order)
-    num = PowerSeries.from_polynomial(prefactor, order) * comp
-    return (num / PowerSeries.from_polynomial(_poly(*[_Q] * q_power), order)).reduced()
-
-
 # typed, so that True or 3.0 reaches the order check and is not served the
 # cached expansion of 1 or 3
 @lru_cache(maxsize=None, typed=True)
 def expand_abar(order: int) -> PowerSeries:
-    """Closed-form expansion 4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2)."""
-    return _closed_form(*_ABAR, _checked_order(order))
+    """4(1-z^2)/(z^2-6z+1)^2 * 2F1(-1/2,-1/2;1;4z/(1-z)^2) through z^order,
+    as ABAR_OPERATOR's solution from 4, reduced: ``verify_odes`` proves the
+    operator on the closed form, and c_0(n) = -n^2 != 0 for n >= 1 makes
+    the solution with that constant unique."""
+    return ABAR_OPERATOR.series_solution(4, _checked_order(order)).reduced()
 
 
 @lru_cache(maxsize=None, typed=True)
 def expand_vbar(order: int) -> PowerSeries:
-    """Closed-form expansion 2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2)."""
-    return _closed_form(*_VBAR, _checked_order(order))
+    """2(1-z)^3/(z^2-6z+1)^3 * 2F1(-3/2,-3/2;1;4z/(1-z)^2) through z^order,
+    as VBAR_OPERATOR's solution from 2, as ``expand_abar``."""
+    return VBAR_OPERATOR.series_solution(2, _checked_order(order)).reduced()
 
 
 def _flux_constant():
-    """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the closed forms'
-    expansions through z^DEFAULT_ORDER, which the golden check and the ODE
-    residuals read too: ``verify_all`` builds each once."""
-    ab, vb = expand_abar(DEFAULT_ORDER), expand_vbar(DEFAULT_ORDER)
+    """d_0 = 2 Vbar_1 Abar_0 - 3 Vbar_0 Abar_1, from the expansions through
+    z^5, which the golden check reads too: ``verify_all`` builds each once."""
+    ab, vb = expand_abar(5), expand_vbar(5)
     return 2 * vb[1] * ab[0] - 3 * vb[0] * ab[1]
 
 
@@ -319,41 +295,8 @@ def expand_f(order: int) -> PowerSeries:
 
 
 # --------------------------------------------------------------------------
-# ODE residuals, golden coefficients, positivity
+# The operators proved by pullback, golden coefficients, positivity
 # --------------------------------------------------------------------------
-
-def verify_odes(order: int = DEFAULT_ORDER, abar=None, vbar=None) -> IdentityReport:
-    """Apply the printed operators to the closed-form expansions.
-
-    abar/vbar may be supplied explicitly (the fault-injection suite passes
-    perturbed series); by default the closed-form expansions are used.  A
-    supplied series must reach ``order`` and is checked only through it.
-    """
-    _checked_order(order, least=3)
-    abar = abar if abar is not None else expand_abar(order)
-    vbar = vbar if vbar is not None else expand_vbar(order)
-    for name, op, series in (("abar", ABAR_OPERATOR, abar), ("vbar", VBAR_OPERATOR, vbar)):
-        if series.order < order:
-            raise ValueError(f"{name} series has order {series.order}, below the checked order {order}")
-        residual = op.apply(series.truncate(order))
-        mismatch = _first_mismatch(residual, PowerSeries.zero(residual.order), residual.order)
-        if mismatch is not None:
-            return _failure("ode_residuals", order - 2, "through-order", *mismatch, series=name)
-    return IdentityReport("ode_residuals", order - 2, "through-order")
-
-
-def verify_golden_coefficients() -> IdentityReport:
-    """Exact regression of the printed leading coefficients of Abar and Vbar,
-    the first six of the expansions through z^DEFAULT_ORDER that the ODE
-    residuals check."""
-    ab = expand_abar(DEFAULT_ORDER)
-    vb = expand_vbar(DEFAULT_ORDER)
-    for name, series, golden in (("abar", ab, ABAR_LEADING), ("vbar", vb, VBAR_LEADING)):
-        mismatch = _first_mismatch(series, PowerSeries(golden), 5)
-        if mismatch is not None:
-            return _failure("golden_coefficients", 5, "exact", *mismatch, series=name)
-    return IdentityReport("golden_coefficients", 5, "exact")
-
 
 def _derivative(form, dr, e0, e1) -> list:
     """d/dz of the form sum_j form[j] u^(k-j) v^j, k = len(form) - 1, in
@@ -377,36 +320,97 @@ def _form_product(p, q) -> list:
     return out
 
 
+def _pullback_forms():
+    """((r', e0, e1), abar, vbar, axioms): each closed form, prefactor/Q^q_power
+    times its 2F1 at r = 4z/(1-z)^2, reduced by ``contiguity``'s checked steps
+    to s0 G(r) + s1 G'(r), G = 2F1(a,a;1;x) and a of ``_ABAR`` (for Vbar,
+    (5x+3)/3 G + 4x(1-x)/3 G'), with x then read as z; the chain rule's
+    G(r)' = r' G'(r) and G'(r)' = r' (e0 G(r) + e1 G'(r)), G'' reduced by the
+    hypergeometric equation; and the axioms these rest on.  Built once per
+    ``contiguity.run`` scope, keyed by its inputs: the closed forms, the rules."""
+    def build():
+        a = _ABAR[0]
+        reduction = Reduction(a, a, 1)
+        r = Rat(4 * X, 1 - X, 1 - X)
+        dr = r.dx()
+        e0, e1 = ((t.at(r) * dr).cancel() for t in reduction.f2)
+        q = contiguity.in_x(_Q)
+        abar, vbar = ([t.at(r) * Rat(contiguity.in_x(prefactor), *[q] * q_power) for t in reduction.hyp(b, b, 1)]
+                      for b, prefactor, q_power in (_ABAR, _VBAR))
+        return (dr, e0, e1), abar, vbar, sorted(reduction.used | {"equation"})
+
+    key = ("pullback_forms", _ABAR, _VBAR, tuple(contiguity.RULES.items()), contiguity.equation)
+    return contiguity.once(key, build)
+
+
+def _pullback_failures(forms, *claims) -> list:
+    """What fails of the claims (name, op, form) that op = sum_i p_i d^i/dz^i
+    sends the form to 0, with ``forms`` from ``_pullback_forms`` and each
+    derivative by ``_derivative``: the axioms that fail their check, then
+    the name of each claim that leaves a coefficient not 0; [] if all hold."""
+    chain, *_, axioms = forms
+    failed = contiguity.failed_axioms(axioms)
+    for name, op, form in claims:
+        total = [Rat(0)] * len(form)
+        for i, p in enumerate(op.poly_coeffs):
+            if i:
+                form = _derivative(form, *chain)
+            total = [s + t * contiguity.in_x(p) for s, t in zip(total, form)]
+        failed += [name] * any(t.num for t in total)
+    return failed
+
+
 def _flux_operator_failures() -> list:
-    """What fails of the proof that FLUX_OPERATOR annihilates the flux: []
-    where it holds.  Over G = 2F1(a,a;1;x), a of ``_ABAR``, each closed form
-    is prefactor/Q^q_power times its 2F1 at x = r = 4z/(1-z)^2, which
-    ``contiguity`` reduces to r0 G + r1 G' by its checked steps (for Vbar,
-    (5x+3)/3 G + 4x(1-x)/3 G'); these are read at x = r, with x then read
-    as z.  By the chain rule d/dz G(r) = r' G'(r) and d/dz G'(r) =
-    r' G''(r), with G'' reduced by the hypergeometric equation at x = r.  So
-    the flux and its derivatives are forms in G(r)^2, G(r) G'(r) and G'(r)^2,
-    and the operator applied to the flux must have all three coefficients 0.
-    Returns the axioms of the steps that fail their check, and
-    ``flux_operator`` where a coefficient is not 0."""
-    a = _ABAR[0]
-    reduction = Reduction(a, a, 1)
-    r = Rat(4 * X, 1 - X, 1 - X)
-    dr = r.dx()
-    e0, e1 = ((t.at(r) * dr).cancel() for t in reduction.f2)
-    q = contiguity.in_x(_Q)
-    abar, vbar = ([t.at(r) * Rat(contiguity.in_x(prefactor), *[q] * q_power) for t in reduction.hyp(b, b, 1)]
-                  for b, prefactor, q_power in (_ABAR, _VBAR))
+    """What fails of the proof that FLUX_OPERATOR annihilates the flux
+    (``_pullback_failures``).  Over the forms of ``_pullback_forms`` the flux
+    and its derivatives are forms in G(r)^2, G(r) G'(r) and G'(r)^2, and the
+    operator applied to the flux must have all three coefficients 0."""
+    forms = (dr, e0, e1), abar, vbar, _ = _pullback_forms()
     # cancelled once, as its numerators share powers of 1 - x and x with their
     # denominators, which each derivative below would carry
     flux = [(s * 2 + t * -3).cancel() for s, t in zip(_form_product(_derivative(vbar, dr, e0, e1), abar),
                                                       _form_product(vbar, _derivative(abar, dr, e0, e1)))]
-    total = [Rat(0)] * 3
-    for i, p in enumerate(FLUX_OPERATOR.poly_coeffs):
-        if i:
-            flux = _derivative(flux, dr, e0, e1)
-        total = [s + t * contiguity.in_x(p) for s, t in zip(total, flux)]
-    return contiguity.failed_axioms(reduction.used) + ["flux_operator"] * any(t.num for t in total)
+    return _pullback_failures(forms, ("flux_operator", FLUX_OPERATOR, flux))
+
+
+def verify_odes(order: int = 40, abar=None, vbar=None) -> IdentityReport:
+    """The printed operators annihilate the closed forms: each, applied to
+    its form of ``_pullback_forms``, leaves both coefficients 0, at every
+    order (``all-orders``), which only labels the report.  The detail lists
+    the axioms, and on failure those that fail and ``abar_operator`` or
+    ``vbar_operator``.  A supplied series (the fault-injection paths pass
+    perturbed ones) has no closed form to pull back: the series, the other
+    one its operator's solution, are checked ``through-order``, at least 3,
+    which a supplied series must reach, and only through it."""
+    if abar is None and vbar is None:
+        _checked_order(order)
+        forms = _, abar, vbar, axioms = _pullback_forms()
+        failed = _pullback_failures(forms, ("abar_operator", ABAR_OPERATOR, abar),
+                                    ("vbar_operator", VBAR_OPERATOR, vbar))
+        detail = {"axioms": axioms, **({"failed": failed} if failed else {})}
+        return IdentityReport("ode_residuals", order, "all-orders", (), "failed" if failed else "verified", detail)
+    _checked_order(order, least=3)
+    for name, op, series, expand in (("abar", ABAR_OPERATOR, abar, expand_abar),
+                                     ("vbar", VBAR_OPERATOR, vbar, expand_vbar)):
+        series = expand(order) if series is None else series
+        if series.order < order:
+            raise ValueError(f"{name} series has order {series.order}, below the checked order {order}")
+        residual = op.apply(series.truncate(order))
+        mismatch = _first_mismatch(residual, PowerSeries.zero(residual.order), residual.order)
+        if mismatch is not None:
+            return _failure("ode_residuals", order - 2, "through-order", *mismatch, series=name)
+    return IdentityReport("ode_residuals", order - 2, "through-order")
+
+
+def verify_golden_coefficients() -> IdentityReport:
+    """Exact regression of the printed leading coefficients of Abar and Vbar
+    against the expansions through z^5, the operators' solutions: with the
+    pullback proof of ``verify_odes``, a statement about the closed forms."""
+    for name, series, golden in (("abar", expand_abar(5), ABAR_LEADING), ("vbar", expand_vbar(5), VBAR_LEADING)):
+        mismatch = _first_mismatch(series, PowerSeries(golden), 5)
+        if mismatch is not None:
+            return _failure("golden_coefficients", 5, "exact", *mismatch, series=name)
+    return IdentityReport("golden_coefficients", 5, "exact")
 
 
 def verify_f_positivity(window: int = 200) -> IdentityReport:
@@ -611,6 +615,23 @@ def _hyp(a, b, c, order):
     return HypergeometricSpec(a, b, c).series(order)
 
 
+def _compose_with_inner_argument(outer: PowerSeries, order: int) -> PowerSeries:
+    """outer(4z/(1-z)^2) mod z^(N+1), N = min(order, outer.order), exactly.
+
+    Horner's rule in u = z/(1-z)^2 on the integer numerators 4^n t_n of the
+    outer coefficients over their common denominator, with no series product:
+    multiplying by u is a shift by one power and two prefix sums (dividing by
+    1 - z twice).  The accumulator at step n is multiplied by u n more times,
+    so only its terms through z^(N-n) are kept.
+    """
+    order = min(outer.order, order)
+    nums = outer._nums
+    acc = [nums[order] << (2 * order)]
+    for n in range(order - 1, -1, -1):
+        acc = [nums[n] << (2 * n), *itertools.accumulate(itertools.accumulate(acc))]
+    return PowerSeries._of(acc, outer._den)
+
+
 def _w_series(a, order: int) -> PowerSeries:
     """w_a(x) = 2F1(-a,-a;1;x) * (1+x)^(-a) as an exact series: [x^m] has
     degree at most 2m in a, and [x^n] w_a' at most 2n + 2."""
@@ -647,15 +668,15 @@ def verify_id_war(a_samples=None, order: int = 30) -> IdentityReport:
 def verify_all(order: int = 40) -> list:
     """Every exact check, run in this process, from one input: the order,
     checked first.  ``id_war`` runs through it at 2*order+3 integer
-    samples, and the reduced checks, which hold at every order, are
-    labelled with it.  The ODE residuals always run at their default order
-    64 and flux positivity at its default window 200, and the golden
-    coefficients are fixed.  The checks run in one ``contiguity.run`` scope:
-    each axiom is checked once, and the Euler transform's report is
-    ``id_hyp``'s lemma."""
+    samples, and the ODE proof and the reduced checks, which hold at every
+    order, are labelled with it.  Flux positivity runs at its default window
+    200, and the golden coefficients are fixed.  The checks run in one
+    ``contiguity.run`` scope: each axiom is checked once, the pullback forms
+    of the closed forms are built once for the ODE and flux proofs, and the
+    Euler transform's report is ``id_hyp``'s lemma."""
     a_samples = _integer_samples(default_sample_count(_checked_order(order)))
     with contiguity.run():
-        return [verify_golden_coefficients(), verify_odes(), verify_f_positivity(), verify_lemma1(order),
+        return [verify_golden_coefficients(), verify_odes(order), verify_f_positivity(), verify_lemma1(order),
                 verify_contiguous("cont1", order), verify_contiguous("cont2", order), _euler_lemma(order),
                 verify_id_hyp(order), verify_id_war(a_samples, order), verify_remark1_derivative(order),
                 verify_adjoint_form(order)]

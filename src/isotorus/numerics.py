@@ -1003,7 +1003,8 @@ def scan_monotonicity(target: str, grid: int = 1000, a=None) -> ScanReport:
 
     A consecutive pair counts as conclusive only when the certified intervals
     are disjoint; overlapping intervals are reported as inconclusive, never as
-    violations.  Each grid point is evaluated as a (value, bound) pair.
+    violations.  Each grid point is evaluated as a (value, bound) pair.  A
+    pass is evidence at the grid points only.
     """
     _check_grid(grid, 2)
     if target == "iso":
@@ -1047,7 +1048,11 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
 
     iso_sqrt expects concavity, inv_iso_sqrt convexity (all conclusive second
     differences of the matching sign); iso expects a detected sign change,
-    with the witness grid points recorded.
+    with the witness grid points recorded.  A concavity or convexity pass
+    is evidence at the grid points only; a sign change proves that iso is
+    neither convex nor concave, as no convex (concave) function has a
+    negative (positive) second difference at equally spaced points (equal
+    here up to float rounding, far below the bounds: not checked).
     """
     _check_grid(grid, 3)
     if which in ("iso_sqrt", "inv_iso_sqrt"):

@@ -12,23 +12,19 @@ once, when its public form, ``==`` or ``hash`` is first asked for.  The generate
 series (hypergeometric, binomial, power) are reduced as they are built, since
 each is a factor of later products.
 
-A factor with at most four nonzero coefficients (1 - z, z, a short
-prefactor) is applied by shift and add, and a product through z^15 or below
-by the plain double loop, as packing costs more than it saves there.  Any
-other product is Harvey's two-point Kronecker substitution (KS2): the
-operands are packed at 2^w and at -2^w, and two big-integer products of half
-the size of one Kronecker product give the even and the odd coefficients,
-each digit 2w bits wide, enough for the coefficients that are kept
-(``_int_mul``).  A known factor needs no
-product: dividing by a short polynomial with constant term 1 is a sparse long
-division, and the closed-form expansions in ``identities`` compose with
-4z/(1-z)^2 by prefix sums and apply their prefactors this way.  Every
-generated series solves an integer recurrence c_0(n) y_n = sum_(k>=1)
-d_k(n) y_(n-k), by one kernel (``_recurrence``), once its order is checked: a
-hypergeometric series from its term ratio; a power s^alpha, the binomial
-series among them, and a product of rational powers of polynomials from their
-first-order equation S p' = T p (``series_pow``, ``power_product``); an
-operator's power-series solution from its coefficient recurrence.
+A product through z^15 or below is the plain double loop, as packing costs
+more than it saves there.  Any other product is Harvey's two-point Kronecker
+substitution (KS2): the operands are packed at 2^w and at -2^w, and two
+big-integer products of half the size of one Kronecker product give the
+even and the odd coefficients, each digit 2w bits wide, enough for the
+coefficients that are kept (``_int_mul``).  Every generated series solves an
+integer recurrence c_0(n) y_n = sum_(k>=1) d_k(n) y_(n-k), by one kernel
+(``_recurrence``), once its order is checked: a hypergeometric series from
+its term ratio; a power s^alpha, the binomial series among them, and a
+product of rational powers of polynomials from their first-order equation
+S p' = T p (``series_pow``, ``power_product``); an operator's power-series
+solution, such as the area and volume expansions of ``identities``, from
+its coefficient recurrence.
 ``coefficients``, as ``fractions.Fraction``, is derived on first use, at the API edge.
 
 A series carries an explicit truncation order; every operation propagates
@@ -107,7 +103,6 @@ def _checked_order(order) -> int:
     return order
 
 
-_SHORT = 4  # a factor with at most this many nonzero coefficients is applied by shift and add
 # a product through fewer powers than this is the plain double loop: id_war's
 # products through z^8 take about 10 us so, against 35 us by KS2, and the two
 # cross near z^24 (Python 3.11, shared 2-vCPU host)
@@ -193,23 +188,6 @@ def _schoolbook(a: Sequence, b: Sequence, n: int) -> list:
         if x:
             for j, y in enumerate(b[: n + 1 - i]):
                 out[i + j] += x * y
-    return out
-
-
-def _is_short(nums: Sequence) -> bool:
-    return len(nums) - nums.count(0) <= _SHORT
-
-
-def _shift_add(short: Sequence, dense: Sequence) -> list:
-    """The product, through the common length of both, of a polynomial with
-    few nonzero coefficients and another: one scaled shifted copy of
-    ``dense`` per nonzero coefficient of ``short``."""
-    size = len(dense)
-    out = [0] * size
-    for k, c in enumerate(short):
-        if c:
-            part = dense[: size - k] if c == 1 else [c * v for v in dense[: size - k]]
-            out[k:] = map(operator.add, out[k:], part)
     return out
 
 
@@ -358,20 +336,11 @@ class PowerSeries:
         return PowerSeries._of([f.numerator * v for v in self._nums], f.denominator * self._den)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        """A factor with at most four nonzero coefficients is applied by
-        shift and add, a product through fewer than ``_SCHOOLBOOK`` powers is
-        the double loop, and any other product is one KS2 product
-        (``_int_mul``)."""
+        """A product through fewer than ``_SCHOOLBOOK`` powers is the double
+        loop, and any other product is one KS2 product (``_int_mul``)."""
         n = min(self.order, other.order)
         a, b = self._nums[: n + 1], other._nums[: n + 1]
-        if _is_short(b):
-            nums = _shift_add(b, a)
-        elif _is_short(a):
-            nums = _shift_add(a, b)
-        elif n < _SCHOOLBOOK:
-            nums = _schoolbook(a, b, n)
-        else:
-            nums = _int_mul(a, b, n)
+        nums = _schoolbook(a, b, n) if n < _SCHOOLBOOK else _int_mul(a, b, n)
         return PowerSeries._of(nums, self._den * other._den)
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":

@@ -24,7 +24,8 @@ Two rules propose points, and neither decides anything:
   domain on where the model gives no candidate, and on the bracket left
   by the straddle points where its candidate fails.
 
-Correctness rests on monotonicity alone:
+Correctness rests on monotonicity alone, the paper's theorem, which this
+package shows only on the ``mono-iso`` scan's grid, as evidence:
 
 - a point whose certified interval is disjoint from rho narrows a bracket
   (lo, hi) that provably holds the root.  A step that leaves the bracket,
@@ -33,11 +34,12 @@ Correctness rests on monotonicity alone:
 - once the steps predict an error below tol/4, or a point's interval holds
   rho, that point z is the candidate.  It is returned unflagged only when
   the intervals at z -+ tol/2, or bracket ends nearer to z, fall on
-  opposite sides of rho (the straddle), which places the root within tol/2
-  of z.  By monotonicity iso(z) lies between those intervals too, which
-  bounds the residual.  A straddle interval that holds rho at the ordinary
-  target is retried once at the sharpest one; if it still holds rho the
-  result is flagged "precision_exhausted".  Where iso's change over tol/2,
+  opposite sides of rho (the straddle), which places a root, the root as
+  iso is monotone, within tol/2 of z.  By monotonicity iso(z) lies between
+  those intervals too, which bounds the residual.  A straddle interval
+  that holds rho at the ordinary target is retried once at the sharpest
+  one; if it still holds rho the result is flagged "precision_exhausted".
+  Where iso's change over tol/2,
   by the bracket's chord slope, is below the last ordinary bound, the
   ordinary interval would hold rho, so the point goes to the sharpest
   target at once, where that is sharper than the ordinary one.  A straddle interval on the far side of rho shows the

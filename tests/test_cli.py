@@ -133,7 +133,7 @@ def test_verify_names_each_certificate():
         "lemma1", "cont1", "cont2", "euler_transform", "id_hyp", "remark1_derivative", "adjoint_form"]
     assert [name for name, c in certificates.items() if c == "degree-bound"] == ["id_war"]
     assert [certificates[n] for n in ("golden_coefficients", "ode_residuals", "f_positivity")] == [
-        "exact", "through-order", "window"]
+        "exact", "all-orders", "window"]
 
 
 def test_verify_samples_below_one_exits_2():

@@ -48,7 +48,8 @@ def test_expand_vbar_golden():
 # prefix sums; verify12 and verify40, the reports of ``verify_all`` at those
 # orders (40 is the order ``isotorus verify --order 40`` runs), since
 # id_hyp too is reduced for all parameters, with the Euler transform as its
-# lemma, and since f_positivity names its flux-operator lemma: each time the
+# lemma, since f_positivity names its flux-operator lemma, and since the
+# ODE residuals are proved for all orders by pullback: each time the
 # earlier reports with that one report changed, the other ten byte for byte
 # the same.  Any change to an exact result changes its digest.
 GOLDEN_DIGESTS = {
@@ -56,8 +57,8 @@ GOLDEN_DIGESTS = {
     "vbar250": "78db2b07b70e6554cc9c40ddd2d58f43e62f69c282a261fa2ee021f78e75fef9",
     "f120": "ecdafdc2a7f049f30f6a0105fe711e7b8296abec33faa305b7c33d442788a17a",
     "f200": "79cfc1dce692025a0bedddba23db0cea5c17b3d027b83e50d0756af755165563",
-    "verify12": "c38b4d03b9c085c469593491318d7cfe7e0a4356d39eaaed6716301a8450f5c0",
-    "verify40": "cad63d984eeb15bce425a03a19bec7d6fd1162901f65faccab3b1bc9ca7535e5",
+    "verify12": "752ff75695915216281bee653e76b52f4fa33bc26b4b451c2a5a1a0fa3037b6c",
+    "verify40": "9397dcc41e81267dd5bf59f903ad2f6953ebf6e3b3401fbfc11239437df1060f",
 }
 
 
@@ -76,12 +77,39 @@ def test_exact_results_match_golden_digests():
     assert got == GOLDEN_DIGESTS
 
 
-def test_operator_solutions_match_golden_digests():
-    # the recurrences of the printed operators, from a_0 alone, give the
-    # closed-form expansions exactly
+def closed_form(a, prefactor, q_power, order):
+    """prefactor/Q^q_power * 2F1(a,a;1;4z/(1-z)^2) through z^order, Q =
+    z^2-6z+1: the 2F1 composed with 4z/(1-z)^2 by prefix sums, one product
+    with the prefactor, one long division by Q^q_power.  The reference for
+    the operators' series solutions that the expansions return."""
+    comp = ident._compose_with_inner_argument(ident._hyp(a, a, rat(1), order), order)
+    num = PowerSeries.from_polynomial(prefactor, order) * comp
+    return (num / PowerSeries.from_polynomial(ident._poly(*[(1, -6, 1)] * q_power), order)).reduced()
+
+
+# the printed closed forms, as (a, prefactor, q_power), and their expansions
+CLOSED_FORMS = {
+    "abar": ((rat(-1, 2), (4, 0, -4), 2), ident.expand_abar),
+    "vbar": ((rat(-3, 2), (2, -6, 6, -2), 3), ident.expand_vbar),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 64, 240])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_the_expansions_are_the_closed_forms(name, order):
+    form, expand = CLOSED_FORMS[name]
+    assert expand(order) == closed_form(*form, order)
+
+
+def test_closed_forms_and_operator_solutions_match_golden_digests():
+    # the closed forms by the reference route, and the recurrences of the
+    # printed operators from a_0 alone, give the pinned expansions exactly;
+    # the solutions, unreduced, pass the residual check of a supplied series
     def digest(series):
         return hashlib.sha256("\n".join(series.to_strings()).encode()).hexdigest()
 
+    for name in CLOSED_FORMS:
+        assert digest(closed_form(*CLOSED_FORMS[name][0], 250)) == GOLDEN_DIGESTS[f"{name}250"]
     abar = ident.ABAR_OPERATOR.series_solution(4, 250)
     vbar = ident.VBAR_OPERATOR.series_solution(2, 250)
     assert digest(abar) == GOLDEN_DIGESTS["abar250"]
@@ -157,9 +185,65 @@ def test_verify_golden_coefficients():
 
 
 def test_verify_odes():
+    # proved for every order by pullback, the order only a label; a supplied
+    # series is checked through the order
     report = ident.verify_odes(ORDER)
-    assert report.verified
-    assert report.verified_order == ORDER - 2
+    assert report.verified and report.certificate == "all-orders"
+    assert report.verified_order == ORDER
+    assert report.failure_detail == {"axioms": list(FLUX_AXIOMS)}
+    supplied = ident.verify_odes(ORDER, abar=ident.expand_abar(ORDER))
+    assert supplied.verified and supplied.certificate == "through-order"
+    assert supplied.verified_order == ORDER - 2
+
+
+def _bumped(op, i, j):
+    # the operator with the coefficient of z^j in its y^(i) polynomial + 1
+    polys = [list(p) for p in op.poly_coeffs]
+    polys[i][j] += 1
+    return ident.DifferentialOperator(tuple(map(tuple, polys)))
+
+
+# one mutant per link of the ODE proof, as (module attribute, value, what
+# the report names as failed): the pullback must refute each
+ODE_MUTANTS = {
+    "abar_coefficient": ("ABAR_OPERATOR", _bumped(ident.ABAR_OPERATOR, 0, 0), ["abar_operator"]),
+    "vbar_coefficient": ("VBAR_OPERATOR", _bumped(ident.VBAR_OPERATOR, 1, 2), ["vbar_operator"]),
+    "abar_gauge": ("_ABAR", ident._ABAR[:2] + (3,), ["abar_operator"]),
+    "vbar_form_under_abar_operator": ("VBAR_OPERATOR", ident.ABAR_OPERATOR, ["vbar_operator"]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ODE_MUTANTS) + ["contiguity_step"])
+def test_ode_proof_fails_on_a_wrong_link(monkeypatch, mutant):
+    # alone and in a verify run
+    if mutant == "contiguity_step":
+        monkeypatch.setitem(contiguity.RULES, "beta_down", _mutated_beta_down)
+        failed = ["beta_down", "vbar_operator"]
+    else:
+        attr, value, failed = ODE_MUTANTS[mutant]
+        monkeypatch.setattr(ident, attr, value)
+    (in_run,) = [r for r in ident.verify_all(4) if r.identity_name == "ode_residuals"]
+    for report in (ident.verify_odes(4), in_run):
+        assert not report.verified and report.certificate == "all-orders"
+        assert report.failure_detail == {"axioms": list(FLUX_AXIOMS), "failed": failed}
+
+
+def test_the_pullback_forms_are_built_once_per_run_and_keyed_by_their_inputs(monkeypatch):
+    # one reduction over F(-1/2,-1/2;1) serves the ODE and flux proofs of a
+    # run; called alone, each builds its own; within a run a changed closed
+    # form or rule is reduced anew
+    bases = count_calls(monkeypatch, ident, "Reduction")
+    assert all(r.verified for r in ident.verify_all(4))
+    assert bases.count(rat(-1, 2)) == 1
+    assert ident.verify_odes(4).verified and ident.verify_f_positivity(10).verified
+    assert bases.count(rat(-1, 2)) == 3
+    with contiguity.run():
+        assert ident.verify_odes(4).verified
+        monkeypatch.setattr(ident, "_ABAR", ident._ABAR[:2] + (3,))
+        assert ident.verify_odes(4).failure_detail["failed"] == ["abar_operator"]
+        monkeypatch.undo()
+        monkeypatch.setitem(contiguity.RULES, "beta_down", _mutated_beta_down)
+        assert ident.verify_odes(4).failure_detail["failed"] == ["beta_down", "vbar_operator"]
 
 
 def test_ode_fails_on_perturbed_abar():
@@ -568,25 +652,26 @@ def test_engine_axiom_mutant_fails_its_check(monkeypatch, name):
     assert not report.verified and report.failure_detail["failed"] == [name]
 
 
-# the axioms the flux proof applies: beta_down takes F(-1/2,-1/2;1) to Vbar's
-# F(-3/2,-3/2;1), and every derivative reduces F'' by the equation
+# the axioms the flux and ODE proofs apply: beta_down takes F(-1/2,-1/2;1)
+# to Vbar's F(-3/2,-3/2;1), and every derivative reduces F'' by the equation
 FLUX_AXIOMS = ("beta_down", "equation")
 
 
 def listed_axioms():
     """{report name: the axioms its verified report lists} at order 4."""
     return {r.identity_name: r.failure_detail["axioms"] for r in ident.verify_all(4)
-            if r.identity_name in REDUCED}
+            if r.identity_name in REDUCED + ("ode_residuals",)}
 
 
 @pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
 def test_a_wrong_axiom_fails_every_report_that_rests_on_it(monkeypatch, name):
     # within one verify_all, where each axiom is checked once, and for each
-    # check called alone: the flux report too
+    # check called alone: the flux and ODE reports too
     listed = listed_axioms()
     mutate_axiom(monkeypatch, name)
     reports = {r.identity_name: r for r in ident.verify_all(4)}
     alone = {check: REDUCED_CHECKS[check](4) for check in REDUCED}
+    alone["ode_residuals"] = ident.verify_odes(4)
     alone["f_positivity"] = ident.verify_f_positivity(10)
     listed["f_positivity"] = list(FLUX_AXIOMS)
     assert any(name in axioms for axioms in listed.values())
@@ -639,6 +724,12 @@ def test_a_check_called_alone_checks_its_own_axioms_and_lemma(monkeypatch, check
 def test_f_positivity_alone_checks_the_flux_axioms(monkeypatch):
     axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
     assert ident.verify_f_positivity(10).verified
+    assert sorted(axioms) == sorted(FLUX_AXIOMS)
+
+
+def test_the_ode_proof_alone_checks_the_flux_axioms(monkeypatch):
+    axioms = count_calls(monkeypatch, contiguity, "axiom_holds")
+    assert ident.verify_odes(4).verified
     assert sorted(axioms) == sorted(FLUX_AXIOMS)
 
 
@@ -782,8 +873,8 @@ def test_verify_all_leaves_no_state_behind(monkeypatch):
 
 
 def test_a_cold_verify_builds_each_closed_form_once():
-    # the golden check and the flux constant read the first six
-    # coefficients of the expansions the ODE residuals check
+    # the golden check and the flux constant read the same expansions
+    # through z^5
     caches = (ident.expand_abar, ident.expand_vbar)
     for cache in caches:
         cache.cache_clear()
@@ -870,7 +961,7 @@ def test_default_sample_count_degree_bound():
 
 DEGREE_BOUND = ("id_war",)
 CERTIFICATES = {
-    "golden_coefficients": "exact", "ode_residuals": "through-order", "f_positivity": "window",
+    "golden_coefficients": "exact", "ode_residuals": "all-orders", "f_positivity": "window",
     **dict.fromkeys(REDUCED, "all-parameters"), **dict.fromkeys(DEGREE_BOUND, "degree-bound"),
 }
 
@@ -953,6 +1044,7 @@ def test_order_is_refused_before_any_work(monkeypatch, check, order):
 
     monkeypatch.setattr(HypergeometricSpec, "series", refuse)
     monkeypatch.setattr(contiguity, "failed_axioms", refuse)
+    monkeypatch.setattr(ident, "_pullback_forms", refuse)
     with pytest.raises(ValueError, match=r"^order must be"):
         ORDER_CHECKS[check](order=order)
 

@@ -894,8 +894,9 @@ def test_iso_direct_rejects_an_order_that_is_not_a_positive_integer():
 
 
 def test_numerics_binds_no_closed_form_expansion():
-    # the direct path is built from the operator recurrences, so it checks
-    # the 2F1 closed form instead of reusing it
+    # the direct path builds its tables from the operator recurrences, read
+    # unreduced through the order + 10, and shares no cache with the exact
+    # layer's expansions
     from isotorus import identities
 
     expansions = (identities.expand_abar, identities.expand_vbar)

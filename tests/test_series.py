@@ -498,8 +498,8 @@ def test_short_products_take_the_double_loop(monkeypatch):
 
 
 def test_short_factors_match_rational_convolution():
-    # a factor with at most four nonzero coefficients is applied by shift and
-    # add, on either side of the product and whatever the other's length
+    # a factor with at most four nonzero coefficients, on either side of the
+    # product and whatever the other's length, by the double loop or by KS2
     dense = PowerSeries([rat(3 * k - 7, k + 2) for k in range(14)])
     shorts = ((1, -1), (0, 1), (rat(-5, 3), rat(2, 7)), (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9),
               (1, 0, -6, 0, 1), (2, -6, 6, -2), (0,), (-1, 0, 0, 4))
