@@ -970,7 +970,8 @@ def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> S
     zero (it holds 0).  ``expect`` is the sign every difference should have,
     or "change" when both strict signs must occur.  A matching sign is "ok";
     a zero sign against any other expectation is "inconclusive", never a
-    violation; a change scan reports the strict signs themselves.
+    violation; a change scan reports the strict signs themselves, and its
+    caller picks the witnesses.
     """
     verdicts = [""] * len(pts)
     for i, (lo, hi) in enumerate(diffs, start=1):
@@ -983,13 +984,9 @@ def _classify(name: str, pts: list, values: list, diffs: list, expect: str) -> S
             verdicts[i] = sign if expect == "change" else "violation"
     rows = [(z, v, b, verdict) for z, (v, b), verdict in zip(pts, values, verdicts)]
     witnesses = [z for z, verdict in zip(pts, verdicts) if verdict == "violation"]
-    report = ScanReport(
+    return ScanReport(
         name, len(pts), verdicts.count("violation"), verdicts.count("inconclusive"), witnesses, rows
     )
-    if expect == "change":
-        report.witnesses = [pts[verdicts.index(s)] for s in ("positive", "negative") if s in verdicts]
-        report.sign_change_detected = len(report.witnesses) == 2
-    return report
 
 
 def _check_grid(grid, least: int):
@@ -1043,6 +1040,17 @@ def _second_difference(u: tuple, v: tuple, w: tuple) -> tuple:
     return d2 - b, d2 + b
 
 
+def _spacing_margin(u: float, v: float, w: float, fu: tuple, fw: tuple) -> Rational:
+    """How far below (above) 0 a convex (concave) function's second
+    difference f(w) - 2 f(v) + f(u) can lie at grid points u < v < w that
+    float rounding spaced unequally: |h2 - h1| / (h1 + h2) * |f(w) - f(u)|,
+    with h1 = v - u and h2 = w - v exact, and |f(w) - f(u)| at most its
+    bound from the pairs ``fu`` and ``fw``."""
+    h1, h2 = Rational(v) - Rational(u), Rational(w) - Rational(v)
+    rise = abs(Rational(fw[0]) - Rational(fu[0])) + Rational(fw[1]) + Rational(fu[1])
+    return abs(h2 - h1) / (h1 + h2) * rise
+
+
 def scan_convexity(which: str, grid: int = 300) -> ScanReport:
     """Certified second-difference scan, its report named by the CLI target.
 
@@ -1050,9 +1058,12 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
     differences of the matching sign); iso expects a detected sign change,
     with the witness grid points recorded.  A concavity or convexity pass
     is evidence at the grid points only; a sign change proves that iso is
-    neither convex nor concave, as no convex (concave) function has a
-    negative (positive) second difference at equally spaced points (equal
-    here up to float rounding, far below the bounds: not checked).
+    neither convex nor concave.  A convex function's second difference at
+    u < v < w is at least -|h2 - h1| / (h1 + h2) * |f(w) - f(u)|, which is
+    0 only at equal spacings, and the grid's float spacings differ by
+    rounding: so a witness is the first point of its sign whose enclosure
+    clears that margin, in exact arithmetic, on its side of 0 (a concave
+    function's bound is the mirror image).
     """
     _check_grid(grid, 3)
     if which in ("iso_sqrt", "inv_iso_sqrt"):
@@ -1072,4 +1083,16 @@ def scan_convexity(which: str, grid: int = 300) -> ScanReport:
     else:
         raise ValueError(f"unknown convexity target {which!r}")
     diffs = [_second_difference(*triple) for triple in zip(values, values[1:], values[2:])]
-    return _classify(name, pts, values, diffs, expect)
+    report = _classify(name, pts, values, diffs, expect)
+    if expect == "change":
+        for sign in ("positive", "negative"):
+            for i in range(1, len(pts) - 1):
+                if report.rows[i][3] != sign:
+                    continue
+                margin = _spacing_margin(pts[i - 1], pts[i], pts[i + 1], values[i - 1], values[i + 1])
+                lo, hi = diffs[i - 1]
+                if Rational(lo) > margin if sign == "positive" else Rational(hi) < -margin:
+                    report.witnesses.append(pts[i])
+                    break
+        report.sign_change_detected = len(report.witnesses) == 2
+    return report

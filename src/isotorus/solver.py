@@ -12,13 +12,19 @@ Z_MAX, are pairs built at import.
 
 Two rules propose points, and neither decides anything:
 
-- the inverse model, built at import from iso's pairs at 26 Chebyshev
-  points in t over z in [0, 0.39]: t as the polynomial in g through the
-  nodes (g_i, t_i), evaluated in barycentric form (Berrut and Trefethen,
-  SIAM Review 46(3), 2004).  Its stated error in t is four times the size
-  of its last Chebyshev coefficient, so its error in z is at most that
-  over its z.  For rho in the model's range, where that is below tol/4, the model's
-  z is the first candidate, and the straddle alone certifies it;
+- the inverse model, built at import from iso's sharp pairs, in panels:
+  26 Chebyshev points in t over z in [0, 0.39], then 16 over each panel
+  whose ends are geometric in eps = 1 - x, ratio 4, as long as the panel's
+  stated error meets the default tolerance's budget.  Each panel is t as
+  the polynomial in g through its nodes (g_i, t_i), evaluated in
+  barycentric form (Berrut and Trefethen, SIAM Review 46(3), 2004).  Its
+  stated error in t is four times the size of its last Chebyshev
+  coefficient plus the largest error its nodes carry from their own
+  bounds, seen through g; its error in z is at most that over z.  The
+  second panel, z in [0.39, 0.4085], is the last: on the next one the
+  nodes' bounds alone miss the budget threefold.  For rho in a panel's
+  range, where its error is below tol/4, the model's z is the first
+  candidate, and the straddle alone certifies it;
 - bracketed secant steps (Anderson-Bjorck regula falsi) on
   g - sqrt(1 - rho), from the chord over the bracket: from the whole
   domain on where the model gives no candidate, and on the bracket left
@@ -42,7 +48,10 @@ package shows only on the ``mono-iso`` scan's grid, as evidence:
   Where iso's change over tol/2,
   by the bracket's chord slope, is below the last ordinary bound, the
   ordinary interval would hold rho, so the point goes to the sharpest
-  target at once, where that is sharper than the ordinary one.  A straddle interval on the far side of rho shows the
+  target at once, where that is sharper than the ordinary one.  For the
+  model's candidate, before any ordinary bound is known, the rule takes
+  iso's slope from the model and each series' share of the ordinary
+  target.  A straddle interval on the far side of rho shows the
   root beyond it, and the search goes on, so a wrong model or step costs
   evaluations, never the result.
 """
@@ -54,13 +63,16 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-from .numerics import Z_MAX, NumericsError, _iso_pair
+from .numerics import Z_MAX, NumericsError, _iso_pair, _x_of_t
 
 __all__ = ["InverseQuery", "InverseResult", "TargetOutOfRange", "invert_iso"]
 
 # the sharpest practical bound, tried once at a straddle point before the
 # candidate is given up on
 _SHARP = 1e-13
+# the tolerance whose budget each panel of the inverse model must meet:
+# InverseQuery's default
+_MODEL_TOL = 1e-10
 
 # iso's pair at z = 0, where x = 0 stops both series at their first step:
 # the same pair at every target
@@ -69,27 +81,55 @@ _AT_ZERO = _iso_pair(0.0, _SHARP)
 _AT_Z_MAX = (1.0, 0.0)
 
 
-def _inverse_model(nodes: int, z_hi: float) -> tuple:
-    """((g_i, w_i, t_i), ..., error): t at Chebyshev points of [0, z_hi^2],
-    with g = sqrt(1 - iso) from iso's pair at the sharpest target and the
-    barycentric weights w_i = 1 / prod_(j != i) (g_i - g_j), g falling from
-    the first node to the last.  The error is an estimate in t, not a
-    bound: four times the size of the interpolant's last Chebyshev
-    coefficient, its leading coefficient sum(w_i t_i) times
-    h^(n-1) / 2^(n-2), h the half width in g.  At 26 nodes over z in
-    [0, 0.39] that is 1.5e-13, against a largest miss in t of 6.7e-14 at
-    z = 0.0005k, k = 1..780, from 30-digit values of iso."""
-    t_hi = z_hi * z_hi
-    zs = [math.sqrt(0.5 * t_hi * (1.0 - math.cos(math.pi * k / (nodes - 1)))) for k in range(nodes)]
+def _inverse_model(nodes: int, z_lo: float, z_hi: float) -> tuple:
+    """One panel of the model, (((g_i, w_i, t_i), ...), error, dt/dg): t at
+    Chebyshev points of [z_lo^2, z_hi^2], with g = sqrt(1 - iso) from iso's
+    pair at the sharpest target and the barycentric weights
+    w_i = 1 / prod_(j != i) (g_i - g_j), g falling from the first node to
+    the last, and dt/dg the chord slope over the panel.  The error is an
+    estimate in t, not a bound, of two parts:
+    four times the size of the interpolant's last Chebyshev coefficient,
+    its leading coefficient sum(w_i t_i) times h^(n-1) / 2^(n-2), h the
+    half width in g; and the largest error the nodes themselves carry, each
+    node's bound b_i seen through g, b_i / (2 g_i), times the slope dt/dg
+    of the chord through its neighbours.  At 26 nodes over z in [0, 0.39]
+    that is 1.5e-13 + 3.5e-13, against a largest miss in t of 6.7e-14 at
+    z = 0.0005k, k = 1..780, from 30-digit values of iso; at 16 nodes over
+    z in [0.39, 0.4085], 4.8e-13 + 3.4e-12."""
+    t_lo, t_hi = z_lo * z_lo, z_hi * z_hi
+    zs = [math.sqrt(t_lo + 0.5 * (t_hi - t_lo) * (1.0 - math.cos(math.pi * k / (nodes - 1))))
+          for k in range(nodes)]
     ts = [z * z for z in zs]  # iso's pair squares z again
-    gs = [math.sqrt(1.0 - _iso_pair(z, _SHARP)[0]) for z in zs]
+    pairs = [_iso_pair(z, _SHARP) for z in zs]
+    gs = [math.sqrt(1.0 - v) for v, _ in pairs]
     ws = [1.0 / math.prod(gi - gj for gj in gs if gj != gi) for gi in gs]  # the g_i are distinct
     half_width = 0.5 * (gs[0] - gs[-1])
     last = abs(math.fsum(w * t for w, t in zip(ws, ts))) * half_width ** (nodes - 1) / 2.0 ** (nodes - 2)
-    return tuple(zip(gs, ws, ts)), 4.0 * last
+    ends = [(max(i - 1, 0), min(i + 1, nodes - 1)) for i in range(nodes)]
+    noise = max((ts[j] - ts[i]) / (gs[i] - gs[j]) * b / (2.0 * g)
+                for (i, j), (_, b), g in zip(ends, pairs, gs))
+    return tuple(zip(gs, ws, ts)), 4.0 * last + noise, (ts[-1] - ts[0]) / (gs[0] - gs[-1])
 
 
-_MODEL, _MODEL_ERROR = _inverse_model(26, 0.39)
+def _panels() -> tuple:
+    """The model's panels, in order of rising z: 26 nodes over z in
+    [0, 0.39], then 16 nodes each between ends geometric in eps = 1 - x,
+    x = 4t/(1-t)^2, ratio 4, from eps = 0.154 at z = 0.39.  The list stops
+    at the first panel whose error misses the default tolerance's budget at
+    its right end, tol/4 * z_hi: past it the nodes' own bounds, seen
+    through g, already miss it."""
+    panels, eps, spec = [], 1.0 - _x_of_t(0.39 * 0.39)[0], (26, 0.0, 0.39)
+    while True:
+        panel = _inverse_model(*spec)
+        if not panel[1] < 0.25 * _MODEL_TOL * spec[2]:
+            return tuple(panels)
+        panels.append(panel)
+        eps *= 0.25
+        # z at x = 1 - eps, the root of 4t/(1-t)^2 = x
+        spec = (16, spec[2], (math.sqrt(2.0 - eps) - 1.0) / math.sqrt(1.0 - eps))
+
+
+_MODEL = _panels()
 
 
 class TargetOutOfRange(NumericsError):
@@ -133,19 +173,22 @@ class InverseResult:
         return json.dumps(self.to_dict())
 
 
-def _model_t(gap: float) -> float | None:
-    """The model's t at g = ``gap``, which only proposes a candidate, or
-    None where ``gap`` lies outside the model's nodes."""
-    if not _MODEL[-1][0] <= gap <= _MODEL[0][0]:
-        return None
-    num = den = 0.0
-    for g, w, t in _MODEL:
-        if gap == g:
-            return t
-        q = w / (gap - g)
-        num += q * t
-        den += q
-    return num / den
+def _model_t(gap: float) -> tuple | None:
+    """(t, error, dt/dg): the model's t at g = ``gap``, which only proposes
+    a candidate, from the first panel whose nodes' g range holds ``gap``,
+    with that panel's error and chord slope; None where ``gap`` lies past
+    every panel."""
+    for nodes, error, dt_dg in _MODEL:
+        if nodes[-1][0] <= gap <= nodes[0][0]:
+            num = den = 0.0
+            for g, w, t in nodes:
+                if gap == g:
+                    return t, error, dt_dg
+                q = w / (gap - g)
+                num += q * t
+                den += q
+            return num / den, error, dt_dg
+    return None
 
 
 def _chord(t_lo: float, g_lo: float, t_hi: float, g_hi: float) -> float:
@@ -186,11 +229,16 @@ def invert_iso(query: InverseQuery) -> InverseResult:
     step = 2.0 * Z_MAX  # so that the rule below admits any first step
     ordinary = b  # the last bound at the ordinary target: z = 0's is every target's
     # the z that the straddle is certifying: first the model's, where its
-    # error in z, at most _MODEL_ERROR / z, is below tol/4
-    candidate = None
-    t = _model_t(gap)
-    if t is not None and t > 0.0 and _MODEL_ERROR < 0.25 * tol * math.sqrt(t):
-        candidate = math.sqrt(t)
+    # error in z, at most its panel's error over z, is below tol/4
+    candidate = slope = None
+    model = _model_t(gap)
+    if model is not None and model[0] > 0.0 and model[1] < 0.25 * tol * math.sqrt(model[0]):
+        candidate = math.sqrt(model[0])
+        # the sharp-first rule's seeds, as no ordinary bound is known yet:
+        # iso's slope in z, 2g dg/dz = 4 g z / (dt/dg), from the panel's
+        # chord slope dt/dg (g is nearly linear in t), and each series'
+        # share of the ordinary target
+        slope, ordinary = 4.0 * gap * candidate / model[2], 0.25 * target
     iterations = 0
     while True:
         if candidate is None:
@@ -220,10 +268,11 @@ def invert_iso(query: InverseQuery) -> InverseResult:
         else:
             # a straddle point, at the ordinary target and once at the sharp
             # one; at once at the sharp one, where that is the sharper, when
-            # iso's change over tol/2, by the bracket's chord, is below the
-            # ordinary bound
+            # iso's change over tol/2, by the model's slope or else the
+            # bracket's chord, is below the ordinary bound
             z = candidate - half if lo < candidate - half else candidate + half
-            sharp = target > _SHARP and (v_hi - v_lo) / (hi - lo) * half < ordinary
+            rate = (v_hi - v_lo) / (hi - lo) if slope is None else slope
+            sharp = target > _SHARP and rate * half < ordinary
             v, b = _iso_pair(z, _SHARP if sharp else target)
             if not sharp:
                 ordinary = b
@@ -244,4 +293,4 @@ def invert_iso(query: InverseQuery) -> InverseResult:
                 g_lo *= m if m > 0.0 else 0.5
             hi, v_hi, above, g_hi, moved = z, v, v + b, g(v), "hi"
         if candidate is not None and not lo < candidate < hi:
-            candidate = None  # a straddle point found the root beyond it
+            candidate = slope = None  # a straddle point found the root beyond it

@@ -1332,6 +1332,44 @@ def test_scan_convexity_wrong_sign_second_difference(monkeypatch):
     assert report.sign_change_detected is None
 
 
+def test_a_witness_must_clear_the_spacing_margin(monkeypatch):
+    # f(z) = z is convex and concave, but at the unequal points 0, 0.9, 1,
+    # 1.1, 2 its second differences read -0.8, 0 and +0.8: each exactly the
+    # margin |h2 - h1| / (h1 + h2) * |f(w) - f(u)| that such spacings allow,
+    # so neither sign is a witness and no sign change is claimed
+    pts = [0.0, 0.9, 1.0, 1.1, 2.0]
+    monkeypatch.setattr(num, "_grid", lambda lo, hi, n: pts)
+    _feed(monkeypatch, "_iso_from_t", pts, bound=1e-9)
+    report = scan_convexity("iso", grid=5)
+    assert [row[3] for row in report.rows] == ["", "negative", "inconclusive", "positive", ""]
+    assert report.witnesses == [] and report.sign_change_detected is False
+    # f(2) = 2.1 lies above the line through f(1) and f(1.1), where no
+    # concave f can reach: the last second difference, 0.9 against a
+    # margin of 0.88, is a witness, the first one still is not
+    _feed(monkeypatch, "_iso_from_t", pts[:-1] + [2.1], bound=1e-9)
+    report = scan_convexity("iso", grid=5)
+    assert report.witnesses == [1.1] and report.sign_change_detected is False
+
+
+def test_the_default_grid_s_witnesses_clear_their_margins():
+    # over the CLI's 1000 points the float spacings take 13 values, up to
+    # 5.6e-17 apart: each witness's enclosure clears its margin, in exact
+    # arithmetic, on its side of 0
+    from fractions import Fraction
+
+    report = scan_convexity("iso", grid=1000)
+    assert report.sign_change_detected and len(report.witnesses) == 2
+    pts = [row[0] for row in report.rows]
+    assert len({Fraction(b) - Fraction(a) for a, b in zip(pts, pts[1:])}) == 13
+    pairs = [(v, b) for _, v, b, _ in report.rows]
+    for z, sign in zip(report.witnesses, ("positive", "negative")):
+        i = pts.index(z)
+        assert report.rows[i][3] == sign
+        margin = num._spacing_margin(pts[i - 1], z, pts[i + 1], pairs[i - 1], pairs[i + 1])
+        lo, hi = num._second_difference(*pairs[i - 1:i + 2])
+        assert (Fraction(lo) > margin) if sign == "positive" else (Fraction(hi) < -margin)
+
+
 def test_scan_convexity_one_sign_only(monkeypatch):
     _feed(monkeypatch, "_iso_from_t", [1.0, 1.1, 1.3, 1.6, 2.0], bound=1e-3)
     report = scan_convexity("iso", grid=5)

@@ -333,20 +333,76 @@ def test_few_evaluations_per_root(monkeypatch):
         assert calls[0] - before <= 4, (z, calls[0] - before)
 
 
-MODEL_ZS = [z for z, _, _ in MP_ROOTS if z <= 0.39]
+def _panel_ends():
+    """(z_lo, z_hi) of each panel of the model: its first and last node."""
+    return [(math.sqrt(nodes[0][2]), math.sqrt(nodes[-1][2])) for nodes, _, _ in solver._MODEL]
+
+
+def _eps(z):
+    """1 - x at z, x = 4t/(1-t)^2."""
+    t = Fraction(z) ** 2
+    return float(1 - 4 * t / (1 - t) ** 2)
+
+
+# the MP_ROOTS roots inside each panel of the model, in panel order
+PANEL_ZS = [[z for z, _, _ in MP_ROOTS if lo < z <= hi] for lo, hi in _panel_ends()]
+MODEL_ZS = [z for zs in PANEL_ZS for z in zs]
+
+
+def test_the_panels_tile_the_model_range_and_stop_at_the_budget():
+    # the first panel covers z in [0, 0.39]; each later one starts at the
+    # node where the one before it ends and reaches a quarter of its eps =
+    # 1 - x.  Each kept panel meets tol = 1e-10's budget at its right end,
+    # tol/4 * z_hi, and the next one misses it: its nodes' own bounds, seen
+    # through g, carry up to 3.2e-11 in t against 1.0e-11
+    ends = _panel_ends()
+    assert len(ends) == 2 and ends[0] == (0.0, 0.39)
+    for (nodes, _, _), (after, _, _) in zip(solver._MODEL, solver._MODEL[1:]):
+        assert nodes[-1][0] == after[0][0]
+    for (_, hi), (_, after) in zip(ends, ends[1:]):
+        assert abs(_eps(after) / _eps(hi) - 0.25) < 1e-9
+    for (_, error, _), (_, hi) in zip(solver._MODEL, ends):
+        assert error < 0.25 * 1e-10 * hi
+    eps = 0.25 * _eps(ends[-1][1])
+    z_next = (math.sqrt(2.0 - eps) - 1.0) / math.sqrt(1.0 - eps)
+    _, error, _ = solver._inverse_model(16, ends[-1][1], z_next)
+    assert not error < 0.25 * 1e-10 * z_next, error
+
+
+def test_each_panel_s_error_holds_its_miss():
+    # at points between its nodes, the model's t at g = sqrt(1 - Iso(z*)),
+    # Iso to 40 digits, misses z*^2 by less than its panel's stated error
+    # (7.7 and 34 times less): the error counts the nodes' own bounds,
+    # where on panels past the second the Chebyshev estimate alone reads
+    # far below the miss
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for nodes, error, _ in solver._MODEL:
+            ts = [t for _, _, t in nodes]
+            for t0, t1 in list(zip(ts, ts[1:]))[1::3]:
+                t_star = (mpmath.mpf(t0) + mpmath.mpf(t1)) / 2
+                gap = float(mpmath.sqrt(1 - mp_iso(mpmath, mpmath.sqrt(t_star))))
+                t, stated, _ = solver._model_t(gap)
+                assert stated == error
+                assert abs(mpmath.mpf(t) - t_star) < error, (float(t_star), error)
 
 
 def test_every_root_in_the_model_range_certifies_in_two_evaluations(monkeypatch):
     # the model's point is within about 1e-13 of each root, so the
-    # intervals at z -+ tol/2 straddle rho at the ordinary target.  The
-    # residual bound holds iso(z) to 40 digits
+    # intervals at z -+ tol/2 straddle rho at the ordinary target, with no
+    # sharp call.  The residual bound holds iso(z) to 40 digits.  The two
+    # panels hold the 18 roots up to 0.39, and 0.405 and the first five
+    # NEAR_Z_MAX_ZS past it; the last two, and 0.411, lie past the last panel
     mpmath = pytest.importorskip("mpmath")
-    calls = _counting_series_sums(monkeypatch)
-    assert len(MODEL_ZS) == 18
+    sums = _counting_series_sums(monkeypatch)
+    calls = _recording_iso(monkeypatch)
+    assert PANEL_ZS[1] == [0.405] + NEAR_Z_MAX_ZS[:5] and len(PANEL_ZS[0]) == 18
     for rho, root in _stored_roots(MODEL_ZS):
-        before = calls[0]
+        del calls[:]
+        before = sums[0]
         result = invert_iso(InverseQuery(rho, 1e-10))
-        assert (result.flag, result.iterations, calls[0] - before) == (None, 2, 4), rho
+        assert (result.flag, result.iterations, sums[0] - before) == (None, 2, 4), rho
+        assert [target for _, target, _ in calls] == [1e-11, 1e-11], rho
         assert abs(Fraction(result.z) - root) <= 5e-11, (rho, result.z)
         with mpmath.workdps(40):
             assert abs(mp_iso(mpmath, mpmath.mpf(result.z)) - rho) <= result.residual_bound, rho
@@ -357,23 +413,31 @@ def _shift_model_t(monkeypatch, dz):
     model_t = solver._model_t
 
     def shifted(gap):
-        t = model_t(gap)
-        return None if t is None else (math.sqrt(t) + dz) ** 2
+        model = model_t(gap)
+        return None if model is None else ((math.sqrt(model[0]) + dz) ** 2, *model[1:])
 
     monkeypatch.setattr(solver, "_model_t", shifted)
 
 
-@pytest.mark.parametrize("corruption", ["nodes+1e-6", "z+0.6tol", "z-0.6tol"])
-def test_a_wrong_model_costs_evaluations_never_the_result(monkeypatch, corruption):
-    # the model only proposes the candidate: with nodes 1e-6 off in t, or
-    # its point 0.6 tol off the root, a straddle point finds the root beyond
-    # it, and the search goes on to a z within tol/2 of the root
+WRONG_MODELS = [(panel, corruption) for panel in range(len(solver._MODEL))
+                for corruption in ("nodes+1e-6", "z+0.6tol", "z-0.6tol")]
+
+
+@pytest.mark.parametrize("panel, corruption", WRONG_MODELS,
+                         ids=[c if p == 0 else f"{c}-panel{p}" for p, c in WRONG_MODELS])
+def test_a_wrong_model_costs_evaluations_never_the_result(monkeypatch, panel, corruption):
+    # the model only proposes the candidate: with one panel's nodes 1e-6
+    # off in t, or its point 0.6 tol off the root, a straddle point finds
+    # the root beyond it, and the search goes on to a z within tol/2 of the
+    # root, for every root in that panel
     tol = 1e-10
     if corruption == "nodes+1e-6":
-        monkeypatch.setattr(solver, "_MODEL", tuple((g, w, t + 1e-6) for g, w, t in solver._MODEL))
+        nodes, error, slope = solver._MODEL[panel]
+        wrong = (tuple((g, w, t + 1e-6) for g, w, t in nodes), error, slope)
+        monkeypatch.setattr(solver, "_MODEL", solver._MODEL[:panel] + (wrong,) + solver._MODEL[panel + 1:])
     else:
         _shift_model_t(monkeypatch, 0.6 * tol if corruption[1] == "+" else -0.6 * tol)
-    for rho, root in _stored_roots(MODEL_ZS):
+    for rho, root in _stored_roots(PANEL_ZS[panel]):
         result = invert_iso(InverseQuery(rho, tol))
         assert result.flag is None, (corruption, rho)
         assert abs(Fraction(result.z) - root) <= tol / 2, (corruption, rho, result.z)
@@ -385,7 +449,7 @@ def test_a_root_within_tol_over_2_of_zero_is_certified_by_the_bracket_end():
     mpmath = pytest.importorskip("mpmath")
     rho, tol = ISO0 + 1e-10, 1e-4
     result = invert_iso(InverseQuery(rho, tol))
-    assert result.z == math.sqrt(solver._model_t(math.sqrt(1.0 - rho)))
+    assert result.z == math.sqrt(solver._model_t(math.sqrt(1.0 - rho))[0])
     assert result.z - tol / 2 < 0.0
     assert (result.flag, result.iterations) == (None, 1)
     with mpmath.workdps(40):
@@ -394,22 +458,31 @@ def test_a_root_within_tol_over_2_of_zero_is_certified_by_the_bracket_end():
     assert result.residual_bound == max(iso(result.z + tol / 2, 1e-11).hi - rho, rho - iso(0.0).lo)
 
 
+def _panel_highs():
+    """The sharp value at each panel's last node: g = sqrt(1 - rho) falls
+    from a panel's first node to its last."""
+    highs = []
+    for nodes, _, _ in solver._MODEL:
+        g_last, _, t_last = nodes[-1]
+        high = solver._iso_pair(math.sqrt(t_last), solver._SHARP)[0]
+        assert math.sqrt(1.0 - high) == g_last
+        highs.append(high)
+    return highs
+
+
 def _model_edges():
-    """rho at the model's two ends: the least rho above iso(0)'s interval,
-    the first that reaches the model, and the sharp value at z = 0.39, the
-    last node, with its two float neighbours.  g = sqrt(1 - rho) falls from
-    the first node to the last."""
-    (g_first, _, _), (g_last, _, t_last) = solver._MODEL[0], solver._MODEL[-1]
+    """rho at the ends of every panel: the least rho above iso(0)'s
+    interval, the first that reaches the model, and the sharp value at each
+    panel's last node, with its two float neighbours."""
     v, b = solver._AT_ZERO
-    high = solver._iso_pair(math.sqrt(t_last), solver._SHARP)[0]
-    assert math.sqrt(1.0 - v) == g_first
-    assert math.sqrt(1.0 - high) == g_last and t_last == 0.39 * 0.39
-    return [math.nextafter(v + b, 1.0), math.nextafter(high, 0.0), high, math.nextafter(high, 1.0)]
+    assert math.sqrt(1.0 - v) == solver._MODEL[0][0][0][0]
+    return [math.nextafter(v + b, 1.0)] + [r for high in _panel_highs() for r in (
+        math.nextafter(high, 0.0), high, math.nextafter(high, 1.0))]
 
 
 def test_ratios_at_the_edges_of_the_model_range():
-    # at either end of the model's range, its point where it is the
-    # candidate, and the chord steps where it is not, give certified roots
+    # at every panel's ends its point, where it is the candidate, and past
+    # the last panel the chord steps, give certified roots
     mpmath = pytest.importorskip("mpmath")
     for rho in _model_edges():
         result = invert_iso(InverseQuery(rho, 1e-10))
@@ -419,10 +492,18 @@ def test_ratios_at_the_edges_of_the_model_range():
         with mpmath.workdps(40):  # by monotonicity, the root within 5e-11 of z
             z = mpmath.mpf(result.z)
             assert mp_iso(mpmath, z - 5e-11) < rho < mp_iso(mpmath, z + 5e-11), rho
-    high = _model_edges()[2]
-    assert solver._model_t(math.sqrt(1.0 - high)) == 0.39 * 0.39
-    assert solver._model_t(math.sqrt(1.0 - math.nextafter(high, 1.0))) is None
-    assert invert_iso(InverseQuery(high, 1e-10)).iterations == 2
+    # at a panel's last node the model returns its t, and each side of it
+    # is the candidate in two evaluations, but one float past the last
+    # panel's, where no panel holds g and the chord steps run
+    highs = _panel_highs()
+    for (nodes, _, _), high in zip(solver._MODEL, highs):
+        assert solver._model_t(math.sqrt(1.0 - high))[0] == nodes[-1][2]
+        for rho in (math.nextafter(high, 0.0), high, math.nextafter(high, 1.0)):
+            if rho == math.nextafter(highs[-1], 1.0):
+                assert solver._model_t(math.sqrt(1.0 - rho)) is None
+                assert invert_iso(InverseQuery(rho, 1e-10)).iterations > 2
+            else:
+                assert invert_iso(InverseQuery(rho, 1e-10)).iterations == 2, rho
 
 
 def test_few_evaluations_per_root_near_z_max(monkeypatch):
@@ -456,8 +537,7 @@ def test_a_straddle_interval_holding_rho_is_retried_sharp(monkeypatch):
     # target and not at the sharp one, which certifies the model's point
     calls = _recording_iso(monkeypatch)
     tol = 1e-11
-    for rho, root in _stored_roots([0.28400000000000003, 0.3094, 0.3348, 0.36019999999999996,
-                                    0.38559999999999994]):
+    for rho, root in _stored_roots([0.28400000000000003, 0.3094, 0.3348, 0.36019999999999996]):
         del calls[:]
         result = invert_iso(InverseQuery(rho, tol))
         assert (result.flag, result.iterations) == (None, 2), rho
@@ -467,6 +547,22 @@ def test_a_straddle_interval_holding_rho_is_retried_sharp(monkeypatch):
         assert len(retried) == 1 and retried[0].lo <= rho <= retried[0].hi, rho
 
 
+def test_a_model_candidate_seeds_the_sharp_first_rule(monkeypatch):
+    # before any ordinary bound is known, the rule compares iso's change
+    # over tol/2, by the model's slope, with each series' share of the
+    # ordinary target.  At tol = 1e-11 the root at 0.3856, where iso's
+    # slope is 0.42, goes sharp at once at both straddle points; with z =
+    # 0's bound as the seed its first point would take the ordinary target
+    # and a sharp retry.  At tol = 1e-10 no root in the model's range goes
+    # sharp
+    calls = _recording_iso(monkeypatch)
+    rho, root = _ROOT_OF[0.38559999999999994]
+    result = invert_iso(InverseQuery(rho, 1e-11))
+    assert (result.flag, result.iterations) == (None, 2)
+    assert abs(Fraction(result.z) - root) <= 5e-12
+    assert [target for _, target, _ in calls] == [solver._SHARP] * 2
+
+
 NEAR_ONE_RHOS = [1.0 - 10.0 ** (-3 - k / 8) for k in range(33)]
 
 
@@ -474,8 +570,9 @@ def test_straddle_points_near_z_max_go_sharp_at_once(monkeypatch):
     # where iso's change over tol/2, by the bracket's chord, is below the
     # ordinary bound, an ordinary straddle interval would hold rho: the point
     # goes to the sharp target at once.  Over rho = 1 - 10^-(3 + k/8) that
-    # saves 66 of 472 series sums, with the same results.  Before k = 8 no
-    # point goes sharp, and from k = 11 on even the sharp bound runs out
+    # saved 66 of 472 series sums, with the same results, and the model's
+    # second panel, which holds k = 0..3, 32 more.  Before k = 8 no point
+    # goes sharp, and from k = 11 on even the sharp bound runs out
     sums = _counting_series_sums(monkeypatch)
     calls = _recording_iso(monkeypatch)
     for k, rho in enumerate(NEAR_ONE_RHOS):
@@ -488,17 +585,28 @@ def test_straddle_points_near_z_max_go_sharp_at_once(monkeypatch):
         # sharp, where the ordinary try took 2 retries at k = 8..15, 1 after
         assert len(calls) == result.iterations + flagged, k
         assert (solver._SHARP in [target for _, target, _ in calls]) == (k >= 8), k
-    assert sums[0] <= 406, sums[0]
+    assert sums[0] <= 374, sums[0]
 
 
 # sha256 over "z.hex residual_bound.hex iterations flag" lines of invert_iso
 # on INVERT_RHOS at the default query: the MP_ROOTS targets, the lower end,
-# 1 - 10^-(3 + k/8) for k = 0..32, across the straddle's sharp retry (from
-# rho = 0.9999) and its precision_exhausted flag (from k = 11), and the ratio
-# next to 1.  Regenerate with
+# 1 - 10^-(3 + k/8) for k = 0..32, across the model's second panel (to
+# k = 3), the sharp-first rule (from k = 8) and the precision_exhausted flag
+# (from k = 11), and the ratio next to 1.  Regenerate with
 #   PYTHONPATH=src:tests python -c "import test_solver; print(test_solver.invert_grid_digest())"
-INVERT_GRID = "579de284e7c15818e8b4a6ebcd9fc7f4a7720e3768948ab21fcd7d61c05222d4"
+INVERT_GRID = "585bb6ae08f91e3fef3481a97132958c7ae59129ff5faebf96751aeb5de26555"
 INVERT_RHOS = [rho for _, rho, _ in MP_ROOTS] + [ISO0] + NEAR_ONE_RHOS + [0.9999999999999999]
+
+
+def test_no_point_of_the_pinned_grid_is_evaluated_twice(monkeypatch):
+    # one call per point, and the flag's one at the candidate: no straddle
+    # point is tried at the ordinary target and again sharp, on any ratio
+    # of INVERT_RHOS at the default query
+    calls = _recording_iso(monkeypatch)
+    for rho in INVERT_RHOS:
+        del calls[:]
+        result = invert_iso(InverseQuery(rho))
+        assert len(calls) == result.iterations + (result.flag == "precision_exhausted"), rho
 
 
 def invert_grid_digest():
